@@ -7,7 +7,8 @@ the quotient gain graph, the model (body-bar or body-hinge), and an
 optional explicit bar configuration.  Machine output is a single sorted
 JSON document on stdout; pass ``--format text`` for a human summary.
 
-Exit codes: 0 rigid, 1 flexible, 2 input error, 3 consistency failure.
+Exit codes: 0 rigid, 1 flexible, 2 input error, 3 consistency failure or
+any other internal error.
 """
 
 from __future__ import annotations
@@ -72,6 +73,23 @@ def _require(doc: dict, key: str, where: str) -> Any:
     return doc[key]
 
 
+def _parse_id(x: Any, kind: str) -> str | int:
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise InputError(f"{kind} id {x!r} must be a string or an integer")
+    return x
+
+
+def _require_distinct_keys(ids: Sequence[str | int], kind: str) -> None:
+    """Ids are keyed by ``str(id)`` in configurations and reports, so two ids
+    with one string form (such as 0 and "0") are duplicates."""
+    seen: dict[str, str | int] = {}
+    for x in ids:
+        key = str(x)
+        if key in seen:
+            raise InputError(f"duplicate {kind} id {key!r} (given as {seen[key]!r} and {x!r})")
+        seen[key] = x
+
+
 def parse_framework(doc: dict) -> dict:
     """Parse a schema-1 framework document into model objects."""
     if not isinstance(doc, dict):
@@ -100,16 +118,18 @@ def parse_framework(doc: dict) -> dict:
     rep = PointRepresentation.from_generators(group, d, gens)
 
     gg_doc = _require(doc, "gain_graph", "document")
-    vertices = list(_require(gg_doc, "vertices", "gain_graph"))
+    vertices = [_parse_id(v, "vertex") for v in _require(gg_doc, "vertices", "gain_graph")]
+    _require_distinct_keys(vertices, "vertex")
     edges = []
     loops_l = []
     for e_doc in _require(gg_doc, "edges", "gain_graph"):
-        eid = _require(e_doc, "id", "edge")
+        eid = _parse_id(_require(e_doc, "id", "edge"), "edge")
         gain = tuple(_require(e_doc, "gain", f"edge {eid}"))
-        edges.append((eid, _require(e_doc, "tail", f"edge {eid}"),
-                      _require(e_doc, "head", f"edge {eid}"), gain))
+        edges.append((eid, _parse_id(_require(e_doc, "tail", f"edge {eid}"), "vertex"),
+                      _parse_id(_require(e_doc, "head", f"edge {eid}"), "vertex"), gain))
         if e_doc.get("inL", False):
             loops_l.append(eid)
+    _require_distinct_keys([e[0] for e in edges], "edge")
     h = make_gain_graph(vertices, edges, loops_l, group=group)
 
     config = None
@@ -648,6 +668,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
     except ConsistencyError as exc:
         sys.stderr.write(f"consistency failure: {exc}\n")
+        return EXIT_INCONSISTENT
+    except Exception as exc:  # exit 1 means "flexible", so never let a crash exit 1
+        sys.stderr.write(f"internal error: {exc!r}\n")
         return EXIT_INCONSISTENT
 
 

@@ -18,7 +18,7 @@ from .algebra import Extensor, Scalar, hodge_star, wedge
 from .errors import InputError, UnsupportedGroupError
 from .gaingraph import CoveredGraph, EdgeId, GainGraph, lift_cover, multiply_edges
 from .genframe import PRNG_NAME, BarConfiguration, BarEntry, random_point
-from .linalg import nullspace_exact, rank_exact
+from .linalg import nullspace_exact, rank_certified
 from .matroid import CombinatorialVerdict, combinatorial_verdict
 from .rigidity import IrrepReport, RigidityReport, analyze
 from .symmetry import PointRepresentation
@@ -109,7 +109,7 @@ def hinge_to_bars(
             raise InputError(f"complement of hinge {e.id!r} has dimension {len(basis)} != {m}")
         while True:
             coeffs = [[Fraction(rng.randint(-99, 99)) for _ in range(m)] for _ in range(m)]
-            if rank_exact(coeffs) == m:
+            if rank_certified(coeffs, m) == m:
                 break
         star = hodge_star(hinge)
         for t in range(1, m + 1):

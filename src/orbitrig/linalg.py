@@ -1,9 +1,16 @@
 """Exact and floating rank/nullspace computations on dense matrices.
 
-Matrices are plain lists of rows.  The exact path clears denominators per
-row (rank is invariant under row scaling) and runs fraction-free Bareiss
-elimination over the integers; the complex path counts singular values
-above ``2**-40 * max(m, n) * sigma_max``.
+Matrices are plain lists of rows.  ``rank_certified`` is the exact rank
+engine for orbit and lifted rigidity matrices: it reduces the matrix modulo
+the word-size prime ``PRIME = 2**31 - 1`` and eliminates over that field.
+The rank over F_p never exceeds the rank over Q, and the caller supplies an
+upper bound U on the rational rank that it has proven in exact arithmetic,
+so an F_p rank equal to min(nonzero rows, U) is the rational rank.  Any
+other outcome (a deficient matrix, an entry that vanishes mod p, or p
+dividing a denominator) falls back to ``rank_exact``: row denominators are
+cleared (rank is invariant under row scaling) and fraction-free Bareiss
+elimination runs over the integers.  Every rank these return is exact.  The
+complex path counts singular values above ``2**-40 * max(m, n) * sigma_max``.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from .algebra import Scalar, is_exact
 from .errors import InputError
 
 FLOAT_RANK_TOL = 2.0 ** -40
+PRIME = 2 ** 31 - 1
 
 
 def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
@@ -62,6 +70,72 @@ def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
         row += 1
         if row == nrows:
             break
+    return rank
+
+
+def rank_certified(rows: Sequence[Sequence[Scalar]], bound: int) -> int:
+    """Rank over the rationals of a matrix with rational (int, Fraction or
+    float) entries, given ``bound``, an upper bound on that rank which the
+    caller has proven exactly.
+
+    Rows that are zero over Q are skipped.  The rest are reduced mod PRIME
+    and eliminated; since rank_p <= rank_Q <= min(nonzero rows, bound), an
+    F_p rank reaching that minimum is returned as it is.  Otherwise, or when
+    PRIME divides a denominator, the result is ``rank_exact(rows)``."""
+    reduced = []
+    ncols = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != ncols:
+            raise InputError("ragged matrix")
+        out = []
+        nonzero = False
+        for x in row:
+            if not x:
+                out.append(0)
+                continue
+            nonzero = True
+            num, den = x.as_integer_ratio()
+            if den == 1:
+                out.append(num % PRIME)
+            elif den % PRIME:
+                out.append(num * pow(den, -1, PRIME) % PRIME)
+            else:
+                return rank_exact(rows)
+        if nonzero:
+            reduced.append(out)
+    target = min(len(reduced), bound)
+    if _rank_mod_p(reduced, target) == target:
+        return target
+    return rank_exact(rows)
+
+
+def _rank_mod_p(rows: list[list[int]], target: int) -> int:
+    """Rank over F_PRIME of equal-length rows of residues, by Gaussian
+    elimination that stops once the rank reaches ``target``.  Each step
+    drops the leading column, so ``rows`` always holds the columns not yet
+    eliminated; rows that become zero are dropped."""
+    rank = 0
+    while rank < target and rows and rows[0]:
+        for i, r in enumerate(rows):
+            if r[0]:
+                break
+        else:
+            rows = [r[1:] for r in rows]
+            continue
+        pivot = rows.pop(i)
+        inv = pow(pivot[0], -1, PRIME)
+        pivot = [x * inv % PRIME for x in pivot[1:]]
+        rank += 1
+        remaining = []
+        for r in rows:
+            f = r[0]
+            if f:
+                r = [(a - f * b) % PRIME for a, b in zip(r[1:], pivot)]
+                if any(r):
+                    remaining.append(r)
+            else:
+                remaining.append(r[1:])
+        rows = remaining
     return rank
 
 

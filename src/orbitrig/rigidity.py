@@ -20,12 +20,13 @@ from .algebra import Scalar, is_exact
 from .errors import ConsistencyError, InputError
 from .gaingraph import CoveredGraph, EdgeId, GainGraph, VertexId
 from .genframe import BarConfiguration, BarEntry, lift_bars, random_generic_bars, verify_loop_form
-from .linalg import matrix_rank, nullspace_exact, rank_exact
+from .linalg import matrix_rank, nullspace_exact, rank_certified, rank_exact
 from .symmetry import (
     Element,
     PointRepresentation,
     fixed_subspace_basis,
     irrep_is_real,
+    proven_trivial_dim,
     tau_hat2_j,
     trivial_motion_dim,
 )
@@ -111,8 +112,11 @@ def orbit_matrix(
     rows = []
     for e in h.edges:
         vec = config.vector(e.id)
+        if len(vec) != b:
+            raise InputError(f"bar of edge {e.id!r} has {len(vec)} coordinates, expected {b}")
         inv = tau_hat2_j(rep, g, rep.group.inverse(e.gain))
-        moved = inv.apply(vec)
+        # twisted images are sparse, so zero coefficients are skipped
+        moved = [sum(a * x for a, x in zip(r, vec) if a) for r in inv.rows]
         row: list[Scalar] = [Fraction(0)] * (b * len(h.vertices))
         tb = vindex[e.tail] * b
         hb = vindex[e.head] * b
@@ -127,6 +131,15 @@ def orbit_matrix(
         edge_ids=tuple(e.id for e in h.edges),
         rows=tuple(rows),
     )
+
+
+def _block_rank(om: OrbitMatrix, rep: PointRepresentation) -> int:
+    """Exact rank of one character block.  Exact blocks of real characters
+    get the prime-field rank certified against columns minus the proven
+    fixed-screw count; blocks of complex characters use ``om.rank()``."""
+    if irrep_is_real(rep.group, om.irrep) and rep.is_exact() and om.is_exact():
+        return rank_certified(om.rows, om.ncols - proven_trivial_dim(rep, om.irrep))
+    return om.rank()
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +223,7 @@ def analyze(
     nv = len(h.vertices)
     reports = []
     for g in rep.group.elements():
-        om = orbit_matrix(h, config, rep, g)
-        rank = om.rank()
+        rank = _block_rank(orbit_matrix(h, config, rep, g), rep)
         trivial = trivial_motion_dim(rep, g)
         flex = b * nv - rank - trivial
         if flex < 0:
@@ -389,8 +401,11 @@ def crosscheck_block_ranks(
             raise InputError("rank additivity crosscheck needs all-real characters")
     cov, bars = lift_bars(h, config, rep)
     lifted = rigidity_matrix(cov, bars, rep.d)
-    lifted_rank = rank_exact(lifted)
+    # each row is +vec at its tail block and -vec at its head block, so the
+    # C(d+1,2) constant screw assignments lie in the kernel
+    b = comb(rep.d + 1, 2)
+    lifted_rank = rank_certified(lifted, b * (len(cov.vertices) - 1))
     blocks = {}
     for g in rep.group.elements():
-        blocks[g] = orbit_matrix(h, config, rep, g).rank()
+        blocks[g] = _block_rank(orbit_matrix(h, config, rep, g), rep)
     return CrosscheckResult(lifted_rank=lifted_rank, block_ranks=blocks)

@@ -18,8 +18,8 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .algebra import Scalar, SquareMatrix, block_diag_one, induced_rep, is_exact, lex_index
-from .errors import InputError, RepresentationError, UnsupportedGroupError
-from .linalg import nullspace_exact
+from .errors import ConsistencyError, InputError, RepresentationError, UnsupportedGroupError
+from .linalg import nullspace_exact, rank_certified
 
 Element = tuple[int, ...]
 
@@ -105,6 +105,11 @@ class PointRepresentation:
 
     Images of all elements are derived from the generators and the
     homomorphism property is verified exhaustively; the group is finite.
+
+    The instance also caches what the module functions derive from it per
+    character label j: twisted screw images per (j, g), the fixed-screw
+    dimension, the fixed-screw basis and its kernel proof.  Images are
+    immutable ``SquareMatrix`` values, so cached entries are shared safely.
     """
 
     def __init__(self, group: AbelianGroup, d: int, images: Mapping[Element, SquareMatrix]):
@@ -113,6 +118,10 @@ class PointRepresentation:
         self.images = dict(images)
         self._hat2: dict[Element, SquareMatrix] = {}
         self._hat_k: dict[tuple[Element, int], SquareMatrix] = {}
+        self._twisted: dict[tuple[Element, Element], SquareMatrix] = {}
+        self._trivial_dim: dict[Element, int] = {}
+        self._fixed: dict[Element, tuple[tuple[Scalar, ...], ...]] = {}
+        self._proven_dim: dict[Element, int] = {}
         self._validate()
 
     @classmethod
@@ -172,6 +181,10 @@ class PointRepresentation:
             self._hat_k[key] = induced_rep(self.tau_hat(g), k)
         return self._hat_k[key]
 
+    def is_exact(self) -> bool:
+        """True when every image has int/Fraction entries only."""
+        return all(is_exact(x) for m in self.images.values() for row in m.rows for x in row)
+
     def is_faithful(self) -> bool:
         ident = SquareMatrix.identity(self.d)
         return all(self.images[g] != ident for g in self.group.elements() if g != self.group.identity)
@@ -197,16 +210,24 @@ class PointRepresentation:
 
 def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix:
     """The screw-space representation twisted by the character labeled j:
-    rho_j(g)^{-1} times the grade-2 induced matrix of the augmented image."""
-    rho = irrep_value(rep.group, j, g)
-    rho_inv = rho if is_exact(rho) else 1 / rho
-    return rep.tau_hat2(g).scale(rho_inv)
+    rho_j(g)^{-1} times the grade-2 induced matrix of the augmented image.
+    Cached on ``rep`` per (j, g)."""
+    key = (tuple(j), tuple(g))
+    m = rep._twisted.get(key)
+    if m is None:
+        rho = irrep_value(rep.group, j, g)
+        rho_inv = rho if is_exact(rho) else 1 / rho
+        m = rep._twisted[key] = rep.tau_hat2(g).scale(rho_inv)
+    return m
 
 
 def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
     """Dimension of the fixed subspace of the twisted screw representation:
     the average over the group of the traces.  Always a nonnegative integer
-    for a valid representation."""
+    for a valid representation.  Cached on ``rep`` per j."""
+    j = rep.group.canon(j)
+    if j in rep._trivial_dim:
+        return rep._trivial_dim[j]
     elems = rep.group.elements()
     total: Scalar = sum(tau_hat2_j(rep, j, g).trace() for g in elems)
     n = len(elems)
@@ -214,18 +235,25 @@ def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
         avg = Fraction(total, n) if isinstance(total, int) else total / n
         if avg.denominator != 1 or avg < 0:
             raise RepresentationError(f"trace average {avg} is not a nonnegative integer")
-        return int(avg)
-    avg_c = complex(total) / n
-    nearest = round(avg_c.real)
-    if abs(avg_c - nearest) > 1e-9 or nearest < 0:
-        raise RepresentationError(f"trace average {avg_c} is not a nonnegative integer")
-    return int(nearest)
+        dim = int(avg)
+    else:
+        avg_c = complex(total) / n
+        nearest = round(avg_c.real)
+        if abs(avg_c - nearest) > 1e-9 or nearest < 0:
+            raise RepresentationError(f"trace average {avg_c} is not a nonnegative integer")
+        dim = int(nearest)
+    rep._trivial_dim[j] = dim
+    return dim
 
 
 def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Scalar, ...]]:
     """Basis of the screws fixed by every twisted image, i.e. the space of
     j-symmetric trivial motions on the quotient.  Length equals
-    ``trivial_motion_dim``."""
+    ``trivial_motion_dim``.  Cached on ``rep`` per j; each call returns a
+    new list."""
+    j = rep.group.canon(j)
+    if j in rep._fixed:
+        return list(rep._fixed[j])
     b = comb(rep.d + 1, 2)
     rows: list[list[Scalar]] = []
     exact = True
@@ -237,9 +265,9 @@ def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Sca
         exact = exact and all(is_exact(x) for r in m.rows for x in r)
         rows.extend(list(r) for r in m.rows)
     if not rows:
-        return [tuple(Fraction(1) if i == t else Fraction(0) for i in range(b)) for t in range(b)]
-    if exact:
-        basis = nullspace_exact(rows, b)
+        basis = [tuple(Fraction(1) if i == t else Fraction(0) for i in range(b)) for t in range(b)]
+    elif exact:
+        basis = nullspace_exact([r for r in rows if any(r)], b)
     else:
         import numpy as np
 
@@ -253,7 +281,39 @@ def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Sca
         raise RepresentationError(
             f"fixed subspace dimension {len(basis)} != trace average {dim}"
         )
-    return basis
+    rep._fixed[j] = tuple(basis)
+    return list(basis)
+
+
+def proven_trivial_dim(rep: PointRepresentation, j: Element) -> int:
+    """Number of fixed screws of character j, after proving in exact
+    arithmetic that A^T s = s for every fixed screw s and every twisted
+    image A, and that the screws are independent.  An orbit-matrix row of
+    character j pairs a screw s, assigned to every vertex, with
+    vec . (s - A^T s); so the fixed screws give that many independent kernel
+    vectors of every orbit matrix of j, and its column count minus this
+    number bounds its rank.  Needs exact images and a real character.
+    Raises ``ConsistencyError`` when the check fails.  Cached on ``rep``
+    per j."""
+    j = rep.group.canon(j)
+    if j in rep._proven_dim:
+        return rep._proven_dim[j]
+    basis = fixed_subspace_basis(rep, j)
+    if rank_certified(basis, len(basis)) != len(basis):
+        raise ConsistencyError(f"fixed screws of irrep {j} are linearly dependent")
+    b = comb(rep.d + 1, 2)
+    for g in rep.group.elements():
+        rows = tau_hat2_j(rep, j, g).rows
+        for s in basis:
+            # A^T s as the sum of x times row r of A over the support of s
+            support = [(rows[r], x) for r, x in enumerate(s) if x]
+            if [sum(row[c] * x for row, x in support) for c in range(b)] != list(s):
+                raise ConsistencyError(
+                    f"screw {tuple(map(str, s))} is not fixed by the transposed "
+                    f"image of {g} in irrep {j}"
+                )
+    rep._proven_dim[j] = len(basis)
+    return len(basis)
 
 
 def induced_labeling(rep: PointRepresentation, g: Element, pair: tuple[int, int]) -> dict[Element, int]:

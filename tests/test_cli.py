@@ -6,6 +6,7 @@ import pytest
 
 from orbitrig.cli import (
     EXIT_FLEXIBLE,
+    EXIT_INCONSISTENT,
     EXIT_INPUT,
     EXIT_RIGID,
     main,
@@ -276,3 +277,58 @@ class TestReplaySerialization:
         assert doc["counting_violations"]["[0]"]["size"] == 4
         assert doc["counting_violations"]["[0]"]["bound"] == 3
         assert doc["counting_violations"]["[1]"] is None
+
+
+class TestInputBoundary:
+    @staticmethod
+    def _write(tmp_path, fixture_dir, edit) -> str:
+        doc = json.loads((fixture_dir / "cs_stewart.json").read_text())
+        edit(doc["gain_graph"])
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda g: g.update(vertices=[["v"]]),
+            lambda g: g.update(vertices=[True]),
+            lambda g: g["edges"][0].update(id=1.5),
+            lambda g: g["edges"][0].update(id=[0]),
+            lambda g: g["edges"][0].update(id=False),
+            lambda g: g["edges"][0].update(tail=["v"]),
+            lambda g: g["edges"][0].update(head={"v": 1}),
+        ],
+    )
+    def test_ids_must_be_strings_or_integers(self, capsys, tmp_path, fixture_dir, edit):
+        path = self._write(tmp_path, fixture_dir, edit)
+        assert main(["analyze", path]) == EXIT_INPUT
+        assert "must be a string or an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda g: g["edges"][1].update(id="0"),
+            lambda g: g["edges"][1].update(id=0),
+            lambda g: g.update(vertices=[0, "0"]),
+        ],
+    )
+    def test_ids_with_one_string_form_are_duplicates(self, capsys, tmp_path, fixture_dir, edit):
+        path = self._write(tmp_path, fixture_dir, edit)
+        for command in ("analyze", "certify"):
+            assert main([command, path]) == EXIT_INPUT
+            assert "duplicate" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_3(self, capsys, fixture_dir, monkeypatch):
+        import orbitrig.cli as cli
+
+        def broken(doc):
+            raise TypeError("unexpected\nfailure")
+
+        monkeypatch.setattr(cli, "parse_framework", broken)
+        code = main(["analyze", str(fixture_dir / "cs_stewart.json")])
+        captured = capsys.readouterr()
+        assert code == EXIT_INCONSISTENT
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: TypeError")
+        assert captured.err.count("\n") == 1

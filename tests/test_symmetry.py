@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import cmath
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from orbitrig.algebra import SquareMatrix
+from orbitrig.cli import parse_framework
 from orbitrig.errors import RepresentationError, UnsupportedGroupError
 from orbitrig.symmetry import (
     AbelianGroup,
@@ -19,7 +21,7 @@ from orbitrig.symmetry import (
     tau_hat2_j,
     trivial_motion_dim,
 )
-from conftest import halfturn_rep, mirror_rep, two_group
+from conftest import FIXTURE_DIR, halfturn_rep, mirror_rep, two_group
 
 
 class TestAbelianGroup:
@@ -203,3 +205,52 @@ class TestInducedLabeling:
         rep = PointRepresentation.from_generators(g, 3, [rot])
         with pytest.raises(UnsupportedGroupError):
             induced_labeling(rep, (0,), (1, 2))
+
+
+def _quarter_turn_rep() -> PointRepresentation:
+    rot = SquareMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+    return PointRepresentation.from_generators(AbelianGroup((4,)), 3, [rot])
+
+
+def _fixture_reps() -> list[PointRepresentation]:
+    docs = sorted(FIXTURE_DIR.glob("*.json"))
+    assert docs
+    return [parse_framework(json.loads(p.read_text()))["rep"] for p in docs] + [_quarter_turn_rep()]
+
+
+class TestCaches:
+    def test_cached_values_equal_uncached(self):
+        for rep in _fixture_reps():
+
+            def fresh() -> PointRepresentation:
+                return PointRepresentation(rep.group, rep.d, rep.images)
+
+            elems = rep.group.elements()
+            for j in elems:
+                for g in elems:
+                    first = tau_hat2_j(rep, j, g)
+                    assert tau_hat2_j(rep, j, g) is first
+                    assert first == tau_hat2_j(fresh(), j, g)
+                dim = trivial_motion_dim(rep, j)
+                basis = fixed_subspace_basis(rep, j)
+                for _ in range(2):
+                    assert trivial_motion_dim(rep, j) == dim == trivial_motion_dim(fresh(), j)
+                    assert fixed_subspace_basis(rep, j) == basis == fixed_subspace_basis(fresh(), j)
+
+    def test_cached_basis_is_not_shared_mutable_state(self, cs_rep):
+        basis = fixed_subspace_basis(cs_rep, (0,))
+        basis.clear()
+        assert len(fixed_subspace_basis(cs_rep, (0,))) == 3
+
+    def test_representations_do_not_share_entries(self):
+        cs, c2 = mirror_rep(), halfturn_rep()
+        assert cs.group == c2.group
+        for rep in (cs, c2, cs):
+            for j in rep.group.elements():
+                trivial_motion_dim(rep, j)
+                fixed_subspace_basis(rep, j)
+        assert tau_hat2_j(cs, (1,), (1,)).diagonal() == (-1, 1, -1, 1, -1, 1)
+        assert tau_hat2_j(c2, (1,), (1,)).diagonal() == (1, 1, -1, -1, 1, 1)
+        assert [trivial_motion_dim(cs, j) for j in ((0,), (1,))] == [3, 3]
+        assert [trivial_motion_dim(c2, j) for j in ((0,), (1,))] == [2, 4]
+        assert fixed_subspace_basis(cs, (1,)) != fixed_subspace_basis(c2, (1,))
