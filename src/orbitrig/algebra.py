@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * a grade-k element is stored as its coordinate vector of length C(d+1, k),
   indexed by strictly increasing k-tuples of {1, ..., d+1} in lexicographic
   order;
-* scalars are exact ``fractions.Fraction`` values by default; ``complex``
-  entries are accepted wherever a group character forces them.
+* scalars are exact ``fractions.Fraction`` values (or ints); complex
+  characters are realified over Q instead of introducing complex entries.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ from typing import Sequence, Union
 
 from .errors import InputError
 
-Scalar = Union[Fraction, int, float, complex]
-
-
-def is_exact(x: Scalar) -> bool:
-    return isinstance(x, (int, Fraction))
+Scalar = Union[Fraction, int]
 
 
 # ---------------------------------------------------------------------------
@@ -78,24 +74,18 @@ def complement_sign(index_tuple: tuple[int, ...], n: int) -> tuple[tuple[int, ..
 
 
 # ---------------------------------------------------------------------------
-# small exact/inexact determinants
+# small exact determinants
 
 
-def det(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant of a square matrix.
-
-    Exact inputs (int/Fraction) go through fraction-free Bareiss
-    elimination; float/complex inputs use plain elimination with partial
-    pivoting.
-    """
+def det(rows: Sequence[Sequence[Scalar]]) -> Fraction:
+    """Determinant of a square rational matrix by fraction-free Bareiss
+    elimination."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise InputError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    if all(is_exact(x) for r in rows for x in r):
-        return _det_bareiss([[Fraction(x) for x in r] for r in rows])
-    return _det_pivoted([list(r) for r in rows])
+    return _det_bareiss([[Fraction(x) for x in r] for r in rows])
 
 
 def _det_bareiss(m: list[list[Fraction]]) -> Fraction:
@@ -119,32 +109,14 @@ def _det_bareiss(m: list[list[Fraction]]) -> Fraction:
     return sign * m[n - 1][n - 1]
 
 
-def _det_pivoted(m: list[list[complex]]) -> complex:
-    n = len(m)
-    detval = 1.0 + 0.0j
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(m[i][k]))
-        if abs(m[piv][k]) == 0.0:
-            return 0.0j
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            detval = -detval
-        detval *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return detval
-
-
 # ---------------------------------------------------------------------------
 # extensors
 
 
 @dataclass(frozen=True)
 class Extensor:
-    """A grade-k element of the exterior power of R^{d+1} (or C^{d+1}),
-    stored as its length-C(d+1,k) coordinate vector in lex order."""
+    """A grade-k element of the exterior power of R^{d+1}, stored as its
+    length-C(d+1,k) coordinate vector in lex order."""
 
     d: int
     k: int
@@ -250,7 +222,7 @@ def cap_product(p: Extensor, q: Extensor) -> Scalar:
 
 @dataclass(frozen=True)
 class SquareMatrix:
-    """Immutable square matrix over exact rationals or complex floats."""
+    """Immutable square matrix over the rationals."""
 
     rows: tuple[tuple[Scalar, ...], ...]
 
@@ -310,20 +282,11 @@ class SquareMatrix:
     def diagonal(self) -> tuple[Scalar, ...]:
         return tuple(self.rows[i][i] for i in range(self.n))
 
-    def is_identity(self, tol: float = 0.0) -> bool:
-        for i in range(self.n):
-            for j in range(self.n):
-                want = 1 if i == j else 0
-                x = self.rows[i][j]
-                if is_exact(x):
-                    if x != want:
-                        return False
-                elif abs(x - want) > tol:
-                    return False
-        return True
+    def is_identity(self) -> bool:
+        return self == SquareMatrix.identity(self.n)
 
-    def is_orthogonal(self, tol: float = 1e-12) -> bool:
-        return (self.transpose() @ self).is_identity(tol=tol)
+    def is_orthogonal(self) -> bool:
+        return (self.transpose() @ self).is_identity()
 
     def is_diagonal_pm_one(self) -> bool:
         for i in range(self.n):
@@ -344,6 +307,14 @@ def block_diag_one(a: SquareMatrix) -> SquareMatrix:
     rows = [tuple(a.rows[i]) + (Fraction(0),) for i in range(n)]
     rows.append(tuple(Fraction(0) for _ in range(n)) + (Fraction(1),))
     return SquareMatrix(tuple(rows))
+
+
+def kron(a: SquareMatrix, k: SquareMatrix) -> SquareMatrix:
+    """Kronecker product: entry [(t, r), (s, c)] = a[t][s] * k[r][c], with
+    the pair (t, r) at position t * k.n + r."""
+    return SquareMatrix(
+        tuple(tuple(x * y for x in ra for y in rk) for ra in a.rows for rk in k.rows)
+    )
 
 
 def induced_rep(a: SquareMatrix, k: int) -> SquareMatrix:

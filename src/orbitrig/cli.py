@@ -68,9 +68,23 @@ def parse_rational(x: Any) -> Fraction:
 
 
 def _require(doc: dict, key: str, where: str) -> Any:
+    if not isinstance(doc, dict):
+        raise InputError(f"{where} must be a JSON object")
     if key not in doc:
         raise InputError(f"missing field {key!r} in {where}")
     return doc[key]
+
+
+def _array(x: Any, what: str) -> list:
+    if not isinstance(x, list):
+        raise InputError(f"{what} must be a JSON array, got {x!r}")
+    return x
+
+
+def _integer(x: Any, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def _parse_id(x: Any, kind: str) -> str | int:
@@ -102,32 +116,41 @@ def parse_framework(doc: dict) -> dict:
         raise InputError(f"unknown model {model!r}")
 
     group_doc = _require(doc, "group", "document")
-    orders = tuple(_require(group_doc, "orders", "group"))
-    if not all(isinstance(k, int) for k in orders):
-        raise InputError("group orders must be integers")
+    orders = tuple(
+        _integer(k, "group order") for k in _array(_require(group_doc, "orders", "group"), "orders")
+    )
     group = AbelianGroup(orders)
 
     rep_doc = _require(doc, "representation", "document")
-    d = _require(rep_doc, "d", "representation")
-    gens_doc = rep_doc.get("generators", [])
+    d = _integer(_require(rep_doc, "d", "representation"), "d")
+    if d < 1:
+        raise InputError(f"d must be positive, got {d}")
     gens = []
-    for rows in gens_doc:
+    for rows in _array(rep_doc.get("generators", []), "generators"):
+        rows = [_array(r, "generator row") for r in _array(rows, "generator matrix")]
         if len(rows) != d or any(len(r) != d for r in rows):
             raise InputError(f"generator matrices must be {d}x{d}")
         gens.append(SquareMatrix.from_rows([[parse_rational(x) for x in r] for r in rows]))
     rep = PointRepresentation.from_generators(group, d, gens)
 
     gg_doc = _require(doc, "gain_graph", "document")
-    vertices = [_parse_id(v, "vertex") for v in _require(gg_doc, "vertices", "gain_graph")]
+    vertices = [
+        _parse_id(v, "vertex") for v in _array(_require(gg_doc, "vertices", "gain_graph"), "vertices")
+    ]
     _require_distinct_keys(vertices, "vertex")
     edges = []
     loops_l = []
-    for e_doc in _require(gg_doc, "edges", "gain_graph"):
+    for e_doc in _array(_require(gg_doc, "edges", "gain_graph"), "edges"):
         eid = _parse_id(_require(e_doc, "id", "edge"), "edge")
-        gain = tuple(_require(e_doc, "gain", f"edge {eid}"))
+        gain = tuple(
+            _integer(x, "gain entry") for x in _array(_require(e_doc, "gain", f"edge {eid}"), "gain")
+        )
         edges.append((eid, _parse_id(_require(e_doc, "tail", f"edge {eid}"), "vertex"),
                       _parse_id(_require(e_doc, "head", f"edge {eid}"), "vertex"), gain))
-        if e_doc.get("inL", False):
+        in_l = e_doc.get("inL", False)
+        if not isinstance(in_l, bool):
+            raise InputError(f"inL of edge {eid!r} must be true or false, got {in_l!r}")
+        if in_l:
             loops_l.append(eid)
     _require_distinct_keys([e[0] for e in edges], "edge")
     h = make_gain_graph(vertices, edges, loops_l, group=group)
@@ -424,32 +447,28 @@ def cmd_analyze(args) -> int:
                     consistent = False
         doc["consistent"] = consistent
         if args.oracle:
-            doc["counting_violations"] = _counting_oracle(h, rep)
+            doc["counting_violations"] = {
+                str(list(g)): _counting_violation(h, rep, g) for g in rep.group.elements()
+            }
     _emit(doc, args.format, _analyze_text)
     if not consistent:
         return EXIT_INCONSISTENT
     return EXIT_RIGID if report.rigid else EXIT_FLEXIBLE
 
 
-def _counting_oracle(h: GainGraph, rep: PointRepresentation) -> dict:
-    """Per-character brute-force counting check (small inputs only)."""
+def _counting_violation(h: GainGraph, rep: PointRepresentation, g: Element) -> dict | None:
+    """Brute-force counting check of one character (small inputs only)."""
     from .gaingraph import remove_zero_loops
 
-    out = {}
-    for g in rep.group.elements():
-        h_g = remove_zero_loops(h, rep, g)
-        labeled = labeled_signed_graphs(h_g, rep, g)
-        violation = check_counting_condition(labeled)
-        out[str(list(g))] = (
-            None
-            if violation is None
-            else {
-                "edges": [list(e) if isinstance(e, tuple) else e for e in violation.edges],
-                "size": violation.size,
-                "bound": violation.bound,
-            }
-        )
-    return out
+    labeled = labeled_signed_graphs(remove_zero_loops(h, rep, g), rep, g)
+    violation = check_counting_condition(labeled)
+    if violation is None:
+        return None
+    return {
+        "edges": [list(e) if isinstance(e, tuple) else e for e in violation.edges],
+        "size": violation.size,
+        "bound": violation.bound,
+    }
 
 
 def cmd_certify(args) -> int:
@@ -466,20 +485,7 @@ def cmd_certify(args) -> int:
         verdict = combinatorial_verdict(h, rep, g)
         cert = verdict.to_json()
         if args.oracle:
-            from .gaingraph import remove_zero_loops
-
-            h_g = remove_zero_loops(h, rep, g)
-            labeled = labeled_signed_graphs(h_g, rep, g)
-            violation = check_counting_condition(labeled)
-            cert["counting_violation"] = (
-                None
-                if violation is None
-                else {
-                    "edges": [list(e) if isinstance(e, tuple) else e for e in violation.edges],
-                    "size": violation.size,
-                    "bound": violation.bound,
-                }
-            )
+            cert["counting_violation"] = _counting_violation(h, rep, g)
         certificates.append(cert)
         all_rigid = all_rigid and verdict.rigid
     doc = {"schema": SCHEMA_VERSION, "model": fw["model"], "certificates": certificates}

@@ -246,7 +246,3 @@ def multiply_edges(h: GainGraph, m: int) -> GainGraph:
         GainEdge((e.id, t), e.tail, e.head, e.gain) for e in h.edges for t in range(1, m + 1)
     )
     return GainGraph(h.vertices, edges, frozenset())
-
-
-def vertex_index(h: GainGraph) -> dict[VertexId, int]:
-    return {v: i for i, v in enumerate(h.vertices)}

@@ -20,7 +20,7 @@ from .gaingraph import CoveredGraph, EdgeId, GainGraph, lift_cover, multiply_edg
 from .genframe import PRNG_NAME, BarConfiguration, BarEntry, random_point
 from .linalg import nullspace_exact, rank_certified
 from .matroid import CombinatorialVerdict, combinatorial_verdict
-from .rigidity import IrrepReport, RigidityReport, analyze
+from .rigidity import RigidityReport, analyze, merge_samples
 from .symmetry import PointRepresentation
 
 
@@ -202,32 +202,10 @@ def analyze_hinge(
         hconf = config or random_generic_hinges(h, rep, seed + t, bound=bound)
         multiplied, bars = hinge_to_bars(h, hconf, seed + 7919 * (t + 1))
         reports.append(analyze(multiplied, rep, bars))
-    base = reports[0]
-    agree = all(
-        [r.rank for r in rep_t.irreps] == [r.rank for r in base.irreps] for rep_t in reports
-    )
-    b = comb(rep.d + 1, 2)
-    merged = []
-    for i, r in enumerate(base.irreps):
-        best = max(rep_t.irreps[i].rank for rep_t in reports)
-        merged.append(
-            IrrepReport(
-                irrep=r.irrep,
-                rank=best,
-                trivial=r.trivial,
-                flex=b * base.quotient_vertices - best - r.trivial,
-            )
-        )
-    numeric = RigidityReport(
-        d=base.d,
-        group_orders=base.group_orders,
-        quotient_vertices=base.quotient_vertices,
-        quotient_edges=base.quotient_edges,
-        lifted_edges=base.lifted_edges,
-        irreps=tuple(merged),
-        samples_agree=agree,
-        meta={"seed": seed, "samples": samples, "bound": bound, "prng": PRNG_NAME,
-              "model": "body-hinge", "bars_per_hinge": bar_multiplicity(rep.d)},
+    numeric = merge_samples(
+        reports,
+        {"seed": seed, "samples": samples, "bound": bound, "prng": PRNG_NAME,
+         "model": "body-hinge", "bars_per_hinge": bar_multiplicity(rep.d)},
     )
     if combinatorial is None:
         combinatorial = rep.group.is_two_group() and rep.is_diagonal_pm_one()

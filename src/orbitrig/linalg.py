@@ -1,4 +1,4 @@
-"""Exact and floating rank/nullspace computations on dense matrices.
+"""Exact rank and nullspace computations on dense rational matrices.
 
 Matrices are plain lists of rows.  ``rank_certified`` is the exact rank
 engine for orbit and lifted rigidity matrices: it reduces the matrix modulo
@@ -9,8 +9,11 @@ so an F_p rank equal to min(nonzero rows, U) is the rational rank.  Any
 other outcome (a deficient matrix, an entry that vanishes mod p, or p
 dividing a denominator) falls back to ``rank_exact``: row denominators are
 cleared (rank is invariant under row scaling) and fraction-free Bareiss
-elimination runs over the integers.  Every rank these return is exact.  The
-complex path counts singular values above ``2**-40 * max(m, n) * sigma_max``.
+elimination runs over the integers.  Every rank these return is exact.
+Blocks of complex characters come realified (each entry of Q(zeta_m)
+replaced by its phi(m) x phi(m) rational multiplication block), and
+``rank_complex`` divides their certified rational rank by phi(m).  No
+floating-point value is involved anywhere.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .algebra import Scalar, is_exact
-from .errors import InputError
+from .algebra import Scalar
+from .errors import ConsistencyError, InputError
 
-FLOAT_RANK_TOL = 2.0 ** -40
 PRIME = 2 ** 31 - 1
 
 
@@ -74,8 +76,8 @@ def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
 
 
 def rank_certified(rows: Sequence[Sequence[Scalar]], bound: int) -> int:
-    """Rank over the rationals of a matrix with rational (int, Fraction or
-    float) entries, given ``bound``, an upper bound on that rank which the
+    """Rank over the rationals of a matrix with int or Fraction entries,
+    given ``bound``, an upper bound on that rank which the
     caller has proven exactly.
 
     Rows that are zero over Q are skipped.  The rest are reduced mod PRIME
@@ -190,24 +192,15 @@ def nullspace_exact(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[
     return basis
 
 
-def rank_complex(rows: Sequence[Sequence[Scalar]]) -> int:
-    import numpy as np
-
-    if not rows or not rows[0]:
-        return 0
-    arr = np.array([[complex(x) for x in r] for r in rows], dtype=complex)
-    s = np.linalg.svd(arr, compute_uv=False)
-    if s.size == 0:
-        return 0
-    tol = FLOAT_RANK_TOL * max(arr.shape) * float(s[0])
-    return int((s > tol).sum())
+def rank_complex(rows: Sequence[Sequence[Scalar]], bound: int, degree: int) -> int:
+    """Rank over Q(zeta_m) of a matrix given in realified form, ``degree``
+    being phi(m): its rational rank, certified against ``bound`` as in
+    ``rank_certified``, divided by ``degree``.  Realifying multiplies every
+    rank by the degree, so a remainder means the input was not realified."""
+    rank, rest = divmod(rank_certified(rows, bound), degree)
+    if rest:
+        raise ConsistencyError(f"realified rank is not a multiple of the degree {degree}")
+    return rank
 
 
-def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank of a dense matrix: exact elimination when every entry is an
-    int/Fraction, singular-value counting otherwise."""
-    if not rows:
-        return 0
-    if all(is_exact(x) for r in rows for x in r):
-        return rank_exact(rows)
-    return rank_complex(rows)
+matrix_rank = rank_exact

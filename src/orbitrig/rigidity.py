@@ -6,25 +6,30 @@ with the bar's grade-2 coordinates by the plain coordinatewise product
 (the duality pairing composed with the star identification; one fixed
 convention, exercised against the dimension-3 formulas in the tests).  A
 framework is infinitesimally rigid exactly when every character block
-leaves no motions beyond its fixed screws.
+leaves no motions beyond its fixed screws.  The block of a complex
+character of order m is built realified over Q (see ``symmetry``), with
+phi(m) rational rows per quotient edge and phi(m) columns per screw
+coordinate; Galois-conjugate characters share one block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .algebra import Scalar, is_exact
+from .algebra import Scalar
 from .errors import ConsistencyError, InputError
 from .gaingraph import CoveredGraph, EdgeId, GainGraph, VertexId
 from .genframe import BarConfiguration, BarEntry, lift_bars, random_generic_bars, verify_loop_form
-from .linalg import matrix_rank, nullspace_exact, rank_certified, rank_exact
+from .linalg import matrix_rank, nullspace_exact, rank_certified, rank_complex, rank_exact
 from .symmetry import (
     Element,
     PointRepresentation,
     fixed_subspace_basis,
+    galois_representative,
+    irrep_degree,
     irrep_is_real,
     proven_trivial_dim,
     tau_hat2_j,
@@ -41,6 +46,7 @@ __all__ = [
     "orbit_matrix",
     "analyze",
     "analyze_generic",
+    "merge_samples",
     "extract_flex",
     "crosscheck_block_ranks",
 ]
@@ -71,30 +77,32 @@ def rigidity_matrix(
 
 @dataclass(frozen=True)
 class OrbitMatrix:
-    """Quotient-sized block of the rigidity matrix for one character label."""
+    """Quotient-sized block of the rigidity matrix for one character label,
+    realified over Q: ``degree`` = phi(m) rows per edge and columns per
+    screw coordinate (1 for a real character)."""
 
     irrep: Element
     d: int
     vertices: tuple[VertexId, ...]
     edge_ids: tuple[EdgeId, ...]
     rows: tuple[tuple[Scalar, ...], ...]
+    degree: int = 1
 
     @property
     def block_size(self) -> int:
-        return comb(self.d + 1, 2)
+        return comb(self.d + 1, 2) * self.degree
 
     @property
     def ncols(self) -> int:
         return self.block_size * len(self.vertices)
 
-    def is_exact(self) -> bool:
-        return all(is_exact(x) for row in self.rows for x in row)
-
     def row_of(self, eid: EdgeId) -> tuple[Scalar, ...]:
-        return self.rows[self.edge_ids.index(eid)]
+        """The first row of edge ``eid`` (its only row for a real character)."""
+        return self.rows[self.edge_ids.index(eid) * self.degree]
 
     def rank(self) -> int:
-        return matrix_rank([list(r) for r in self.rows])
+        """Rank over Q(zeta_m) by Bareiss, independent of the certified path."""
+        return rank_exact(self.rows) // self.degree
 
 
 def orbit_matrix(
@@ -103,11 +111,15 @@ def orbit_matrix(
     """Row per quotient edge: the bar vector at the tail block and minus the
     inverse twisted screw image of the bar at the head block; a loop row
     collapses both entries onto its single vertex.  Rows of non-free loops
-    whose character value is -1 vanish identically."""
+    whose character value is -1 vanish identically.  A complex character
+    gets one row per basis element e_r of Q(zeta_m), built the same way from
+    the realified bar vec (x) e_r and the realified twisted image."""
     h.validate_gains(rep.group)
     verify_loop_form(h, rep, config)
     g = rep.group.canon(g)
     b = comb(rep.d + 1, 2)
+    deg = irrep_degree(rep.group, g)
+    size = b * deg
     vindex = {v: i for i, v in enumerate(h.vertices)}
     rows = []
     for e in h.edges:
@@ -115,31 +127,35 @@ def orbit_matrix(
         if len(vec) != b:
             raise InputError(f"bar of edge {e.id!r} has {len(vec)} coordinates, expected {b}")
         inv = tau_hat2_j(rep, g, rep.group.inverse(e.gain))
-        # twisted images are sparse, so zero coefficients are skipped
-        moved = [sum(a * x for a, x in zip(r, vec) if a) for r in inv.rows]
-        row: list[Scalar] = [Fraction(0)] * (b * len(h.vertices))
-        tb = vindex[e.tail] * b
-        hb = vindex[e.head] * b
-        for t in range(b):
-            row[tb + t] += vec[t]
-            row[hb + t] -= moved[t]
-        rows.append(tuple(row))
+        tb = vindex[e.tail] * size
+        hb = vindex[e.head] * size
+        for r in range(deg):
+            vec_r: list[Scalar] = [0] * size
+            vec_r[r::deg] = vec
+            # twisted images are sparse, so zero coefficients are skipped
+            moved = [sum(a * x for a, x in zip(row, vec_r) if a) for row in inv.rows]
+            row: list[Scalar] = [Fraction(0)] * (size * len(h.vertices))
+            for t in range(size):
+                row[tb + t] += vec_r[t]
+                row[hb + t] -= moved[t]
+            rows.append(tuple(row))
     return OrbitMatrix(
         irrep=g,
         d=rep.d,
         vertices=tuple(h.vertices),
         edge_ids=tuple(e.id for e in h.edges),
         rows=tuple(rows),
+        degree=deg,
     )
 
 
 def _block_rank(om: OrbitMatrix, rep: PointRepresentation) -> int:
-    """Exact rank of one character block.  Exact blocks of real characters
-    get the prime-field rank certified against columns minus the proven
-    fixed-screw count; blocks of complex characters use ``om.rank()``."""
-    if irrep_is_real(rep.group, om.irrep) and rep.is_exact() and om.is_exact():
-        return rank_certified(om.rows, om.ncols - proven_trivial_dim(rep, om.irrep))
-    return om.rank()
+    """Exact rank of one character block over Q(zeta_m): the prime-field
+    rank certified against columns minus the proven fixed-screw count."""
+    bound = om.ncols - om.degree * proven_trivial_dim(rep, om.irrep)
+    if om.degree == 1:
+        return rank_certified(om.rows, bound)
+    return rank_complex(om.rows, bound, om.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +234,17 @@ def analyze(
 ) -> RigidityReport:
     """Per-character ranks for one fixed configuration: the flex count of a
     block is the column count minus its rank minus its fixed-screw
-    dimension."""
+    dimension.  One block is ranked per Galois orbit of characters."""
     b = comb(rep.d + 1, 2)
     nv = len(h.vertices)
     reports = []
+    ranks: dict[Element, int] = {}
     for g in rep.group.elements():
-        rank = _block_rank(orbit_matrix(h, config, rep, g), rep)
-        trivial = trivial_motion_dim(rep, g)
+        root = galois_representative(rep.group, g)
+        if root not in ranks:
+            ranks[root] = _block_rank(orbit_matrix(h, config, rep, root), rep)
+        rank = ranks[root]
+        trivial = trivial_motion_dim(rep, root)
         flex = b * nv - rank - trivial
         if flex < 0:
             raise ConsistencyError(
@@ -255,30 +275,29 @@ def analyze_generic(
     and is reported, not enforced."""
     if samples < 1:
         raise InputError("need at least one sample")
-    per_sample = []
-    for t in range(samples):
-        config = random_generic_bars(h, rep, seed + t, bound=bound)
-        per_sample.append(analyze(h, rep, config))
+    per_sample = [
+        analyze(h, rep, random_generic_bars(h, rep, seed + t, bound=bound))
+        for t in range(samples)
+    ]
+    meta = {"seed": seed, "samples": samples, "bound": bound, "prng": "python-random-mt19937"}
+    return merge_samples(per_sample, meta)
+
+
+def merge_samples(per_sample: list[RigidityReport], meta: dict) -> RigidityReport:
+    """One report from the reports of independent samples: per character
+    the maximum rank and its flex count, ``samples_agree`` when every sample
+    gave the same ranks, and ``meta`` in place of the samples' metadata."""
     base = per_sample[0]
     agree = all(
         [r.rank for r in rep_t.irreps] == [r.rank for r in base.irreps] for rep_t in per_sample
     )
+    b = comb(base.d + 1, 2)
     merged = []
     for i, r in enumerate(base.irreps):
         best = max(rep_t.irreps[i].rank for rep_t in per_sample)
-        b = comb(rep.d + 1, 2)
         flex = b * base.quotient_vertices - best - r.trivial
         merged.append(IrrepReport(irrep=r.irrep, rank=best, trivial=r.trivial, flex=flex))
-    return RigidityReport(
-        d=base.d,
-        group_orders=base.group_orders,
-        quotient_vertices=base.quotient_vertices,
-        quotient_edges=base.quotient_edges,
-        lifted_edges=base.lifted_edges,
-        irreps=tuple(merged),
-        samples_agree=agree,
-        meta={"seed": seed, "samples": samples, "bound": bound, "prng": "python-random-mt19937"},
-    )
+    return replace(base, irreps=tuple(merged), samples_agree=agree, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +329,7 @@ class Flex:
 
 
 def _scalar_json(x: Scalar):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    return x
+    return str(x) if isinstance(x, Fraction) else x
 
 
 def trivial_space_vectors(
@@ -331,8 +346,9 @@ def trivial_space_vectors(
 def extract_flex(om: OrbitMatrix, rep: PointRepresentation) -> Flex | None:
     """A kernel vector of the orbit matrix outside the trivial subspace,
     orthogonalized against it; None when the kernel is exactly the trivial
-    space."""
-    if not om.is_exact():
+    space.  Real characters only: a flex of a complex character is a vector
+    over Q(zeta_m), which the report does not carry."""
+    if om.degree != 1:
         raise InputError("flex extraction is implemented for the exact rational path")
     nv = len(om.vertices)
     kernel = nullspace_exact([list(r) for r in om.rows], om.ncols)
@@ -341,33 +357,30 @@ def extract_flex(om: OrbitMatrix, rep: PointRepresentation) -> Flex | None:
     # orthogonal basis of the trivial space for exact projection
     ortho: list[list[Fraction]] = []
     for t in trivial:
-        vec = [Fraction(x) for x in t]
-        for u in ortho:
-            num = sum(a * b for a, b in zip(vec, u))
-            den = sum(a * a for a in u)
-            vec = [a - num / den * b for a, b in zip(vec, u)]
+        vec = _orthogonal_part(t, ortho)
         if any(x != 0 for x in vec):
             ortho.append(vec)
     for k in kernel:
         if rank_exact(trivial + [list(k)]) > t_rank:
-            vec = [Fraction(x) for x in k]
-            for u in ortho:
-                num = sum(a * b for a, b in zip(vec, u))
-                den = sum(a * a for a in u)
-                vec = [a - num / den * b for a, b in zip(vec, u)]
-            scale = None
-            for x in vec:
-                if x != 0:
-                    scale = 1 / x
-                    break
-            if scale is not None:
-                vec = [x * scale for x in vec]
+            vec = _orthogonal_part(k, ortho)
+            lead = next((x for x in vec if x != 0), None)
+            if lead is not None:
+                vec = [x / lead for x in vec]
             b = om.block_size
             assignment = {
                 v: tuple(vec[i * b : (i + 1) * b]) for i, v in enumerate(om.vertices)
             }
             return Flex(irrep=om.irrep, vertices=om.vertices, assignment=assignment)
     return None
+
+
+def _orthogonal_part(vec, ortho: list[list[Fraction]]) -> list[Fraction]:
+    """``vec`` minus its projections onto the pairwise orthogonal ``ortho``."""
+    vec = [Fraction(x) for x in vec]
+    for u in ortho:
+        c = sum(a * b for a, b in zip(vec, u)) / sum(a * a for a in u)
+        vec = [a - c * b for a, b in zip(vec, u)]
+    return vec
 
 
 def flex_residuals(om: OrbitMatrix, flex: Flex) -> list[Scalar]:

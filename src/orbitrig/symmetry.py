@@ -3,9 +3,14 @@ induce on screw space (grade-2 coordinates).
 
 Groups are products Z/k_1 x ... x Z/k_l written additively; an element is an
 integer tuple reduced componentwise.  The trivial group is the empty product
-``AbelianGroup(())``.  Characters are labeled by group elements; for
-two-groups (every k_t = 2) every character value is an exact +-1 and the
-whole pipeline stays in rational arithmetic.
+``AbelianGroup(())``.  Characters are labeled by group elements.  A
+character j of order m takes values in the powers of zeta_m; it is real
+(values +-1) when m <= 2.  Every character is handled over Q through its
+realification: Q(zeta_m) is a Q-vector space of dimension phi(m) with basis
+1, zeta_m, ..., zeta_m^(phi(m)-1), and multiplication by zeta_m^a is the
+integer matrix C_m^a, C_m the companion matrix of the cyclotomic polynomial
+Phi_m.  Real characters have phi = 1 and C = [+-1], so their twisted images
+are the plain scaled ones.
 """
 
 from __future__ import annotations
@@ -13,11 +18,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd
 from typing import Mapping, Sequence
 
-from .algebra import Scalar, SquareMatrix, block_diag_one, induced_rep, is_exact, lex_index
+from .algebra import Scalar, SquareMatrix, block_diag_one, induced_rep, kron, lex_index
 from .errors import ConsistencyError, InputError, RepresentationError, UnsupportedGroupError
 from .linalg import nullspace_exact, rank_certified
 
@@ -77,16 +83,21 @@ class AbelianGroup:
         return all(k == 2 for k in self.orders)
 
 
-def irrep_value(group: AbelianGroup, j: Element, i: Element) -> Scalar:
-    """Value of the character labeled by j at the element i: the product of
-    the per-factor roots of unity.  Returns an exact Fraction(+-1) whenever
-    the accumulated phase is 0 or 1/2, complex otherwise."""
-    j = group.canon(j)
-    i = group.canon(i)
+def _phase(group: AbelianGroup, j: Element, i: Element) -> Fraction:
+    """The character labeled by j at the element i is exp(2 pi i phase)."""
     phase = Fraction(0)
-    for jt, it, kt in zip(j, i, group.orders):
+    for jt, it, kt in zip(group.canon(j), group.canon(i), group.orders):
         phase += Fraction(jt * it, kt)
-    phase %= 1
+    return phase % 1
+
+
+def irrep_value(group: AbelianGroup, j: Element, i: Element) -> Fraction | complex:
+    """Value of the character labeled by j at the element i, for display and
+    for telling +-1 apart: the product of the per-factor roots of unity.
+    Returns an exact Fraction(+-1) whenever the accumulated phase is 0 or
+    1/2, complex otherwise.  No rank or dimension is computed from the
+    complex value; see ``tau_hat2_j``."""
+    phase = _phase(group, j, i)
     if phase == 0:
         return Fraction(1)
     if phase == Fraction(1, 2):
@@ -96,12 +107,61 @@ def irrep_value(group: AbelianGroup, j: Element, i: Element) -> Scalar:
 
 def irrep_is_real(group: AbelianGroup, j: Element) -> bool:
     """True when every value of the character labeled by j is +-1."""
-    return all((2 * jt) % kt == 0 for jt, kt in zip(group.canon(j), group.orders))
+    return irrep_degree(group, j) == 1
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(m: int) -> tuple[int, ...]:
+    """Coefficients of the cyclotomic polynomial Phi_m, constant term first:
+    x^m - 1 divided exactly by Phi_e for every proper divisor e of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for e in range(1, m):
+        if m % e == 0:
+            div = cyclotomic(e)
+            quot = [0] * (len(poly) - len(div) + 1)
+            for k in range(len(quot) - 1, -1, -1):
+                quot[k] = c = poly[k + len(div) - 1]
+                for i, x in enumerate(div):
+                    poly[k + i] -= c * x
+            poly = quot
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def root_of_unity_matrix(m: int, a: int) -> SquareMatrix:
+    """Multiplication by zeta_m^a on Q(zeta_m) in the basis 1, zeta_m, ...,
+    zeta_m^(phi-1), i.e. C_m^a: column c holds the coefficients of
+    x^(a+c) reduced modulo Phi_m."""
+    phi = cyclotomic(m)
+    power = [1] + [0] * (len(phi) - 2)
+    cols = []
+    for t in range(a % m + len(power)):
+        if t >= a % m:
+            cols.append(power)
+        top = power[-1]  # x * power, with x^deg replaced by x^deg - Phi_m
+        power = [p - top * c for p, c in zip([0] + power[:-1], phi)]
+    return SquareMatrix.from_rows(list(zip(*cols)))
+
+
+def irrep_degree(group: AbelianGroup, j: Element) -> int:
+    """phi(m) for the order m of the character labeled j: the size of the
+    rational block that stands for one complex entry of its orbit matrices.
+    1 exactly for real characters."""
+    return len(cyclotomic(group.element_order(j))) - 1
+
+
+def galois_representative(group: AbelianGroup, j: Element) -> Element:
+    """Least label of the Galois orbit {c j : gcd(c, m) = 1} of j, m its
+    order.  The orbit matrices of c j are those of j with zeta_m replaced by
+    zeta_m^c, a field automorphism of Q(zeta_m), so the members of an orbit
+    share rank and fixed-screw dimension."""
+    m = group.element_order(j)
+    return min(group.canon([c * x for x in j]) for c in range(1, m + 1) if gcd(c, m) == 1)
 
 
 class PointRepresentation:
-    """An orthogonal action of an Abelian group on d-space, given by the
-    images of the factor generators.
+    """An orthogonal action of an Abelian group on d-space by rational
+    matrices, given by the images of the factor generators.
 
     Images of all elements are derived from the generators and the
     homomorphism property is verified exhaustively; the group is finite.
@@ -155,6 +215,8 @@ class PointRepresentation:
             m = self.images[g]
             if m.n != self.d:
                 raise RepresentationError(f"image of {g} is {m.n}x{m.n}, expected {self.d}x{self.d}")
+            if not all(isinstance(x, (int, Fraction)) for row in m.rows for x in row):
+                raise RepresentationError(f"image of {g} has entries that are not rational")
             if not m.is_orthogonal():
                 raise RepresentationError(f"image of {g} is not orthogonal")
         for a in elems:
@@ -181,10 +243,6 @@ class PointRepresentation:
             self._hat_k[key] = induced_rep(self.tau_hat(g), k)
         return self._hat_k[key]
 
-    def is_exact(self) -> bool:
-        """True when every image has int/Fraction entries only."""
-        return all(is_exact(x) for m in self.images.values() for row in m.rows for x in row)
-
     def is_faithful(self) -> bool:
         ident = SquareMatrix.identity(self.d)
         return all(self.images[g] != ident for g in self.group.elements() if g != self.group.identity)
@@ -209,74 +267,56 @@ class PointRepresentation:
 
 
 def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix:
-    """The screw-space representation twisted by the character labeled j:
-    rho_j(g)^{-1} times the grade-2 induced matrix of the augmented image.
-    Cached on ``rep`` per (j, g)."""
+    """The screw-space representation twisted by the character labeled j,
+    realified over Q: the grade-2 induced matrix of the augmented image,
+    Kronecker times C_m^(-a), the matrix of rho_j(g)^{-1} on Q(zeta_m) for
+    the character value rho_j(g) = zeta_m^a.  Row and column (t, c) sit at
+    t * phi + c.  For a real character this is rho_j(g) times the induced
+    matrix.  Cached on ``rep`` per (j, g)."""
     key = (tuple(j), tuple(g))
     m = rep._twisted.get(key)
     if m is None:
-        rho = irrep_value(rep.group, j, g)
-        rho_inv = rho if is_exact(rho) else 1 / rho
-        m = rep._twisted[key] = rep.tau_hat2(g).scale(rho_inv)
+        order = rep.group.element_order(j)
+        a = int(-_phase(rep.group, j, g) * order) % order
+        m = rep._twisted[key] = kron(rep.tau_hat2(g), root_of_unity_matrix(order, a))
     return m
 
 
 def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
-    """Dimension of the fixed subspace of the twisted screw representation:
-    the average over the group of the traces.  Always a nonnegative integer
-    for a valid representation.  Cached on ``rep`` per j."""
+    """Dimension over Q(zeta_m) of the fixed subspace of the twisted screw
+    representation: the average over the group of the traces of the
+    realified images, divided by phi(m).  Always a nonnegative integer for a
+    valid representation.  Cached on ``rep`` per j."""
     j = rep.group.canon(j)
     if j in rep._trivial_dim:
         return rep._trivial_dim[j]
     elems = rep.group.elements()
-    total: Scalar = sum(tau_hat2_j(rep, j, g).trace() for g in elems)
-    n = len(elems)
-    if is_exact(total):
-        avg = Fraction(total, n) if isinstance(total, int) else total / n
-        if avg.denominator != 1 or avg < 0:
-            raise RepresentationError(f"trace average {avg} is not a nonnegative integer")
-        dim = int(avg)
-    else:
-        avg_c = complex(total) / n
-        nearest = round(avg_c.real)
-        if abs(avg_c - nearest) > 1e-9 or nearest < 0:
-            raise RepresentationError(f"trace average {avg_c} is not a nonnegative integer")
-        dim = int(nearest)
-    rep._trivial_dim[j] = dim
+    total = sum(tau_hat2_j(rep, j, g).trace() for g in elems)
+    avg = Fraction(total, len(elems) * irrep_degree(rep.group, j))
+    if avg.denominator != 1 or avg < 0:
+        raise RepresentationError(f"trace average {avg} is not a nonnegative integer")
+    rep._trivial_dim[j] = dim = int(avg)
     return dim
 
 
-def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Scalar, ...]]:
-    """Basis of the screws fixed by every twisted image, i.e. the space of
-    j-symmetric trivial motions on the quotient.  Length equals
-    ``trivial_motion_dim``.  Cached on ``rep`` per j; each call returns a
-    new list."""
+def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Fraction, ...]]:
+    """Basis of the realified screws s with A^T s = s for every twisted image
+    A, i.e. the space of j-symmetric trivial motions on the quotient (see
+    ``proven_trivial_dim``).  For a real character A^T is the image of the
+    inverse, so these are the screws fixed by every image.  Length equals
+    ``phi(m) * trivial_motion_dim``.  Cached on ``rep`` per j; each call
+    returns a new list."""
     j = rep.group.canon(j)
     if j in rep._fixed:
         return list(rep._fixed[j])
-    b = comb(rep.d + 1, 2)
+    size = comb(rep.d + 1, 2) * irrep_degree(rep.group, j)
+    ident = SquareMatrix.identity(size)
     rows: list[list[Scalar]] = []
-    exact = True
-    ident = SquareMatrix.identity(b)
     for g in rep.group.elements():
-        if g == rep.group.identity:
-            continue
-        m = tau_hat2_j(rep, j, g) - ident
-        exact = exact and all(is_exact(x) for r in m.rows for x in r)
-        rows.extend(list(r) for r in m.rows)
-    if not rows:
-        basis = [tuple(Fraction(1) if i == t else Fraction(0) for i in range(b)) for t in range(b)]
-    elif exact:
-        basis = nullspace_exact([r for r in rows if any(r)], b)
-    else:
-        import numpy as np
-
-        arr = np.array([[complex(x) for x in r] for r in rows], dtype=complex)
-        _, s, vh = np.linalg.svd(arr)
-        tol = max(arr.shape) * (s[0] if s.size else 0.0) * 2.0 ** -40
-        rank = int((s > tol).sum())
-        basis = [tuple(vh[r].conj()) for r in range(rank, vh.shape[0])]
-    dim = trivial_motion_dim(rep, j)
+        if g != rep.group.identity:
+            rows.extend(list(r) for r in (tau_hat2_j(rep, j, g).transpose() - ident).rows)
+    basis = nullspace_exact([r for r in rows if any(r)], size)
+    dim = trivial_motion_dim(rep, j) * irrep_degree(rep.group, j)
     if len(basis) != dim:
         raise RepresentationError(
             f"fixed subspace dimension {len(basis)} != trace average {dim}"
@@ -286,34 +326,34 @@ def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Sca
 
 
 def proven_trivial_dim(rep: PointRepresentation, j: Element) -> int:
-    """Number of fixed screws of character j, after proving in exact
-    arithmetic that A^T s = s for every fixed screw s and every twisted
-    image A, and that the screws are independent.  An orbit-matrix row of
-    character j pairs a screw s, assigned to every vertex, with
-    vec . (s - A^T s); so the fixed screws give that many independent kernel
-    vectors of every orbit matrix of j, and its column count minus this
-    number bounds its rank.  Needs exact images and a real character.
-    Raises ``ConsistencyError`` when the check fails.  Cached on ``rep``
-    per j."""
+    """Number of fixed screws of character j over Q(zeta_m), after proving
+    in exact arithmetic that A^T s = s for every realified fixed screw s and
+    every twisted image A, and that those screws are independent.  A
+    realified orbit-matrix row of character j is a realified bar vec paired
+    with the tail screw and A vec paired with the head screw, so it pairs a
+    screw s, assigned to every vertex, with vec . (s - A^T s); the fixed
+    screws thus give phi(m) times this many independent kernel vectors of
+    every realified orbit matrix of j, and its column count minus that
+    bounds its rank.  Raises ``ConsistencyError`` when the check fails.
+    Cached on ``rep`` per j."""
     j = rep.group.canon(j)
     if j in rep._proven_dim:
         return rep._proven_dim[j]
     basis = fixed_subspace_basis(rep, j)
     if rank_certified(basis, len(basis)) != len(basis):
         raise ConsistencyError(f"fixed screws of irrep {j} are linearly dependent")
-    b = comb(rep.d + 1, 2)
     for g in rep.group.elements():
         rows = tau_hat2_j(rep, j, g).rows
         for s in basis:
             # A^T s as the sum of x times row r of A over the support of s
             support = [(rows[r], x) for r, x in enumerate(s) if x]
-            if [sum(row[c] * x for row, x in support) for c in range(b)] != list(s):
+            if [sum(row[c] * x for row, x in support) for c in range(len(s))] != list(s):
                 raise ConsistencyError(
                     f"screw {tuple(map(str, s))} is not fixed by the transposed "
                     f"image of {g} in irrep {j}"
                 )
-    rep._proven_dim[j] = len(basis)
-    return len(basis)
+    rep._proven_dim[j] = dim = len(basis) // irrep_degree(rep.group, j)
+    return dim
 
 
 def induced_labeling(rep: PointRepresentation, g: Element, pair: tuple[int, int]) -> dict[Element, int]:

@@ -319,6 +319,33 @@ class TestInputBoundary:
             assert main([command, path]) == EXIT_INPUT
             assert "duplicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fixture, edit",
+        [
+            ("trivial_2body_6bars", lambda doc: doc.update(representation={"d": True})),
+            ("trivial_2body_6bars", lambda doc: doc["representation"].update(d="3")),
+            ("trivial_2body_6bars", lambda doc: doc["representation"].update(d=0)),
+            ("cs_stewart", lambda doc: doc["representation"].update(generators=5)),
+            ("cs_stewart", lambda doc: doc["group"].update(orders=2)),
+            ("cs_stewart", lambda doc: doc.update(group=5)),
+            ("cs_stewart", lambda doc: doc["gain_graph"].update(vertices="v")),
+            ("cs_stewart", lambda doc: doc["gain_graph"].update(edges=5)),
+            ("cs_stewart", lambda doc: doc["gain_graph"]["edges"][0].update(gain="1")),
+            ("cs_stewart", lambda doc: doc["gain_graph"]["edges"][0].update(gain=[True])),
+            ("cs_stewart", lambda doc: doc["gain_graph"]["edges"][0].update(inL="no")),
+        ],
+    )
+    def test_malformed_fields_exit_2(self, capsys, tmp_path, fixture_dir, fixture, edit):
+        """Wrong JSON types for d, orders, generators, vertices, edges, gains
+        and inL are input errors, not analyzed as something else and not
+        internal errors."""
+        doc = json.loads((fixture_dir / f"{fixture}.json").read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error: ")
+
     def test_unexpected_exception_exits_3(self, capsys, fixture_dir, monkeypatch):
         import orbitrig.cli as cli
 

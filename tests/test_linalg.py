@@ -149,8 +149,14 @@ def test_oracles_use_bareiss():
     [
         "import orbitrig.cli",
         "from orbitrig.cli import main; assert main(['crosscheck', '--count', '3', '--group', '2x2']) == 0",
+        "from orbitrig import AbelianGroup, PointRepresentation, SquareMatrix, analyze_generic, "
+        "make_gain_graph\n"
+        "rot = SquareMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])\n"
+        "rep = PointRepresentation.from_generators(AbelianGroup((4,)), 3, [rot])\n"
+        "h = make_gain_graph(['v'], [(0, 'v', 'v', (1,))], group=rep.group)\n"
+        "assert [r.rank for r in analyze_generic(h, rep, seed=5).irreps] == [1, 1, 1, 1]",
     ],
-    ids=["import", "crosscheck"],
+    ids=["import", "crosscheck", "quarter-turn-analyze"],
 )
 def test_numpy_not_imported(code):
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from orbitrig.algebra import SquareMatrix
 from orbitrig.errors import InputError
 from orbitrig.gaingraph import lift_cover, make_gain_graph
 from orbitrig.genframe import BarConfiguration, lift_bars, random_generic_bars
-from orbitrig.linalg import matrix_rank, rank_exact
+from orbitrig.linalg import matrix_rank, rank_complex, rank_exact
 from orbitrig.rigidity import (
+    analyze,
     analyze_generic,
     crosscheck_block_ranks,
     extract_flex,
@@ -18,7 +20,7 @@ from orbitrig.rigidity import (
     rigidity_matrix,
     trivial_space_vectors,
 )
-from orbitrig.symmetry import PointRepresentation, irrep_value
+from orbitrig.symmetry import AbelianGroup, PointRepresentation, irrep_value, trivial_motion_dim
 from conftest import stewart_graph
 
 
@@ -48,8 +50,10 @@ class TestMatrixRank:
         assert matrix_rank(prod) == 2
 
     def test_complex_rank(self):
-        rows = [[1 + 0j, 1j], [2 + 0j, 2j]]
-        assert matrix_rank(rows) == 1
+        # [[1, i], [2, 2i]] over Q(i), each entry x + y i realified as the
+        # multiplication block [[x, -y], [y, x]] in the basis 1, i
+        rows = [[1, 0, 0, -1], [0, 1, 1, 0], [2, 0, 0, -2], [0, 2, 2, 0]]
+        assert rank_complex(rows, 4, 2) == 1
 
 
 class TestRigidityMatrix:
@@ -223,9 +227,25 @@ class TestCrosscheck:
         assert cc.block_ranks == {(): cc.lifted_rank}
 
 
+CYCLE = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+COMPLEX_GROUPS = [
+    ((3,), 3, CYCLE),
+    ((4,), 3, [[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+    ((6,), 3, [[-x for x in row] for row in CYCLE]),
+    ((8,), 4, [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+]
+
+
+def _complex_rep(orders, d, generator) -> PointRepresentation:
+    return PointRepresentation.from_generators(
+        AbelianGroup(orders), d, [SquareMatrix.from_rows(generator)]
+    )
+
+
 class TestComplexCharacters:
-    """Groups with a factor of order >= 3 leave the rational path for the
-    per-character blocks; ranks come from singular values instead."""
+    """Groups with a factor of order >= 3 have complex characters.  Their
+    blocks are realified over Q, one per Galois orbit, and ranked exactly;
+    the sum of the block ranks is checked against the lifted rank."""
 
     def test_quarter_turn_cycle_of_bodies(self):
         from orbitrig.symmetry import AbelianGroup
@@ -246,6 +266,43 @@ class TestComplexCharacters:
         assert rank_exact(rigidity_matrix(cov, bars, 3)) == sum(
             r.rank for r in report.irreps
         )
+
+    @pytest.mark.parametrize("orders, d, generator", COMPLEX_GROUPS, ids=["z3", "z4", "z6", "z8"])
+    def test_block_ranks_add_up_to_lifted_rank(self, orders, d, generator):
+        """The exact oracle for complex characters: the lifted rigidity
+        matrix is rational, and its rank is the sum of the block ranks."""
+        from orbitrig.cli import random_gain_graph
+
+        rep = _complex_rep(orders, d, generator)
+        rng = random.Random(31 + orders[0])
+        for t in range(5):
+            # up to 2 bodies and enough bars that some blocks saturate
+            h = random_gain_graph(rng, rep.group, 2, 8 if d == 3 else 14)
+            config = random_generic_bars(h, rep, t, bound=50)
+            report = analyze(h, rep, config)
+            cov, bars = lift_bars(h, config, rep)
+            assert rank_exact(rigidity_matrix(cov, bars, d)) == sum(r.rank for r in report.irreps)
+
+    @pytest.mark.parametrize("orders, d, generator", COMPLEX_GROUPS, ids=["z3", "z4", "z6", "z8"])
+    def test_galois_conjugates_agree(self, orders, d, generator):
+        """``analyze`` ranks one block per Galois orbit; ranked and counted
+        each on its own, every conjugate agrees with that report, and the
+        constant assignments of its fixed screws lie in the kernel of its
+        realified orbit matrix."""
+        from orbitrig.cli import random_gain_graph
+        from orbitrig.symmetry import fixed_subspace_basis
+
+        rep = _complex_rep(orders, d, generator)
+        h = random_gain_graph(random.Random(7), rep.group, 2, 8 if d == 3 else 14)
+        config = random_generic_bars(h, rep, 3, bound=50)
+        report = analyze(h, rep, config)
+        for r in report.irreps:
+            om = orbit_matrix(h, config, rep, r.irrep)
+            assert om.rank() == r.rank
+            assert trivial_motion_dim(rep, r.irrep) == r.trivial
+            for s in fixed_subspace_basis(rep, r.irrep):
+                stacked = tuple(s) * len(h.vertices)
+                assert all(sum(a * x for a, x in zip(row, stacked)) == 0 for row in om.rows)
 
     def test_crosscheck_requires_real_characters(self):
         from orbitrig.symmetry import AbelianGroup

@@ -14,9 +14,12 @@ from orbitrig.symmetry import (
     AbelianGroup,
     PointRepresentation,
     fixed_subspace_basis,
+    galois_representative,
     induced_labeling,
+    irrep_degree,
     irrep_is_real,
     irrep_value,
+    root_of_unity_matrix,
     screw_pairs,
     tau_hat2_j,
     trivial_motion_dim,
@@ -74,12 +77,35 @@ class TestIrrepValue:
                     assert lhs == rhs
 
 
+class TestRealification:
+    def test_root_of_unity_matrices(self):
+        """C_m^a multiplies like zeta_m^a, and C_m has order exactly m."""
+        for m in range(1, 13):
+            c = root_of_unity_matrix(m, 1)
+            power = SquareMatrix.identity(c.n)
+            for a in range(1, m + 1):
+                power = power @ c
+                assert power == root_of_unity_matrix(m, a % m)
+                assert power.is_identity() == (a == m)
+
+    def test_degrees_and_galois_orbits(self):
+        g = AbelianGroup((8,))
+        assert [irrep_degree(g, (j,)) for j in range(8)] == [1, 4, 2, 4, 1, 4, 2, 4]
+        assert [galois_representative(g, (j,))[0] for j in range(8)] == [0, 1, 2, 1, 4, 1, 2, 1]
+        assert galois_representative(AbelianGroup((2, 4)), (1, 3)) == (1, 1)
+
+
 class TestPointRepresentation:
     def test_validates_homomorphism(self):
         g = AbelianGroup((2,))
         bad = SquareMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # order 3
         with pytest.raises(RepresentationError):
             PointRepresentation.from_generators(g, 3, [bad])
+
+    def test_rejects_non_rational_images(self):
+        quarter = SquareMatrix.from_rows([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(RepresentationError, match="not rational"):
+            PointRepresentation.from_generators(AbelianGroup((4,)), 3, [quarter])
 
     def test_faithful(self):
         rep = mirror_rep()
