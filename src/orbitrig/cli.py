@@ -222,10 +222,26 @@ def parse_hinge_configuration(doc: dict, h: GainGraph, rep: PointRepresentation)
 # random instances (used by `crosscheck` and by the test ensembles)
 
 
+def _require_diagonal_two_group(orders: tuple[int, ...], d: int) -> None:
+    """A faithful diagonal +-1 representation of (Z/2)^l in dimension d
+    exists iff every factor is 2 and l <= d, with d >= 1."""
+    if d < 1:
+        raise InputError(f"dimension must be positive, got {d}")
+    if any(k != 2 for k in orders):
+        raise InputError(
+            f"group orders {list(orders)}: a diagonal +-1 image needs every factor to be 2"
+        )
+    if len(orders) > d:
+        raise InputError(
+            f"(Z/2)^{len(orders)} has no faithful diagonal +-1 representation in dimension {d}"
+        )
+
+
 def random_diagonal_rep(
     rng: random.Random, orders: tuple[int, ...], d: int
 ) -> PointRepresentation:
     """Random faithful diagonal +-1 representation of a two-group."""
+    _require_diagonal_two_group(orders, d)
     group = AbelianGroup(orders)
     while True:
         gens = [
@@ -304,6 +320,13 @@ def crosscheck_instances(
     rank must equal the sum of the orbit-matrix ranks, and (b) the
     combinatorial deficiency must equal the numeric flex count per
     character.  Mismatching instances are serialized for replay."""
+    if count < 0:
+        raise InputError(f"count must be non-negative, got {count}")
+    if max_vertices < 1 or max_edges < 1:
+        raise InputError(
+            f"max vertices and max edges must be positive, got {max_vertices} and {max_edges}"
+        )
+    _require_diagonal_two_group(orders, d)
     rng = random.Random(seed)
     mismatches = []
     for t in range(count):
@@ -406,7 +429,12 @@ def _irrep_filter(rep: PointRepresentation, arg: str | None) -> list[Element]:
         return rep.group.elements()
     out = []
     for part in arg.split(";"):
-        elem = tuple(int(x) for x in part.split(",") if x != "")
+        try:
+            elem = tuple(int(x) for x in part.split(",") if x != "")
+        except ValueError:
+            raise InputError(
+                f"--irrep {part!r} is not a comma-separated list of integers"
+            ) from None
         if not rep.group.contains(elem):
             raise InputError(f"--irrep {part!r} is not an element of the group")
         out.append(elem)

@@ -7,6 +7,15 @@ negative sign product.  Rank follows the component formula
 negative cycle.  The union over the C(d+1,2) induced labelings is computed
 by an augmenting-path partition algorithm that emits a decomposition
 certificate and, on the deficient side, a rank witness set.
+
+All independence questions go through one union-find forest,
+``_SignedForest``.  Its ``circuit`` query returns the unique circuit an edge
+closes with an independent set: a positive (balanced) cycle, a theta's
+balanced cycle, or a tight or loose handcuff (two negative cycles joined at
+a vertex or by a path, possibly across two former components).  The
+exchange arcs of the union algorithm from ``x`` into a part are exactly the
+part's elements on that circuit, since ``I - y + x`` is independent iff
+``y`` lies on the circuit of ``x`` in ``I``.
 """
 
 from __future__ import annotations
@@ -65,17 +74,20 @@ class _SignedForest:
 
     Union-find with a +-1 potential per vertex (relative sign to the
     component root, no path compression) plus a per-component cycle flag.
+    ``circuit`` assumes the inserted edges are independent.
     """
 
-    def __init__(self):
+    def __init__(self, edges: Iterable[SignedEdge] = ()):
         self.parent: dict[VertexId, VertexId] = {}
         self.pot: dict[VertexId, int] = {}
         self.size: dict[VertexId, int] = {}
         self.cycles: dict[VertexId, int] = {}
         self.unbalanced: dict[VertexId, bool] = {}
         self.cycle_edge: dict[VertexId, SignedEdge] = {}
-        # spanning-forest adjacency, for witness cycle reconstruction
+        # spanning-forest adjacency, for circuit reconstruction
         self.tree: dict[VertexId, list[tuple[EdgeId, VertexId, int]]] = {}
+        for e in edges:
+            self.add(e)
 
     def _ensure(self, v: VertexId) -> None:
         if v not in self.parent:
@@ -94,13 +106,9 @@ class _SignedForest:
             v = self.parent[v]
         return v, sign
 
-    def add(self, e: SignedEdge) -> tuple[str, int]:
-        """Insert an edge and classify it.
-
-        Returns (kind, cycle_sign) where kind is 'tree' (joined two
-        components) or 'cycle' (closed a cycle of the given sign); the
-        component bookkeeping is updated either way.
-        """
+    def add(self, e: SignedEdge) -> None:
+        """Insert an edge: a tree edge when it joins two components, else a
+        cycle edge of its component (negative cycles mark it unbalanced)."""
         ru, su = self.find(e.tail)
         rv, sv = self.find(e.head)
         if ru != rv:
@@ -115,13 +123,11 @@ class _SignedForest:
                 self.cycle_edge[keep] = self.cycle_edge[drop]
             self.tree[e.tail].append((e.id, e.head, e.sign))
             self.tree[e.head].append((e.id, e.tail, e.sign))
-            return "tree", 0
-        cycle_sign = su * e.sign * sv
+            return
         self.cycles[ru] += 1
         self.cycle_edge.setdefault(ru, e)
-        if cycle_sign == -1:
+        if su * e.sign * sv == -1:
             self.unbalanced[ru] = True
-        return "cycle", cycle_sign
 
     def tree_path(self, u: VertexId, v: VertexId) -> list[EdgeId]:
         """Edge ids of the forest path from u to v (empty if u == v)."""
@@ -147,6 +153,38 @@ class _SignedForest:
         path.reverse()
         return path
 
+    def _to_cycle(self, v: VertexId, root: VertexId) -> set[EdgeId]:
+        """The negative cycle of ``root``'s component plus the tree path from
+        ``v`` to it: the union of the paths from ``v`` to both ends of the
+        cycle edge."""
+        c = self.cycle_edge[root]
+        return set(self.tree_path(v, c.tail)) | set(self.tree_path(v, c.head)) | {c.id}
+
+    def circuit(self, e: SignedEdge) -> set[EdgeId] | None:
+        """Edge ids of the unique circuit that ``e`` closes with the inserted
+        (independent) edges, or None when adding ``e`` keeps them
+        independent."""
+        ru, su = self.find(e.tail)
+        rv, sv = self.find(e.head)
+        if ru != rv:
+            if not (self.cycles[ru] and self.cycles[rv]):
+                return None
+            # handcuff across two components
+            return {e.id} | self._to_cycle(e.tail, ru) | self._to_cycle(e.head, rv)
+        positive = su * e.sign * sv == 1
+        if not (positive or self.cycles[ru]):
+            return None
+        closed = set(self.tree_path(e.tail, e.head)) | {e.id}
+        if positive:
+            return closed
+        c = self.cycle_edge[ru]
+        cycle = set(self.tree_path(c.tail, c.head)) | {c.id}
+        if closed & cycle:
+            # theta: the two negative cycles share a path, the third is balanced
+            return closed ^ cycle
+        # tight or loose handcuff inside one component
+        return {e.id} | self._to_cycle(e.tail, ru) | self._to_cycle(e.head, ru)
+
 
 @dataclass(frozen=True)
 class DependenceWitness:
@@ -157,30 +195,22 @@ class DependenceWitness:
 def is_independent_signed(
     sg: SignedGraph, subset: Iterable[EdgeId] | None = None
 ) -> tuple[bool, DependenceWitness | None]:
-    """Signed-graphic independence of an edge subset, with a witness cycle
-    on failure (a positive cycle, or the cycle that makes a second one in
-    its component)."""
+    """Signed-graphic independence of an edge subset, with the circuit of
+    the first dependent edge (in subset order) as witness: a balanced
+    cycle ('positive_cycle', as many edges as vertices) or a handcuff
+    ('second_cycle', one edge more)."""
     emap = sg.edge_map()
     ids = [e.id for e in sg.edges] if subset is None else list(subset)
     forest = _SignedForest()
     for eid in ids:
         e = emap[eid]
-        ru, su = forest.find(e.tail)
-        rv, sv = forest.find(e.head)
-        if ru != rv:
-            if forest.cycles[ru] + forest.cycles[rv] > 1:
-                ce = forest.cycle_edge[rv if forest.cycles[rv] else ru]
-                cyc = forest.tree_path(ce.tail, ce.head) + [ce.id]
-                return False, DependenceWitness("second_cycle", tuple(cyc))
+        circuit = forest.circuit(e)
+        if circuit is None:
             forest.add(e)
             continue
-        cycle_sign = su * e.sign * sv
-        cyc = forest.tree_path(e.tail, e.head) + [e.id]
-        if cycle_sign == 1:
-            return False, DependenceWitness("positive_cycle", tuple(cyc))
-        if forest.cycles[ru] > 0:
-            return False, DependenceWitness("second_cycle", tuple(cyc))
-        forest.add(e)
+        verts = {v for x in circuit for v in (emap[x].tail, emap[x].head)}
+        kind = "positive_cycle" if len(circuit) == len(verts) else "second_cycle"
+        return False, DependenceWitness(kind, tuple(x for x in ids if x in circuit))
     return True, None
 
 
@@ -189,9 +219,7 @@ def signed_rank(sg: SignedGraph, subset: Iterable[EdgeId] | None = None) -> int:
     subset, |V(X)| - 1, plus 1 when X contains a negative cycle."""
     emap = sg.edge_map()
     ids = list(emap) if subset is None else list(subset)
-    forest = _SignedForest()
-    for eid in ids:
-        forest.add(emap[eid])
+    forest = _SignedForest(emap[eid] for eid in ids)
     roots = {forest.find(v)[0] for v in forest.parent}
     rank = 0
     for r in roots:
@@ -259,36 +287,6 @@ class UnionRankResult:
     witness: tuple[EdgeId, ...]
 
 
-def _is_part_independent(sg_edges: Mapping[EdgeId, SignedEdge], ids: Sequence[EdgeId]) -> bool:
-    forest = _SignedForest()
-    for eid in ids:
-        e = sg_edges[eid]
-        ru, su = forest.find(e.tail)
-        rv, sv = forest.find(e.head)
-        if ru != rv:
-            if forest.cycles[ru] + forest.cycles[rv] > 1:
-                return False
-        elif su * e.sign * sv == 1 or forest.cycles[ru] > 0:
-            return False
-        forest.add(e)
-    return True
-
-
-def _independent_plus(
-    sg_edges: Mapping[EdgeId, SignedEdge], part: Sequence[EdgeId], extra: EdgeId
-) -> bool:
-    """Whether (independent) ``part`` stays independent with ``extra`` added."""
-    forest = _SignedForest()
-    for eid in part:
-        forest.add(sg_edges[eid])
-    e = sg_edges[extra]
-    ru, su = forest.find(e.tail)
-    rv, sv = forest.find(e.head)
-    if ru != rv:
-        return forest.cycles[ru] + forest.cycles[rv] <= 1
-    return su * e.sign * sv == -1 and forest.cycles[ru] == 0
-
-
 def matroid_union_rank(
     labeled_sgs: Sequence[tuple[PairLabel, SignedGraph]],
     elements: Sequence[EdgeId] | None = None,
@@ -312,22 +310,22 @@ def matroid_union_rank(
         raise InputError(f"elements not on the ground set: {unknown!r}")
 
     parts: list[list[EdgeId]] = [[] for _ in labeled_sgs]
+    forests = [_SignedForest() for _ in labeled_sgs]
     part_of: dict[EdgeId, int] = {}
     unassigned: list[EdgeId] = []
 
     def arcs_and_terminal(x: EdgeId, visited: set[EdgeId]):
-        """Yield ('insert', i) for a free slot or ('arc', y) for exchanges."""
+        """Yield ('insert', i) for a free slot or ('arc', y) for exchanges:
+        the members y of part i on the circuit x closes there, in part order."""
         for i, emap in enumerate(edge_maps):
             if part_of.get(x) == i:
                 continue
-            if _independent_plus(emap, parts[i], x):
+            circuit = forests[i].circuit(emap[x])
+            if circuit is None:
                 yield ("insert", i)
                 continue
             for y in parts[i]:
-                if y in visited:
-                    continue
-                trial = [z for z in parts[i] if z != y]
-                if _independent_plus(emap, trial, x):
+                if y in circuit and y not in visited:
                     yield ("arc", y)
 
     def try_augment(source: EdgeId) -> bool:
@@ -355,9 +353,10 @@ def matroid_union_rank(
             if p is None:
                 break
             x, target = p, old
-        for i, emap in enumerate(edge_maps):
-            if not _is_part_independent(emap, parts[i]):
-                raise ConsistencyError(f"augmentation broke part {labeled_sgs[i][0]}")
+        for i, (label, sg) in enumerate(labeled_sgs):
+            if not is_independent_signed(sg, parts[i])[0]:
+                raise ConsistencyError(f"augmentation broke part {label}")
+            forests[i] = _SignedForest(edge_maps[i][y] for y in parts[i])
 
     for e in elements:
         if not try_augment(e):
@@ -410,13 +409,6 @@ class CountingViolation:
     alphas: dict[PairLabel, int]
 
 
-def _has_negative_cycle(sg_edges: Mapping[EdgeId, SignedEdge], ids: Sequence[EdgeId]) -> bool:
-    forest = _SignedForest()
-    for eid in ids:
-        forest.add(sg_edges[eid])
-    return any(forest.unbalanced[r] for r in forest.parent if forest.parent[r] == r)
-
-
 def check_counting_condition(
     labeled_sgs: Sequence[tuple[PairLabel, SignedGraph]],
     subset: Sequence[EdgeId] | None = None,
@@ -439,8 +431,9 @@ def check_counting_condition(
             e = all_edges[eid]
             verts.add(e.tail)
             verts.add(e.head)
+        # a merged root keeps its flag, so any set flag marks a negative cycle
         alphas = {
-            label: (1 if _has_negative_cycle(edge_maps[i], f) else 0)
+            label: int(any(_SignedForest(edge_maps[i][e] for e in f).unbalanced.values()))
             for i, (label, _) in enumerate(labeled_sgs)
         }
         bound = b * len(verts) - b + sum(alphas.values())

@@ -192,8 +192,29 @@ class TestCrosscheckCommand:
         assert code == EXIT_RIGID
         assert json.loads(out)["mismatches"] == []
 
-    def test_bad_group_spec(self, capsys):
-        assert main(["crosscheck", "--count", "1", "--group", "q"]) == EXIT_INPUT
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--group", "q"],
+            ["--group", "2x2x2", "--dim", "2"],
+            ["--group", "4"],
+            ["--group", "3"],
+            ["--dim", "0"],
+            ["--max-vertices", "0"],
+            ["--max-edges", "0"],
+            ["--count", "-1"],
+        ],
+        ids=[
+            "group-q", "group-2x2x2-dim-2", "group-4", "group-3",
+            "dim-0", "max-vertices-0", "max-edges-0", "count-minus-1",
+        ],
+    )
+    def test_bad_arguments(self, capsys, args):
+        """A malformed group spec, a group and dimension with no faithful
+        diagonal +-1 representation, and sizes with nothing to sample are
+        input errors, rejected before any sampling."""
+        assert main(["crosscheck", "--count", "1", *args]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("input error:")
 
 
 class TestExplicitHingeConfiguration:
@@ -345,6 +366,16 @@ class TestInputBoundary:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["analyze", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error: ")
+
+    @pytest.mark.parametrize("command", ["analyze", "certify"])
+    @pytest.mark.parametrize("irrep", ["a", "0;1,x"])
+    def test_non_integer_irrep_exits_2(self, capsys, fixture_dir, command, irrep):
+        code = main([command, str(fixture_dir / "cs_stewart.json"), "--irrep", irrep])
+        assert code == EXIT_INPUT
+        bad = irrep.split(";")[-1]
+        assert capsys.readouterr().err == (
+            f"input error: --irrep {bad!r} is not a comma-separated list of integers\n"
+        )
 
     def test_unexpected_exception_exits_3(self, capsys, fixture_dir, monkeypatch):
         import orbitrig.cli as cli

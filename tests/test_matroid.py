@@ -9,6 +9,7 @@ from orbitrig.errors import InputError
 from orbitrig.gaingraph import make_gain_graph
 from orbitrig.matroid import (
     SignedEdge,
+    _SignedForest,
     SignedGraph,
     check_counting_condition,
     combinatorial_verdict,
@@ -94,6 +95,96 @@ class TestIndependence:
             ours = is_independent_signed(g, subset)[0]
             oracle = independent_by_incidence(g, subset)
             assert ours == oracle
+
+
+def oracle_circuit(g: SignedGraph, part, x):
+    """The circuit of x in part by the matroid definition, with independence
+    from incidence ranks: None when part + x is independent, else x plus
+    every y of part such that part - y + x is independent."""
+    if independent_by_incidence(g, part + [x]):
+        return None
+    return {x} | {
+        y for y in part if independent_by_incidence(g, [z for z in part if z != y] + [x])
+    }
+
+
+def forest_circuit(g: SignedGraph, part, x):
+    emap = g.edge_map()
+    return _SignedForest(emap[y] for y in part).circuit(emap[x])
+
+
+class TestCircuit:
+    @pytest.mark.parametrize(
+        "vertices, part, x, circuit",
+        [
+            # negative triangle 0-1-2 plus a pendant; x closes the negative
+            # 2-cycle on {1,2}: the balanced third cycle of the theta
+            (5, [(0, 0, 1, 1), (1, 1, 2, 1), (2, 0, 2, -1), (3, 2, 4, 1)],
+             (4, 1, 2, -1), {0, 2, 4}),
+            # negative 2-cycles on {0,1} and {1,2}, sharing vertex 1
+            (4, [(0, 0, 1, 1), (1, 0, 1, -1), (2, 1, 2, 1), (3, 0, 3, 1)],
+             (4, 1, 2, -1), {0, 1, 2, 4}),
+            # negative 2-cycle on {0,1}, path 1-2, negative 2-cycle on {2,3}
+            (5, [(0, 0, 1, 1), (1, 0, 1, -1), (2, 1, 2, 1), (3, 2, 3, 1), (4, 0, 4, 1)],
+             (5, 2, 3, -1), {0, 1, 2, 3, 5}),
+            # two unicyclic components joined through their pendant paths
+            (6, [(0, 0, 1, 1), (1, 0, 1, -1), (2, 2, 3, 1), (3, 2, 3, -1), (4, 3, 4, 1),
+                 (5, 2, 5, 1)],
+             (6, 1, 4, 1), {0, 1, 2, 3, 4, 6}),
+            # negative loop at the end of a path from a negative triangle
+            (5, [(0, 0, 1, 1), (1, 1, 2, 1), (2, 0, 2, -1), (3, 2, 3, 1), (4, 0, 4, 1)],
+             (5, 3, 3, -1), {0, 1, 2, 3, 5}),
+            # positive cycle in a unicyclic component
+            (3, [(0, 0, 1, 1), (1, 1, 2, -1), (2, 0, 2, 1)],
+             (3, 0, 1, 1), {0, 3}),
+            # x joins a unicyclic component to a tree: no circuit
+            (4, [(0, 0, 1, 1), (1, 0, 1, -1), (2, 2, 3, 1)], (3, 1, 2, -1), None),
+        ],
+        ids=[
+            "theta", "tight-handcuff", "loose-handcuff", "handcuff-across-components",
+            "negative-loop-on-unicyclic", "positive-cycle", "independent",
+        ],
+    )
+    def test_named_shapes(self, vertices, part, x, circuit):
+        g = sg(range(vertices), part + [x])
+        ids = [e[0] for e in part]
+        assert forest_circuit(g, ids, x[0]) == circuit
+        assert oracle_circuit(g, ids, x[0]) == circuit
+
+    def test_matches_oracle_randomized(self):
+        rng = random.Random(131)
+        dependent = 0
+        for _ in range(400):
+            g = random_signed_graph(rng, max_vertices=6, max_edges=10)
+            ids = [e.id for e in g.edges]
+            rng.shuffle(ids)
+            part = []
+            for eid in ids:
+                if rng.random() < 0.8 and independent_by_incidence(g, part + [eid]):
+                    part.append(eid)
+            for x in ids:
+                if x not in part:
+                    expected = oracle_circuit(g, part, x)
+                    assert forest_circuit(g, part, x) == expected
+                    dependent += expected is not None
+        assert dependent >= 1000
+
+    def test_witness_is_a_circuit_randomized(self):
+        rng = random.Random(137)
+        witnesses = 0
+        for _ in range(150):
+            g = random_signed_graph(rng, max_vertices=6, max_edges=10)
+            ids = [e.id for e in g.edges]
+            subset = [eid for eid in ids if rng.random() < 0.8]
+            ok, witness = is_independent_signed(g, subset)
+            if ok:
+                continue
+            witnesses += 1
+            edges = list(witness.edges)
+            assert not independent_by_incidence(g, edges)
+            for y in edges:
+                assert independent_by_incidence(g, [z for z in edges if z != y])
+        assert witnesses >= 50
 
 
 class TestSignedRank:
