@@ -137,6 +137,8 @@ def parse_framework(doc: dict) -> dict:
     vertices = [
         _parse_id(v, "vertex") for v in _array(_require(gg_doc, "vertices", "gain_graph"), "vertices")
     ]
+    if not vertices:
+        raise InputError("gain graph has no vertices")
     _require_distinct_keys(vertices, "vertex")
     edges = []
     loops_l = []

@@ -11,6 +11,7 @@ gain (a body cannot be barred to itself).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InputError, RepresentationError, UnsupportedGroupError
@@ -63,11 +64,15 @@ class GainGraph:
                 if group.add(e.gain, e.gain) != group.identity:
                     raise InputError(f"non-free loop {e.id} gain must have order 2")
 
+    @cached_property
+    def _edge_by_id(self) -> dict[EdgeId, GainEdge]:
+        return {e.id: e for e in self.edges}
+
     def edge(self, eid: EdgeId) -> GainEdge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise InputError(f"no edge with id {eid!r}")
+        e = self._edge_by_id.get(eid)
+        if e is None:
+            raise InputError(f"no edge with id {eid!r}")
+        return e
 
     def loops_in_l(self) -> tuple[GainEdge, ...]:
         return tuple(e for e in self.edges if e.id in self.loops_l)
@@ -118,13 +123,14 @@ class CoveredGraph:
         if base in self.half_orbit_bases:
             gain_diff = self.group.add(self.group.inverse(e.tail[1]), e.head[1])
             moved = min(moved, self.group.add(moved, gain_diff))
-        return self._edge_by_id((base, moved))
+        lifted = self._edge_by_id.get((base, moved))
+        if lifted is None:
+            raise InputError(f"no lifted edge {(base, moved)!r}")
+        return lifted
 
-    def _edge_by_id(self, eid: tuple[EdgeId, Element]) -> LiftedEdge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise InputError(f"no lifted edge {eid!r}")
+    @cached_property
+    def _edge_by_id(self) -> dict[tuple[EdgeId, Element], LiftedEdge]:
+        return {e.id: e for e in self.edges}
 
 
 def lift_cover(h: GainGraph, group: AbelianGroup) -> CoveredGraph:
@@ -202,11 +208,8 @@ def quotient(
             raise UnsupportedGroupError(
                 f"edge orbit of {rep_edge.base!r} has size {len(orbit)}; the action is not free"
             )
-    vertex_list = []
-    for v, g in cov.vertices:
-        if v not in vertex_list:
-            vertex_list.append(v)
-    return GainGraph(tuple(vertex_list), tuple(out_edges), frozenset(loops_l))
+    vertex_list = tuple(dict.fromkeys(v for v, _ in cov.vertices))
+    return GainGraph(vertex_list, tuple(out_edges), frozenset(loops_l))
 
 
 def _sort_key(x) -> str:

@@ -8,8 +8,10 @@ negative cycle.  The union over the C(d+1,2) induced labelings is computed
 by an augmenting-path partition algorithm that emits a decomposition
 certificate and, on the deficient side, a rank witness set.
 
-All independence questions go through one union-find forest,
-``_SignedForest``.  Its ``circuit`` query returns the unique circuit an edge
+All independence questions go through one rooted spanning forest,
+``_SignedForest``, which keeps each vertex's root, sign to the root, parent
+edge and depth, so a root lookup is O(1) and a tree path costs its own
+length.  Its ``circuit`` query returns the unique circuit an edge
 closes with an independent set: a positive (balanced) cycle, a theta's
 balanced cycle, or a tight or loose handcuff (two negative cycles joined at
 a vertex or by a path, possibly across two former components).  The
@@ -72,93 +74,122 @@ class SignedGraph:
 class _SignedForest:
     """Incremental tracker for signed-graphic independence.
 
-    Union-find with a +-1 potential per vertex (relative sign to the
-    component root, no path compression) plus a per-component cycle flag.
-    ``circuit`` assumes the inserted edges are independent.
+    A rooted spanning forest of the inserted edges.  Per vertex it keeps
+    the component root, the sign of the tree path to the root, the parent
+    (tree edge, vertex) pair and the depth; per component (keyed by root)
+    the member list, the number of non-tree edges, whether one of them
+    closes a negative cycle, and the first of them with the edge ids of the
+    cycle it closes.  Joining two
+    components re-roots the smaller one at its endpoint of the new edge
+    and hangs it below the other endpoint, so ``find`` is two lookups and
+    ``tree_path`` costs the length of the path.  ``circuit`` assumes the
+    inserted edges are independent.
     """
 
     def __init__(self, edges: Iterable[SignedEdge] = ()):
-        self.parent: dict[VertexId, VertexId] = {}
-        self.pot: dict[VertexId, int] = {}
-        self.size: dict[VertexId, int] = {}
+        self.root: dict[VertexId, VertexId] = {}
+        self.sign: dict[VertexId, int] = {}
+        self.parent: dict[VertexId, tuple[EdgeId, VertexId] | None] = {}
+        self.depth: dict[VertexId, int] = {}
+        # tree adjacency, walked when a component is re-rooted
+        self.tree: dict[VertexId, list[tuple[EdgeId, VertexId, int]]] = {}
+        self.members: dict[VertexId, list[VertexId]] = {}
         self.cycles: dict[VertexId, int] = {}
         self.unbalanced: dict[VertexId, bool] = {}
         self.cycle_edge: dict[VertexId, SignedEdge] = {}
-        # spanning-forest adjacency, for circuit reconstruction
-        self.tree: dict[VertexId, list[tuple[EdgeId, VertexId, int]]] = {}
+        self.cycle: dict[VertexId, set[EdgeId]] = {}
         for e in edges:
             self.add(e)
 
     def _ensure(self, v: VertexId) -> None:
-        if v not in self.parent:
-            self.parent[v] = v
-            self.pot[v] = 1
-            self.size[v] = 1
-            self.cycles[v] = 0
-            self.unbalanced[v] = False
-            self.tree[v] = []
+        self.root[v] = v
+        self.sign[v] = 1
+        self.parent[v] = None
+        self.depth[v] = 0
+        self.tree[v] = []
+        self.members[v] = [v]
+        self.cycles[v] = 0
+        self.unbalanced[v] = False
 
     def find(self, v: VertexId) -> tuple[VertexId, int]:
-        self._ensure(v)
-        sign = 1
-        while self.parent[v] != v:
-            sign *= self.pot[v]
-            v = self.parent[v]
-        return v, sign
+        """The root of v's component and the sign of the tree path to it."""
+        if v not in self.root:
+            self._ensure(v)
+        return self.root[v], self.sign[v]
 
     def add(self, e: SignedEdge) -> None:
         """Insert an edge: a tree edge when it joins two components, else a
         cycle edge of its component (negative cycles mark it unbalanced)."""
         ru, su = self.find(e.tail)
         rv, sv = self.find(e.head)
-        if ru != rv:
-            keep, drop = (ru, rv) if self.size[ru] >= self.size[rv] else (rv, ru)
-            # potential from drop-root to keep-root making tail->head compose to e.sign
-            self.parent[drop] = keep
-            self.pot[drop] = su * e.sign * sv
-            self.size[keep] += self.size[drop]
-            self.cycles[keep] += self.cycles[drop]
-            self.unbalanced[keep] = self.unbalanced[keep] or self.unbalanced[drop]
-            if drop in self.cycle_edge and keep not in self.cycle_edge:
-                self.cycle_edge[keep] = self.cycle_edge[drop]
-            self.tree[e.tail].append((e.id, e.head, e.sign))
-            self.tree[e.head].append((e.id, e.tail, e.sign))
+        if ru == rv:
+            self.cycles[ru] += 1
+            if ru not in self.cycle_edge:
+                self.cycle_edge[ru] = e
+                self.cycle[ru] = set(self.tree_path(e.tail, e.head))
+                self.cycle[ru].add(e.id)
+            if su * e.sign * sv == -1:
+                self.unbalanced[ru] = True
             return
-        self.cycles[ru] += 1
-        self.cycle_edge.setdefault(ru, e)
-        if su * e.sign * sv == -1:
-            self.unbalanced[ru] = True
+        # hang the smaller component below the endpoint in the larger one
+        if len(self.members[ru]) >= len(self.members[rv]):
+            keep, drop, low, high = ru, rv, e.head, e.tail
+        else:
+            keep, drop, low, high = rv, ru, e.tail, e.head
+        root, sign, parent, depth, tree = self.root, self.sign, self.parent, self.depth, self.tree
+        root[low] = keep
+        sign[low] = sign[high] * e.sign
+        parent[low] = (e.id, high)
+        depth[low] = depth[high] + 1
+        stack = [low]
+        while stack:
+            x = stack.pop()
+            for eid, y, s in tree[x]:
+                if root[y] == drop:
+                    root[y] = keep
+                    sign[y] = sign[x] * s
+                    parent[y] = (eid, x)
+                    depth[y] = depth[x] + 1
+                    stack.append(y)
+        tree[e.tail].append((e.id, e.head, e.sign))
+        tree[e.head].append((e.id, e.tail, e.sign))
+        self.members[keep] += self.members.pop(drop)
+        self.cycles[keep] += self.cycles.pop(drop)
+        if self.unbalanced.pop(drop):
+            self.unbalanced[keep] = True
+        if drop in self.cycle_edge:
+            edge, cycle = self.cycle_edge.pop(drop), self.cycle.pop(drop)
+            if keep not in self.cycle_edge:
+                self.cycle_edge[keep], self.cycle[keep] = edge, cycle
 
     def tree_path(self, u: VertexId, v: VertexId) -> list[EdgeId]:
-        """Edge ids of the forest path from u to v (empty if u == v)."""
-        if u == v:
-            return []
-        prev: dict[VertexId, tuple[EdgeId, VertexId]] = {u: (None, None)}
-        q = deque([u])
-        while q:
-            x = q.popleft()
-            for eid, y, _sign in self.tree.get(x, ()):
-                if y not in prev:
-                    prev[y] = (eid, x)
-                    if y == v:
-                        q.clear()
-                        break
-                    q.append(y)
-        path = []
-        cur = v
-        while cur != u:
-            eid, nxt = prev[cur]
-            path.append(eid)
-            cur = nxt
-        path.reverse()
-        return path
+        """Edge ids of the forest path from u to v (empty if u == v), by
+        climbing from the deeper end to the common ancestor."""
+        parent, depth = self.parent, self.depth
+        up: list[EdgeId] = []
+        down: list[EdgeId] = []
+        du, dv = depth[u], depth[v]
+        while du > dv:
+            eid, u = parent[u]
+            up.append(eid)
+            du -= 1
+        while dv > du:
+            eid, v = parent[v]
+            down.append(eid)
+            dv -= 1
+        while u != v:
+            eid, u = parent[u]
+            up.append(eid)
+            eid, v = parent[v]
+            down.append(eid)
+        down.reverse()
+        return up + down
 
     def _to_cycle(self, v: VertexId, root: VertexId) -> set[EdgeId]:
         """The negative cycle of ``root``'s component plus the tree path from
-        ``v`` to it: the union of the paths from ``v`` to both ends of the
-        cycle edge."""
-        c = self.cycle_edge[root]
-        return set(self.tree_path(v, c.tail)) | set(self.tree_path(v, c.head)) | {c.id}
+        ``v`` to it.  The path from ``v`` to one end of the cycle edge covers
+        that path and part of the cycle; the cycle covers the rest."""
+        return self.cycle[root].union(self.tree_path(v, self.cycle_edge[root].tail))
 
     def circuit(self, e: SignedEdge) -> set[EdgeId] | None:
         """Edge ids of the unique circuit that ``e`` closes with the inserted
@@ -174,12 +205,12 @@ class _SignedForest:
         positive = su * e.sign * sv == 1
         if not (positive or self.cycles[ru]):
             return None
-        closed = set(self.tree_path(e.tail, e.head)) | {e.id}
+        closed = set(self.tree_path(e.tail, e.head))
+        closed.add(e.id)
         if positive:
             return closed
-        c = self.cycle_edge[ru]
-        cycle = set(self.tree_path(c.tail, c.head)) | {c.id}
-        if closed & cycle:
+        cycle = self.cycle[ru]
+        if not closed.isdisjoint(cycle):
             # theta: the two negative cycles share a path, the third is balanced
             return closed ^ cycle
         # tight or loose handcuff inside one component
@@ -220,11 +251,7 @@ def signed_rank(sg: SignedGraph, subset: Iterable[EdgeId] | None = None) -> int:
     emap = sg.edge_map()
     ids = list(emap) if subset is None else list(subset)
     forest = _SignedForest(emap[eid] for eid in ids)
-    roots = {forest.find(v)[0] for v in forest.parent}
-    rank = 0
-    for r in roots:
-        rank += forest.size[r] - 1 + (1 if forest.unbalanced[r] else 0)
-    return rank
+    return sum(len(vs) - 1 + forest.unbalanced[r] for r, vs in forest.members.items())
 
 
 def incidence_matrix(sg: SignedGraph) -> list[list[Fraction]]:
@@ -343,20 +370,27 @@ def matroid_union_rank(
         return False
 
     def _cascade(x: EdgeId, target: int, prev: Mapping[EdgeId, EdgeId | None]) -> None:
+        # every part that loses an element also gains one, so the targets
+        # are all the parts the path changed; the others keep their forests
+        touched = set()
         while True:
             old = part_of.get(x)
             if old is not None:
                 parts[old].remove(x)
             parts[target].append(x)
             part_of[x] = target
+            touched.add(target)
             p = prev[x]
             if p is None:
                 break
             x, target = p, old
-        for i, (label, sg) in enumerate(labeled_sgs):
-            if not is_independent_signed(sg, parts[i])[0]:
-                raise ConsistencyError(f"augmentation broke part {label}")
-            forests[i] = _SignedForest(edge_maps[i][y] for y in parts[i])
+        for i in sorted(touched):
+            emap = edge_maps[i]
+            forest = forests[i] = _SignedForest()
+            for y in parts[i]:
+                if forest.circuit(emap[y]) is not None:
+                    raise ConsistencyError(f"augmentation broke part {labeled_sgs[i][0]}")
+                forest.add(emap[y])
 
     for e in elements:
         if not try_augment(e):
@@ -431,7 +465,7 @@ def check_counting_condition(
             e = all_edges[eid]
             verts.add(e.tail)
             verts.add(e.head)
-        # a merged root keeps its flag, so any set flag marks a negative cycle
+        # the forest keeps one flag per component, set when it holds a negative cycle
         alphas = {
             label: int(any(_SignedForest(edge_maps[i][e] for e in f).unbalanced.values()))
             for i, (label, _) in enumerate(labeled_sgs)

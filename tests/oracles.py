@@ -7,6 +7,7 @@ subset enumeration, and tree packings through the partition criterion.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 from orbitrig.linalg import rank_exact
@@ -27,6 +28,29 @@ def incidence_rank(sg: SignedGraph, ids=None) -> int:
 def independent_by_incidence(sg: SignedGraph, ids=None) -> bool:
     ids = [e.id for e in sg.edges] if ids is None else list(ids)
     return incidence_rank(sg, ids) == len(ids)
+
+
+def tree_path_bfs(adjacency, u, v):
+    """Edge ids of the path from u to v in a forest given as adjacency lists
+    of (edge id, neighbour) pairs, by breadth-first search from u; None when
+    v is in another tree."""
+    prev = {u: None}
+    q = deque([u])
+    while q and v not in prev:
+        x = q.popleft()
+        for eid, y in adjacency.get(x, ()):
+            if y not in prev:
+                prev[y] = (eid, x)
+                q.append(y)
+    if v not in prev:
+        return None
+    path = []
+    cur = v
+    while cur != u:
+        eid, cur = prev[cur]
+        path.append(eid)
+    path.reverse()
+    return path
 
 
 def max_independent_bruteforce(sg: SignedGraph) -> int:

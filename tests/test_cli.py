@@ -377,6 +377,16 @@ class TestInputBoundary:
             f"input error: --irrep {bad!r} is not a comma-separated list of integers\n"
         )
 
+    @pytest.mark.parametrize("command", ["analyze", "certify", "flex", "lift"])
+    def test_empty_gain_graph_exits_2(self, capsys, tmp_path, fixture_dir, command):
+        """No vertices used to exit 3 on analyze (negative flex count) and to
+        certify as rigid with a negative target."""
+        path = self._write(tmp_path, fixture_dir, lambda g: g.update(vertices=[], edges=[]))
+        assert main([command, path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: gain graph has no vertices\n"
+
     def test_unexpected_exception_exits_3(self, capsys, fixture_dir, monkeypatch):
         import orbitrig.cli as cli
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from orbitrig.cli import random_diagonal_rep
 from orbitrig.errors import InputError
-from orbitrig.gaingraph import make_gain_graph
+from orbitrig.gaingraph import make_gain_graph, remove_zero_loops
 from orbitrig.matroid import (
     SignedEdge,
     _SignedForest,
@@ -23,8 +25,10 @@ from orbitrig.matroid import (
 from orbitrig.symmetry import PointRepresentation, screw_pairs
 from conftest import stewart_graph
 from oracles import (
+    incidence_rank,
     independent_by_incidence,
     max_independent_bruteforce,
+    tree_path_bfs,
     union_rank_bruteforce,
     union_rank_minformula,
 )
@@ -187,6 +191,126 @@ class TestCircuit:
         assert witnesses >= 50
 
 
+class TestForestInvariants:
+    """The rooted forest against a breadth-first reference after every
+    insertion of a seeded random independent edge sequence."""
+
+    @staticmethod
+    def insert_and_check(rng, n, mode):
+        """Insert up to 2n edges and check the forest after each one.  In
+        mode 'random' joining edges pick random endpoints; in mode 'path'
+        they link consecutive vertices of a random permutation in random
+        order; in mode 'halves' they grow two paths and join them last at
+        their far ends, which re-roots the shorter one at a deep vertex."""
+        forest = _SignedForest()
+        adjacency: dict = {}
+        sign_of: dict = {}
+        label: dict = {}  # reference component label per inserted vertex
+        cyclic: set = set()
+        order = list(range(n))
+        rng.shuffle(order)
+        mid = rng.randrange(2, n - 3)
+        if mode == "halves":
+            # link i joins order[i] and order[i + 1]; popped from the end, links
+            # 0 .. mid-1 grow one path, n-2 down to mid+1 another, and mid joins them
+            links = [mid] + list(range(mid + 1, n - 1)) + list(range(mid - 1, -1, -1))
+        else:
+            links = list(range(n - 1))
+            rng.shuffle(links)
+        merges = {"tail": 0, "head": 0, "deep": 0}
+        for eid in range(2 * n):
+            if label and (mode != "halves" or not links) and rng.random() < 0.2:
+                # close the first (negative) cycle of a component
+                u = rng.choice(sorted(label))
+                if label[u] in cyclic:
+                    continue
+                v = rng.choice([w for w in label if label[w] == label[u]])
+                path = tree_path_bfs(adjacency, u, v)
+                sign = -math.prod(sign_of[x] for x in path)
+            else:
+                if mode != "random":
+                    if not links:
+                        continue
+                    i = links.pop()
+                    u, v = order[i], order[i + 1]
+                else:
+                    u, v = rng.randrange(n), rng.randrange(n)
+                lu, lv = label.get(u, ("v", u)), label.get(v, ("v", v))
+                if lu == lv or (lu in cyclic and lv in cyclic):
+                    continue
+                sign = rng.choice((1, -1))
+            e = SignedEdge(eid, u, v, sign)
+            assert forest.circuit(e) is None
+            before = {w: forest.find(w)[0] for w in (u, v)}
+            depth_before = dict(forest.depth)
+            forest.add(e)
+            # reference update
+            lu, lv = label.setdefault(u, ("v", u)), label.setdefault(v, ("v", v))
+            if lu == lv:
+                cyclic.add(lu)
+            else:
+                for w in label:
+                    if label[w] == lv:
+                        label[w] = lu
+                if lv in cyclic:
+                    cyclic.discard(lv)
+                    cyclic.add(lu)
+                adjacency.setdefault(u, []).append((eid, v))
+                adjacency.setdefault(v, []).append((eid, u))
+                sign_of[eid] = sign
+                low = u if forest.find(u)[0] != before[u] else v
+                merges["tail" if low == u else "head"] += 1
+                merges["deep"] += depth_before[low] >= 3
+            # invariants
+            comps: dict = {}
+            for w, lab in label.items():
+                comps.setdefault(lab, []).append(w)
+            assert len(forest.members) == len(comps)
+            for lab, verts in comps.items():
+                roots = {forest.find(w)[0] for w in verts}
+                assert len(roots) == 1
+                (r,) = roots
+                assert sorted(forest.members[r]) == sorted(verts)
+                assert forest.unbalanced[r] == (lab in cyclic)
+                for w in verts:
+                    to_root = tree_path_bfs(adjacency, w, r)
+                    assert forest.tree_path(w, r) == to_root
+                    assert forest.depth[w] == len(to_root)
+                    assert forest.find(w)[1] == math.prod(sign_of[x] for x in to_root)
+            verts = sorted(label)
+            for _ in range(20):
+                a, b = rng.choice(verts), rng.choice(verts)
+                if label[a] == label[b]:
+                    assert forest.tree_path(a, b) == tree_path_bfs(adjacency, a, b)
+            assert forest.tree_path(u, v) == (tree_path_bfs(adjacency, u, v) if u != v else [])
+        return merges
+
+    def test_random_sequences(self):
+        rng = random.Random(307)
+        merges = {"tail": 0, "head": 0, "deep": 0}
+        for t in range(18):
+            n = rng.randint(10, 40)
+            mode = ("random", "path", "halves")[t % 3]
+            for k, c in self.insert_and_check(rng, n, mode).items():
+                merges[k] += c
+        # both endpoints end up on the re-rooted side, and deep re-rootings occur
+        assert merges["tail"] >= 50 and merges["head"] >= 50
+        assert merges["deep"] >= 5
+
+    def test_signed_rank_matches_incidence_rank(self):
+        rng = random.Random(311)
+        for _ in range(25):
+            n = rng.randint(10, 30)
+            edges = [
+                (eid, rng.randrange(n), rng.randrange(n), rng.choice((1, -1)))
+                for eid in range(rng.randint(n // 2, 2 * n))
+            ]
+            g = sg(range(n), edges)
+            subset = [e[0] for e in edges if rng.random() < 0.7]
+            assert signed_rank(g) == incidence_rank(g)
+            assert signed_rank(g, subset) == incidence_rank(g, subset)
+
+
 class TestSignedRank:
     def test_spanning_tree(self):
         g = sg([0, 1, 2, 3], [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 3, -1)])
@@ -282,6 +406,54 @@ class TestMatroidUnion:
             res = matroid_union_rank(labeled)
             ids = [e.id for e in h.edges]
             assert res.rank == union_rank_by_formula(labeled, ids, res.witness)
+
+
+def medium_gain_graph(rng, group, n, extra):
+    """Spanning cycle on n vertices plus random edges up to 6n + extra,
+    with random gains; about one edge in eight is a loop, half of them
+    non-free."""
+    elems = group.elements()
+    others = [g for g in elems if g != group.identity]
+    edges = [(i, i, (i + 1) % n, rng.choice(elems)) for i in range(n)]
+    loops_l = []
+    for eid in range(n, 6 * n + extra):
+        if rng.random() < 0.125:
+            v = rng.randrange(n)
+            edges.append((eid, v, v, rng.choice(others)))
+            if rng.random() < 0.5:
+                loops_l.append(eid)
+        else:
+            u, v = rng.sample(range(n), 2)
+            edges.append((eid, u, v, rng.choice(elems)))
+    return make_gain_graph(range(n), edges, loops_l, group=group)
+
+
+class TestUnionMedium:
+    """(2,2) and (2,2,2) gain graphs with 8 to 12 vertices, beyond the reach
+    of the brute-force oracles: the decomposition validates, every part is
+    independent by incidence rank, and the witness meets the rank formula,
+    on rigid and deficient characters alike."""
+
+    @pytest.mark.parametrize("orders, seed", [((2, 2), 401), ((2, 2, 2), 409)])
+    def test_rank_meets_witness_formula(self, orders, seed):
+        rng = random.Random(seed)
+        deficient = full = 0
+        for n, extra in ((8, -4), (10, 4), (12, -4)):
+            rep = random_diagonal_rep(rng, orders, 3)
+            h = medium_gain_graph(rng, rep.group, n, extra)
+            for g in rep.group.elements():
+                h_g = remove_zero_loops(h, rep, g)
+                labeled = labeled_signed_graphs(h_g, rep, g)
+                ids = [e.id for e in h_g.edges]
+                res = matroid_union_rank(labeled)
+                res.decomposition.validate(labeled)
+                gmap = dict(labeled)
+                for label, part in res.decomposition.parts.items():
+                    assert independent_by_incidence(gmap[label], part)
+                assert res.rank == union_rank_by_formula(labeled, ids, res.witness)
+                deficient += res.rank < len(ids)
+                full += res.rank == len(ids)
+        assert deficient >= 3 and full >= 1
 
 
 class TestCountingCondition:
