@@ -1,24 +1,30 @@
-"""Exact rank and nullspace computations on dense rational matrices.
+"""Exact ranks: one sparse elimination engine over a prime field, with
+exact rational rank and nullspace computations behind it.
 
-Matrices are plain lists of rows.  ``rank_certified`` is the exact rank
-engine for orbit and lifted rigidity matrices: it reduces the matrix modulo
-the word-size prime ``PRIME = 2**31 - 1`` and eliminates over that field.
-The rank over F_p never exceeds the rank over Q, and the caller supplies an
-upper bound U on the rational rank that it has proven in exact arithmetic,
-so an F_p rank equal to min(nonzero rows, U) is the rational rank.  Any
-other outcome (a deficient matrix, an entry that vanishes mod p, or p
-dividing a denominator) falls back to ``rank_exact``: row denominators are
-cleared (rank is invariant under row scaling) and fraction-free Bareiss
-elimination runs over the integers.  Every rank these return is exact.
-Blocks of complex characters come realified (each entry of Q(zeta_m)
-replaced by its phi(m) x phi(m) rational multiplication block), and
-``rank_complex`` divides their certified rational rank by phi(m).  No
-floating-point value is involved anywhere.
+``rank_mod_p`` is the only prime-field engine.  It ranks rows given as
+``{column: residue}`` dicts, choosing pivots by Markowitz's rule (the
+sparsest row, then the sparsest column in it), and stops once a target
+rank is reached.  The rank over F_p never exceeds the rank over Q (nor, for
+rows over Z[zeta_m] sent to F_p by zeta_m -> w, the rank over Q(zeta_m)),
+so when the caller supplies an upper bound U that it has proven in exact
+arithmetic, an F_p rank equal to min(nonzero rows, U) is the exact rank.
+``prime_with_root(m)`` gives the prime for characters of order m: the
+largest prime p < 2**31 with p = 1 (mod m), and a primitive m-th root of
+unity w mod p.  ``rank_certified`` applies the certificate to dense
+rational matrices with p = ``PRIME`` = 2**31 - 1; any other outcome (a
+deficient matrix, a row that vanishes mod p, or p dividing a denominator)
+falls back to ``rank_exact``: row denominators are cleared (rank is
+invariant under row scaling) and fraction-free Bareiss elimination runs over
+the integers.  ``rank_complex`` ranks a realified block of a complex
+character, each entry of Q(zeta_m) replaced by its phi(m) x phi(m) rational
+multiplication block, as its certified rational rank divided by phi(m).
+Every rank these return is exact; no floating-point value is involved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
@@ -75,70 +81,133 @@ def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
     return rank
 
 
+def residue(x: Scalar, p: int) -> int | None:
+    """``x`` reduced mod the prime ``p``, or None when p divides its
+    denominator."""
+    num, den = x.as_integer_ratio()
+    if den == 1:
+        return num % p
+    if den % p:
+        return num * pow(den, -1, p) % p
+    return None
+
+
 def rank_certified(rows: Sequence[Sequence[Scalar]], bound: int) -> int:
     """Rank over the rationals of a matrix with int or Fraction entries,
     given ``bound``, an upper bound on that rank which the
     caller has proven exactly.
 
     Rows that are zero over Q are skipped.  The rest are reduced mod PRIME
-    and eliminated; since rank_p <= rank_Q <= min(nonzero rows, bound), an
-    F_p rank reaching that minimum is returned as it is.  Otherwise, or when
-    PRIME divides a denominator, the result is ``rank_exact(rows)``."""
+    to sparse rows and ranked by ``rank_mod_p``; since rank_p <= rank_Q <=
+    min(nonzero rows, bound), an F_p rank reaching that minimum is returned
+    as it is.  Otherwise, or when PRIME divides a denominator, the result
+    is ``rank_exact(rows)``."""
     reduced = []
     ncols = len(rows[0]) if rows else 0
     for row in rows:
         if len(row) != ncols:
             raise InputError("ragged matrix")
-        out = []
+        out = {}
         nonzero = False
-        for x in row:
-            if not x:
-                out.append(0)
-                continue
-            nonzero = True
-            num, den = x.as_integer_ratio()
-            if den == 1:
-                out.append(num % PRIME)
-            elif den % PRIME:
-                out.append(num * pow(den, -1, PRIME) % PRIME)
-            else:
-                return rank_exact(rows)
+        for c, x in enumerate(row):
+            if x:
+                nonzero = True
+                r = residue(x, PRIME)
+                if r is None:
+                    return rank_exact(rows)
+                if r:
+                    out[c] = r
         if nonzero:
             reduced.append(out)
     target = min(len(reduced), bound)
-    if _rank_mod_p(reduced, target) == target:
+    if rank_mod_p(reduced, target, PRIME) == target:
         return target
     return rank_exact(rows)
 
 
-def _rank_mod_p(rows: list[list[int]], target: int) -> int:
-    """Rank over F_PRIME of equal-length rows of residues, by Gaussian
-    elimination that stops once the rank reaches ``target``.  Each step
-    drops the leading column, so ``rows`` always holds the columns not yet
-    eliminated; rows that become zero are dropped."""
+def rank_mod_p(rows: list[dict[int, int]], target: int, p: int) -> int:
+    """Rank over F_p of sparse rows, each a dict from column to nonzero
+    residue, by Gaussian elimination that stops once the rank reaches
+    ``target``.  Pivots follow Markowitz's rule: the sparsest row, then
+    the column of that row shared with the fewest other rows, which keeps
+    the fill-in of incidence-like matrices small.  The dicts are consumed."""
+    count: dict[int, int] = {}  # column -> rows holding it
+    for r in rows:
+        for c in r:
+            count[c] = count.get(c, 0) + 1
+    rows = [r for r in rows if r]
     rank = 0
-    while rank < target and rows and rows[0]:
-        for i, r in enumerate(rows):
-            if r[0]:
-                break
-        else:
-            rows = [r[1:] for r in rows]
-            continue
-        pivot = rows.pop(i)
-        inv = pow(pivot[0], -1, PRIME)
-        pivot = [x * inv % PRIME for x in pivot[1:]]
+    while rank < target and rows:
+        pivot = min(rows, key=len)
+        col = min(pivot, key=count.__getitem__)
+        rows.remove(pivot)
+        inv = pow(pivot.pop(col), -1, p)
+        for c in pivot:
+            count[c] -= 1
+        # adding f * w to a row holding f at col clears that entry
+        update = [(c, (p - x) * inv % p) for c, x in pivot.items()]
         rank += 1
         remaining = []
         for r in rows:
-            f = r[0]
+            f = r.pop(col, 0)
             if f:
-                r = [(a - f * b) % PRIME for a, b in zip(r[1:], pivot)]
-                if any(r):
-                    remaining.append(r)
-            else:
-                remaining.append(r[1:])
+                for c, w in update:
+                    x = r.get(c)
+                    if x is None:
+                        r[c] = f * w % p
+                        count[c] += 1
+                    else:
+                        x = (x + f * w) % p
+                        if x:
+                            r[c] = x
+                        else:
+                            del r[c]
+                            count[c] -= 1
+                if not r:
+                    continue
+            remaining.append(r)
         rows = remaining
     return rank
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the bases 2, 3, 5, 7 decide every
+    n < 3,215,031,751."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def prime_with_root(m: int) -> tuple[int, int]:
+    """The largest prime p < 2**31 with p = 1 (mod m), and a primitive
+    m-th root of unity w mod p: the first g**((p-1)/m), g = 2, 3, ..., whose
+    order is exactly m.  Then zeta_m -> w maps Z[zeta_m] to F_p as a ring
+    homomorphism.  The prime is PRIME itself when m divides PRIME - 1
+    (m = 1, 2, 3, 6, 7, ...)."""
+    p = (2 ** 31 - 2) // m * m + 1
+    while not _is_prime(p):
+        p -= m
+    factors = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // m, p)
+        if all(pow(w, m // q, p) != 1 for q in factors):
+            return p, w
+        g += 1
 
 
 def rref_exact(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -6,10 +6,19 @@ with the bar's grade-2 coordinates by the plain coordinatewise product
 (the duality pairing composed with the star identification; one fixed
 convention, exercised against the dimension-3 formulas in the tests).  A
 framework is infinitesimally rigid exactly when every character block
-leaves no motions beyond its fixed screws.  The block of a complex
-character of order m is built realified over Q (see ``symmetry``), with
-phi(m) rational rows per quotient edge and phi(m) columns per screw
-coordinate; Galois-conjugate characters share one block.
+leaves no motions beyond its fixed screws; Galois-conjugate characters
+share one block.
+
+``analyze`` ranks each block mod a prime p without building it over Q: one
+sparse row per quotient edge, assembled from the bar vector and the screw
+image reduced mod p.  For a character of order m the character value
+zeta_m^a becomes w^a, w a primitive m-th root of unity mod a prime
+p = 1 (mod m), so a complex character is ranked unrealified.  The F_p rank
+counts when it reaches min(nonzero rows, columns - proven fixed screws);
+otherwise ``orbit_matrix`` builds the block over Q, realified for a complex
+character (phi(m) rational rows per quotient edge and phi(m) columns per
+screw coordinate, see ``symmetry``), and it is ranked exactly.  Flex
+extraction and the tests use ``orbit_matrix`` too.
 """
 
 from __future__ import annotations
@@ -21,18 +30,29 @@ from typing import Mapping
 
 from .algebra import Scalar
 from .errors import ConsistencyError, InputError
-from .gaingraph import CoveredGraph, EdgeId, GainGraph, VertexId
+from .gaingraph import CoveredGraph, EdgeId, GainEdge, GainGraph, VertexId
 from .genframe import BarConfiguration, BarEntry, lift_bars, random_generic_bars, verify_loop_form
-from .linalg import matrix_rank, nullspace_exact, rank_certified, rank_complex, rank_exact
+from .linalg import (
+    matrix_rank,
+    nullspace_exact,
+    prime_with_root,
+    rank_certified,
+    rank_complex,
+    rank_exact,
+    rank_mod_p,
+    residue,
+)
 from .symmetry import (
     Element,
     PointRepresentation,
+    character_power,
     fixed_subspace_basis,
     galois_representative,
     irrep_degree,
     irrep_is_real,
     proven_trivial_dim,
     tau_hat2_j,
+    tau_hat2_mod,
     trivial_motion_dim,
 )
 
@@ -114,8 +134,7 @@ def orbit_matrix(
     whose character value is -1 vanish identically.  A complex character
     gets one row per basis element e_r of Q(zeta_m), built the same way from
     the realified bar vec (x) e_r and the realified twisted image."""
-    h.validate_gains(rep.group)
-    verify_loop_form(h, rep, config)
+    _check_inputs(h, config, rep)
     g = rep.group.canon(g)
     b = comb(rep.d + 1, 2)
     deg = irrep_degree(rep.group, g)
@@ -124,8 +143,6 @@ def orbit_matrix(
     rows = []
     for e in h.edges:
         vec = config.vector(e.id)
-        if len(vec) != b:
-            raise InputError(f"bar of edge {e.id!r} has {len(vec)} coordinates, expected {b}")
         inv = tau_hat2_j(rep, g, rep.group.inverse(e.gain))
         tb = vindex[e.tail] * size
         hb = vindex[e.head] * size
@@ -149,13 +166,98 @@ def orbit_matrix(
     )
 
 
-def _block_rank(om: OrbitMatrix, rep: PointRepresentation) -> int:
-    """Exact rank of one character block over Q(zeta_m): the prime-field
-    rank certified against columns minus the proven fixed-screw count."""
-    bound = om.ncols - om.degree * proven_trivial_dim(rep, om.irrep)
+def _check_inputs(h: GainGraph, config: BarConfiguration, rep: PointRepresentation) -> None:
+    """What every orbit matrix of ``h`` needs: gains in the group, non-free
+    loop bars in loop form, and a bar of C(d+1,2) coordinates per edge."""
+    h.validate_gains(rep.group)
+    verify_loop_form(h, rep, config)
+    b = comb(rep.d + 1, 2)
+    for e in h.edges:
+        vec = config.vector(e.id)
+        if len(vec) != b:
+            raise InputError(f"bar of edge {e.id!r} has {len(vec)} coordinates, expected {b}")
+
+
+def _block_rank(
+    h: GainGraph, config: BarConfiguration, rep: PointRepresentation, g: Element
+) -> int:
+    """Exact rank over Q(zeta_m) of the block of character g, m its order,
+    for inputs that passed ``_check_inputs``.  Its rows are assembled mod
+    the prime p of ``prime_with_root(m)``, with zeta_m -> w; that is a ring
+    homomorphism, so rank_p <= rank <= min(nonzero rows, bound), the bound
+    being the columns minus the proven fixed screws, and an F_p rank
+    reaching that minimum is returned.  Otherwise, or when p divides a
+    denominator, the realified orbit matrix is built and ranked by Bareiss
+    (real characters) or ``rank_complex``."""
+    trivial = proven_trivial_dim(rep, g)
+    bound = comb(rep.d + 1, 2) * len(h.vertices) - trivial
+    p, w = prime_with_root(rep.group.element_order(g))
+    assembled = _rows_mod_p(h, config, rep, g, p, w)
+    if assembled is not None:
+        rows, nonzero = assembled
+        target = min(nonzero, bound)
+        if rank_mod_p(rows, target, p) == target:
+            return target
+    om = orbit_matrix(h, config, rep, g)
     if om.degree == 1:
-        return rank_certified(om.rows, bound)
-    return rank_complex(om.rows, bound, om.degree)
+        return rank_exact(om.rows)
+    return rank_complex(om.rows, om.ncols - om.degree * trivial, om.degree)
+
+
+def _rows_mod_p(
+    h: GainGraph, config: BarConfiguration, rep: PointRepresentation, g: Element, p: int, w: int
+) -> tuple[list[dict[int, int]], int] | None:
+    """The block of character g over F_p, one sparse row per edge: the bar
+    vector at the tail block and minus w^a tau_hat2(gain^-1) vec at the
+    head block, for the character value zeta_m^a at the gain; with the
+    number of rows that are nonzero over Q(zeta_m), which can exceed the
+    rows kept.  None when p divides a denominator."""
+    b = comb(rep.d + 1, 2)
+    offset = {v: i * b for i, v in enumerate(h.vertices)}
+    heads = {}  # gain -> (tau_hat2 of its inverse mod p, -w^a mod p)
+    rows = []
+    nonzero = 0
+    for e in h.edges:
+        if e.gain not in heads:
+            image = tau_hat2_mod(rep, rep.group.inverse(e.gain), p)
+            if image is None:
+                return None
+            heads[e.gain] = image, p - pow(w, character_power(rep.group, g, e.gain), p)
+        image, c = heads[e.gain]
+        vec = config.vector(e.id)
+        vp = [residue(x, p) for x in vec]
+        if None in vp:
+            return None
+        row = {offset[e.tail] + t: x for t, x in enumerate(vp) if x}
+        hb = offset[e.head]
+        for t, terms in enumerate(image):
+            y = (row.get(hb + t, 0) + c * sum(a * vp[s] for s, a in terms)) % p
+            if y:
+                row[hb + t] = y
+            else:
+                row.pop(hb + t, None)
+        if row:
+            rows.append(row)
+            nonzero += 1
+        elif not _row_vanishes(e, vec, rep, g):
+            nonzero += 1
+    return rows, nonzero
+
+
+def _row_vanishes(
+    e: GainEdge, vec: tuple[Scalar, ...], rep: PointRepresentation, g: Element
+) -> bool:
+    """Whether the row of edge ``e`` is zero over Q(zeta_m), in exact
+    arithmetic: a non-loop row holds vec itself, and a loop row is zero
+    exactly when its first realified row vec (x) e_0 - A (vec (x) e_0) is."""
+    if not any(vec):
+        return True
+    if e.tail != e.head:
+        return False
+    deg = irrep_degree(rep.group, g)
+    vec_0: list[Scalar] = [0] * (len(vec) * deg)
+    vec_0[::deg] = vec
+    return list(tau_hat2_j(rep, g, rep.group.inverse(e.gain)).apply(vec_0)) == vec_0
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +337,7 @@ def analyze(
     """Per-character ranks for one fixed configuration: the flex count of a
     block is the column count minus its rank minus its fixed-screw
     dimension.  One block is ranked per Galois orbit of characters."""
+    _check_inputs(h, config, rep)
     b = comb(rep.d + 1, 2)
     nv = len(h.vertices)
     reports = []
@@ -242,7 +345,7 @@ def analyze(
     for g in rep.group.elements():
         root = galois_representative(rep.group, g)
         if root not in ranks:
-            ranks[root] = _block_rank(orbit_matrix(h, config, rep, root), rep)
+            ranks[root] = _block_rank(h, config, rep, root)
         rank = ranks[root]
         trivial = trivial_motion_dim(rep, root)
         flex = b * nv - rank - trivial
@@ -418,7 +521,6 @@ def crosscheck_block_ranks(
     # C(d+1,2) constant screw assignments lie in the kernel
     b = comb(rep.d + 1, 2)
     lifted_rank = rank_certified(lifted, b * (len(cov.vertices) - 1))
-    blocks = {}
-    for g in rep.group.elements():
-        blocks[g] = _block_rank(orbit_matrix(h, config, rep, g), rep)
+    _check_inputs(h, config, rep)
+    blocks = {g: _block_rank(h, config, rep, g) for g in rep.group.elements()}
     return CrosscheckResult(lifted_rank=lifted_rank, block_ranks=blocks)

@@ -5,12 +5,14 @@ Groups are products Z/k_1 x ... x Z/k_l written additively; an element is an
 integer tuple reduced componentwise.  The trivial group is the empty product
 ``AbelianGroup(())``.  Characters are labeled by group elements.  A
 character j of order m takes values in the powers of zeta_m; it is real
-(values +-1) when m <= 2.  Every character is handled over Q through its
-realification: Q(zeta_m) is a Q-vector space of dimension phi(m) with basis
-1, zeta_m, ..., zeta_m^(phi(m)-1), and multiplication by zeta_m^a is the
-integer matrix C_m^a, C_m the companion matrix of the cyclotomic polynomial
-Phi_m.  Real characters have phi = 1 and C = [+-1], so their twisted images
-are the plain scaled ones.
+(values +-1) when m <= 2.  The exact constructions here (twisted images,
+fixed screws and their kernel proof) handle every character over Q through
+its realification; the prime-field block ranks of ``rigidity`` instead
+send zeta_m to a root of unity mod p.  Q(zeta_m) is a Q-vector space of
+dimension phi(m) with basis 1, zeta_m, ..., zeta_m^(phi(m)-1), and
+multiplication by zeta_m^a is the integer matrix C_m^a, C_m the companion
+matrix of the cyclotomic polynomial Phi_m.  Real characters have phi = 1
+and C = [+-1], so their twisted images are the plain scaled ones.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
 from .algebra import Scalar, SquareMatrix, block_diag_one, induced_rep, kron, lex_index
 from .errors import ConsistencyError, InputError, RepresentationError, UnsupportedGroupError
-from .linalg import nullspace_exact, rank_certified
+from .linalg import nullspace_exact, rank_certified, residue
 
 Element = tuple[int, ...]
 
@@ -68,12 +70,7 @@ class AbelianGroup:
         return tuple((-x) % k for x, k in zip(a, self.orders))
 
     def element_order(self, a: Element) -> int:
-        cur = self.canon(a)
-        n = 1
-        while cur != self.identity:
-            cur = self.add(cur, a)
-            n += 1
-        return n
+        return lcm(*(k // gcd(x, k) for x, k in zip(self.canon(a), self.orders)))
 
     def generators(self) -> list[Element]:
         l = len(self.orders)
@@ -103,6 +100,14 @@ def irrep_value(group: AbelianGroup, j: Element, i: Element) -> Fraction | compl
     if phase == Fraction(1, 2):
         return Fraction(-1)
     return cmath.exp(2j * cmath.pi * float(phase))
+
+
+def character_power(group: AbelianGroup, j: Element, i: Element) -> int:
+    """The exponent a, 0 <= a < m, with value zeta_m^a of the character
+    labeled by j at the element i, m the order of j: the phase of
+    ``_phase`` times m, where each j_t m / k_t is an integer."""
+    m = group.element_order(j)
+    return sum(x * y * m // k for x, y, k in zip(group.canon(j), group.canon(i), group.orders)) % m
 
 
 def irrep_is_real(group: AbelianGroup, j: Element) -> bool:
@@ -168,8 +173,10 @@ class PointRepresentation:
 
     The instance also caches what the module functions derive from it per
     character label j: twisted screw images per (j, g), the fixed-screw
-    dimension, the fixed-screw basis and its kernel proof.  Images are
-    immutable ``SquareMatrix`` values, so cached entries are shared safely.
+    dimension, the fixed-screw basis and its kernel proof; per (g, p) the
+    screw image reduced mod p; and the outcome of
+    ``require_combinatorial``.  Cached entries are immutable, so they are
+    shared safely.
     """
 
     def __init__(self, group: AbelianGroup, d: int, images: Mapping[Element, SquareMatrix]):
@@ -182,6 +189,7 @@ class PointRepresentation:
         self._trivial_dim: dict[Element, int] = {}
         self._fixed: dict[Element, tuple[tuple[Scalar, ...], ...]] = {}
         self._proven_dim: dict[Element, int] = {}
+        self._hat2_mod: dict[tuple[Element, int], tuple | None] = {}
         self._validate()
 
     @classmethod
@@ -252,18 +260,26 @@ class PointRepresentation:
 
     def require_combinatorial(self) -> None:
         """Guard for the signed-matroid path: two-group, diagonal +-1 images,
-        faithful."""
+        faithful.  Checked once; later calls repeat the outcome, raising a
+        new exception of the same type and message."""
+        err = self._combinatorial_error
+        if err is not None:
+            raise type(err)(*err.args)
+
+    @cached_property
+    def _combinatorial_error(self) -> InputError | None:
         if not self.group.is_two_group():
-            raise UnsupportedGroupError(
+            return UnsupportedGroupError(
                 "combinatorial analysis is available only for products of Z/2Z"
             )
         if not self.is_diagonal_pm_one():
-            raise UnsupportedGroupError(
+            return UnsupportedGroupError(
                 "combinatorial analysis needs diagonal +-1 generator images; "
                 "conjugate the representation to diagonal form first (ranks are preserved)"
             )
         if not self.is_faithful():
-            raise RepresentationError("representation must be faithful")
+            return RepresentationError("representation must be faithful")
+        return None
 
 
 def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix:
@@ -277,21 +293,47 @@ def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix
     m = rep._twisted.get(key)
     if m is None:
         order = rep.group.element_order(j)
-        a = int(-_phase(rep.group, j, g) * order) % order
+        a = -character_power(rep.group, j, g) % order
         m = rep._twisted[key] = kron(rep.tau_hat2(g), root_of_unity_matrix(order, a))
     return m
+
+
+def tau_hat2_mod(
+    rep: PointRepresentation, g: Element, p: int
+) -> tuple[tuple[tuple[int, int], ...], ...] | None:
+    """The screw image tau_hat2(g) reduced mod the prime p, as one tuple
+    of (column, residue) pairs per row over its entries nonzero mod p; None
+    when p divides a denominator.  Cached on ``rep`` per (g, p)."""
+    key = (rep.group.canon(g), p)
+    if key not in rep._hat2_mod:
+        rows = []
+        for row in rep.tau_hat2(g).rows:
+            terms = [(c, residue(x, p)) for c, x in enumerate(row) if x]
+            if any(r is None for _, r in terms):
+                rows = None
+                break
+            rows.append(tuple((c, r) for c, r in terms if r))
+        rep._hat2_mod[key] = None if rows is None else tuple(rows)
+    return rep._hat2_mod[key]
 
 
 def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
     """Dimension over Q(zeta_m) of the fixed subspace of the twisted screw
     representation: the average over the group of the traces of the
-    realified images, divided by phi(m).  Always a nonnegative integer for a
-    valid representation.  Cached on ``rep`` per j."""
+    realified images, divided by phi(m).  A realified image is a Kronecker
+    product, so its trace is the product of the factors' traces.  Always a
+    nonnegative integer for a valid representation.  Cached on ``rep`` per
+    j."""
     j = rep.group.canon(j)
     if j in rep._trivial_dim:
         return rep._trivial_dim[j]
     elems = rep.group.elements()
-    total = sum(tau_hat2_j(rep, j, g).trace() for g in elems)
+    m = rep.group.element_order(j)
+    total = sum(
+        rep.tau_hat2(g).trace()
+        * root_of_unity_matrix(m, -character_power(rep.group, j, g) % m).trace()
+        for g in elems
+    )
     avg = Fraction(total, len(elems) * irrep_degree(rep.group, j))
     if avg.denominator != 1 or avg < 0:
         raise RepresentationError(f"trace average {avg} is not a nonnegative integer")
@@ -360,18 +402,16 @@ def induced_labeling(rep: PointRepresentation, g: Element, pair: tuple[int, int]
     """The one-dimensional +-1 representation carried by a coordinate pair
     (i, j) of screw space under the twisted representation, as a map from
     group elements to signs.  Requires a two-group acting by diagonal +-1
-    matrices."""
+    matrices.  The induced image of diag(s_1, ..., s_d, 1) is diagonal with
+    entry s_i s_j at the pair (i, j), so the sign under gamma is
+    s_i(gamma) s_j(gamma) rho_g(gamma), with s_(d+1) = 1: the diagonal entry
+    of ``tau_hat2_j(rep, g, gamma)``, read without building it."""
     rep.require_combinatorial()
-    pos = lex_index(rep.d + 1, 2).position(pair)
+    i, j = pair
     out: dict[Element, int] = {}
     for gamma in rep.group.elements():
-        val = tau_hat2_j(rep, g, gamma).entry(pos, pos)
-        if val == 1:
-            out[gamma] = 1
-        elif val == -1:
-            out[gamma] = -1
-        else:
-            raise UnsupportedGroupError(f"non +-1 diagonal value {val} at {pair}")
+        s = rep.tau(gamma).diagonal() + (1,)
+        out[gamma] = int(s[i - 1] * s[j - 1]) * (-1) ** character_power(rep.group, g, gamma)
     return out
 
 

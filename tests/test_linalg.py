@@ -1,5 +1,6 @@
-"""The certified prime-field rank against the Bareiss oracle, and the exact
-kernel proof that supplies its bound on orbit matrices."""
+"""The sparse prime-field rank engine and the certified rank against the
+Bareiss oracle, the prime and root chosen per character order, and the
+exact kernel proof that supplies the bound on orbit matrices."""
 
 from __future__ import annotations
 
@@ -11,13 +12,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from orbitrig import linalg, symmetry
 from orbitrig.cli import random_diagonal_rep, random_gain_graph
 from orbitrig.errors import ConsistencyError
 from orbitrig.genframe import random_generic_bars
-from orbitrig.linalg import PRIME, rank_certified, rank_exact
+from orbitrig.linalg import PRIME, prime_with_root, rank_certified, rank_exact, rank_mod_p
 from orbitrig.rigidity import analyze, orbit_matrix
 from orbitrig.symmetry import proven_trivial_dim, trivial_motion_dim
 from conftest import halfturn_rep, mirror_rep, stewart_graph
@@ -113,6 +116,92 @@ class TestRankCertified:
                 assert r.rank == orbit_matrix(h, config, rep, r.irrep).rank()
             flexible += not report.rigid
         assert flexible > 0
+
+
+def _sparse(rows, p: int = PRIME) -> list[dict[int, int]]:
+    return [{c: x % p for c, x in enumerate(row) if x % p} for row in rows]
+
+
+# small integer matrices: every minor is far below PRIME in absolute value,
+# so their rank mod PRIME is their rational rank
+small_matrices = st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=9)
+)
+entries = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-3, 3).map(lambda k: k * PRIME),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.sampled_from([Fraction(1, PRIME), Fraction(-2, PRIME), Fraction(PRIME, 3)]),
+)
+mixed_matrices = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), max_size=7)
+)
+
+
+class TestRankModP:
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices, st.integers(0, 10))
+    def test_equals_bareiss_up_to_target(self, rows, target):
+        assert rank_mod_p(_sparse(rows), target, PRIME) == min(target, rank_exact(rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_matrices, st.integers(0, 3))
+    def test_certified_rank_equals_bareiss(self, rows, slack):
+        """Entries that vanish mod p, p in a denominator and zero rows
+        included, with any proven bound at or above the rank."""
+        expected = rank_exact(rows)
+        assert rank_certified(rows, expected + slack) == expected
+
+    def test_seeded_matrices_with_every_shape_of_rank(self):
+        rng = random.Random(9)
+        kinds = set()
+        for _ in range(60):
+            m, n = rng.randint(1, 30), rng.randint(1, 30)
+            r = rng.randint(1, min(m, n))
+            rows = _product_matrix(rng, m, n, r)
+            for i in rng.sample(range(m), rng.randint(0, m // 3)):
+                rows[i] = [0] * n  # zero rows
+            expected = rank_exact(rows)
+            kinds.add("full" if expected == min(m, n) else "deficient")
+            assert rank_mod_p(_sparse(rows), min(m, n), PRIME) == expected
+            assert rank_certified(rows, r) == expected
+        assert kinds == {"full", "deficient"}
+
+    def test_rows_are_consumed_and_empty_rows_ignored(self):
+        rows = [{}, {0: 1, 1: 2}, {}, {1: 5}]
+        assert rank_mod_p(rows, 5, PRIME) == 2
+        assert rank_mod_p([], 3, PRIME) == 0
+        assert rank_mod_p([{0: 1}], 0, PRIME) == 0
+
+    def test_other_primes(self):
+        rng = random.Random(10)
+        for m in (4, 5, 8):
+            p, _ = prime_with_root(m)
+            for _ in range(10):
+                rows = _product_matrix(rng, 8, 9, rng.randint(1, 8))
+                assert rank_mod_p(_sparse(rows, p), 8, p) == rank_exact(rows)
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+
+class TestPrimeWithRoot:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_root_has_order_exactly_m(self, m):
+        p, w = prime_with_root(m)
+        assert p < 2 ** 31 and (p - 1) % m == 0 and _is_prime(p)
+        assert pow(w, m, p) == 1
+        assert all(pow(w, k, p) != 1 for k in range(1, m))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_largest_such_prime(self, m):
+        p, _ = prime_with_root(m)
+        assert not any(_is_prime(q) for q in range(p + m, 2 ** 31, m))
+
+    def test_word_prime_serves_small_orders(self):
+        assert prime_with_root(1)[0] == prime_with_root(2)[0] == PRIME
+        assert prime_with_root(4)[0] != PRIME
 
 
 class TestKernelProof:

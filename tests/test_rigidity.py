@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from orbitrig import rigidity
 from orbitrig.algebra import SquareMatrix
+from orbitrig.cli import random_diagonal_rep, random_gain_graph
 from orbitrig.errors import InputError
 from orbitrig.gaingraph import lift_cover, make_gain_graph
-from orbitrig.genframe import BarConfiguration, lift_bars, random_generic_bars
-from orbitrig.linalg import matrix_rank, rank_complex, rank_exact
+from orbitrig.genframe import BarConfiguration, BarEntry, lift_bars, random_generic_bars
+from orbitrig.linalg import matrix_rank, prime_with_root, rank_complex, rank_exact
 from orbitrig.rigidity import (
     analyze,
     analyze_generic,
@@ -20,7 +23,13 @@ from orbitrig.rigidity import (
     rigidity_matrix,
     trivial_space_vectors,
 )
-from orbitrig.symmetry import AbelianGroup, PointRepresentation, irrep_value, trivial_motion_dim
+from orbitrig.symmetry import (
+    AbelianGroup,
+    PointRepresentation,
+    irrep_value,
+    proven_trivial_dim,
+    trivial_motion_dim,
+)
 from conftest import stewart_graph
 
 
@@ -316,6 +325,105 @@ class TestComplexCharacters:
         config = random_generic_bars(h, rep, 6)
         with pytest.raises(InputError):
             crosscheck_block_ranks(h, config, rep)
+
+
+def _block_groups():
+    """The complex groups, and (2,2) acting by a diagonal +-1
+    representation."""
+    reps = [_complex_rep(*spec) for spec in COMPLEX_GROUPS]
+    return reps + [random_diagonal_rep(random.Random(3), (2, 2), 3)]
+
+
+BLOCK_GROUP_IDS = ["z3", "z4", "z6", "z8", "z2xz2"]
+
+
+def _with_parallel_copy(h, config):
+    """``h`` with a copy of its first edge that carries the same bar, so
+    the two rows are equal in every block."""
+    e = h.edges[0]
+    copy = max(x.id for x in h.edges) + 1
+    edges = [(x.id, x.tail, x.head, x.gain) for x in h.edges] + [(copy, e.tail, e.head, e.gain)]
+    loops_l = set(h.loops_l) | ({copy} if e.id in h.loops_l else set())
+    entries = dict(config.entries)
+    entries[copy] = config.entries[e.id]
+    return make_gain_graph(h.vertices, edges, loops_l), BarConfiguration(config.d, entries)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The characters whose block ``_block_rank`` had to build as an
+    ``OrbitMatrix``."""
+    built = []
+    build = rigidity.orbit_matrix
+
+    def counting(h, config, rep, g):
+        built.append(g)
+        return build(h, config, rep, g)
+
+    monkeypatch.setattr(rigidity, "orbit_matrix", counting)
+    return built
+
+
+class TestUnrealifiedBlocks:
+    """``_block_rank`` ranks one unrealified row per edge over F_p, with
+    zeta_m sent to a primitive m-th root of unity; checked against the
+    realified Bareiss rank ``OrbitMatrix.rank``."""
+
+    @pytest.mark.parametrize("rep", _block_groups(), ids=BLOCK_GROUP_IDS)
+    def test_equals_realified_bareiss(self, rep, fallbacks):
+        rng = random.Random(17 + rep.group.order())
+        b = comb(rep.d + 1, 2)
+        kinds = set()
+        for t in range(16 if rep.d == 3 else 6):
+            h = random_gain_graph(rng, rep.group, 2, rng.choice((b // 2, b, 2 * b, 4 * b)))
+            config = random_generic_bars(h, rep, t, bound=9)
+            if t % 2:
+                h, config = _with_parallel_copy(h, config)
+            for g in rep.group.elements():
+                om = rigidity.orbit_matrix(h, config, rep, g)
+                del fallbacks[:]
+                rank = rigidity._block_rank(h, config, rep, g)
+                assert rank == om.rank()
+                nonzero = sum(1 for row in om.rows if any(row)) // om.degree
+                bound = b * len(h.vertices) - proven_trivial_dim(rep, g)
+                if rank == min(nonzero, bound):
+                    # certified over F_p: no realified block is built
+                    assert fallbacks == []
+                    kinds.add("saturated" if rank == bound else "full row rank")
+                else:
+                    assert fallbacks == [g]
+                    kinds.add("deficient")
+        assert kinds == {"saturated", "full row rank", "deficient"}
+
+    @pytest.mark.parametrize("rep", _block_groups(), ids=BLOCK_GROUP_IDS)
+    def test_bars_vanishing_mod_p_or_dividing_by_p(self, rep, fallbacks):
+        """A bar scaled by the block's prime p has the same rational rank
+        but a row that vanishes mod p, so a block of independent rows falls
+        short over F_p; a bar divided by p puts p in a denominator.  Both
+        fall back to the realified block."""
+        rng = random.Random(23 + rep.group.order())
+        checked = 0
+        for t in range(6 if rep.d == 3 else 2):
+            h = random_gain_graph(rng, rep.group, 2, 5)
+            config = random_generic_bars(h, rep, t, bound=9)
+            free = [e.id for e in h.edges if e.id not in h.loops_l]
+            if not free:
+                continue
+            for g in rep.group.elements():
+                p, _ = prime_with_root(rep.group.element_order(g))
+                om = rigidity.orbit_matrix(h, config, rep, g)
+                expected = om.rank()
+                independent = expected * om.degree == sum(1 for row in om.rows if any(row))
+                for scale in (p, Fraction(1, p)):
+                    entries = dict(config.entries)
+                    entries[free[0]] = BarEntry(tuple(x * scale for x in config.vector(free[0])))
+                    scaled = BarConfiguration(config.d, entries)
+                    del fallbacks[:]
+                    assert rigidity._block_rank(h, scaled, rep, g) == expected
+                    if independent or scale != p:
+                        assert fallbacks == [g]
+                checked += independent
+        assert checked >= 8
 
 
 class TestMultiVertexFlex:

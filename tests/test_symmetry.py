@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import cmath
 import json
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from orbitrig.algebra import SquareMatrix
-from orbitrig.cli import parse_framework
+from orbitrig import symmetry
+from orbitrig.algebra import SquareMatrix, lex_index
+from orbitrig.cli import parse_framework, random_diagonal_rep
+from orbitrig.linalg import PRIME, prime_with_root, residue
 from orbitrig.errors import RepresentationError, UnsupportedGroupError
 from orbitrig.symmetry import (
     AbelianGroup,
@@ -22,6 +25,7 @@ from orbitrig.symmetry import (
     root_of_unity_matrix,
     screw_pairs,
     tau_hat2_j,
+    tau_hat2_mod,
     trivial_motion_dim,
 )
 from conftest import FIXTURE_DIR, halfturn_rep, mirror_rep, two_group
@@ -232,6 +236,66 @@ class TestInducedLabeling:
         with pytest.raises(UnsupportedGroupError):
             induced_labeling(rep, (0,), (1, 2))
 
+    def test_equals_diagonal_of_twisted_image(self):
+        """The sign read from the generators' diagonals is the diagonal
+        entry of the twisted screw image, on every fixture representation
+        that admits the combinatorial path and on random faithful diagonal
+        +-1 representations of (2), (2,2) and (2,2,2) in d = 2..4."""
+        rng = random.Random(12)
+        reps = [r for r in _fixture_reps() if r.group.is_two_group()]
+        for d in (2, 3, 4):
+            for orders in ((2,), (2, 2), (2, 2, 2)):
+                if len(orders) <= d:
+                    reps += [random_diagonal_rep(rng, orders, d) for _ in range(3)]
+        assert len(reps) >= 30
+        for rep in reps:
+            index = lex_index(rep.d + 1, 2)
+            for g in rep.group.elements():
+                for pair in screw_pairs(rep.d):
+                    pos = index.position(pair)
+                    assert induced_labeling(rep, g, pair) == {
+                        gamma: tau_hat2_j(rep, g, gamma).entry(pos, pos)
+                        for gamma in rep.group.elements()
+                    }
+
+
+class TestRequireCombinatorial:
+    def test_checks_run_once(self, monkeypatch):
+        rep = _z2z2_rep()
+        calls = []
+        check = PointRepresentation.is_diagonal_pm_one
+
+        def counting(self):
+            calls.append(self)
+            return check(self)
+
+        monkeypatch.setattr(PointRepresentation, "is_diagonal_pm_one", counting)
+        for _ in range(5):
+            rep.require_combinatorial()
+        assert calls == [rep]
+
+    @pytest.mark.parametrize(
+        "orders, generator, error, message",
+        [
+            ((4,), [[0, -1, 0], [1, 0, 0], [0, 0, 1]], UnsupportedGroupError, "products of Z/2Z"),
+            ((2,), [[0, 1, 0], [1, 0, 0], [0, 0, 1]], UnsupportedGroupError, "diagonal"),
+            ((2,), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], RepresentationError, "faithful"),
+        ],
+        ids=["not-two-group", "not-diagonal", "not-faithful"],
+    )
+    def test_every_call_raises_the_same_error(self, orders, generator, error, message):
+        rep = PointRepresentation.from_generators(
+            AbelianGroup(orders), 3, [SquareMatrix.from_rows(generator)]
+        )
+        raised = []
+        for _ in range(3):
+            with pytest.raises(error, match=message) as info:
+                rep.require_combinatorial()
+            assert type(info.value) is error
+            raised.append(info.value)
+        assert len({str(e) for e in raised}) == 1
+        assert len({id(e) for e in raised}) == 3
+
 
 def _quarter_turn_rep() -> PointRepresentation:
     rot = SquareMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
@@ -280,3 +344,43 @@ class TestCaches:
         assert [trivial_motion_dim(cs, j) for j in ((0,), (1,))] == [3, 3]
         assert [trivial_motion_dim(c2, j) for j in ((0,), (1,))] == [2, 4]
         assert fixed_subspace_basis(cs, (1,)) != fixed_subspace_basis(c2, (1,))
+
+
+class TestReadoutsWithoutKron:
+    def test_trivial_motion_dim_is_the_trace_average(self):
+        """The product of the factors' traces equals the trace of the
+        realified (Kronecker) image."""
+        for rep in _fixture_reps() + [_complex_order_rep(3), _complex_order_rep(6)]:
+            elems = rep.group.elements()
+            for j in elems:
+                total = sum(tau_hat2_j(rep, j, g).trace() for g in elems)
+                assert trivial_motion_dim(rep, j) * len(elems) * irrep_degree(rep.group, j) == total
+
+    def test_reduced_images(self):
+        """``tau_hat2_mod`` lists the nonzero residues of tau_hat2 row by
+        row; a reflection with denominator 9 keeps its entries apart from p."""
+        v = (1, 2, 2)  # I - 2 v v^T / 9
+        reflection = SquareMatrix.from_rows(
+            [[Fraction(int(i == j)) - Fraction(2 * v[i] * v[j], 9) for j in range(3)] for i in range(3)]
+        )
+        rep9 = PointRepresentation.from_generators(AbelianGroup((2,)), 3, [reflection])
+        for rep in _fixture_reps() + [rep9]:
+            for p in (PRIME, prime_with_root(4)[0], 7):
+                for g in rep.group.elements():
+                    dense = [[residue(x, p) for x in row] for row in rep.tau_hat2(g).rows]
+                    assert tau_hat2_mod(rep, g, p) == tuple(
+                        tuple((c, x) for c, x in enumerate(row) if x) for row in dense
+                    )
+                    assert tau_hat2_mod(rep, g, p) is tau_hat2_mod(rep, g, p)
+        # 3 divides the denominator 9
+        assert tau_hat2_mod(rep9, (1,), 3) is None
+        assert tau_hat2_mod(rep9, (0,), 3) is not None
+
+
+def _complex_order_rep(m: int) -> PointRepresentation:
+    """Z/m acting by the cyclic coordinate permutation, negated for m = 6."""
+    cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    sign = -1 if m == 6 else 1
+    return PointRepresentation.from_generators(
+        AbelianGroup((m,)), 3, [SquareMatrix.from_rows([[sign * x for x in r] for r in cycle])]
+    )
