@@ -20,8 +20,9 @@ from .gaingraph import (
 )
 from .genframe import BarConfiguration, BarEntry, lift_bars, random_generic_bars
 from .hinge import (
+    Analysis,
     HingeConfiguration,
-    HingeReport,
+    analyze_framework,
     analyze_hinge,
     hinge_to_bars,
     random_generic_hinges,

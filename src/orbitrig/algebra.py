@@ -134,22 +134,12 @@ class Extensor:
     def index(self) -> LexIndex:
         return lex_index(self.d + 1, self.k)
 
-    def coord(self, t: Sequence[int]) -> Scalar:
-        return self.coords[self.index.position(t)]
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
 
     def __add__(self, other: "Extensor") -> "Extensor":
         self._check_shape(other)
         return Extensor(self.d, self.k, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Extensor") -> "Extensor":
-        self._check_shape(other)
-        return Extensor(self.d, self.k, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Extensor":
-        return Extensor(self.d, self.k, tuple(-a for a in self.coords))
 
     def scale(self, c: Scalar) -> "Extensor":
         return Extensor(self.d, self.k, tuple(c * a for a in self.coords))
@@ -162,10 +152,6 @@ class Extensor:
     def _check_shape(self, other: "Extensor") -> None:
         if (self.d, self.k) != (other.d, other.k):
             raise InputError("extensor shape mismatch")
-
-
-def zero_extensor(d: int, k: int) -> Extensor:
-    return Extensor(d, k, (Fraction(0),) * comb(d + 1, k))
 
 
 def wedge(vectors: Sequence[Sequence[Scalar]], d: int) -> Extensor:
@@ -265,9 +251,6 @@ class SquareMatrix:
 
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix(tuple(zip(*self.rows)))
-
-    def scale(self, c: Scalar) -> "SquareMatrix":
-        return SquareMatrix(tuple(tuple(c * x for x in row) for row in self.rows))
 
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.n != other.n:

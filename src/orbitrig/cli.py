@@ -1,11 +1,15 @@
-"""Command-line front end.
+"""Command-line front end: parses arguments and input documents,
+dispatches to the library, and prints.
 
 Commands: ``analyze``, ``certify``, ``flex``, ``lift``, ``crosscheck``.
 Input is a JSON document (schema 1) describing the group, its point
 representation (rational generator matrices, rationals as "p/q" strings),
 the quotient gain graph, the model (body-bar or body-hinge), and an
-optional explicit bar configuration.  Machine output is a single sorted
-JSON document on stdout; pass ``--format text`` for a human summary.
+optional explicit bar or hinge configuration.  Machine output is a single
+sorted JSON document on stdout; pass ``--format text`` for a human summary.
+
+The library decides, for both models, whether the matroid path applies
+and whether it agrees with the numeric one (``hinge.analyze_framework``).
 
 Exit codes: 0 rigid, 1 flexible, 2 input error, 3 consistency failure or
 any other internal error.
@@ -15,34 +19,32 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .algebra import SquareMatrix
+from .algebra import SquareMatrix, wedge
+from .ensemble import SCHEMA_VERSION, crosscheck_instances
 from .errors import ConsistencyError, InputError
 from .gaingraph import GainGraph, make_gain_graph
 from .genframe import (
     BarConfiguration,
+    BarEntry,
     bar_from_points,
     lift_bars,
     loop_bar_from_point,
     random_generic_bars,
 )
-from .hinge import analyze_hinge
-from .matroid import check_counting_condition, combinatorial_verdict, labeled_signed_graphs
-from .rigidity import (
-    analyze,
-    analyze_generic,
-    crosscheck_block_ranks,
-    extract_flex,
-    flex_residuals,
-    orbit_matrix,
+from .hinge import (
+    HingeConfiguration,
+    analyze_framework,
+    certificates,
+    lift_hinges,
+    random_generic_hinges,
 )
+from .matroid import counting_violation
+from .rigidity import extract_flex, flex_residuals, orbit_matrix
 from .symmetry import AbelianGroup, Element, PointRepresentation
-
-SCHEMA_VERSION = 1
 
 EXIT_RIGID = 0
 EXIT_FLEXIBLE = 1
@@ -176,16 +178,23 @@ def _parse_point(p: Sequence[Any], d: int) -> tuple[Fraction, ...]:
     raise InputError(f"point must have {d} or {d + 1} coordinates, got {len(vals)}")
 
 
+def _edge_points(doc: dict, kind: str, h: GainGraph, d: int):
+    """Per edge, its generating points in the explicit configuration
+    ``doc``, whose ``kind + "s"`` map is keyed by the string form of the
+    edge id."""
+    entries_doc = _require(doc, f"{kind}s", "configuration")
+    for e in h.edges:
+        key = str(e.id)
+        if key not in entries_doc:
+            raise InputError(f"configuration missing {kind} for edge {e.id!r}")
+        yield e, [_parse_point(p, d) for p in _require(entries_doc[key], "points", f"{kind} {key}")]
+
+
 def parse_configuration(doc: dict, h: GainGraph, rep: PointRepresentation) -> BarConfiguration:
     """Explicit bar configuration: one entry per edge, given by generating
     points (a single point for non-free loops, two points otherwise)."""
-    bars_doc = _require(doc, "bars", "configuration")
     entries: dict = {}
-    for e in h.edges:
-        key = str(e.id)
-        if key not in bars_doc:
-            raise InputError(f"configuration missing bar for edge {e.id!r}")
-        pts = [_parse_point(p, rep.d) for p in _require(bars_doc[key], "points", f"bar {key}")]
+    for e, pts in _edge_points(doc, "bar", h, rep.d):
         if e.id in h.loops_l:
             if len(pts) != 1:
                 raise InputError(f"non-free loop {e.id!r} takes exactly one point")
@@ -201,207 +210,15 @@ def parse_configuration(doc: dict, h: GainGraph, rep: PointRepresentation) -> Ba
 
 def parse_hinge_configuration(doc: dict, h: GainGraph, rep: PointRepresentation):
     """Explicit hinge configuration: d-1 generating points per edge."""
-    from .algebra import wedge
-    from .hinge import HingeConfiguration, HingeEntry
-
-    hinges_doc = _require(doc, "hinges", "configuration")
     entries: dict = {}
-    for e in h.edges:
-        key = str(e.id)
-        if key not in hinges_doc:
-            raise InputError(f"configuration missing hinge for edge {e.id!r}")
-        pts = [_parse_point(p, rep.d) for p in _require(hinges_doc[key], "points", f"hinge {key}")]
+    for e, pts in _edge_points(doc, "hinge", h, rep.d):
         if len(pts) != rep.d - 1:
             raise InputError(f"hinge {e.id!r} takes exactly {rep.d - 1} points")
         ext = wedge(pts, rep.d)
         if ext.is_zero():
             raise InputError(f"hinge of edge {e.id!r} is the zero extensor")
-        entries[e.id] = HingeEntry(vector=ext.coords, points=tuple(tuple(p) for p in pts))
+        entries[e.id] = BarEntry(vector=ext.coords, points=tuple(tuple(p) for p in pts))
     return HingeConfiguration(d=rep.d, entries=entries, meta={"source": "explicit"})
-
-
-# ---------------------------------------------------------------------------
-# random instances (used by `crosscheck` and by the test ensembles)
-
-
-def _require_diagonal_two_group(orders: tuple[int, ...], d: int) -> None:
-    """A faithful diagonal +-1 representation of (Z/2)^l in dimension d
-    exists iff every factor is 2 and l <= d, with d >= 1."""
-    if d < 1:
-        raise InputError(f"dimension must be positive, got {d}")
-    if any(k != 2 for k in orders):
-        raise InputError(
-            f"group orders {list(orders)}: a diagonal +-1 image needs every factor to be 2"
-        )
-    if len(orders) > d:
-        raise InputError(
-            f"(Z/2)^{len(orders)} has no faithful diagonal +-1 representation in dimension {d}"
-        )
-
-
-def random_diagonal_rep(
-    rng: random.Random, orders: tuple[int, ...], d: int
-) -> PointRepresentation:
-    """Random faithful diagonal +-1 representation of a two-group."""
-    _require_diagonal_two_group(orders, d)
-    group = AbelianGroup(orders)
-    while True:
-        gens = [
-            SquareMatrix.from_rows(
-                [
-                    [Fraction(rng.choice((1, -1)) if i == j else 0) for j in range(d)]
-                    for i in range(d)
-                ]
-            )
-            for _ in orders
-        ]
-        try:
-            rep = PointRepresentation.from_generators(group, d, gens)
-        except InputError:
-            continue
-        if rep.is_faithful():
-            return rep
-
-
-def random_gain_graph(
-    rng: random.Random,
-    group: AbelianGroup,
-    max_vertices: int,
-    max_edges: int,
-    require_loop_l: bool = False,
-) -> GainGraph:
-    """Random quotient gain graph: loops never get the identity gain, and a
-    loop whose gain has order two goes to the non-free set with probability
-    one half."""
-    nv = rng.randint(1, max_vertices)
-    vertices = [f"v{i}" for i in range(nv)]
-    ne = rng.randint(1, max_edges)
-    elems = group.elements()
-    involutions = [g for g in elems if g != group.identity and group.add(g, g) == group.identity]
-    edges = []
-    loops_l = []
-    for eid in range(ne):
-        tail = rng.choice(vertices)
-        head = rng.choice(vertices)
-        if tail == head:
-            candidates = [g for g in elems if g != group.identity]
-            if not candidates:
-                head = vertices[(vertices.index(tail) + 1) % nv]
-                if head == tail:  # single vertex, trivial group: skip loops
-                    continue
-                gain = group.identity
-            else:
-                gain = rng.choice(candidates)
-                if group.add(gain, gain) == group.identity and rng.random() < 0.5:
-                    loops_l.append(eid)
-        else:
-            gain = rng.choice(elems)
-        edges.append((eid, tail, head, gain))
-    if require_loop_l and not loops_l and involutions:
-        eid = len(edges)
-        v = rng.choice(vertices)
-        edges.append((eid, v, v, rng.choice(involutions)))
-        loops_l.append(eid)
-    if not edges:
-        edges.append((0, vertices[0], vertices[-1] if nv > 1 else vertices[0], group.identity))
-        if nv == 1:
-            raise InputError("cannot build a loopless instance on one vertex of a trivial group")
-    return make_gain_graph(vertices, edges, loops_l, group=group)
-
-
-def crosscheck_instances(
-    count: int,
-    orders: tuple[int, ...],
-    d: int,
-    seed: int,
-    max_vertices: int = 4,
-    max_edges: int = 10,
-    bound: int = 1000,
-) -> dict:
-    """Randomized agreement harness: per instance, (a) the exact lifted
-    rank must equal the sum of the orbit-matrix ranks, and (b) the
-    combinatorial deficiency must equal the numeric flex count per
-    character.  Mismatching instances are serialized for replay."""
-    if count < 0:
-        raise InputError(f"count must be non-negative, got {count}")
-    if max_vertices < 1 or max_edges < 1:
-        raise InputError(
-            f"max vertices and max edges must be positive, got {max_vertices} and {max_edges}"
-        )
-    _require_diagonal_two_group(orders, d)
-    rng = random.Random(seed)
-    mismatches = []
-    for t in range(count):
-        rep = random_diagonal_rep(rng, orders, d)
-        h = random_gain_graph(rng, rep.group, max_vertices, max_edges)
-        cfg_seed = rng.randrange(2 ** 32)
-        config = random_generic_bars(h, rep, cfg_seed, bound=bound)
-        cc = crosscheck_block_ranks(h, config, rep)
-        report = analyze_generic(h, rep, cfg_seed, samples=2, bound=bound)
-        issues = []
-        if not cc.additive:
-            issues.append(
-                {
-                    "kind": "rank_additivity",
-                    "lifted_rank": cc.lifted_rank,
-                    "block_ranks": {str(list(k)): v for k, v in cc.block_ranks.items()},
-                }
-            )
-        for g in rep.group.elements():
-            verdict = combinatorial_verdict(h, rep, g)
-            numeric = report.irrep_report(g)
-            if verdict.deficiency != numeric.flex or verdict.rigid != numeric.rigid:
-                issues.append(
-                    {
-                        "kind": "combinatorial_vs_numeric",
-                        "irrep": list(g),
-                        "deficiency": verdict.deficiency,
-                        "flex": numeric.flex,
-                    }
-                )
-        if issues:
-            mismatches.append(
-                {
-                    "instance": t,
-                    "issues": issues,
-                    "replay": serialize_instance(h, rep, cfg_seed),
-                }
-            )
-    return {
-        "count": count,
-        "group": {"orders": list(orders)},
-        "d": d,
-        "seed": seed,
-        "mismatches": mismatches,
-        "ok": not mismatches,
-    }
-
-
-def serialize_instance(h: GainGraph, rep: PointRepresentation, seed: int) -> dict:
-    gens = []
-    for gen in rep.group.generators():
-        m = rep.tau(gen)
-        gens.append([[str(x) for x in row] for row in m.rows])
-    return {
-        "schema": SCHEMA_VERSION,
-        "model": "body-bar",
-        "group": {"orders": list(rep.group.orders)},
-        "representation": {"d": rep.d, "generators": gens},
-        "gain_graph": {
-            "vertices": list(h.vertices),
-            "edges": [
-                {
-                    "id": e.id,
-                    "tail": e.tail,
-                    "head": e.head,
-                    "gain": list(e.gain),
-                    "inL": e.id in h.loops_l,
-                }
-                for e in h.edges
-            ],
-        },
-        "seed": seed,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -446,81 +263,31 @@ def _irrep_filter(rep: PointRepresentation, arg: str | None) -> list[Element]:
 def cmd_analyze(args) -> int:
     fw = _load(args)
     rep, h = fw["rep"], fw["graph"]
-    combinatorial = rep.group.is_two_group() and rep.is_diagonal_pm_one() and rep.is_faithful()
     shown = [list(g) for g in _irrep_filter(rep, args.irrep)]
-    if fw["model"] == "body-hinge":
-        hrep = analyze_hinge(h, rep, seed=args.seed, samples=args.samples, config=fw["config"])
-        doc = hrep.to_json()
-        doc["model"] = "body-hinge"
-        doc["irreps"] = [r for r in doc["numeric"]["irreps"] if r["irrep"] in shown]
-        doc["rigid"] = hrep.numeric.rigid
-        _emit(doc, args.format, _analyze_text)
-        if not hrep.consistent:
-            return EXIT_INCONSISTENT
-        return EXIT_RIGID if hrep.rigid else EXIT_FLEXIBLE
-    if fw["config"] is not None:
-        report = analyze(h, rep, fw["config"])
-    else:
-        report = analyze_generic(h, rep, seed=args.seed, samples=args.samples)
-    doc = report.to_json()
-    doc["model"] = "body-bar"
+    result = analyze_framework(
+        fw["model"], h, rep, seed=args.seed, samples=args.samples, config=fw["config"]
+    )
+    doc = result.to_json()
     doc["irreps"] = [r for r in doc["irreps"] if r["irrep"] in shown]
-    consistent = True
-    if combinatorial:
-        verdicts = [combinatorial_verdict(h, rep, g) for g in rep.group.elements()]
-        doc["combinatorial"] = [v.to_json() for v in verdicts]
-        if fw["config"] is None:
-            by_irrep = {v.irrep: v for v in verdicts}
-            for r in report.irreps:
-                v = by_irrep[r.irrep]
-                if v.rigid != r.rigid or v.deficiency != r.flex:
-                    consistent = False
-        doc["consistent"] = consistent
-        if args.oracle:
-            doc["counting_violations"] = {
-                str(list(g)): _counting_violation(h, rep, g) for g in rep.group.elements()
-            }
+    if args.oracle and result.verdicts is not None and fw["model"] == "body-bar":
+        doc["counting_violations"] = {
+            str(list(g)): counting_violation(h, rep, g) for g in rep.group.elements()
+        }
     _emit(doc, args.format, _analyze_text)
-    if not consistent:
+    if not result.consistent:
         return EXIT_INCONSISTENT
-    return EXIT_RIGID if report.rigid else EXIT_FLEXIBLE
-
-
-def _counting_violation(h: GainGraph, rep: PointRepresentation, g: Element) -> dict | None:
-    """Brute-force counting check of one character (small inputs only)."""
-    from .gaingraph import remove_zero_loops
-
-    labeled = labeled_signed_graphs(remove_zero_loops(h, rep, g), rep, g)
-    violation = check_counting_condition(labeled)
-    if violation is None:
-        return None
-    return {
-        "edges": [list(e) if isinstance(e, tuple) else e for e in violation.edges],
-        "size": violation.size,
-        "bound": violation.bound,
-    }
+    return EXIT_RIGID if result.rigid else EXIT_FLEXIBLE
 
 
 def cmd_certify(args) -> int:
     fw = _load(args)
-    rep, h = fw["rep"], fw["graph"]
-    if fw["model"] == "body-hinge":
-        from .gaingraph import multiply_edges
-        from .hinge import bar_multiplicity
-
-        h = multiply_edges(h, bar_multiplicity(rep.d))
-    certificates = []
-    all_rigid = True
-    for g in _irrep_filter(rep, args.irrep):
-        verdict = combinatorial_verdict(h, rep, g)
-        cert = verdict.to_json()
-        if args.oracle:
-            cert["counting_violation"] = _counting_violation(h, rep, g)
-        certificates.append(cert)
-        all_rigid = all_rigid and verdict.rigid
-    doc = {"schema": SCHEMA_VERSION, "model": fw["model"], "certificates": certificates}
+    rep = fw["rep"]
+    certs = certificates(
+        fw["model"], fw["graph"], rep, _irrep_filter(rep, args.irrep), oracle=args.oracle
+    )
+    doc = {"schema": SCHEMA_VERSION, "model": fw["model"], "certificates": certs}
     _emit(doc, args.format, _certify_text)
-    return EXIT_RIGID if all_rigid else EXIT_FLEXIBLE
+    return EXIT_RIGID if all(c["rigid"] for c in certs) else EXIT_FLEXIBLE
 
 
 def _certify_text(doc: dict):
@@ -544,8 +311,7 @@ def cmd_flex(args) -> int:
         om = orbit_matrix(h, config, rep, g)
         flex = extract_flex(om, rep)
         if flex is not None:
-            residual = flex_residuals(om, flex)
-            if any(x != 0 for x in residual):
+            if any(flex_residuals(om, flex)):
                 raise ConsistencyError("extracted flex does not satisfy the orbit system")
             flexes.append(flex.to_json())
     doc = {"schema": SCHEMA_VERSION, "flexes": flexes}
@@ -566,15 +332,10 @@ def cmd_lift(args) -> int:
     fw = _load(args)
     rep, h = fw["rep"], fw["graph"]
     if fw["model"] == "body-hinge":
-        from .hinge import lift_hinges, random_generic_hinges
-
-        hconf = fw["config"] or random_generic_hinges(h, rep, args.seed)
-        cov, hinges = lift_hinges(h, hconf, rep)
-        entries = hinges
+        cov, entries = lift_hinges(h, fw["config"] or random_generic_hinges(h, rep, args.seed), rep)
         vector_key = "hinge"
     else:
-        config = fw["config"] or random_generic_bars(h, rep, args.seed)
-        cov, entries = lift_bars(h, config, rep)
+        cov, entries = lift_bars(h, fw["config"] or random_generic_bars(h, rep, args.seed), rep)
         vector_key = "bar"
     doc = {
         "schema": SCHEMA_VERSION,
@@ -606,10 +367,9 @@ def _lift_text(doc: dict):
 
 
 def cmd_crosscheck(args) -> int:
-    orders = _parse_orders(args.group)
     summary = crosscheck_instances(
         count=args.count,
-        orders=orders,
+        orders=_parse_orders(args.group),
         d=args.dim,
         seed=args.seed,
         max_vertices=args.max_vertices,

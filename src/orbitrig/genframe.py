@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Extensor, Scalar, wedge
+from .algebra import Scalar, wedge
 from .errors import InputError
 from .gaingraph import CoveredGraph, EdgeId, GainGraph, lift_cover
 from .symmetry import PointRepresentation
@@ -26,7 +26,8 @@ DEFAULT_BOUND = 10 ** 6
 class BarEntry:
     """One bar: its grade-2 coordinate vector, and the generating
     homogeneous points when the bar was built from points (None for bars
-    produced as raw spans, e.g. from hinges)."""
+    produced as raw spans, e.g. from hinges).  A hinge entry is kept the
+    same way, with its grade-(d-1) vector and its d-1 points."""
 
     vector: tuple[Scalar, ...]
     points: tuple[tuple[Scalar, ...], ...] | None = None
@@ -38,17 +39,16 @@ class BarConfiguration:
     entries: dict[EdgeId, BarEntry]
     meta: dict = field(default_factory=dict)
 
+    kind = "bar"  # what an entry is, for messages
+
     def vector(self, eid: EdgeId) -> tuple[Scalar, ...]:
         try:
             return self.entries[eid].vector
         except KeyError:
-            raise InputError(f"no bar for edge {eid!r}")
+            raise InputError(f"no {self.kind} for edge {eid!r}")
 
     def points(self, eid: EdgeId):
         return self.entries[eid].points
-
-    def extensor(self, eid: EdgeId) -> Extensor:
-        return Extensor(self.d, 2, self.vector(eid))
 
 
 def random_point(rng: random.Random, d: int, bound: int) -> tuple[Fraction, ...]:

@@ -6,41 +6,37 @@ machinery (numeric and combinatorial) applies to the multiplied quotient.
 
 The group must act freely on the edge set here: the non-free loop set is
 required to be empty.
+
+Since a body-hinge framework is a body-bar one on that quotient, the
+pipeline both models share lives here too: ``analyze_framework`` runs the
+numeric path, adds the matroid verdicts when the representation admits
+them, and checks the two against each other (``disagreements``);
+``certificates`` runs the matroid path alone.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from .algebra import Extensor, Scalar, hodge_star, wedge
+from typing import Sequence
+
+from .algebra import Extensor, hodge_star, wedge
 from .errors import InputError, UnsupportedGroupError
 from .gaingraph import CoveredGraph, EdgeId, GainGraph, lift_cover, multiply_edges
 from .genframe import PRNG_NAME, BarConfiguration, BarEntry, random_point
 from .linalg import nullspace_exact, rank_certified
-from .matroid import CombinatorialVerdict, combinatorial_verdict
-from .rigidity import RigidityReport, analyze, merge_samples
-from .symmetry import PointRepresentation
+from .matroid import CombinatorialVerdict, combinatorial_verdict, counting_violation
+from .rigidity import IrrepReport, RigidityReport, analyze, analyze_generic, merge_samples
+from .symmetry import Element, PointRepresentation
 
 
-@dataclass(frozen=True)
-class HingeEntry:
-    vector: tuple[Scalar, ...]
-    points: tuple[tuple[Scalar, ...], ...]
+class HingeConfiguration(BarConfiguration):
+    """A hinge per quotient edge, kept as a bar is: a ``BarEntry`` with the
+    grade-(d-1) coordinates of the hinge and its d-1 generating points."""
 
-
-@dataclass(frozen=True)
-class HingeConfiguration:
-    d: int
-    entries: dict[EdgeId, HingeEntry]
-    meta: dict = field(default_factory=dict)
-
-    def vector(self, eid: EdgeId) -> tuple[Scalar, ...]:
-        try:
-            return self.entries[eid].vector
-        except KeyError:
-            raise InputError(f"no hinge for edge {eid!r}")
+    kind = "hinge"
 
     def extensor(self, eid: EdgeId) -> Extensor:
         return Extensor(self.d, self.d - 1, self.vector(eid))
@@ -69,13 +65,13 @@ def random_generic_hinges(
     h.validate_gains(rep.group)
     d = rep.d
     rng = random.Random(seed)
-    entries: dict[EdgeId, HingeEntry] = {}
+    entries: dict[EdgeId, BarEntry] = {}
     for e in h.edges:
         while True:
             pts = tuple(random_point(rng, d, bound) for _ in range(d - 1))
             ext = wedge(list(pts), d)
             if not ext.is_zero():
-                entries[e.id] = HingeEntry(vector=ext.coords, points=pts)
+                entries[e.id] = BarEntry(vector=ext.coords, points=pts)
                 break
     return HingeConfiguration(
         d=d, entries=entries, meta={"seed": seed, "bound": bound, "prng": PRNG_NAME}
@@ -128,51 +124,78 @@ def hinge_to_bars(
 
 def lift_hinges(
     h: GainGraph, config: HingeConfiguration, rep: PointRepresentation
-) -> tuple[CoveredGraph, dict[tuple, HingeEntry]]:
+) -> tuple[CoveredGraph, dict[tuple, BarEntry]]:
     """Lift a quotient hinge configuration: the hinge of a lifted edge is
     the grade-(d-1) image of the quotient hinge under the indexing group
     element."""
     _require_free_edges(h)
     cov = lift_cover(h, rep.group)
-    out: dict[tuple, HingeEntry] = {}
+    out: dict[tuple, BarEntry] = {}
     for le in cov.edges:
         gamma = le.id[1]
         vec = rep.tau_hat_k(gamma, rep.d - 1).apply(config.vector(le.base))
         tau = rep.tau_hat(gamma)
         pts = tuple(tau.apply(p) for p in config.entries[le.base].points)
-        out[le.id] = HingeEntry(vector=tuple(vec), points=pts)
+        out[le.id] = BarEntry(vector=tuple(vec), points=pts)
     return cov, out
 
 
 @dataclass(frozen=True)
-class HingeReport:
+class Analysis:
+    """Both paths on one framework of either model: the numeric report, the
+    combinatorial verdict per character when the representation admits
+    the matroid path (else None), and whether the two agree."""
+
+    model: str
     numeric: RigidityReport
     verdicts: tuple[CombinatorialVerdict, ...] | None
+    consistent: bool
 
     @property
     def rigid(self) -> bool:
         return self.numeric.rigid
 
-    @property
-    def consistent(self) -> bool:
-        if self.verdicts is None:
-            return True
-        by_irrep = {v.irrep: v for v in self.verdicts}
-        for r in self.numeric.irreps:
-            v = by_irrep.get(r.irrep)
-            if v is None or v.rigid != r.rigid:
-                return False
-        return True
-
     def to_json(self) -> dict:
-        out = {
-            "model": "body-hinge",
-            "numeric": self.numeric.to_json(),
-            "consistent": self.consistent,
-        }
+        """Body-bar: the numeric report's fields, plus ``consistent`` beside
+        the verdicts.  Body-hinge: the numeric report under ``numeric`` with
+        its ``irreps`` and ``rigid`` repeated, and ``consistent`` always."""
+        numeric = self.numeric.to_json()
+        if self.model == "body-hinge":
+            out = {"numeric": numeric, "irreps": numeric["irreps"], "rigid": numeric["rigid"],
+                   "consistent": self.consistent}
+        else:
+            out = numeric
+            if self.verdicts is not None:
+                out["consistent"] = self.consistent
         if self.verdicts is not None:
             out["combinatorial"] = [v.to_json() for v in self.verdicts]
+        out["model"] = self.model
         return out
+
+
+def disagreements(
+    numeric: RigidityReport, verdicts: Sequence[CombinatorialVerdict]
+) -> list[tuple[IrrepReport, CombinatorialVerdict]]:
+    """The characters whose numeric flex count differs from the
+    combinatorial deficiency, as (numeric, combinatorial) pairs.  Equal
+    counts imply equal rigidity verdicts, since each side is rigid exactly
+    when its count is zero."""
+    by_irrep = {v.irrep: v for v in verdicts}
+    return [(r, by_irrep[r.irrep]) for r in numeric.irreps if by_irrep[r.irrep].deficiency != r.flex]
+
+
+def _combine(
+    model: str, numeric: RigidityReport, bars: GainGraph, rep: PointRepresentation, sampled: bool
+) -> Analysis:
+    """Add the verdicts on the body-bar quotient ``bars`` when the matroid
+    path applies.  Agreement is required only of a sampled configuration:
+    an explicit one may sit in special position, where the numeric rank
+    falls below the generic one that the matroid path counts."""
+    verdicts = None
+    if rep.is_combinatorial():
+        verdicts = tuple(combinatorial_verdict(bars, rep, g) for g in rep.group.elements())
+    consistent = verdicts is None or not sampled or not disagreements(numeric, verdicts)
+    return Analysis(model, numeric, verdicts, consistent)
 
 
 def analyze_hinge(
@@ -181,23 +204,18 @@ def analyze_hinge(
     seed: int,
     samples: int = 2,
     bound: int = 10 ** 6,
-    combinatorial: bool | None = None,
     config: HingeConfiguration | None = None,
-) -> HingeReport:
+) -> Analysis:
     """Numeric path: body-bar analysis of the multiplied quotient with
     hinge-derived bars, per-character maximum rank over ``samples`` seeds.
-    Combinatorial path (two-groups): signed-matroid union verdicts on the
-    multiplied gain graph.  Both are reported; agreement is exposed as
-    ``consistent``.
+    Combinatorial path: signed-matroid union verdicts on the multiplied
+    gain graph.
 
     An explicit ``config`` fixes the hinges; sampling then varies only the
     generic bar combinations within each hinge's complement.
     """
     _require_free_edges(h)
-    if samples < 1:
-        raise InputError("need at least one sample")
     reports = []
-    multiplied = None
     for t in range(samples):
         hconf = config or random_generic_hinges(h, rep, seed + t, bound=bound)
         multiplied, bars = hinge_to_bars(h, hconf, seed + 7919 * (t + 1))
@@ -207,11 +225,42 @@ def analyze_hinge(
         {"seed": seed, "samples": samples, "bound": bound, "prng": PRNG_NAME,
          "model": "body-hinge", "bars_per_hinge": bar_multiplicity(rep.d)},
     )
-    if combinatorial is None:
-        combinatorial = rep.group.is_two_group() and rep.is_diagonal_pm_one()
-    verdicts = None
-    if combinatorial:
-        verdicts = tuple(
-            combinatorial_verdict(multiplied, rep, g) for g in rep.group.elements()
-        )
-    return HingeReport(numeric=numeric, verdicts=verdicts)
+    return _combine("body-hinge", numeric, multiplied, rep, config is None)
+
+
+def analyze_framework(
+    model: str,
+    h: GainGraph,
+    rep: PointRepresentation,
+    seed: int,
+    samples: int = 2,
+    bound: int = 10 ** 6,
+    config: BarConfiguration | None = None,
+) -> Analysis:
+    """Both paths for a framework of either model; ``config`` holds hinges
+    (a ``HingeConfiguration``) for a body-hinge one, and without it the
+    configuration is sampled ``samples`` times from ``seed``."""
+    if model == "body-hinge":
+        return analyze_hinge(h, rep, seed, samples, bound, config)
+    if config is None:
+        numeric = analyze_generic(h, rep, seed, samples, bound)
+    else:
+        numeric = analyze(h, rep, config)
+    return _combine(model, numeric, h, rep, config is None)
+
+
+def certificates(
+    model: str, h: GainGraph, rep: PointRepresentation, irreps: Sequence[Element], oracle: bool = False
+) -> list[dict]:
+    """The combinatorial verdict of each character on the body-bar quotient,
+    as a JSON certificate; with ``oracle``, the brute-force counting check
+    beside it."""
+    if model == "body-hinge":
+        h = multiply_edges(h, bar_multiplicity(rep.d))
+    out = []
+    for g in irreps:
+        cert = combinatorial_verdict(h, rep, g).to_json()
+        if oracle:
+            cert["counting_violation"] = counting_violation(h, rep, g)
+        out.append(cert)
+    return out

@@ -532,17 +532,11 @@ def labeled_signed_graphs(
     return out
 
 
-def combinatorial_verdict(
-    h: GainGraph, rep: PointRepresentation, g: Element, d: int | None = None
-) -> CombinatorialVerdict:
+def combinatorial_verdict(h: GainGraph, rep: PointRepresentation, g: Element) -> CombinatorialVerdict:
     """Signed-matroid union test for one character label: remove the zero
     loops, build the induced labelings, compare the union rank of the
     remaining edges against the count of non-fixed screw dimensions."""
     rep.require_combinatorial()
-    if d is None:
-        d = rep.d
-    if d != rep.d:
-        raise InputError(f"dimension {d} disagrees with representation dimension {rep.d}")
     g = rep.group.canon(g)
     h.validate_gains(rep.group)
     h_g = remove_zero_loops(h, rep, g)
@@ -550,12 +544,11 @@ def combinatorial_verdict(
     labeled = labeled_signed_graphs(h_g, rep, g)
     result = matroid_union_rank(labeled)
     result.decomposition.validate(labeled)
-    b = comb(d + 1, 2)
-    target = b * len(h.vertices) - trivial_motion_dim(rep, g)
+    target = comb(rep.d + 1, 2) * len(h.vertices) - trivial_motion_dim(rep, g)
     rank = result.rank
     return CombinatorialVerdict(
         irrep=g,
-        d=d,
+        d=rep.d,
         edges=len(h_g.edges),
         target=target,
         rank=rank,
@@ -565,3 +558,20 @@ def combinatorial_verdict(
         decomposition=result.decomposition,
         witness=result.witness,
     )
+
+
+def counting_violation(h: GainGraph, rep: PointRepresentation, g: Element) -> dict | None:
+    """Brute-force counting check of one character label on the edges left
+    after its zero loops are removed, labeled as in
+    ``combinatorial_verdict`` (small inputs only): the first violation as a
+    JSON document, or None."""
+    violation = check_counting_condition(
+        labeled_signed_graphs(remove_zero_loops(h, rep, g), rep, g)
+    )
+    if violation is None:
+        return None
+    return {
+        "edges": [_edge_id_json(e) for e in violation.edges],
+        "size": violation.size,
+        "bound": violation.bound,
+    }

@@ -376,8 +376,6 @@ def analyze_generic(
     independent seeds and keeping the per-character maximum rank.  Exact
     rank agreement across the samples is the practical genericity surrogate
     and is reported, not enforced."""
-    if samples < 1:
-        raise InputError("need at least one sample")
     per_sample = [
         analyze(h, rep, random_generic_bars(h, rep, seed + t, bound=bound))
         for t in range(samples)
@@ -390,6 +388,8 @@ def merge_samples(per_sample: list[RigidityReport], meta: dict) -> RigidityRepor
     """One report from the reports of independent samples: per character
     the maximum rank and its flex count, ``samples_agree`` when every sample
     gave the same ranks, and ``meta`` in place of the samples' metadata."""
+    if not per_sample:
+        raise InputError("need at least one sample")
     base = per_sample[0]
     agree = all(
         [r.rank for r in rep_t.irreps] == [r.rank for r in base.irreps] for rep_t in per_sample

@@ -171,19 +171,18 @@ class PointRepresentation:
     Images of all elements are derived from the generators and the
     homomorphism property is verified exhaustively; the group is finite.
 
-    The instance also caches what the module functions derive from it per
-    character label j: twisted screw images per (j, g), the fixed-screw
-    dimension, the fixed-screw basis and its kernel proof; per (g, p) the
-    screw image reduced mod p; and the outcome of
-    ``require_combinatorial``.  Cached entries are immutable, so they are
-    shared safely.
+    The instance also caches the exterior-power images per (g, k), and what
+    the module functions derive from it: per character label j the twisted
+    screw images per (j, g), the fixed-screw dimension, the fixed-screw
+    basis and its kernel proof; per (g, p) the screw image reduced mod p;
+    and the outcome of ``require_combinatorial``.  Cached entries are
+    immutable, so they are shared safely.
     """
 
     def __init__(self, group: AbelianGroup, d: int, images: Mapping[Element, SquareMatrix]):
         self.group = group
         self.d = d
         self.images = dict(images)
-        self._hat2: dict[Element, SquareMatrix] = {}
         self._hat_k: dict[tuple[Element, int], SquareMatrix] = {}
         self._twisted: dict[tuple[Element, Element], SquareMatrix] = {}
         self._trivial_dim: dict[Element, int] = {}
@@ -239,10 +238,7 @@ class PointRepresentation:
         return block_diag_one(self.tau(g))
 
     def tau_hat2(self, g: Element) -> SquareMatrix:
-        g = self.group.canon(g)
-        if g not in self._hat2:
-            self._hat2[g] = induced_rep(self.tau_hat(g), 2)
-        return self._hat2[g]
+        return self.tau_hat_k(g, 2)
 
     def tau_hat_k(self, g: Element, k: int) -> SquareMatrix:
         g = self.group.canon(g)
@@ -257,6 +253,11 @@ class PointRepresentation:
 
     def is_diagonal_pm_one(self) -> bool:
         return all(m.is_diagonal_pm_one() for m in self.images.values())
+
+    def is_combinatorial(self) -> bool:
+        """Whether the signed-matroid path applies (see
+        ``require_combinatorial``)."""
+        return self._combinatorial_error is None
 
     def require_combinatorial(self) -> None:
         """Guard for the signed-matroid path: two-group, diagonal +-1 images,

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from orbitrig.algebra import Extensor, SquareMatrix, cap_product, hodge_star, induced_rep
-from orbitrig.cli import random_diagonal_rep, random_gain_graph
+from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
 from orbitrig.gaingraph import make_gain_graph
 from orbitrig.genframe import random_generic_bars
 from orbitrig.hinge import analyze_hinge

@@ -236,6 +236,54 @@ class TestExplicitHingeConfiguration:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["analyze", str(path)]) == EXIT_INPUT
 
+    def test_collinear_hinges_are_flexible_not_inconsistent(self, capsys, fixture_dir, tmp_path):
+        """Two explicit hinges on one line leave the rotation about it: the
+        numeric path finds flex 1 where the matroid path counts the generic
+        deficiency 0.  An explicit configuration is never checked for
+        agreement, so this exits 1 like six collinear explicit bars."""
+        doc = json.loads((fixture_dir / "trivial_2body_1hinge.json").read_text())
+        doc["gain_graph"]["edges"].append({"id": 1, "tail": "u", "head": "v", "gain": []})
+        doc["configuration"] = {"hinges": {"0": {"points": [[0, 0, 0], [1, 0, 0]]},
+                                           "1": {"points": [[2, 0, 0], [5, 0, 0]]}}}
+        path = tmp_path / "collinear.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(capsys, ["analyze", str(path)])
+        assert code == EXIT_FLEXIBLE
+        report = json.loads(out)
+        assert report["consistent"] is True
+        assert report["irreps"][0]["flex"] == 1
+        assert report["combinatorial"][0]["deficiency"] == 0
+
+
+class TestNonFaithfulRepresentation:
+    @staticmethod
+    def _doc(model: str) -> dict:
+        """Group (2) acting by the identity on three a-b edges."""
+        return {
+            "schema": 1,
+            "model": model,
+            "group": {"orders": [2]},
+            "representation": {"d": 3, "generators": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+            "gain_graph": {
+                "vertices": ["a", "b"],
+                "edges": [{"id": i, "tail": "a", "head": "b", "gain": [g]}
+                          for i, g in enumerate((0, 1, 0))],
+            },
+        }
+
+    def test_hinge_runs_the_numeric_path_like_bars(self, capsys, tmp_path):
+        """The matroid path needs a faithful representation; without one both
+        models report the numeric path alone, with no combinatorial key."""
+        codes = {}
+        for model in ("body-bar", "body-hinge"):
+            path = tmp_path / f"{model}.json"
+            path.write_text(json.dumps(self._doc(model)), encoding="utf-8")
+            codes[model], out = run(capsys, ["analyze", str(path)])
+            report = json.loads(out)
+            assert "combinatorial" not in report
+            assert codes[model] == (EXIT_RIGID if report["rigid"] else EXIT_FLEXIBLE)
+        assert codes["body-hinge"] == codes["body-bar"] == EXIT_FLEXIBLE
+
 
 def _quarter_turn_doc() -> dict:
     return {
@@ -272,7 +320,7 @@ class TestReplaySerialization:
     def test_crosscheck_instance_round_trips(self):
         import random as _random
 
-        from orbitrig.cli import random_diagonal_rep, random_gain_graph, serialize_instance
+        from orbitrig.ensemble import random_diagonal_rep, random_gain_graph, serialize_instance
 
         rng = _random.Random(99)
         rep = random_diagonal_rep(rng, (2, 2), 3)

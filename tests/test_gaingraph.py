@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from orbitrig.cli import random_gain_graph
+from orbitrig.ensemble import random_gain_graph
 from orbitrig.errors import InputError
 from orbitrig.gaingraph import (
     lift_cover,

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from orbitrig.algebra import wedge
-from orbitrig.cli import random_diagonal_rep, random_gain_graph
+from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
 from orbitrig.gaingraph import make_gain_graph
 from orbitrig.genframe import lift_bars, random_generic_bars, verify_loop_form
 from conftest import mirror_rep, two_group

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ from orbitrig.errors import UnsupportedGroupError
 from orbitrig.gaingraph import GainGraph, make_gain_graph, multiply_edges
 from orbitrig.genframe import BarConfiguration, BarEntry
 from orbitrig.hinge import (
+    analyze_framework,
     analyze_hinge,
     bar_multiplicity,
+    disagreements,
     hinge_complement_basis,
     hinge_to_bars,
     lift_hinges,
@@ -21,7 +24,7 @@ from orbitrig.linalg import rank_exact
 from orbitrig.matroid import combinatorial_verdict
 from orbitrig.rigidity import orbit_matrix
 from orbitrig.symmetry import PointRepresentation
-from conftest import halfturn_rep, mirror_rep
+from conftest import halfturn_rep, mirror_rep, stewart_graph
 
 
 def hinge_quotient(group, n_loops: int) -> GainGraph:
@@ -183,7 +186,7 @@ def om_pairs():
 class TestRandomCrosscheck:
     def test_numeric_matches_combinatorial(self):
         rng = random.Random(61)
-        from orbitrig.cli import random_diagonal_rep, random_gain_graph
+        from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
 
         for _ in range(8):
             rep = random_diagonal_rep(rng, (2,), 3)
@@ -240,3 +243,24 @@ class TestDimensionParameter:
             r = out.numeric.irrep_report(())
             assert r.rank == bar_multiplicity(d)
             assert r.flex == 1
+
+
+class TestDisagreements:
+    """Agreement means equal counts per character, numeric flex against
+    combinatorial deficiency, and not just the same rigid/flexible verdict."""
+
+    def test_flexible_both_sides_with_unequal_counts_is_flagged(self):
+        rep = mirror_rep()
+        result = analyze_framework("body-bar", stewart_graph(rep.group), rep, seed=5)
+        assert result.consistent and disagreements(result.numeric, result.verdicts) == []
+        anti = result.numeric.irrep_report((1,))
+        verdict = next(v for v in result.verdicts if v.irrep == (1,))
+        assert (anti.flex, verdict.deficiency) == (1, 1)
+
+        # one more numeric flex: still flexible on both sides
+        more = replace(anti, rank=anti.rank - 1, flex=anti.flex + 1)
+        numeric = replace(
+            result.numeric, irreps=tuple(more if r is anti else r for r in result.numeric.irreps)
+        )
+        assert not more.rigid and not verdict.rigid
+        assert disagreements(numeric, result.verdicts) == [(more, verdict)]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 from orbitrig import linalg, symmetry
-from orbitrig.cli import random_diagonal_rep, random_gain_graph
+from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
 from orbitrig.errors import ConsistencyError
 from orbitrig.genframe import random_generic_bars
 from orbitrig.linalg import PRIME, prime_with_root, rank_certified, rank_exact, rank_mod_p

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitrig.cli import random_diagonal_rep
+from orbitrig.ensemble import random_diagonal_rep
 from orbitrig.errors import InputError
 from orbitrig.gaingraph import make_gain_graph, remove_zero_loops
 from orbitrig.matroid import (
@@ -536,7 +536,7 @@ class TestSpanningSubgraphReduction:
         rng = random.Random(271)
         from itertools import combinations
 
-        from orbitrig.cli import random_diagonal_rep, random_gain_graph
+        from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
         from orbitrig.gaingraph import remove_zero_loops
         from orbitrig.symmetry import trivial_motion_dim
 

@@ -8,7 +8,7 @@ import pytest
 
 from orbitrig import rigidity
 from orbitrig.algebra import SquareMatrix
-from orbitrig.cli import random_diagonal_rep, random_gain_graph
+from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
 from orbitrig.errors import InputError
 from orbitrig.gaingraph import lift_cover, make_gain_graph
 from orbitrig.genframe import BarConfiguration, BarEntry, lift_bars, random_generic_bars
@@ -128,7 +128,7 @@ class TestOrbitMatrix:
         """Non-free loops have identically-zero rows exactly in the blocks
         where their gain's character value is -1."""
         rng = random.Random(90)
-        from orbitrig.cli import random_diagonal_rep, random_gain_graph
+        from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
 
         for _ in range(25):
             orders = rng.choice(((2,), (2, 2)))
@@ -280,7 +280,7 @@ class TestComplexCharacters:
     def test_block_ranks_add_up_to_lifted_rank(self, orders, d, generator):
         """The exact oracle for complex characters: the lifted rigidity
         matrix is rational, and its rank is the sum of the block ranks."""
-        from orbitrig.cli import random_gain_graph
+        from orbitrig.ensemble import random_gain_graph
 
         rep = _complex_rep(orders, d, generator)
         rng = random.Random(31 + orders[0])
@@ -298,7 +298,7 @@ class TestComplexCharacters:
         each on its own, every conjugate agrees with that report, and the
         constant assignments of its fixed screws lie in the kernel of its
         realified orbit matrix."""
-        from orbitrig.cli import random_gain_graph
+        from orbitrig.ensemble import random_gain_graph
         from orbitrig.symmetry import fixed_subspace_basis
 
         rep = _complex_rep(orders, d, generator)
@@ -440,7 +440,7 @@ class TestMultiVertexFlex:
 
 class TestOtherDimensions:
     def test_crosscheck_holds_for_d2_and_d4(self):
-        from orbitrig.cli import crosscheck_instances
+        from orbitrig.ensemble import crosscheck_instances
 
         for d in (2, 4):
             summary = crosscheck_instances(

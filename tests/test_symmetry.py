@@ -10,7 +10,8 @@ import pytest
 
 from orbitrig import symmetry
 from orbitrig.algebra import SquareMatrix, lex_index
-from orbitrig.cli import parse_framework, random_diagonal_rep
+from orbitrig.cli import parse_framework
+from orbitrig.ensemble import random_diagonal_rep
 from orbitrig.linalg import PRIME, prime_with_root, residue
 from orbitrig.errors import RepresentationError, UnsupportedGroupError
 from orbitrig.symmetry import (
@@ -295,6 +296,24 @@ class TestRequireCombinatorial:
             raised.append(info.value)
         assert len({str(e) for e in raised}) == 1
         assert len({id(e) for e in raised}) == 3
+
+    @pytest.mark.parametrize(
+        "orders, generator, expected",
+        [
+            ((2,), [[1, 0, 0], [0, -1, 0], [0, 0, -1]], True),
+            ((4,), [[0, -1, 0], [1, 0, 0], [0, 0, 1]], False),
+            ((2,), [[0, 1, 0], [1, 0, 0], [0, 0, 1]], False),
+            ((2,), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], False),
+        ],
+        ids=["half-turn", "not-two-group", "not-diagonal", "not-faithful"],
+    )
+    def test_is_combinatorial_answers_the_same_rule(self, orders, generator, expected):
+        rep = PointRepresentation.from_generators(
+            AbelianGroup(orders), 3, [SquareMatrix.from_rows(generator)]
+        )
+        assert rep.is_combinatorial() is expected
+        if expected:
+            rep.require_combinatorial()
 
 
 def _quarter_turn_rep() -> PointRepresentation:
