@@ -183,11 +183,15 @@ def _edge_points(doc: dict, kind: str, h: GainGraph, d: int):
     ``doc``, whose ``kind + "s"`` map is keyed by the string form of the
     edge id."""
     entries_doc = _require(doc, f"{kind}s", "configuration")
+    if not isinstance(entries_doc, dict):
+        raise InputError(f"{kind}s must be a JSON object, got {entries_doc!r}")
     for e in h.edges:
         key = str(e.id)
         if key not in entries_doc:
             raise InputError(f"configuration missing {kind} for edge {e.id!r}")
-        yield e, [_parse_point(p, d) for p in _require(entries_doc[key], "points", f"{kind} {key}")]
+        where = f"{kind} {key}"
+        points = _array(_require(entries_doc[key], "points", where), f"points of {where}")
+        yield e, [_parse_point(_array(p, f"point of {where}"), d) for p in points]
 
 
 def parse_configuration(doc: dict, h: GainGraph, rep: PointRepresentation) -> BarConfiguration:

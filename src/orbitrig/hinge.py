@@ -9,9 +9,9 @@ required to be empty.
 
 Since a body-hinge framework is a body-bar one on that quotient, the
 pipeline both models share lives here too: ``analyze_framework`` runs the
-numeric path, adds the matroid verdicts when the representation admits
-them, and checks the two against each other (``disagreements``);
-``certificates`` runs the matroid path alone.
+matroid path when the representation admits it, then the numeric path
+with the verdicts' witness bounds, and checks the two against each other
+(``disagreements``); ``certificates`` runs the matroid path alone.
 """
 
 from __future__ import annotations
@@ -88,15 +88,18 @@ def hinge_complement_basis(hinge: Extensor) -> list[tuple[Fraction, ...]]:
 
 
 def hinge_to_bars(
-    h: GainGraph, config: HingeConfiguration, seed: int
+    h: GainGraph, config: HingeConfiguration, seed: int, multiplied: GainGraph | None = None
 ) -> tuple[GainGraph, BarConfiguration]:
     """Expand every quotient edge into C(d+1,2)-1 parallel copies whose
     bars are generic rational combinations of a complement basis of the
-    starred hinge; every produced vector pairs to zero with it."""
+    starred hinge; every produced vector pairs to zero with it.
+    ``multiplied`` is ``multiply_edges(h, C(d+1,2)-1)`` when the caller
+    has it already."""
     d = config.d
     m = bar_multiplicity(d)
     rng = random.Random(seed)
-    multiplied = multiply_edges(h, m)
+    if multiplied is None:
+        multiplied = multiply_edges(h, m)
     entries: dict[EdgeId, BarEntry] = {}
     for e in h.edges:
         hinge = config.extensor(e.id)
@@ -184,16 +187,30 @@ def disagreements(
     return [(r, by_irrep[r.irrep]) for r in numeric.irreps if by_irrep[r.irrep].deficiency != r.flex]
 
 
+def _verdicts(
+    bars: GainGraph, rep: PointRepresentation
+) -> tuple[CombinatorialVerdict, ...] | None:
+    """The verdict of every character on the body-bar quotient ``bars``
+    when the matroid path applies, else None."""
+    if not rep.is_combinatorial():
+        return None
+    return tuple(combinatorial_verdict(bars, rep, g) for g in rep.group.elements())
+
+
+def _witness_bounds(verdicts: Sequence[CombinatorialVerdict] | None) -> dict[Element, int] | None:
+    return None if verdicts is None else {v.irrep: v.witness_bound for v in verdicts}
+
+
 def _combine(
-    model: str, numeric: RigidityReport, bars: GainGraph, rep: PointRepresentation, sampled: bool
+    model: str,
+    numeric: RigidityReport,
+    verdicts: tuple[CombinatorialVerdict, ...] | None,
+    sampled: bool,
 ) -> Analysis:
-    """Add the verdicts on the body-bar quotient ``bars`` when the matroid
-    path applies.  Agreement is required only of a sampled configuration:
-    an explicit one may sit in special position, where the numeric rank
-    falls below the generic one that the matroid path counts."""
-    verdicts = None
-    if rep.is_combinatorial():
-        verdicts = tuple(combinatorial_verdict(bars, rep, g) for g in rep.group.elements())
+    """Both paths' results as one analysis.  Agreement is required only of
+    a sampled configuration: an explicit one may sit in special position,
+    where the numeric rank falls below the generic one that the matroid
+    path counts."""
     consistent = verdicts is None or not sampled or not disagreements(numeric, verdicts)
     return Analysis(model, numeric, verdicts, consistent)
 
@@ -206,26 +223,32 @@ def analyze_hinge(
     bound: int = 10 ** 6,
     config: HingeConfiguration | None = None,
 ) -> Analysis:
-    """Numeric path: body-bar analysis of the multiplied quotient with
-    hinge-derived bars, per-character maximum rank over ``samples`` seeds.
-    Combinatorial path: signed-matroid union verdicts on the multiplied
-    gain graph.
+    """Combinatorial path: signed-matroid union verdicts on the multiplied
+    gain graph, run first so that their witness bounds certify the
+    numeric ranks.  Numeric path: body-bar analysis of the multiplied
+    quotient with hinge-derived bars, per-character maximum rank over
+    ``samples`` seeds.
 
     An explicit ``config`` fixes the hinges; sampling then varies only the
     generic bar combinations within each hinge's complement.
     """
     _require_free_edges(h)
+    hinges = [
+        config or random_generic_hinges(h, rep, seed + t, bound=bound) for t in range(samples)
+    ]
+    multiplied = multiply_edges(h, bar_multiplicity(rep.d))
+    verdicts = _verdicts(multiplied, rep)
+    witness_bounds = _witness_bounds(verdicts)
     reports = []
-    for t in range(samples):
-        hconf = config or random_generic_hinges(h, rep, seed + t, bound=bound)
-        multiplied, bars = hinge_to_bars(h, hconf, seed + 7919 * (t + 1))
-        reports.append(analyze(multiplied, rep, bars))
+    for t, hconf in enumerate(hinges):
+        _, bars = hinge_to_bars(h, hconf, seed + 7919 * (t + 1), multiplied)
+        reports.append(analyze(multiplied, rep, bars, witness_bounds))
     numeric = merge_samples(
         reports,
         {"seed": seed, "samples": samples, "bound": bound, "prng": PRNG_NAME,
          "model": "body-hinge", "bars_per_hinge": bar_multiplicity(rep.d)},
     )
-    return _combine("body-hinge", numeric, multiplied, rep, config is None)
+    return _combine("body-hinge", numeric, verdicts, config is None)
 
 
 def analyze_framework(
@@ -239,14 +262,18 @@ def analyze_framework(
 ) -> Analysis:
     """Both paths for a framework of either model; ``config`` holds hinges
     (a ``HingeConfiguration``) for a body-hinge one, and without it the
-    configuration is sampled ``samples`` times from ``seed``."""
+    configuration is sampled ``samples`` times from ``seed``.  The matroid
+    verdicts, when the representation admits them, come first, and their
+    witness bounds go to the numeric path."""
     if model == "body-hinge":
         return analyze_hinge(h, rep, seed, samples, bound, config)
+    verdicts = _verdicts(h, rep)
+    witness_bounds = _witness_bounds(verdicts)
     if config is None:
-        numeric = analyze_generic(h, rep, seed, samples, bound)
+        numeric = analyze_generic(h, rep, seed, samples, bound, witness_bounds)
     else:
-        numeric = analyze(h, rep, config)
-    return _combine(model, numeric, h, rep, config is None)
+        numeric = analyze(h, rep, config, witness_bounds)
+    return _combine(model, numeric, verdicts, config is None)
 
 
 def certificates(

@@ -8,6 +8,10 @@ rank is reached.  The rank over F_p never exceeds the rank over Q (nor, for
 rows over Z[zeta_m] sent to F_p by zeta_m -> w, the rank over Q(zeta_m)),
 so when the caller supplies an upper bound U that it has proven in exact
 arithmetic, an F_p rank equal to min(nonzero rows, U) is the exact rank.
+The same holds for any other proven upper bound that the F_p rank meets;
+``rigidity._block_rank`` uses the matroid union's witness bound that way,
+after eliminating up to min(nonzero rows, U) so that an F_p rank above the
+witness bound is caught rather than hidden.
 ``prime_with_root(m)`` gives the prime for characters of order m: the
 largest prime p < 2**31 with p = 1 (mod m), and a primitive m-th root of
 unity w mod p.  ``rank_certified`` applies the certificate to dense

@@ -23,8 +23,9 @@ part's elements on that circuit, since ``I - y + x`` is independent iff
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -425,10 +426,8 @@ def union_rank_by_formula(
 ) -> int:
     """Evaluate |S \\ X| + sum_i r_i(X) for a witness set X."""
     xset = set(witness)
-    total = len([e for e in subset if e not in xset])
-    for _, sg in labeled_sgs:
-        total += signed_rank(sg, [e for e in subset if e in xset])
-    return total
+    inside = [e for e in subset if e in xset]
+    return len(subset) - len(inside) + sum(signed_rank(sg, inside) for _, sg in labeled_sgs)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +477,16 @@ def check_counting_condition(
 
 @dataclass(frozen=True)
 class CombinatorialVerdict:
-    """Outcome of the signed-matroid union test for one character label."""
+    """Outcome of the signed-matroid union test for one character label.
+
+    ``witness_bound`` is |S \\ X| + sum_i r_i(X) for the union's witness X
+    on the ``labeled`` graphs, evaluated by ``union_rank_by_formula`` on
+    first use and never read from the union's count.  Coordinate i of the
+    character's orbit matrix is a row-scaled signed incidence matrix of
+    labeled graph i, in columns of its own, so the rows of X span rank at
+    most sum_i r_i(X) and the others at most |S \\ X|: the bound holds for
+    the rank of the block at every configuration (the removed zero loops
+    have zero rows).  Neither is part of ``to_json``."""
 
     irrep: Element
     d: int
@@ -490,10 +498,16 @@ class CombinatorialVerdict:
     removed_loops: tuple[EdgeId, ...]
     decomposition: UnionDecomposition
     witness: tuple[EdgeId, ...]
+    labeled: tuple[tuple[PairLabel, SignedGraph], ...] = field(repr=False, compare=False)
 
     @property
     def count_matches_target(self) -> bool:
         return self.edges == self.target
+
+    @cached_property
+    def witness_bound(self) -> int:
+        ground = [e.id for e in self.labeled[0][1].edges]
+        return union_rank_by_formula(self.labeled, ground, self.witness)
 
     def to_json(self) -> dict:
         return {
@@ -557,6 +571,7 @@ def combinatorial_verdict(h: GainGraph, rep: PointRepresentation, g: Element) ->
         removed_loops=removed,
         decomposition=result.decomposition,
         witness=result.witness,
+        labeled=tuple(labeled),
     )
 
 

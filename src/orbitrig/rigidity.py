@@ -17,7 +17,10 @@ p = 1 (mod m), so a complex character is ranked unrealified.  The F_p rank
 counts when it reaches min(nonzero rows, columns - proven fixed screws);
 otherwise ``orbit_matrix`` builds the block over Q, realified for a complex
 character (phi(m) rational rows per quotient edge and phi(m) columns per
-screw coordinate, see ``symmetry``), and it is ranked exactly.  Flex
+screw coordinate, see ``symmetry``), and it is ranked exactly.  For a
+two-group character the matroid union's witness bound, an upper bound on
+the rank at every configuration, also certifies an F_p rank that reaches
+it, so a deficient block needs no Bareiss elimination either.  Flex
 extraction and the tests use ``orbit_matrix`` too.
 """
 
@@ -179,16 +182,27 @@ def _check_inputs(h: GainGraph, config: BarConfiguration, rep: PointRepresentati
 
 
 def _block_rank(
-    h: GainGraph, config: BarConfiguration, rep: PointRepresentation, g: Element
+    h: GainGraph,
+    config: BarConfiguration,
+    rep: PointRepresentation,
+    g: Element,
+    witness_bound: int | None = None,
 ) -> int:
     """Exact rank over Q(zeta_m) of the block of character g, m its order,
     for inputs that passed ``_check_inputs``.  Its rows are assembled mod
     the prime p of ``prime_with_root(m)``, with zeta_m -> w; that is a ring
     homomorphism, so rank_p <= rank <= min(nonzero rows, bound), the bound
-    being the columns minus the proven fixed screws, and an F_p rank
-    reaching that minimum is returned.  Otherwise, or when p divides a
-    denominator, the realified orbit matrix is built and ranked by Bareiss
-    (real characters) or ``rank_complex``."""
+    being the columns minus the proven fixed screws, and elimination runs
+    up to that minimum.  An F_p rank reaching it is returned.
+
+    ``witness_bound``, given for a two-group character, is the matroid
+    union's |S \\ X| + sum_i r_i(X) (``CombinatorialVerdict``), another
+    upper bound on the rank that is proven independently of this block.
+    Elimination does not stop at it: an F_p rank above it raises
+    ``ConsistencyError``, and one equal to it is the rank, which certifies
+    deficient blocks too.  Otherwise, or when p divides a denominator, the
+    realified orbit matrix is built and ranked by Bareiss (real
+    characters) or ``rank_complex``."""
     trivial = proven_trivial_dim(rep, g)
     bound = comb(rep.d + 1, 2) * len(h.vertices) - trivial
     p, w = prime_with_root(rep.group.element_order(g))
@@ -196,12 +210,22 @@ def _block_rank(
     if assembled is not None:
         rows, nonzero = assembled
         target = min(nonzero, bound)
-        if rank_mod_p(rows, target, p) == target:
-            return target
+        rank = _below_witness(rank_mod_p(rows, target, p), witness_bound, g)
+        if rank in (target, witness_bound):
+            return rank
     om = orbit_matrix(h, config, rep, g)
     if om.degree == 1:
-        return rank_exact(om.rows)
+        return _below_witness(rank_exact(om.rows), witness_bound, g)
     return rank_complex(om.rows, om.ncols - om.degree * trivial, om.degree)
+
+
+def _below_witness(rank: int, witness_bound: int | None, g: Element) -> int:
+    """``rank``, after checking that it does not exceed the witness bound."""
+    if witness_bound is not None and rank > witness_bound:
+        raise ConsistencyError(
+            f"block of irrep {g} has rank at least {rank}, above the witness bound {witness_bound}"
+        )
+    return rank
 
 
 def _rows_mod_p(
@@ -332,11 +356,16 @@ def _lifted_edge_count(h: GainGraph, order: int) -> int:
 
 
 def analyze(
-    h: GainGraph, rep: PointRepresentation, config: BarConfiguration
+    h: GainGraph,
+    rep: PointRepresentation,
+    config: BarConfiguration,
+    witness_bounds: Mapping[Element, int] | None = None,
 ) -> RigidityReport:
     """Per-character ranks for one fixed configuration: the flex count of a
     block is the column count minus its rank minus its fixed-screw
-    dimension.  One block is ranked per Galois orbit of characters."""
+    dimension.  One block is ranked per Galois orbit of characters.
+    ``witness_bounds`` maps characters to the matroid union's witness
+    bounds on their ranks (see ``_block_rank``)."""
     _check_inputs(h, config, rep)
     b = comb(rep.d + 1, 2)
     nv = len(h.vertices)
@@ -345,7 +374,8 @@ def analyze(
     for g in rep.group.elements():
         root = galois_representative(rep.group, g)
         if root not in ranks:
-            ranks[root] = _block_rank(h, config, rep, root)
+            witness_bound = None if witness_bounds is None else witness_bounds[root]
+            ranks[root] = _block_rank(h, config, rep, root, witness_bound)
         rank = ranks[root]
         trivial = trivial_motion_dim(rep, root)
         flex = b * nv - rank - trivial
@@ -371,13 +401,14 @@ def analyze_generic(
     seed: int,
     samples: int = 2,
     bound: int = 10 ** 6,
+    witness_bounds: Mapping[Element, int] | None = None,
 ) -> RigidityReport:
     """Analyze at a random symmetric configuration, sampling ``samples``
     independent seeds and keeping the per-character maximum rank.  Exact
     rank agreement across the samples is the practical genericity surrogate
     and is reported, not enforced."""
     per_sample = [
-        analyze(h, rep, random_generic_bars(h, rep, seed + t, bound=bound))
+        analyze(h, rep, random_generic_bars(h, rep, seed + t, bound=bound), witness_bounds)
         for t in range(samples)
     ]
     meta = {"seed": seed, "samples": samples, "bound": bound, "prng": "python-random-mt19937"}

@@ -70,6 +70,26 @@ class TestWedge:
             rhs_v = wedge([v, w], d).scale(b)
             assert lhs.coords == (rhs_u + rhs_v).coords
 
+    def test_bar_coordinates_are_the_two_by_two_minors(self):
+        """A bar's coordinates are the Fraction minors det [[p_i, q_i],
+        [p_j, q_j]], i < j in lex order, for int and Fraction entries alike
+        (zeros included, which make the elimination swap rows)."""
+        rng = random.Random(12)
+        def entry():
+            return rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)))
+
+        for _ in range(30):
+            d = rng.randint(1, 5)
+            p = [entry() for _ in range(d + 1)]
+            q = [entry() for _ in range(d + 1)]
+            minors = tuple(
+                det([[p[i - 1], q[i - 1]], [p[j - 1], q[j - 1]]])
+                for i, j in lex_index(d + 1, 2).tuples()
+            )
+            coords = wedge([p, q], d).coords
+            assert coords == minors
+            assert all(type(x) is Fraction for x in coords)
+
     def test_dependent_set_is_zero(self):
         rng = random.Random(55)
         for _ in range(20):

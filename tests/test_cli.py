@@ -415,6 +415,34 @@ class TestInputBoundary:
         assert main(["analyze", str(path)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error: ")
 
+    @pytest.mark.parametrize(
+        "fixture, configuration",
+        [
+            ("cs_stewart", {"bars": {"0": {"points": 5}}}),
+            ("cs_stewart", {"bars": {"0": {"points": [5, [1, 2, 3]]}}}),
+            ("cs_stewart", {"bars": {"0": {"points": ["123", [1, 2, 3]]}}}),
+            ("cs_stewart", {"bars": 5}),
+            ("cs_stewart", {"bars": ["0"]}),
+            ("trivial_2body_1hinge", {"hinges": {"0": {"points": 5}}}),
+            ("trivial_2body_1hinge", {"hinges": {"0": {"points": [[0, 0, 0], 7]}}}),
+            ("trivial_2body_1hinge", {"hinges": 5}),
+        ],
+    )
+    def test_malformed_configuration_exits_2(
+        self, capsys, tmp_path, fixture_dir, fixture, configuration
+    ):
+        """An explicit bar or hinge configuration whose entry map is not an
+        object, or whose points or a point are not arrays, is an input
+        error (these used to exit 3 with a TypeError, or read a string as
+        a point)."""
+        doc = json.loads((fixture_dir / f"{fixture}.json").read_text())
+        doc["configuration"] = configuration
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("analyze", "flex", "lift"):
+            assert main([command, str(path)]) == EXIT_INPUT
+            assert capsys.readouterr().err.startswith("input error: ")
+
     @pytest.mark.parametrize("command", ["analyze", "certify"])
     @pytest.mark.parametrize("irrep", ["a", "0;1,x"])
     def test_non_integer_irrep_exits_2(self, capsys, fixture_dir, command, irrep):

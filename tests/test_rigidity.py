@@ -1,17 +1,26 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from orbitrig import rigidity
-from orbitrig.algebra import SquareMatrix
+from orbitrig import matroid, rigidity
+from orbitrig.algebra import SquareMatrix, wedge
 from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
-from orbitrig.errors import InputError
+from orbitrig.errors import ConsistencyError, InputError
 from orbitrig.gaingraph import lift_cover, make_gain_graph
-from orbitrig.genframe import BarConfiguration, BarEntry, lift_bars, random_generic_bars
+from orbitrig.genframe import (
+    BarConfiguration,
+    BarEntry,
+    bar_from_points,
+    lift_bars,
+    random_generic_bars,
+)
+from orbitrig.hinge import HingeConfiguration, analyze_framework, analyze_hinge
+from orbitrig.matroid import combinatorial_verdict
 from orbitrig.linalg import matrix_rank, prime_with_root, rank_complex, rank_exact
 from orbitrig.rigidity import (
     analyze,
@@ -424,6 +433,151 @@ class TestUnrealifiedBlocks:
                         assert fallbacks == [g]
                 checked += independent
         assert checked >= 8
+
+
+WITNESS_SPECS = [((2,), 2), ((2,), 3), ((2,), 4), ((2, 2), 2), ((2, 2), 3), ((2, 2), 4),
+                 ((2, 2, 2), 3), ((2, 2, 2), 4)]  # (orders, d) with a faithful diagonal image
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The row counts of the matrices ``_block_rank`` ranked by Bareiss."""
+    calls = []
+    exact = rigidity.rank_exact
+
+    def counting(rows):
+        calls.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(rigidity, "rank_exact", counting)
+    return calls
+
+
+class TestWitnessBound:
+    """The matroid union's |S \\ X| + sum_i r_i(X) bounds the rank of a
+    two-group block at every configuration, generic or not; ``_block_rank``
+    returns an F_p rank equal to it, rejects one above it and sends one
+    below it to Bareiss."""
+
+    def test_bareiss_rank_never_exceeds_the_bound(self):
+        """Random (2), (2,2) and (2,2,2) instances, d = 2-4; coordinates
+        drawn from [-1, 1] and [-2, 2] put many configurations in special
+        position, [-1000, 1000] almost none."""
+        rng = random.Random(29)
+        tight = below = 0
+        for orders, d in WITNESS_SPECS:
+            b = comb(d + 1, 2)
+            for _ in range(6):
+                rep = random_diagonal_rep(rng, orders, d)
+                h = random_gain_graph(rng, rep.group, 3, rng.choice((b, 2 * b, 3 * b)))
+                verdicts = [combinatorial_verdict(h, rep, g) for g in rep.group.elements()]
+                for coordinate_bound in (1, 2, 1000):
+                    config = random_generic_bars(h, rep, rng.randrange(2 ** 32), coordinate_bound)
+                    for v in verdicts:
+                        exact = orbit_matrix(h, config, rep, v.irrep).rank()
+                        assert exact <= v.witness_bound == v.rank
+                        assert rigidity._block_rank(h, config, rep, v.irrep, v.witness_bound) == exact
+                        tight += exact == v.witness_bound
+                        below += exact < v.witness_bound
+        assert tight >= 100 and below >= 10, (tight, below)
+
+    def test_generic_blocks_need_no_bareiss(self, fallbacks, bareiss_calls):
+        """Sampled (2,2) frameworks with an over-braced pair of bodies and an
+        under-braced third: their blocks fall short of min(nonzero rows,
+        cokernel bound), so without the witness bound they go to Bareiss;
+        with it they are certified over F_p, at the same ranks."""
+        rng = random.Random(41)
+        deficient = 0
+        for _ in range(4):
+            rep = random_diagonal_rep(rng, (2, 2), 3)
+            gains = rep.group.elements()
+            edges = [(i, "u", "v", rng.choice(gains)) for i in range(14)]
+            edges += [(14 + i, "v", "w", rng.choice(gains)) for i in range(rng.randint(1, 4))]
+            h = make_gain_graph(["u", "v", "w"], edges, group=rep.group)
+            config = random_generic_bars(h, rep, rng.randrange(2 ** 32))
+            bounds = {g: combinatorial_verdict(h, rep, g).witness_bound for g in gains}
+            without = analyze(h, rep, config)
+            deficient += len(fallbacks)
+            del fallbacks[:], bareiss_calls[:]
+            assert analyze(h, rep, config, bounds) == without
+            assert fallbacks == [] and bareiss_calls == []
+        assert deficient >= 8, deficient
+
+    def test_lines_through_one_point_go_to_bareiss(self, fallbacks, bareiss_calls):
+        """Six bars between two bodies, all through the origin, span only
+        the three rotations about it: rank_p = 3 falls below the witness
+        bound 6, and Bareiss decides the rank."""
+        h, rep = trivial_framework(6)
+        origin = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+        rng = random.Random(3)
+        entries = {}
+        for i in range(6):
+            q = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3)) + (Fraction(1),)
+            entries[i] = bar_from_points(3, origin, q)
+        config = BarConfiguration(3, entries)
+        verdict = combinatorial_verdict(h, rep, ())
+        assert verdict.witness_bound == 6
+        assert rigidity._block_rank(h, config, rep, (), verdict.witness_bound) == 3
+        assert fallbacks == [()] and bareiss_calls == [6]
+
+    def test_collinear_explicit_hinges_go_to_bareiss(self, fallbacks, bareiss_calls):
+        """Two explicit hinges on one line leave the rotation about it, so
+        each sample's block has rank 5 below the witness bound 6."""
+        rep = PointRepresentation.trivial(3)
+        h = make_gain_graph(["u", "v"], [(0, "u", "v", ()), (1, "u", "v", ())], group=rep.group)
+        entries = {}
+        for eid, xs in ((0, (0, 1)), (1, (2, 5))):
+            pts = [tuple(map(Fraction, (x, 0, 0, 1))) for x in xs]
+            entries[eid] = BarEntry(vector=wedge(pts, 3).coords, points=tuple(pts))
+        config = HingeConfiguration(d=3, entries=entries)
+        result = analyze_hinge(h, rep, seed=1, config=config)
+        assert [v.witness_bound for v in result.verdicts] == [6]
+        assert [(r.rank, r.flex) for r in result.numeric.irreps] == [(5, 1)]
+        assert fallbacks == [(), ()] and bareiss_calls == [10, 10]
+
+    def test_bound_one_too_low_is_inconsistent(self):
+        """An F_p rank above the bound is reported, not returned: this also
+        fails when elimination stops at the bound."""
+        rng = random.Random(8)
+        checked = 0
+        for _ in range(4):
+            rep = random_diagonal_rep(rng, (2, 2), 3)
+            h = random_gain_graph(rng, rep.group, 3, 12)
+            config = random_generic_bars(h, rep, rng.randrange(2 ** 32))
+            bounds = {g: combinatorial_verdict(h, rep, g).witness_bound for g in rep.group.elements()}
+            for g, bound in bounds.items():
+                if bound == 0:
+                    continue
+                with pytest.raises(ConsistencyError):
+                    rigidity._block_rank(h, config, rep, g, bound - 1)
+                with pytest.raises(ConsistencyError):
+                    analyze(h, rep, config, {**bounds, g: bound - 1})
+                checked += 1
+        assert checked >= 8
+
+    @pytest.mark.parametrize("miscount", [-1, 1])
+    def test_bound_is_evaluated_from_the_witness(self, monkeypatch, fallbacks, miscount):
+        """A union that miscounts its rank leaves the witness bound, and so
+        the numeric report, unchanged; only the agreement check sees it."""
+        rep = PointRepresentation.from_generators(
+            AbelianGroup((2,)), 3, [SquareMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, -1]])]
+        )
+        h = stewart_graph(rep.group)
+        honest = analyze_framework("body-bar", h, rep, seed=5)
+        union = matroid.matroid_union_rank
+
+        def miscounting(*args):
+            result = union(*args)
+            return replace(result, rank=result.rank + miscount)
+
+        monkeypatch.setattr(matroid, "matroid_union_rank", miscounting)
+        del fallbacks[:]
+        result = analyze_framework("body-bar", h, rep, seed=5)
+        assert [v.rank - miscount for v in result.verdicts] == [v.rank for v in honest.verdicts]
+        assert [v.witness_bound for v in result.verdicts] == [v.witness_bound for v in honest.verdicts]
+        assert result.numeric == honest.numeric
+        assert fallbacks == []
+        assert not result.consistent
 
 
 class TestMultiVertexFlex:
