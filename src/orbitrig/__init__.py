@@ -47,7 +47,6 @@ from .rigidity import (
     analyze_generic,
     crosscheck_block_ranks,
     extract_flex,
-    matrix_rank,
     orbit_matrix,
     rigidity_matrix,
 )

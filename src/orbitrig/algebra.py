@@ -19,11 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import InputError
-
-Scalar = Union[Fraction, int]
+from .linalg import Scalar, echelon
 
 
 # ---------------------------------------------------------------------------
@@ -78,35 +77,18 @@ def complement_sign(index_tuple: tuple[int, ...], n: int) -> tuple[tuple[int, ..
 
 
 def det(rows: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Determinant of a square rational matrix by fraction-free Bareiss
-    elimination."""
+    """Determinant of a square rational matrix from ``linalg.echelon``:
+    the sign of its row swaps times its last pivot, over the multipliers
+    that cleared the denominators; 0 when a column has no pivot."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise InputError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    return _det_bareiss([[Fraction(x) for x in r] for r in rows])
-
-
-def _det_bareiss(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    e = echelon(rows, n)
+    if len(e.pivots) < n:
+        return Fraction(0)
+    return Fraction((-1) ** e.swaps * e.rows[-1][-1], e.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +291,20 @@ def kron(a: SquareMatrix, k: SquareMatrix) -> SquareMatrix:
 
 def induced_rep(a: SquareMatrix, k: int) -> SquareMatrix:
     """Action induced on the grade-k exterior power: entry [I, J] is the
-    k x k minor of ``a`` on rows I and columns J.  Satisfies
-    (A B)^(k) = A^(k) B^(k) and A^(k)(v_1 ^ ... ^ v_k) = (A v_1) ^ ... ^ (A v_k).
+    k x k minor of ``a`` on rows I and columns J, a Fraction; for k = 2 each
+    minor a_ik a_jl - a_il a_jk is taken directly, as ``wedge`` does for
+    bars.  Satisfies (A B)^(k) = A^(k) B^(k) and
+    A^(k)(v_1 ^ ... ^ v_k) = (A v_1) ^ ... ^ (A v_k).
     """
     idx = lex_index(a.n, k)
     rows = []
     for I in idx.tuples():
-        row = []
-        for J in idx.tuples():
-            minor = [[a.rows[i - 1][j - 1] for j in J] for i in I]
-            row.append(det(minor))
+        if k == 2:
+            ri, rj = a.rows[I[0] - 1], a.rows[I[1] - 1]
+            row = [
+                Fraction(ri[c - 1] * rj[d - 1] - ri[d - 1] * rj[c - 1]) for c, d in idx.tuples()
+            ]
+        else:
+            row = [det([[a.rows[i - 1][j - 1] for j in J] for i in I]) for J in idx.tuples()]
         rows.append(tuple(row))
     return SquareMatrix(tuple(rows))

@@ -412,6 +412,19 @@ def _load(args) -> dict:
     return parse_framework(doc)
 
 
+OPTIONS = {
+    "--seed": dict(type=int, default=42, help="PRNG seed for generic sampling"),
+    "--samples": dict(type=int, default=2, help="independent samples for rank agreement"),
+    "--irrep": dict(
+        default=None, help="restrict to characters, e.g. '1' or '0,1;1,0' for product groups"
+    ),
+    "--format": dict(choices=("json", "text"), default="json"),
+    "--oracle": dict(
+        action="store_true", help="run the brute-force counting oracle on small inputs"
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitrig",
@@ -419,35 +432,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="framework JSON file")
-        p.add_argument("--seed", type=int, default=42, help="PRNG seed for generic sampling")
-        p.add_argument("--samples", type=int, default=2, help="independent samples for rank agreement")
-        p.add_argument("--irrep", default=None,
-                       help="restrict to characters, e.g. '1' or '0,1;1,0' for product groups")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--oracle", action="store_true",
-                       help="run the brute-force counting oracle on small inputs")
-
-    p = sub.add_parser("analyze", help="numeric + combinatorial rigidity report")
-    add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("certify", help="per-character matroid union certificates")
-    add_common(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("flex", help="extract nontrivial symmetric flexes")
-    add_common(p)
-    p.set_defaults(func=cmd_flex)
-
-    p = sub.add_parser("lift", help="emit the covering framework")
-    add_common(p)
-    p.set_defaults(func=cmd_lift)
+    # each command takes only the options it reads
+    for name, func, help_text, options in (
+        ("analyze", cmd_analyze, "numeric + combinatorial rigidity report",
+         ("--seed", "--samples", "--irrep", "--format", "--oracle")),
+        ("certify", cmd_certify, "per-character matroid union certificates",
+         ("--irrep", "--format", "--oracle")),
+        ("flex", cmd_flex, "extract nontrivial symmetric flexes",
+         ("--seed", "--irrep", "--format")),
+        ("lift", cmd_lift, "emit the covering framework", ("--seed", "--format")),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input", help="framework JSON file")
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
+        p.set_defaults(func=func)
 
     p = sub.add_parser("crosscheck", help="randomized numeric/combinatorial agreement harness")
-    add_common(p, with_input=False)
+    for option in ("--seed", "--format"):
+        p.add_argument(option, **OPTIONS[option])
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--group", default="2", help="'2', '2x2', or 'trivial'")
     p.add_argument("--dim", type=int, default=3)

@@ -111,11 +111,15 @@ def hinge_to_bars(
             if rank_certified(coeffs, m) == m:
                 break
         star = hodge_star(hinge)
+        # a kernel vector of the one starred row has at most two nonzeros
+        support = [[(c, x) for c, x in enumerate(v) if x] for v in basis]
         for t in range(1, m + 1):
             row = coeffs[t - 1]
-            vec = tuple(
-                sum(row[s] * basis[s][c] for s in range(m)) for c in range(len(star.coords))
-            )
+            acc = [Fraction(0)] * len(star.coords)
+            for s, terms in enumerate(support):
+                for c, x in terms:
+                    acc[c] += row[s] * x
+            vec = tuple(acc)
             pairing = sum(a * b for a, b in zip(vec, star.coords))
             if pairing != 0:
                 raise InputError(f"bar copy {t} of {e.id!r} is not orthogonal to the hinge")

@@ -1,5 +1,15 @@
-"""Exact ranks: one sparse elimination engine over a prime field, with
-exact rational rank and nullspace computations behind it.
+"""Exact linear algebra: one fraction-free elimination over the rationals
+and one sparse elimination engine over a prime field.
+
+``echelon`` is the only rational elimination.  It clears each row's
+denominators (scaling rows changes neither the rank nor the kernel, and
+the determinant by the product of the multipliers) and runs Bareiss's
+fraction-free forward pass over the integers: every division is exact,
+and the k-th pivot is the k x k minor of the scaled, row-permuted matrix
+on the first k pivot columns.  Everything exact reads that one pass:
+``rank_exact`` is its pivot count, ``algebra.det`` its sign times its last
+pivot over the row multipliers, and ``kernel_vectors`` back-substitutes on
+its rows, one kernel vector per free column.
 
 ``rank_mod_p`` is the only prime-field engine.  It ranks rows given as
 ``{column: residue}`` dicts, choosing pivots by Markowitz's rule (the
@@ -17,50 +27,63 @@ largest prime p < 2**31 with p = 1 (mod m), and a primitive m-th root of
 unity w mod p.  ``rank_certified`` applies the certificate to dense
 rational matrices with p = ``PRIME`` = 2**31 - 1; any other outcome (a
 deficient matrix, a row that vanishes mod p, or p dividing a denominator)
-falls back to ``rank_exact``: row denominators are cleared (rank is
-invariant under row scaling) and fraction-free Bareiss elimination runs over
-the integers.  ``rank_complex`` ranks a realified block of a complex
-character, each entry of Q(zeta_m) replaced by its phi(m) x phi(m) rational
-multiplication block, as its certified rational rank divided by phi(m).
-Every rank these return is exact; no floating-point value is involved.
+falls back to ``rank_exact``.  ``rank_complex`` ranks a realified block of
+a complex character, each entry of Q(zeta_m) replaced by its
+phi(m) x phi(m) rational multiplication block, as its certified rational
+rank divided by phi(m).  Every rank these return is exact; no
+floating-point value is involved.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Sequence
+from math import lcm
+from typing import Iterator, NamedTuple, Sequence, Union
 
-from .algebra import Scalar
 from .errors import ConsistencyError, InputError
+
+Scalar = Union[Fraction, int]
 
 PRIME = 2 ** 31 - 1
 
 
-def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    out = []
+class Echelon(NamedTuple):
+    """The outcome of ``echelon``: its integer rows with a pivot each, in
+    pivot order, the pivot columns, the number of row swaps, and the
+    product of the multipliers that cleared the rows' denominators."""
+
+    rows: list[list[int]]
+    pivots: list[int]
+    swaps: int
+    scale: int
+
+
+def echelon(rows: Sequence[Sequence[Scalar]], ncols: int) -> Echelon:
+    """Fraction-free row echelon form of a rational matrix with ``ncols``
+    columns.  Each row is multiplied by the least common multiple of its
+    denominators; then, column by column, the first row holding a nonzero
+    entry becomes the pivot row and every row below it is replaced by
+    (row * pivot - entry * pivot row) / previous pivot, a division that is
+    exact (Bareiss 1968).  Raises ``InputError`` on a row that does not
+    have ``ncols`` entries."""
+    m = []
+    scale = 1
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        denom = 1
-        for x in fr:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in fr])
-    return out
-
-
-def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank over the rationals by fraction-free Gaussian elimination."""
-    m = _integer_rows(rows)
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    if any(len(r) != ncols for r in m):
-        raise InputError("ragged matrix")
-    rank = 0
+        if len(row) != ncols:
+            raise InputError("ragged matrix")
+        denom = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (denom // x.denominator) for x in row])
+        scale *= denom
+    nrows = len(m)
+    pivots: list[int] = []
+    swaps = 0
     prev = 1
     row = 0
     for col in range(ncols):
+        if row == nrows:
+            break
         piv = None
         for i in range(row, nrows):
             if m[i][col] != 0:
@@ -70,19 +93,57 @@ def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
             continue
         if piv != row:
             m[row], m[piv] = m[piv], m[row]
+            swaps += 1
         pivot = m[row][col]
+        mr = m[row]
         for i in range(row + 1, nrows):
-            mi, mr = m[i], m[row]
+            mi = m[i]
             f = mi[col]
             for j in range(col + 1, ncols):
                 mi[j] = (mi[j] * pivot - f * mr[j]) // prev
             mi[col] = 0
         prev = pivot
-        rank += 1
+        pivots.append(col)
         row += 1
-        if row == nrows:
-            break
-    return rank
+    return Echelon(m[:row], pivots, swaps, scale)
+
+
+def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
+    """Rank over the rationals: the pivot count of ``echelon``."""
+    return len(echelon(rows, len(rows[0]) if rows else 0).pivots)
+
+
+def kernel_vectors(rows: Sequence[Sequence[Scalar]], ncols: int) -> Iterator[tuple[Fraction, ...]]:
+    """The basis of the right kernel read off the reduced row echelon form,
+    drawn lazily: for each free column fc in order, the vector that is 1 at
+    fc, 0 at the other free columns, and solves the system at the pivot
+    columns.  Only the k pivot rows left of fc constrain it, and by
+    Cramer's rule D times it is integral, D being the k-th pivot of
+    ``echelon`` (the minor on those rows and pivot columns), so it is
+    back-substituted over the integers as D * x and divided by D last."""
+    e = echelon(rows, ncols)
+    pivot_set = set(e.pivots)
+    zero = Fraction(0)
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        k = bisect(e.pivots, fc)
+        d = e.rows[k - 1][e.pivots[k - 1]] if k else 1
+        scaled = []  # (column, D * x) for the pivot columns right of the current row
+        vec = [zero] * ncols
+        vec[fc] = Fraction(1)
+        for i in range(k - 1, -1, -1):
+            r = e.rows[i]
+            total = r[fc] * d + sum(r[c] * y for c, y in scaled)
+            y = -total // r[e.pivots[i]]
+            scaled.append((e.pivots[i], y))
+            vec[e.pivots[i]] = Fraction(y, d)
+        yield tuple(vec)
+
+
+def nullspace_exact(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Every vector of ``kernel_vectors``."""
+    return list(kernel_vectors(rows, ncols))
 
 
 def residue(x: Scalar, p: int) -> int | None:
@@ -214,57 +275,6 @@ def prime_with_root(m: int) -> tuple[int, int]:
         g += 1
 
 
-def rref_exact(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (rref, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(row, nrows):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for i in range(nrows):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return m, pivots
-
-
-def nullspace_exact(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Deterministic rational basis of the right kernel (one vector per free
-    column of the RREF)."""
-    if not rows:
-        return [
-            tuple(Fraction(1) if i == t else Fraction(0) for i in range(ncols))
-            for t in range(ncols)
-        ]
-    rref, pivots = rref_exact(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
 def rank_complex(rows: Sequence[Sequence[Scalar]], bound: int, degree: int) -> int:
     """Rank over Q(zeta_m) of a matrix given in realified form, ``degree``
     being phi(m): its rational rank, certified against ``bound`` as in
@@ -275,5 +285,3 @@ def rank_complex(rows: Sequence[Sequence[Scalar]], bound: int, degree: int) -> i
         raise ConsistencyError(f"realified rank is not a multiple of the degree {degree}")
     return rank
 
-
-matrix_rank = rank_exact

@@ -36,8 +36,7 @@ from .errors import ConsistencyError, InputError
 from .gaingraph import CoveredGraph, EdgeId, GainEdge, GainGraph, VertexId
 from .genframe import BarConfiguration, BarEntry, lift_bars, random_generic_bars, verify_loop_form
 from .linalg import (
-    matrix_rank,
-    nullspace_exact,
+    kernel_vectors,
     prime_with_root,
     rank_certified,
     rank_complex,
@@ -64,7 +63,6 @@ __all__ = [
     "Flex",
     "IrrepReport",
     "RigidityReport",
-    "matrix_rank",
     "rigidity_matrix",
     "orbit_matrix",
     "analyze",
@@ -478,33 +476,30 @@ def trivial_space_vectors(
 
 
 def extract_flex(om: OrbitMatrix, rep: PointRepresentation) -> Flex | None:
-    """A kernel vector of the orbit matrix outside the trivial subspace,
-    orthogonalized against it; None when the kernel is exactly the trivial
-    space.  Real characters only: a flex of a complex character is a vector
-    over Q(zeta_m), which the report does not carry."""
+    """The first kernel vector of the orbit matrix, in free-column order,
+    that lies outside the trivial subspace, orthogonalized against it; None
+    when the kernel is exactly the trivial space.  A kernel vector lies
+    outside exactly when its part orthogonal to a Gram-Schmidt basis of the
+    trivial space is nonzero, and the kernel vectors are drawn lazily, so
+    none after that one is computed.  Real characters only: a flex of a
+    complex character is a vector over Q(zeta_m), which the report does not
+    carry."""
     if om.degree != 1:
         raise InputError("flex extraction is implemented for the exact rational path")
-    nv = len(om.vertices)
-    kernel = nullspace_exact([list(r) for r in om.rows], om.ncols)
-    trivial = [list(v) for v in trivial_space_vectors(rep, om.irrep, nv)]
-    t_rank = rank_exact(trivial) if trivial else 0
-    # orthogonal basis of the trivial space for exact projection
     ortho: list[list[Fraction]] = []
-    for t in trivial:
+    for t in trivial_space_vectors(rep, om.irrep, len(om.vertices)):
         vec = _orthogonal_part(t, ortho)
-        if any(x != 0 for x in vec):
+        if any(vec):
             ortho.append(vec)
-    for k in kernel:
-        if rank_exact(trivial + [list(k)]) > t_rank:
-            vec = _orthogonal_part(k, ortho)
-            lead = next((x for x in vec if x != 0), None)
-            if lead is not None:
-                vec = [x / lead for x in vec]
-            b = om.block_size
-            assignment = {
-                v: tuple(vec[i * b : (i + 1) * b]) for i, v in enumerate(om.vertices)
-            }
-            return Flex(irrep=om.irrep, vertices=om.vertices, assignment=assignment)
+    for k in kernel_vectors(om.rows, om.ncols):
+        vec = _orthogonal_part(k, ortho)
+        lead = next((x for x in vec if x != 0), None)
+        if lead is None:
+            continue
+        vec = [x / lead for x in vec]
+        b = om.block_size
+        assignment = {v: tuple(vec[i * b : (i + 1) * b]) for i, v in enumerate(om.vertices)}
+        return Flex(irrep=om.irrep, vertices=om.vertices, assignment=assignment)
     return None
 
 

@@ -346,7 +346,10 @@ def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Fra
     """Basis of the realified screws s with A^T s = s for every twisted image
     A, i.e. the space of j-symmetric trivial motions on the quotient (see
     ``proven_trivial_dim``).  For a real character A^T is the image of the
-    inverse, so these are the screws fixed by every image.  Length equals
+    inverse, so these are the screws fixed by every image.  The twisted
+    images form a representation, so a screw fixed by the images of the
+    generators is fixed by every image: only their A^T - I are stacked,
+    which leaves the kernel, and so its basis, as it is.  Length equals
     ``phi(m) * trivial_motion_dim``.  Cached on ``rep`` per j; each call
     returns a new list."""
     j = rep.group.canon(j)
@@ -354,10 +357,9 @@ def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Fra
         return list(rep._fixed[j])
     size = comb(rep.d + 1, 2) * irrep_degree(rep.group, j)
     ident = SquareMatrix.identity(size)
-    rows: list[list[Scalar]] = []
-    for g in rep.group.elements():
-        if g != rep.group.identity:
-            rows.extend(list(r) for r in (tau_hat2_j(rep, j, g).transpose() - ident).rows)
+    rows: list[tuple[Scalar, ...]] = []
+    for g in rep.group.generators():
+        rows.extend((tau_hat2_j(rep, j, g).transpose() - ident).rows)
     basis = nullspace_exact([r for r in rows if any(r)], size)
     dim = trivial_motion_dim(rep, j) * irrep_degree(rep.group, j)
     if len(basis) != dim:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -209,3 +210,93 @@ class TestInducedRep:
         )
         assert a.is_orthogonal()
         assert induced_rep(a, 2).is_orthogonal()
+
+
+def leibniz(m) -> Fraction:
+    """Determinant as the signed sum over all permutations."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def rand_square(rng, n):
+    """Entries 0 (often, so pivots are missing and rows swap), ints and
+    Fractions; a third of the matrices get a row that is a combination of
+    two others, so they are singular."""
+    def entry():
+        rational = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return rng.choice((0, 0, rng.randint(-9, 9), rational))
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    if n >= 3 and rng.random() < 1 / 3:
+        a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-3, 3)
+        m[rng.randrange(n)] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+class TestDet:
+    """``det`` reads ``linalg.echelon``: the sign of its row swaps times its
+    last pivot over the multipliers that cleared denominators."""
+
+    def test_against_leibniz(self):
+        rng = random.Random(31)
+        singular = 0
+        for _ in range(300):
+            m = rand_square(rng, rng.randint(0, 4))
+            value = det(m)
+            assert type(value) is Fraction
+            assert value == leibniz(m)
+            singular += value == 0
+        assert singular > 20
+
+    def test_row_swaps(self):
+        assert det([[0, 1], [1, 0]]) == -1
+        assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert det([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]) == 1
+        m = [[0, 2, 3], [4, 5, 6], [7, 8, 10]]
+        assert det(m) == leibniz(m) == -5
+
+    def test_singular(self):
+        assert det([[1, 2], [2, 4]]) == 0
+        assert det([[0, 0], [0, 0]]) == 0
+        assert det([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
+        assert det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0  # no pivot in column 0
+
+    def test_product_rule(self):
+        rng = random.Random(32)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            a, b = rand_square(rng, n), rand_square(rng, n)
+            ab = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+            assert det(ab) == det(a) * det(b)
+
+    def test_shape(self):
+        assert det([]) == 1
+        with pytest.raises(InputError):
+            det([[1, 2], [3]])
+        with pytest.raises(InputError):
+            det([[1, 2, 3], [4, 5, 6]])
+
+
+class TestInducedRepMinors:
+    def test_grade_two_entries_are_the_minors(self):
+        """The direct 2 x 2 minors equal ``det`` of each minor, as Fractions,
+        for int and Fraction entries alike."""
+        rng = random.Random(33)
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            a = SquareMatrix.from_rows(rand_square(rng, n))
+            idx = lex_index(n, 2)
+            compound = induced_rep(a, 2)
+            for r, (i1, i2) in enumerate(idx.tuples()):
+                for c, (j1, j2) in enumerate(idx.tuples()):
+                    x = compound.entry(r, c)
+                    assert type(x) is Fraction
+                    minor = [[a.entry(i - 1, j - 1) for j in (j1, j2)] for i in (i1, i2)]
+                    assert x == det(minor)

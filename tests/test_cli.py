@@ -476,3 +476,32 @@ class TestInputBoundary:
         assert captured.out == ""
         assert captured.err.startswith("internal error: TypeError")
         assert captured.err.count("\n") == 1
+
+
+IGNORED_OPTIONS = [
+    ("certify", ["--seed", "3"]),
+    ("certify", ["--samples", "3"]),
+    ("flex", ["--samples", "3"]),
+    ("flex", ["--oracle"]),
+    ("lift", ["--samples", "3"]),
+    ("lift", ["--irrep", "1"]),
+    ("lift", ["--oracle"]),
+    ("crosscheck", ["--samples", "3"]),
+    ("crosscheck", ["--irrep", "1"]),
+    ("crosscheck", ["--oracle"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option", IGNORED_OPTIONS, ids=[f"{c}{o[0]}" for c, o in IGNORED_OPTIONS]
+)
+def test_options_a_command_does_not_read_exit_2(capsys, fixture_dir, command, option):
+    """Each command takes only the options it reads; argparse refuses the
+    rest with exit 2."""
+    head = [command]
+    if command != "crosscheck":
+        head.append(str(fixture_dir / "cs_stewart.json"))
+    with pytest.raises(SystemExit) as exc:
+        main(head + option)
+    assert exc.value.code == EXIT_INPUT
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err

@@ -18,9 +18,17 @@ from hypothesis import strategies as st
 import oracles
 from orbitrig import linalg, symmetry
 from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
-from orbitrig.errors import ConsistencyError
+from orbitrig.errors import ConsistencyError, InputError
 from orbitrig.genframe import random_generic_bars
-from orbitrig.linalg import PRIME, prime_with_root, rank_certified, rank_exact, rank_mod_p
+from orbitrig.linalg import (
+    PRIME,
+    kernel_vectors,
+    nullspace_exact,
+    prime_with_root,
+    rank_certified,
+    rank_exact,
+    rank_mod_p,
+)
 from orbitrig.rigidity import analyze, orbit_matrix
 from orbitrig.symmetry import proven_trivial_dim, trivial_motion_dim
 from conftest import halfturn_rep, mirror_rep, stewart_graph
@@ -116,6 +124,68 @@ class TestRankCertified:
                 assert r.rank == orbit_matrix(h, config, rep, r.irrep).rank()
             flexible += not report.rigid
         assert flexible > 0
+
+
+class TestKernelVectors:
+    """The kernel basis back-substituted on the one fraction-free pass."""
+
+    def _matrix(self, rng: random.Random) -> list[list]:
+        m, n = rng.randint(1, 7), rng.randint(1, 8)
+        rows = _product_matrix(rng, m, n, rng.randint(1, min(m, n)))
+        # zero columns and rational entries; scaling a row keeps the kernel
+        for c in rng.sample(range(n), rng.randint(0, n // 2)):
+            for row in rows:
+                row[c] = 0
+        return [[Fraction(x, rng.randint(1, 9)) for x in row] for row in rows]
+
+    def test_basis_of_the_kernel(self):
+        """Each vector solves A x = 0, its last nonzero entry is 1 at its own
+        free column, it is 0 at the other free columns, and there are
+        ncols - rank of them.  Column c is free exactly when it adds nothing
+        to the rank of the columns before it."""
+        rng = random.Random(41)
+        deficient = 0
+        for _ in range(80):
+            rows = self._matrix(rng)
+            n = len(rows[0])
+            vecs = list(kernel_vectors(rows, n))
+            assert len(vecs) == n - rank_exact(rows)
+            free = [
+                c for c in range(n)
+                if rank_exact([r[: c + 1] for r in rows]) == rank_exact([r[:c] for r in rows])
+            ]
+            assert [max(c for c, x in enumerate(v) if x) for v in vecs] == free
+            for v, fc in zip(vecs, free):
+                assert all(type(x) is Fraction for x in v)
+                assert v[fc] == 1
+                assert all(v[c] == 0 for c in free if c != fc)
+                assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+            deficient += bool(vecs)
+        assert deficient > 40
+
+    def test_drawn_lazily(self):
+        rows = [[1, 2, 3, 4]]
+        vectors = kernel_vectors(rows, 4)
+        assert next(vectors) == (-2, 1, 0, 0)
+        assert list(vectors) == [(-3, 0, 1, 0), (-4, 0, 0, 1)]
+        assert nullspace_exact(rows, 4) == list(kernel_vectors(rows, 4))
+
+    def test_empty_rows_give_the_unit_vectors(self):
+        assert nullspace_exact([], 3) == [
+            (Fraction(1), Fraction(0), Fraction(0)),
+            (Fraction(0), Fraction(1), Fraction(0)),
+            (Fraction(0), Fraction(0), Fraction(1)),
+        ]
+        assert nullspace_exact([], 0) == []
+        assert nullspace_exact([[0, 0]], 2) == nullspace_exact([], 2)
+
+    def test_ragged_rows_raise(self):
+        with pytest.raises(InputError):
+            nullspace_exact([[1, 2], [3]], 2)
+        with pytest.raises(InputError):
+            nullspace_exact([[1, 2, 3]], 2)
+        with pytest.raises(InputError):
+            rank_exact([[1, 2], [3]])
 
 
 def _sparse(rows, p: int = PRIME) -> list[dict[int, int]]:

@@ -21,7 +21,7 @@ from orbitrig.genframe import (
 )
 from orbitrig.hinge import HingeConfiguration, analyze_framework, analyze_hinge
 from orbitrig.matroid import combinatorial_verdict
-from orbitrig.linalg import matrix_rank, prime_with_root, rank_complex, rank_exact
+from orbitrig.linalg import kernel_vectors, prime_with_root, rank_complex, rank_exact
 from orbitrig.rigidity import (
     analyze,
     analyze_generic,
@@ -52,11 +52,11 @@ def trivial_framework(n_bars: int):
 
 class TestMatrixRank:
     def test_zero_matrix(self):
-        assert matrix_rank([[Fraction(0)] * 4 for _ in range(3)]) == 0
+        assert rank_exact([[Fraction(0)] * 4 for _ in range(3)]) == 0
 
     def test_identity(self):
         eye = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
-        assert matrix_rank(eye) == 6
+        assert rank_exact(eye) == 6
 
     def test_forced_rank_two(self):
         rng = random.Random(5)
@@ -65,7 +65,7 @@ class TestMatrixRank:
         prod = [
             [sum(a[i][k] * b[k][j] for k in range(2)) for j in range(6)] for i in range(6)
         ]
-        assert matrix_rank(prod) == 2
+        assert rank_exact(prod) == 2
 
     def test_complex_rank(self):
         # [[1, i], [2, 2i]] over Q(i), each entry x + y i realified as the
@@ -208,6 +208,31 @@ class TestExtractFlex:
         # orthogonal to the trivial space
         for t in trivial_space_vectors(rep, (1,), 1):
             assert sum(a * b for a, b in zip(flex.stacked(), t)) == 0
+
+    def test_no_kernel_vector_is_drawn_after_the_flex(self, cs_stewart, monkeypatch):
+        """The first kernel vector outside the trivial space is the third of
+        four here; the fourth is never computed."""
+        h, rep = cs_stewart
+        config = random_generic_bars(h, rep, seed=9)
+        om = orbit_matrix(h, config, rep, (1,))
+        kernel = list(rigidity.kernel_vectors(om.rows, om.ncols))
+        trivial = [list(t) for t in trivial_space_vectors(rep, (1,), 1)]
+        outside = [rank_exact(trivial + [list(k)]) > rank_exact(trivial) for k in kernel]
+        assert outside == [False, False, True, False]
+        drawn = []
+
+        def counting(rows, ncols):
+            for k in kernel_vectors(rows, ncols):
+                drawn.append(k)
+                yield k
+
+        monkeypatch.setattr(rigidity, "kernel_vectors", counting)
+        flex = extract_flex(om, rep)
+        assert drawn == kernel[:3]
+        # the flex is that vector's part orthogonal to the trivial space
+        stacked = flex.stacked()
+        assert rank_exact(trivial + [stacked]) > rank_exact(trivial)
+        assert rank_exact(trivial + [stacked, list(kernel[2])]) == rank_exact(trivial) + 1
 
     def test_c2_no_flex(self, c2_stewart):
         h, rep = c2_stewart

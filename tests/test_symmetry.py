@@ -12,7 +12,7 @@ from orbitrig import symmetry
 from orbitrig.algebra import SquareMatrix, lex_index
 from orbitrig.cli import parse_framework
 from orbitrig.ensemble import random_diagonal_rep
-from orbitrig.linalg import PRIME, prime_with_root, residue
+from orbitrig.linalg import PRIME, nullspace_exact, prime_with_root, residue
 from orbitrig.errors import RepresentationError, UnsupportedGroupError
 from orbitrig.symmetry import (
     AbelianGroup,
@@ -196,6 +196,43 @@ class TestFixedSubspace:
         for rep in (mirror_rep(), halfturn_rep(), _z2z2_rep()):
             for j in rep.group.elements():
                 assert len(fixed_subspace_basis(rep, j)) == trivial_motion_dim(rep, j)
+
+
+class TestFixedSubspaceFromGenerators:
+    """``fixed_subspace_basis`` stacks A^T - I for the generators only; the
+    kernel, and so the basis, is that of the system over every element."""
+
+    @staticmethod
+    def _all_elements_basis(rep, j):
+        size = comb(rep.d + 1, 2) * irrep_degree(rep.group, j)
+        ident = SquareMatrix.identity(size)
+        rows = [
+            list(r)
+            for g in rep.group.elements()
+            if g != rep.group.identity
+            for r in (tau_hat2_j(rep, j, g).transpose() - ident).rows
+        ]
+        return nullspace_exact([r for r in rows if any(r)], size)
+
+    @staticmethod
+    def _reps():
+        for path in sorted(FIXTURE_DIR.glob("*.json")):
+            yield parse_framework(json.loads(path.read_text()))["rep"]
+        quarter = SquareMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+        yield PointRepresentation.from_generators(AbelianGroup((4,)), 3, [quarter])
+        rng = random.Random(51)
+        for orders in ((2,), (2, 2), (2, 2, 2)):
+            for d in (3, 4):
+                for _ in range(3):
+                    yield random_diagonal_rep(rng, orders, d)
+
+    def test_equals_the_all_element_system(self):
+        count = 0
+        for rep in self._reps():
+            for j in rep.group.elements():
+                assert fixed_subspace_basis(rep, j) == self._all_elements_basis(rep, j)
+                count += 1
+        assert count > 90
 
 
 class TestInducedLabeling:
