@@ -44,7 +44,7 @@ from .hinge import (
 )
 from .matroid import counting_violation
 from .rigidity import extract_flex, flex_residuals, orbit_matrix
-from .symmetry import AbelianGroup, Element, PointRepresentation
+from .symmetry import AbelianGroup, Element, PointRepresentation, irrep_is_real
 
 EXIT_RIGID = 0
 EXIT_FLEXIBLE = 1
@@ -310,8 +310,11 @@ def cmd_flex(args) -> int:
     if fw["model"] == "body-hinge":
         raise InputError("flex extraction runs on the body-bar model; expand hinges first")
     config = fw["config"] or random_generic_bars(h, rep, args.seed)
+    irreps = _irrep_filter(rep, args.irrep)
+    if not all(irrep_is_real(rep.group, g) for g in irreps):
+        raise InputError("flex extraction is implemented for the exact rational path")
     flexes = []
-    for g in _irrep_filter(rep, args.irrep):
+    for g in irreps:
         om = orbit_matrix(h, config, rep, g)
         flex = extract_flex(om, rep)
         if flex is not None:

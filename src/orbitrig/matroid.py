@@ -8,6 +8,17 @@ negative cycle.  The union over the C(d+1,2) induced labelings is computed
 by an augmenting-path partition algorithm that emits a decomposition
 certificate and, on the deficient side, a rank witness set.
 
+A search that finds no augmenting path marks its whole reach R saturated,
+and no later search enters R.  Each x in R is spanned, in every part it is
+not in, by that part's members inside R (its circuit there was reached),
+however the part changes outside R, so a path entering R can neither leave
+it nor end in a free slot: no augmentation touches R, and pruning R leaves
+every search's path unchanged.  The saturated set is then exactly the set
+X reachable from the unassigned elements.  It is tight,
+rank = |S \\ X| + sum_i r_i(X): the elements outside X are all assigned,
+and the parts restricted to X span X in every matroid.  The union checks
+this equality before it returns.
+
 All independence questions go through one rooted spanning forest,
 ``_SignedForest``, which keeps each vertex's root, sign to the root, parent
 edge and depth, so a root lookup is O(1) and a tree path costs its own
@@ -324,8 +335,9 @@ def matroid_union_rank(
     graph (breadth-first, deterministic tie-breaking).
 
     Returns the rank, a decomposition of a maximum independent subset, and
-    the set X of elements reachable from the unassigned ones, which
-    certifies optimality: rank = |S \\ X| + sum_i r_i(X).
+    the set X of elements reachable from the unassigned ones (the saturated
+    set), which certifies optimality: rank = |S \\ X| + sum_i r_i(X),
+    checked here.
     """
     if not labeled_sgs:
         raise InputError("need at least one matroid")
@@ -341,6 +353,7 @@ def matroid_union_rank(
     forests = [_SignedForest() for _ in labeled_sgs]
     part_of: dict[EdgeId, int] = {}
     unassigned: list[EdgeId] = []
+    saturated: set[EdgeId] = set()
 
     def arcs_and_terminal(x: EdgeId, visited: set[EdgeId]):
         """Yield ('insert', i) for a free slot or ('arc', y) for exchanges:
@@ -365,9 +378,10 @@ def matroid_union_rank(
                 if kind == "insert":
                     _cascade(x, val, prev)
                     return True
-                if val not in prev:
+                if val not in prev and val not in saturated:
                     prev[val] = x
                     q.append(val)
+        saturated.update(prev)
         return False
 
     def _cascade(x: EdgeId, target: int, prev: Mapping[EdgeId, EdgeId | None]) -> None:
@@ -397,25 +411,15 @@ def matroid_union_rank(
         if not try_augment(e):
             unassigned.append(e)
 
-    # optimality witness: elements reachable from the unassigned ones
-    reach: set[EdgeId] = set(unassigned)
-    q = deque(unassigned)
-    while q:
-        x = q.popleft()
-        for kind, val in arcs_and_terminal(x, reach):
-            if kind == "insert":
-                raise ConsistencyError("free slot reachable after augmentation finished")
-            if val not in reach:
-                reach.add(val)
-                q.append(val)
-
     decomposition = UnionDecomposition(
         parts={label: tuple(parts[i]) for i, (label, _) in enumerate(labeled_sgs)},
         assignment={eid: labeled_sgs[i][0] for eid, i in part_of.items()},
         unassigned=tuple(unassigned),
     )
     rank = len(part_of)
-    witness = tuple(e for e in elements if e in reach)
+    witness = tuple(e for e in elements if e in saturated)
+    if rank != union_rank_by_formula(labeled_sgs, elements, witness):
+        raise ConsistencyError("union rank does not meet its witness bound")
     return UnionRankResult(rank, decomposition, witness)
 
 

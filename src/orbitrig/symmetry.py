@@ -169,7 +169,8 @@ class PointRepresentation:
     matrices, given by the images of the factor generators.
 
     Images of all elements are derived from the generators and the
-    homomorphism property is verified exhaustively; the group is finite.
+    homomorphism property is verified on every element times every
+    generator; the group is finite.
 
     The instance also caches the exterior-power images per (g, k), and what
     the module functions derive from it: per character label j the twisted
@@ -224,10 +225,18 @@ class PointRepresentation:
                 raise RepresentationError(f"image of {g} is {m.n}x{m.n}, expected {self.d}x{self.d}")
             if not all(isinstance(x, (int, Fraction)) for row in m.rows for x in row):
                 raise RepresentationError(f"image of {g} has entries that are not rational")
-            if not m.is_orthogonal():
+        gens = sorted(self.group.generators())  # in element order
+        for g in gens:
+            if not self.images[g].is_orthogonal():
                 raise RepresentationError(f"image of {g} is not orthogonal")
+        # With I at the identity and invertible generator images, the
+        # products below give G_s G_t = G_t G_s and G_t^(k_t) = I, and make
+        # every image a product of generator images: a homomorphism.
+        e = self.group.identity
+        if self.images[e] != SquareMatrix.identity(self.d):
+            raise RepresentationError(f"images violate homomorphism at {e}+{e}")
         for a in elems:
-            for b in elems:
+            for b in gens:
                 if self.images[self.group.add(a, b)] != self.images[a] @ self.images[b]:
                     raise RepresentationError(f"images violate homomorphism at {a}+{b}")
 

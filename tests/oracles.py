@@ -3,15 +3,27 @@
 Everything here deliberately avoids the production algorithms: independence
 goes through exact incidence-matrix ranks, union ranks through exhaustive
 subset enumeration, and tree packings through the partition criterion.
+The one exception is ``matroid_union_rank_unpruned``, an earlier version of
+the union algorithm kept to pin the exact output of the current one.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+from typing import Mapping, Sequence
 
+from orbitrig.errors import ConsistencyError, InputError
+from orbitrig.gaingraph import EdgeId
 from orbitrig.linalg import rank_exact
-from orbitrig.matroid import SignedGraph, incidence_matrix
+from orbitrig.matroid import (
+    PairLabel,
+    SignedGraph,
+    UnionDecomposition,
+    UnionRankResult,
+    _SignedForest,
+    incidence_matrix,
+)
 
 
 def incidence_rank(sg: SignedGraph, ids=None) -> int:
@@ -130,3 +142,113 @@ def tree_packing_exists(vertices, edges, k: int) -> bool:
         if crossing < k * (len(part) - 1):
             return False
     return True
+
+
+def matroid_union_rank_unpruned(
+    labeled_sgs: Sequence[tuple[PairLabel, SignedGraph]],
+    elements: Sequence[EdgeId] | None = None,
+) -> UnionRankResult:
+    """The union algorithm before failed searches marked their reach
+    saturated, kept verbatim as a reference: every search explores its
+    whole reach, and a final sweep from the unassigned elements builds the
+    witness.  The production version must return the same decomposition,
+    unassigned list, witness and rank.
+
+    Rank of an edge set in the union of signed-graphic matroids on a
+    common ground set, via incremental augmenting paths in the exchange
+    graph (breadth-first, deterministic tie-breaking).
+
+    Returns the rank, a decomposition of a maximum independent subset, and
+    the set X of elements reachable from the unassigned ones, which
+    certifies optimality: rank = |S \\ X| + sum_i r_i(X).
+    """
+    if not labeled_sgs:
+        raise InputError("need at least one matroid")
+    edge_maps = [sg.edge_map() for _, sg in labeled_sgs]
+    if elements is None:
+        elements = [e.id for e in labeled_sgs[0][1].edges]
+    elements = list(elements)
+    unknown = [e for e in elements if e not in edge_maps[0]]
+    if unknown:
+        raise InputError(f"elements not on the ground set: {unknown!r}")
+
+    parts: list[list[EdgeId]] = [[] for _ in labeled_sgs]
+    forests = [_SignedForest() for _ in labeled_sgs]
+    part_of: dict[EdgeId, int] = {}
+    unassigned: list[EdgeId] = []
+
+    def arcs_and_terminal(x: EdgeId, visited: set[EdgeId]):
+        """Yield ('insert', i) for a free slot or ('arc', y) for exchanges:
+        the members y of part i on the circuit x closes there, in part order."""
+        for i, emap in enumerate(edge_maps):
+            if part_of.get(x) == i:
+                continue
+            circuit = forests[i].circuit(emap[x])
+            if circuit is None:
+                yield ("insert", i)
+                continue
+            for y in parts[i]:
+                if y in circuit and y not in visited:
+                    yield ("arc", y)
+
+    def try_augment(source: EdgeId) -> bool:
+        prev: dict[EdgeId, EdgeId | None] = {source: None}
+        q = deque([source])
+        while q:
+            x = q.popleft()
+            for kind, val in arcs_and_terminal(x, prev.keys()):
+                if kind == "insert":
+                    _cascade(x, val, prev)
+                    return True
+                if val not in prev:
+                    prev[val] = x
+                    q.append(val)
+        return False
+
+    def _cascade(x: EdgeId, target: int, prev: Mapping[EdgeId, EdgeId | None]) -> None:
+        # every part that loses an element also gains one, so the targets
+        # are all the parts the path changed; the others keep their forests
+        touched = set()
+        while True:
+            old = part_of.get(x)
+            if old is not None:
+                parts[old].remove(x)
+            parts[target].append(x)
+            part_of[x] = target
+            touched.add(target)
+            p = prev[x]
+            if p is None:
+                break
+            x, target = p, old
+        for i in sorted(touched):
+            emap = edge_maps[i]
+            forest = forests[i] = _SignedForest()
+            for y in parts[i]:
+                if forest.circuit(emap[y]) is not None:
+                    raise ConsistencyError(f"augmentation broke part {labeled_sgs[i][0]}")
+                forest.add(emap[y])
+
+    for e in elements:
+        if not try_augment(e):
+            unassigned.append(e)
+
+    # optimality witness: elements reachable from the unassigned ones
+    reach: set[EdgeId] = set(unassigned)
+    q = deque(unassigned)
+    while q:
+        x = q.popleft()
+        for kind, val in arcs_and_terminal(x, reach):
+            if kind == "insert":
+                raise ConsistencyError("free slot reachable after augmentation finished")
+            if val not in reach:
+                reach.add(val)
+                q.append(val)
+
+    decomposition = UnionDecomposition(
+        parts={label: tuple(parts[i]) for i, (label, _) in enumerate(labeled_sgs)},
+        assignment={eid: labeled_sgs[i][0] for eid, i in part_of.items()},
+        unassigned=tuple(unassigned),
+    )
+    rank = len(part_of)
+    witness = tuple(e for e in elements if e in reach)
+    return UnionRankResult(rank, decomposition, witness)

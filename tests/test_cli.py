@@ -315,6 +315,25 @@ class TestUnsupportedGroupPaths:
         assert len(report["irreps"]) == 4
         assert "combinatorial" not in report
 
+    def test_flex_rejects_complex_characters_before_any_block(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Character 0 of the quarter turn is real and comes first, and 1 is
+        not: the rejection comes before any block, the real ones' too."""
+        import orbitrig.cli
+
+        built = []
+        monkeypatch.setattr(orbitrig.cli, "orbit_matrix", lambda *a: built.append(a))
+        path = tmp_path / "z4.json"
+        path.write_text(json.dumps(_quarter_turn_doc()), encoding="utf-8")
+        assert main(["flex", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: flex extraction is implemented for the exact rational path\n"
+        )
+        assert built == []
+
 
 class TestReplaySerialization:
     def test_crosscheck_instance_round_trips(self):

@@ -27,6 +27,7 @@ from conftest import stewart_graph
 from oracles import (
     incidence_rank,
     independent_by_incidence,
+    matroid_union_rank_unpruned,
     max_independent_bruteforce,
     tree_path_bfs,
     union_rank_bruteforce,
@@ -36,6 +37,16 @@ from oracles import (
 
 def sg(vertices, edges) -> SignedGraph:
     return SignedGraph(tuple(vertices), tuple(SignedEdge(*e) for e in edges))
+
+
+def assert_matches_unpruned(labeled, res) -> None:
+    """The union's output equals the unpruned search's, part order and
+    witness order included."""
+    ref = matroid_union_rank_unpruned(labeled)
+    assert list(res.decomposition.parts.items()) == list(ref.decomposition.parts.items())
+    assert res.decomposition.unassigned == ref.decomposition.unassigned
+    assert res.witness == ref.witness
+    assert res.rank == ref.rank
 
 
 def random_signed_graph(rng, max_vertices=5, max_edges=12) -> SignedGraph:
@@ -398,6 +409,28 @@ class TestMatroidUnion:
             assert res.rank == union_rank_bruteforce(labeled, ids)
             assert res.rank == union_rank_minformula(labeled, ids)
             assert res.rank == union_rank_by_formula(labeled, ids, res.witness)
+            assert_matches_unpruned(labeled, res)
+
+    def test_matches_unpruned_search_randomized(self):
+        """Larger instances than the brute force reaches, with several
+        failed searches each: pruning the saturated elements changes
+        neither the paths found nor the witness."""
+        rng = random.Random(43)
+        failed = 0
+        for _ in range(60):
+            nv = rng.randint(2, 7)
+            ne = rng.randint(4, 30)
+            vertices = list(range(nv))
+            base = [(eid, rng.randrange(nv), rng.randrange(nv)) for eid in range(ne)]
+            labeled = []
+            for t in range(rng.randint(1, 6)):
+                edges = [(eid, u, v, rng.choice((1, -1))) for eid, u, v in base]
+                labeled.append(((1, t + 2), sg(vertices, edges)))
+            res = matroid_union_rank(labeled)
+            res.decomposition.validate(labeled)
+            assert_matches_unpruned(labeled, res)
+            failed += len(res.decomposition.unassigned) >= 2
+        assert failed >= 20
 
     def test_witness_is_tight(self, c2_rep):
         h = stewart_graph(c2_rep.group)
@@ -451,9 +484,63 @@ class TestUnionMedium:
                 for label, part in res.decomposition.parts.items():
                     assert independent_by_incidence(gmap[label], part)
                 assert res.rank == union_rank_by_formula(labeled, ids, res.witness)
+                assert_matches_unpruned(labeled, res)
                 deficient += res.rank < len(ids)
                 full += res.rank == len(ids)
         assert deficient >= 3 and full >= 1
+
+
+def degree_balanced_gain_graph(rng, group, n, nedges):
+    """Spanning cycle on n vertices, n // 4 non-free loops, then edges
+    between two vertices of least degree up to ``nedges``, all with random
+    gains: evenly braced, so 6n + 2 + n // 4 edges tend to be rigid."""
+    elems = group.elements()
+    others = [g for g in elems if g != group.identity]
+    degree = [0] * n
+    edges = []
+
+    def add(u, v, gain):
+        edges.append((len(edges), u, v, gain))
+        degree[u] += 1
+        degree[v] += 1
+
+    def least(exclude=None):
+        low = min(d for v, d in enumerate(degree) if v != exclude)
+        return rng.choice([v for v, d in enumerate(degree) if d == low and v != exclude])
+
+    for i in range(n):
+        add(i, (i + 1) % n, rng.choice(elems))
+    for _ in range(n // 4):
+        v = least()
+        add(v, v, rng.choice(others))
+    loops_l = [eid for eid, _, _, _ in edges[n:]]
+    while len(edges) < nedges:
+        u = least()
+        add(u, least(exclude=u), rng.choice(elems))
+    return make_gain_graph(range(n), edges, loops_l, group=group)
+
+
+class TestUnionRigidAndUnderBraced:
+    """(2,2) with n = 16: an evenly braced graph with 6n + 2 + n/4 edges is
+    rigid in every character, and one with 6n - 4 edges is flexible in at
+    least one; on both the union's certificates equal the unpruned
+    search's."""
+
+    @pytest.mark.parametrize("under", [False, True], ids=["rigid", "under-braced"])
+    def test_n16(self, under):
+        rng = random.Random(431)
+        rep = random_diagonal_rep(rng, (2, 2), 3)
+        n = 16
+        nedges = 6 * n - 4 if under else 6 * n + 2 + n // 4
+        h = degree_balanced_gain_graph(rng, rep.group, n, nedges)
+        rigid = []
+        for g in rep.group.elements():
+            verdict = combinatorial_verdict(h, rep, g)
+            assert_matches_unpruned(list(verdict.labeled), matroid_union_rank(verdict.labeled))
+            ids = [e.id for e in verdict.labeled[0][1].edges]
+            assert verdict.rank == union_rank_by_formula(verdict.labeled, ids, verdict.witness)
+            rigid.append(verdict.rigid)
+        assert not all(rigid) if under else all(rigid)
 
 
 class TestCountingCondition:

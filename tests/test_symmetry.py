@@ -107,6 +107,28 @@ class TestPointRepresentation:
         with pytest.raises(RepresentationError):
             PointRepresentation.from_generators(g, 3, [bad])
 
+    def test_rejects_noncommuting_generators(self):
+        # two coordinate swaps: each has order 2, their product has order 3
+        swap_xy = SquareMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        swap_yz = SquareMatrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        with pytest.raises(RepresentationError, match="violate homomorphism"):
+            PointRepresentation.from_generators(AbelianGroup((2, 2)), 3, [swap_xy, swap_yz])
+
+    @pytest.mark.parametrize(
+        "wrong", [[[-1, 0, 0], [0, -1, 0], [0, 0, -1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]]
+    )
+    def test_rejects_wrong_non_generator_image(self, wrong):
+        # the generators are right; only the image of their sum is not
+        images = dict(_z2z2_rep().images)
+        images[(1, 1)] = SquareMatrix.from_rows(wrong)
+        with pytest.raises(RepresentationError, match="violate homomorphism"):
+            PointRepresentation(two_group(2), 3, images)
+
+    def test_rejects_trivial_group_without_identity_image(self):
+        mirror = SquareMatrix.from_rows([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(RepresentationError, match=r"violate homomorphism at \(\)\+\(\)"):
+            PointRepresentation(AbelianGroup(()), 3, {(): mirror})
+
     def test_rejects_non_rational_images(self):
         quarter = SquareMatrix.from_rows([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(RepresentationError, match="not rational"):
