@@ -21,7 +21,8 @@ arithmetic, an F_p rank equal to min(nonzero rows, U) is the exact rank.
 The same holds for any other proven upper bound that the F_p rank meets;
 ``rigidity._block_rank`` uses the matroid union's witness bound that way,
 after eliminating up to min(nonzero rows, U) so that an F_p rank above the
-witness bound is caught rather than hidden.
+witness bound is caught rather than hidden.  The orbit blocks reach it as
+integer rows reduced mod p, so no denominator is involved there.
 ``prime_with_root(m)`` gives the prime for characters of order m: the
 largest prime p < 2**31 with p = 1 (mod m), and a primitive m-th root of
 unity w mod p.  ``rank_certified`` applies the certificate to dense
@@ -29,7 +30,7 @@ rational matrices with p = ``PRIME`` = 2**31 - 1; any other outcome (a
 deficient matrix, a row that vanishes mod p, or p dividing a denominator)
 falls back to ``rank_exact``.  ``rank_complex`` ranks a realified block of
 a complex character, each entry of Q(zeta_m) replaced by its
-phi(m) x phi(m) rational multiplication block, as its certified rational
+phi(m) x phi(m) integer multiplication block, as its certified rational
 rank divided by phi(m).  Every rank these return is exact; no
 floating-point value is involved.
 """

@@ -9,31 +9,33 @@ framework is infinitesimally rigid exactly when every character block
 leaves no motions beyond its fixed screws; Galois-conjugate characters
 share one block.
 
-``analyze`` ranks each block mod a prime p without building it over Q: one
-sparse row per quotient edge, assembled from the bar vector and the screw
-image reduced mod p.  For a character of order m the character value
-zeta_m^a becomes w^a, w a primitive m-th root of unity mod a prime
-p = 1 (mod m), so a complex character is ranked unrealified.  The F_p rank
-counts when it reaches min(nonzero rows, columns - proven fixed screws);
-otherwise ``orbit_matrix`` builds the block over Q, realified for a complex
-character (phi(m) rational rows per quotient edge and phi(m) columns per
-screw coordinate, see ``symmetry``), and it is ranked exactly.  For a
-two-group character the matroid union's witness bound, an upper bound on
-the rank at every configuration, also certifies an F_p rank that reaches
-it, so a deficient block needs no Bareiss elimination either.  Flex
-extraction and the tests use ``orbit_matrix`` too.
+Each character block is assembled once, by ``_block_rows``: one sparse
+integer row per quotient edge, the row over Q(zeta_m) (m the character's
+order) written in the coefficients of 1, zeta_m, ..., zeta_m^(phi(m)-1)
+and cleared of denominators.  Every consumer reads those rows.
+``analyze`` ranks them over F_p, sending zeta_m to w, a primitive m-th root
+of unity mod a prime p = 1 (mod m), so a complex character is ranked
+unrealified.  The F_p rank counts when it reaches min(nonzero rows,
+columns - proven fixed screws).  For a two-group character the matroid
+union's witness bound, an upper bound on the rank at every configuration,
+also certifies an F_p rank that reaches it, so a deficient block needs no
+Bareiss elimination either.  Otherwise ``orbit_matrix`` densifies the rows,
+realified for a complex character (phi(m) integer rows per quotient edge
+and phi(m) columns per screw coordinate, see ``symmetry``), and the block
+is ranked exactly.  Flex extraction and the tests read ``orbit_matrix``
+too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Mapping
 
 from .algebra import Scalar
 from .errors import ConsistencyError, InputError
-from .gaingraph import CoveredGraph, EdgeId, GainEdge, GainGraph, VertexId
+from .gaingraph import CoveredGraph, EdgeId, GainGraph, VertexId
 from .genframe import BarConfiguration, BarEntry, lift_bars, random_generic_bars, verify_loop_form
 from .linalg import (
     kernel_vectors,
@@ -42,7 +44,6 @@ from .linalg import (
     rank_complex,
     rank_exact,
     rank_mod_p,
-    residue,
 )
 from .symmetry import (
     Element,
@@ -53,8 +54,8 @@ from .symmetry import (
     irrep_degree,
     irrep_is_real,
     proven_trivial_dim,
-    tau_hat2_j,
-    tau_hat2_mod,
+    root_of_unity_matrix,
+    tau_hat2_int,
     trivial_motion_dim,
 )
 
@@ -99,14 +100,14 @@ def rigidity_matrix(
 @dataclass(frozen=True)
 class OrbitMatrix:
     """Quotient-sized block of the rigidity matrix for one character label,
-    realified over Q: ``degree`` = phi(m) rows per edge and columns per
-    screw coordinate (1 for a real character)."""
+    realified over Q, with integer rows: ``degree`` = phi(m) rows per edge
+    and columns per screw coordinate (1 for a real character)."""
 
     irrep: Element
     d: int
     vertices: tuple[VertexId, ...]
     edge_ids: tuple[EdgeId, ...]
-    rows: tuple[tuple[Scalar, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     degree: int = 1
 
     @property
@@ -117,7 +118,7 @@ class OrbitMatrix:
     def ncols(self) -> int:
         return self.block_size * len(self.vertices)
 
-    def row_of(self, eid: EdgeId) -> tuple[Scalar, ...]:
+    def row_of(self, eid: EdgeId) -> tuple[int, ...]:
         """The first row of edge ``eid`` (its only row for a real character)."""
         return self.rows[self.edge_ids.index(eid) * self.degree]
 
@@ -129,34 +130,27 @@ class OrbitMatrix:
 def orbit_matrix(
     h: GainGraph, config: BarConfiguration, rep: PointRepresentation, g: Element
 ) -> OrbitMatrix:
-    """Row per quotient edge: the bar vector at the tail block and minus the
-    inverse twisted screw image of the bar at the head block; a loop row
-    collapses both entries onto its single vertex.  Rows of non-free loops
-    whose character value is -1 vanish identically.  A complex character
-    gets one row per basis element e_r of Q(zeta_m), built the same way from
-    the realified bar vec (x) e_r and the realified twisted image."""
+    """The block of character g, m its order, realified over Q: per quotient
+    edge its row from ``_block_rows``, densified, and that row times
+    zeta_m^r for r = 1, ..., phi(m) - 1, i.e. C_m^r applied to each screw
+    coordinate's phi(m) coefficients.  Every entry is an integer.  Rows of
+    non-free loops whose character value is -1 vanish identically."""
     _check_inputs(h, config, rep)
     g = rep.group.canon(g)
-    b = comb(rep.d + 1, 2)
     deg = irrep_degree(rep.group, g)
-    size = b * deg
-    vindex = {v: i for i, v in enumerate(h.vertices)}
+    ncols = comb(rep.d + 1, 2) * deg * len(h.vertices)
+    powers = [root_of_unity_matrix(rep.group.element_order(g), r).rows for r in range(deg)]
     rows = []
-    for e in h.edges:
-        vec = config.vector(e.id)
-        inv = tau_hat2_j(rep, g, rep.group.inverse(e.gain))
-        tb = vindex[e.tail] * size
-        hb = vindex[e.head] * size
-        for r in range(deg):
-            vec_r: list[Scalar] = [0] * size
-            vec_r[r::deg] = vec
-            # twisted images are sparse, so zero coefficients are skipped
-            moved = [sum(a * x for a, x in zip(row, vec_r) if a) for row in inv.rows]
-            row: list[Scalar] = [Fraction(0)] * (size * len(h.vertices))
-            for t in range(size):
-                row[tb + t] += vec_r[t]
-                row[hb + t] -= moved[t]
-            rows.append(tuple(row))
+    for first in _block_rows(h, config, rep, g):
+        dense = [0] * ncols
+        for c, x in first.items():
+            dense[c] = x
+        for power in powers:
+            rows.append(tuple(
+                sum(a * x for a, x in zip(coeffs, dense[k : k + deg]))
+                for k in range(0, ncols, deg)
+                for coeffs in power
+            ))
     return OrbitMatrix(
         irrep=g,
         d=rep.d,
@@ -179,6 +173,50 @@ def _check_inputs(h: GainGraph, config: BarConfiguration, rep: PointRepresentati
             raise InputError(f"bar of edge {e.id!r} has {len(vec)} coordinates, expected {b}")
 
 
+def _block_rows(
+    h: GainGraph, config: BarConfiguration, rep: PointRepresentation, g: Element
+) -> list[dict[int, int]]:
+    """The block of character g, m its order, as one sparse integer row per
+    quotient edge, for inputs that passed ``_check_inputs``: the row over
+    Q(zeta_m) written in the coefficients of 1, zeta_m, ...,
+    zeta_m^(phi(m)-1), coefficient c of screw coordinate t at column
+    t * phi(m) + c of its vertex block (the first realified row).  It holds
+    the bar vector at the tail block and minus zeta_m^a tau_hat2(gain^-1)
+    vec at the head block, zeta_m^a the character value at the gain, all
+    times D L, D the common denominator of tau_hat2(gain^-1) and L that of
+    the bar.  A row is empty exactly when it is zero over Q(zeta_m)."""
+    deg = irrep_degree(rep.group, g)
+    m = rep.group.element_order(g)
+    size = comb(rep.d + 1, 2) * deg
+    offset = {v: i * size for i, v in enumerate(h.vertices)}
+    heads = {}  # gain -> (D, terms of D tau_hat2(gain^-1), coefficients of -zeta_m^a)
+    rows = []
+    for e in h.edges:
+        if e.gain not in heads:
+            den, terms = tau_hat2_int(rep, rep.group.inverse(e.gain))
+            power = root_of_unity_matrix(m, character_power(rep.group, g, e.gain))
+            heads[e.gain] = den, terms, [(c, -r[0]) for c, r in enumerate(power.rows) if r[0]]
+        den, terms, root = heads[e.gain]
+        vec = config.vector(e.id)
+        scale = lcm(*(x.denominator for x in vec))
+        vec = [x.numerator * (scale // x.denominator) for x in vec]
+        tb = offset[e.tail]
+        row = {tb + t * deg: den * x for t, x in enumerate(vec) if x}
+        hb = offset[e.head]
+        for t, ts in enumerate(terms):
+            y = sum(a * vec[s] for s, a in ts)
+            if y:
+                for c, z in root:
+                    col = hb + t * deg + c
+                    x = row.get(col, 0) + z * y
+                    if x:
+                        row[col] = x
+                    else:
+                        del row[col]
+        rows.append(row)
+    return rows
+
+
 def _block_rank(
     h: GainGraph,
     config: BarConfiguration,
@@ -187,8 +225,9 @@ def _block_rank(
     witness_bound: int | None = None,
 ) -> int:
     """Exact rank over Q(zeta_m) of the block of character g, m its order,
-    for inputs that passed ``_check_inputs``.  Its rows are assembled mod
-    the prime p of ``prime_with_root(m)``, with zeta_m -> w; that is a ring
+    for inputs that passed ``_check_inputs``.  The rows of ``_block_rows``
+    are sent to F_p, p the prime of ``prime_with_root(m)``, by zeta_m -> w:
+    column t phi(m) + c goes to t with weight w^c.  That is a ring
     homomorphism, so rank_p <= rank <= min(nonzero rows, bound), the bound
     being the columns minus the proven fixed screws, and elimination runs
     up to that minimum.  An F_p rank reaching it is returned.
@@ -198,19 +237,28 @@ def _block_rank(
     upper bound on the rank that is proven independently of this block.
     Elimination does not stop at it: an F_p rank above it raises
     ``ConsistencyError``, and one equal to it is the rank, which certifies
-    deficient blocks too.  Otherwise, or when p divides a denominator, the
-    realified orbit matrix is built and ranked by Bareiss (real
-    characters) or ``rank_complex``."""
+    deficient blocks too.  Otherwise the realified orbit matrix is ranked
+    by Bareiss (real characters) or ``rank_complex``."""
     trivial = proven_trivial_dim(rep, g)
     bound = comb(rep.d + 1, 2) * len(h.vertices) - trivial
     p, w = prime_with_root(rep.group.element_order(g))
-    assembled = _rows_mod_p(h, config, rep, g, p, w)
-    if assembled is not None:
-        rows, nonzero = assembled
-        target = min(nonzero, bound)
-        rank = _below_witness(rank_mod_p(rows, target, p), witness_bound, g)
-        if rank in (target, witness_bound):
-            return rank
+    deg = irrep_degree(rep.group, g)
+    weights = [pow(w, c, p) for c in range(deg)]
+    rows = []
+    for row in _block_rows(h, config, rep, g):
+        if not row:
+            continue
+        if deg > 1:
+            mapped: dict[int, int] = {}
+            for col, x in row.items():
+                t, c = divmod(col, deg)
+                mapped[t] = mapped.get(t, 0) + x * weights[c]
+            row = mapped
+        rows.append({t: y for t, x in row.items() if (y := x % p)})
+    target = min(len(rows), bound)
+    rank = _below_witness(rank_mod_p(rows, target, p), witness_bound, g)
+    if rank in (target, witness_bound):
+        return rank
     om = orbit_matrix(h, config, rep, g)
     if om.degree == 1:
         return _below_witness(rank_exact(om.rows), witness_bound, g)
@@ -224,62 +272,6 @@ def _below_witness(rank: int, witness_bound: int | None, g: Element) -> int:
             f"block of irrep {g} has rank at least {rank}, above the witness bound {witness_bound}"
         )
     return rank
-
-
-def _rows_mod_p(
-    h: GainGraph, config: BarConfiguration, rep: PointRepresentation, g: Element, p: int, w: int
-) -> tuple[list[dict[int, int]], int] | None:
-    """The block of character g over F_p, one sparse row per edge: the bar
-    vector at the tail block and minus w^a tau_hat2(gain^-1) vec at the
-    head block, for the character value zeta_m^a at the gain; with the
-    number of rows that are nonzero over Q(zeta_m), which can exceed the
-    rows kept.  None when p divides a denominator."""
-    b = comb(rep.d + 1, 2)
-    offset = {v: i * b for i, v in enumerate(h.vertices)}
-    heads = {}  # gain -> (tau_hat2 of its inverse mod p, -w^a mod p)
-    rows = []
-    nonzero = 0
-    for e in h.edges:
-        if e.gain not in heads:
-            image = tau_hat2_mod(rep, rep.group.inverse(e.gain), p)
-            if image is None:
-                return None
-            heads[e.gain] = image, p - pow(w, character_power(rep.group, g, e.gain), p)
-        image, c = heads[e.gain]
-        vec = config.vector(e.id)
-        vp = [residue(x, p) for x in vec]
-        if None in vp:
-            return None
-        row = {offset[e.tail] + t: x for t, x in enumerate(vp) if x}
-        hb = offset[e.head]
-        for t, terms in enumerate(image):
-            y = (row.get(hb + t, 0) + c * sum(a * vp[s] for s, a in terms)) % p
-            if y:
-                row[hb + t] = y
-            else:
-                row.pop(hb + t, None)
-        if row:
-            rows.append(row)
-            nonzero += 1
-        elif not _row_vanishes(e, vec, rep, g):
-            nonzero += 1
-    return rows, nonzero
-
-
-def _row_vanishes(
-    e: GainEdge, vec: tuple[Scalar, ...], rep: PointRepresentation, g: Element
-) -> bool:
-    """Whether the row of edge ``e`` is zero over Q(zeta_m), in exact
-    arithmetic: a non-loop row holds vec itself, and a loop row is zero
-    exactly when its first realified row vec (x) e_0 - A (vec (x) e_0) is."""
-    if not any(vec):
-        return True
-    if e.tail != e.head:
-        return False
-    deg = irrep_degree(rep.group, g)
-    vec_0: list[Scalar] = [0] * (len(vec) * deg)
-    vec_0[::deg] = vec
-    return list(tau_hat2_j(rep, g, rep.group.inverse(e.gain)).apply(vec_0)) == vec_0
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .algebra import Scalar, SquareMatrix, block_diag_one, induced_rep, kron, lex_index
 from .errors import ConsistencyError, InputError, RepresentationError, UnsupportedGroupError
-from .linalg import nullspace_exact, rank_certified, residue
+from .linalg import nullspace_exact, rank_certified
 
 Element = tuple[int, ...]
 
@@ -175,9 +175,9 @@ class PointRepresentation:
     The instance also caches the exterior-power images per (g, k), and what
     the module functions derive from it: per character label j the twisted
     screw images per (j, g), the fixed-screw dimension, the fixed-screw
-    basis and its kernel proof; per (g, p) the screw image reduced mod p;
-    and the outcome of ``require_combinatorial``.  Cached entries are
-    immutable, so they are shared safely.
+    basis and its kernel proof; per g the screw image as integer terms over
+    a common denominator; and the outcome of ``require_combinatorial``.
+    Cached entries are immutable, so they are shared safely.
     """
 
     def __init__(self, group: AbelianGroup, d: int, images: Mapping[Element, SquareMatrix]):
@@ -189,7 +189,7 @@ class PointRepresentation:
         self._trivial_dim: dict[Element, int] = {}
         self._fixed: dict[Element, tuple[tuple[Scalar, ...], ...]] = {}
         self._proven_dim: dict[Element, int] = {}
-        self._hat2_mod: dict[tuple[Element, int], tuple | None] = {}
+        self._hat2_int: dict[Element, tuple[int, tuple]] = {}
         self._validate()
 
     @classmethod
@@ -201,13 +201,14 @@ class PointRepresentation:
             raise RepresentationError(
                 f"expected {len(gens)} generator images, got {len(generator_images)}"
             )
-        images: dict[Element, SquareMatrix] = {}
-        for elem in group.elements():
-            m = SquareMatrix.identity(d)
-            for t, mult in enumerate(elem):
-                for _ in range(mult):
-                    m = m @ generator_images[t]
-            images[elem] = m
+        # an image is one generator image times the image of the element
+        # with its last nonzero coordinate decreased by one, which comes
+        # earlier in the lexicographic order of elements()
+        images: dict[Element, SquareMatrix] = {group.identity: SquareMatrix.identity(d)}
+        for elem in group.elements()[1:]:
+            t = max(s for s, x in enumerate(elem) if x)
+            prev = elem[:t] + (elem[t] - 1,) + elem[t + 1 :]
+            images[elem] = images[prev] @ generator_images[t]
         return cls(group, d, images)
 
     @classmethod
@@ -308,23 +309,22 @@ def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix
     return m
 
 
-def tau_hat2_mod(
-    rep: PointRepresentation, g: Element, p: int
-) -> tuple[tuple[tuple[int, int], ...], ...] | None:
-    """The screw image tau_hat2(g) reduced mod the prime p, as one tuple
-    of (column, residue) pairs per row over its entries nonzero mod p; None
-    when p divides a denominator.  Cached on ``rep`` per (g, p)."""
-    key = (rep.group.canon(g), p)
-    if key not in rep._hat2_mod:
-        rows = []
-        for row in rep.tau_hat2(g).rows:
-            terms = [(c, residue(x, p)) for c, x in enumerate(row) if x]
-            if any(r is None for _, r in terms):
-                rows = None
-                break
-            rows.append(tuple((c, r) for c, r in terms if r))
-        rep._hat2_mod[key] = None if rows is None else tuple(rows)
-    return rep._hat2_mod[key]
+def tau_hat2_int(
+    rep: PointRepresentation, g: Element
+) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """The screw image tau_hat2(g) as (D, terms): D the least common
+    denominator of its entries, and per row of D tau_hat2(g) the
+    (column, integer) pairs of its nonzero entries.  Cached on ``rep`` per
+    g."""
+    g = rep.group.canon(g)
+    if g not in rep._hat2_int:
+        rows = rep.tau_hat2(g).rows
+        den = lcm(*(x.denominator for row in rows for x in row))
+        rep._hat2_int[g] = den, tuple(
+            tuple((c, x.numerator * (den // x.denominator)) for c, x in enumerate(row) if x)
+            for row in rows
+        )
+    return rep._hat2_int[g]
 
 
 def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:

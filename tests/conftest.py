@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,16 @@ def halfturn_rep() -> rig.PointRepresentation:
     return rig.PointRepresentation.from_generators(
         two_group(1), 3, [rig.SquareMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, -1]])]
     )
+
+
+def reflection9_rep() -> rig.PointRepresentation:
+    """Reflection I - 2 v v^T / 9 in the plane normal to v = (1, 2, 2): a
+    rational image whose entries have denominator 9."""
+    v = (1, 2, 2)
+    reflection = rig.SquareMatrix.from_rows(
+        [[Fraction(int(i == j)) - Fraction(2 * v[i] * v[j], 9) for j in range(3)] for i in range(3)]
+    )
+    return rig.PointRepresentation.from_generators(two_group(1), 3, [reflection])
 
 
 def stewart_graph(group: rig.AbelianGroup) -> rig.GainGraph:

@@ -55,7 +55,7 @@ def golden() -> dict:
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(_key(*c) for c in _cases())
-    assert len(golden) == 7 * len(COMMANDS) * len(FORMATS)
+    assert len(golden) == 8 * len(COMMANDS) * len(FORMATS)
 
 
 @pytest.mark.parametrize("fixture, command, fmt", _cases())

@@ -39,7 +39,7 @@ from orbitrig.symmetry import (
     proven_trivial_dim,
     trivial_motion_dim,
 )
-from conftest import stewart_graph
+from conftest import reflection9_rep, stewart_graph
 
 
 def trivial_framework(n_bars: int):
@@ -433,8 +433,9 @@ class TestUnrealifiedBlocks:
     def test_bars_vanishing_mod_p_or_dividing_by_p(self, rep, fallbacks):
         """A bar scaled by the block's prime p has the same rational rank
         but a row that vanishes mod p, so a block of independent rows falls
-        short over F_p; a bar divided by p puts p in a denominator.  Both
-        fall back to the realified block."""
+        short over F_p and falls back to the realified block.  A bar divided
+        by p gives the same integer row once its denominator is cleared, so
+        it takes the same path as the unscaled bar."""
         rng = random.Random(23 + rep.group.order())
         checked = 0
         for t in range(6 if rep.d == 3 else 2):
@@ -448,16 +449,42 @@ class TestUnrealifiedBlocks:
                 om = rigidity.orbit_matrix(h, config, rep, g)
                 expected = om.rank()
                 independent = expected * om.degree == sum(1 for row in om.rows if any(row))
+                del fallbacks[:]
+                assert rigidity._block_rank(h, config, rep, g) == expected
+                unscaled = list(fallbacks)
                 for scale in (p, Fraction(1, p)):
                     entries = dict(config.entries)
                     entries[free[0]] = BarEntry(tuple(x * scale for x in config.vector(free[0])))
                     scaled = BarConfiguration(config.d, entries)
                     del fallbacks[:]
                     assert rigidity._block_rank(h, scaled, rep, g) == expected
-                    if independent or scale != p:
+                    if scale != p:
+                        assert fallbacks == unscaled
+                    elif independent:
                         assert fallbacks == [g]
                 checked += independent
         assert checked >= 8
+
+    def test_non_integer_data(self):
+        """A reflection with denominator 9 and bars divided by 2 to 9: the
+        integer rows rank like the realified block, and the block ranks add
+        up to the rank of the lifted rigidity matrix, assembled on its own."""
+        rep = reflection9_rep()
+        rng = random.Random(47)
+        for t in range(8):
+            h = random_gain_graph(rng, rep.group, 3, rng.choice((4, 8, 12)))
+            config = random_generic_bars(h, rep, t, bound=9)
+            entries = {
+                eid: entry if h.edge(eid).is_loop()
+                else BarEntry(tuple(x / rng.randint(2, 9) for x in entry.vector))
+                for eid, entry in config.entries.items()
+            }
+            config = BarConfiguration(config.d, entries)
+            ranks = []
+            for g in rep.group.elements():
+                ranks.append(rigidity._block_rank(h, config, rep, g))
+                assert ranks[-1] == orbit_matrix(h, config, rep, g).rank()
+            assert sum(ranks) == rank_exact(rigidity_matrix(*lift_bars(h, config, rep), rep.d))
 
 
 WITNESS_SPECS = [((2,), 2), ((2,), 3), ((2,), 4), ((2, 2), 2), ((2, 2), 3), ((2, 2), 4),

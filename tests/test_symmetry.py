@@ -12,7 +12,7 @@ from orbitrig import symmetry
 from orbitrig.algebra import SquareMatrix, lex_index
 from orbitrig.cli import parse_framework
 from orbitrig.ensemble import random_diagonal_rep
-from orbitrig.linalg import PRIME, nullspace_exact, prime_with_root, residue
+from orbitrig.linalg import nullspace_exact
 from orbitrig.errors import RepresentationError, UnsupportedGroupError
 from orbitrig.symmetry import (
     AbelianGroup,
@@ -25,11 +25,11 @@ from orbitrig.symmetry import (
     irrep_value,
     root_of_unity_matrix,
     screw_pairs,
+    tau_hat2_int,
     tau_hat2_j,
-    tau_hat2_mod,
     trivial_motion_dim,
 )
-from conftest import FIXTURE_DIR, halfturn_rep, mirror_rep, two_group
+from conftest import FIXTURE_DIR, halfturn_rep, mirror_rep, reflection9_rep, two_group
 
 
 class TestAbelianGroup:
@@ -133,6 +133,31 @@ class TestPointRepresentation:
         quarter = SquareMatrix.from_rows([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(RepresentationError, match="not rational"):
             PointRepresentation.from_generators(AbelianGroup((4,)), 3, [quarter])
+
+    def test_images_are_ordered_generator_products(self, monkeypatch):
+        """Each image is the product of the generators' powers in generator
+        order, and takes one product from an earlier image: |G| - 1 products
+        beside the l orthogonality checks and |G| l homomorphism checks of
+        the validation."""
+        mirror = SquareMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+        quarter = SquareMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+        group = AbelianGroup((2, 4))
+        products = []
+        matmul = SquareMatrix.__matmul__
+
+        def counting(a, b):
+            products.append(1)
+            return matmul(a, b)
+
+        monkeypatch.setattr(SquareMatrix, "__matmul__", counting)
+        rep = PointRepresentation.from_generators(group, 3, [mirror, quarter])
+        assert len(products) == group.order() - 1 + 2 + group.order() * 2
+        monkeypatch.undo()
+        for a, b in group.elements():
+            power = SquareMatrix.identity(3)
+            for m in [mirror] * a + [quarter] * b:
+                power = power @ m
+            assert rep.images[(a, b)] == power
 
     def test_faithful(self):
         rep = mirror_rep()
@@ -435,24 +460,20 @@ class TestReadoutsWithoutKron:
                 assert trivial_motion_dim(rep, j) * len(elems) * irrep_degree(rep.group, j) == total
 
     def test_reduced_images(self):
-        """``tau_hat2_mod`` lists the nonzero residues of tau_hat2 row by
-        row; a reflection with denominator 9 keeps its entries apart from p."""
-        v = (1, 2, 2)  # I - 2 v v^T / 9
-        reflection = SquareMatrix.from_rows(
-            [[Fraction(int(i == j)) - Fraction(2 * v[i] * v[j], 9) for j in range(3)] for i in range(3)]
-        )
-        rep9 = PointRepresentation.from_generators(AbelianGroup((2,)), 3, [reflection])
+        """``tau_hat2_int`` gives the least common denominator D of
+        tau_hat2 and the nonzero entries of D tau_hat2 row by row; a
+        reflection with denominator 9 keeps D = 9."""
+        rep9 = reflection9_rep()
         for rep in _fixture_reps() + [rep9]:
-            for p in (PRIME, prime_with_root(4)[0], 7):
-                for g in rep.group.elements():
-                    dense = [[residue(x, p) for x in row] for row in rep.tau_hat2(g).rows]
-                    assert tau_hat2_mod(rep, g, p) == tuple(
-                        tuple((c, x) for c, x in enumerate(row) if x) for row in dense
-                    )
-                    assert tau_hat2_mod(rep, g, p) is tau_hat2_mod(rep, g, p)
-        # 3 divides the denominator 9
-        assert tau_hat2_mod(rep9, (1,), 3) is None
-        assert tau_hat2_mod(rep9, (0,), 3) is not None
+            for g in rep.group.elements():
+                den, terms = tau_hat2_int(rep, g)
+                dense = [[den * x for x in row] for row in rep.tau_hat2(g).rows]
+                assert all(isinstance(x, int) for row in terms for _, x in row)
+                assert terms == tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in dense)
+                assert all(x.denominator == 1 for row in dense for x in row)
+                assert tau_hat2_int(rep, g) is tau_hat2_int(rep, g)
+        assert tau_hat2_int(rep9, (1,))[0] == 9
+        assert tau_hat2_int(rep9, (0,))[0] == 1
 
 
 def _complex_order_rep(m: int) -> PointRepresentation:
