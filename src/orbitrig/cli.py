@@ -417,7 +417,10 @@ def _load(args) -> dict:
 
 OPTIONS = {
     "--seed": dict(type=int, default=42, help="PRNG seed for generic sampling"),
-    "--samples": dict(type=int, default=2, help="independent samples for rank agreement"),
+    "--samples": dict(
+        type=int, default=2,
+        help="at most this many samples per block; a proven rank is not sampled again",
+    ),
     "--irrep": dict(
         default=None, help="restrict to characters, e.g. '1' or '0,1;1,0' for product groups"
     ),

@@ -14,7 +14,7 @@ from .errors import InputError
 from .gaingraph import GainGraph, make_gain_graph
 from .genframe import random_generic_bars
 from .hinge import analyze_framework, disagreements
-from .rigidity import crosscheck_block_ranks
+from .rigidity import CrosscheckResult, lifted_rank
 from .symmetry import AbelianGroup, PointRepresentation
 
 SCHEMA_VERSION = 1  # of the input documents: written here, read by ``cli``
@@ -131,9 +131,12 @@ def crosscheck_instances(
         rep = random_diagonal_rep(rng, orders, d)
         h = random_gain_graph(rng, rep.group, max_vertices, max_edges)
         cfg_seed = rng.randrange(2 ** 32)
-        config = random_generic_bars(h, rep, cfg_seed, bound=bound)
-        cc = crosscheck_block_ranks(h, config, rep)
         result = analyze_framework("body-bar", h, rep, cfg_seed, samples=2, bound=bound)
+        # sample 0 of the analysis is the configuration drawn from cfg_seed
+        cc = CrosscheckResult(
+            lifted_rank(h, random_generic_bars(h, rep, cfg_seed, bound=bound), rep),
+            {r.irrep: r.sample_ranks[0] for r in result.numeric.irreps},
+        )
         issues = []
         if not cc.additive:
             issues.append(

@@ -1,10 +1,11 @@
 """Random symmetric generic bar configurations on quotient graphs and their
 lifts to the covering framework.
 
-Genericity is emulated, not certified: points get integer coordinates from
-a seeded PRNG (Python's Mersenne Twister, recorded in the metadata), and
-callers accept a configuration as generic when exact ranks agree across
-independent seeds.  All arithmetic stays rational so agreement is exact.
+Points get integer coordinates from a seeded PRNG (Python's Mersenne
+Twister, recorded in the metadata).  A configuration is not itself
+certified generic: ``rigidity`` proves a rank generic when it meets an
+upper bound that holds at every configuration, and samples again where
+none does.  All arithmetic stays rational so ranks are exact.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .gaingraph import CoveredGraph, EdgeId, GainGraph, lift_cover, multiply_edg
 from .genframe import PRNG_NAME, BarConfiguration, BarEntry, random_point
 from .linalg import nullspace_exact, rank_certified
 from .matroid import CombinatorialVerdict, combinatorial_verdict, counting_violation
-from .rigidity import IrrepReport, RigidityReport, analyze, analyze_generic, merge_samples
+from .rigidity import IrrepReport, RigidityReport, analyze, analyze_generic, analyze_sampled
 from .symmetry import Element, PointRepresentation
 
 
@@ -230,25 +230,23 @@ def analyze_hinge(
     """Combinatorial path: signed-matroid union verdicts on the multiplied
     gain graph, run first so that their witness bounds certify the
     numeric ranks.  Numeric path: body-bar analysis of the multiplied
-    quotient with hinge-derived bars, per-character maximum rank over
-    ``samples`` seeds.
+    quotient with hinge-derived bars, sampled by ``analyze_sampled``:
+    sample t has the hinges from seed + t and the bars from seed +
+    7919 (t + 1), drawn only when it is needed.
 
     An explicit ``config`` fixes the hinges; sampling then varies only the
     generic bar combinations within each hinge's complement.
     """
     _require_free_edges(h)
-    hinges = [
-        config or random_generic_hinges(h, rep, seed + t, bound=bound) for t in range(samples)
-    ]
     multiplied = multiply_edges(h, bar_multiplicity(rep.d))
     verdicts = _verdicts(multiplied, rep)
-    witness_bounds = _witness_bounds(verdicts)
-    reports = []
-    for t, hconf in enumerate(hinges):
-        _, bars = hinge_to_bars(h, hconf, seed + 7919 * (t + 1), multiplied)
-        reports.append(analyze(multiplied, rep, bars, witness_bounds))
-    numeric = merge_samples(
-        reports,
+
+    def draw(t: int) -> BarConfiguration:
+        hinges = config or random_generic_hinges(h, rep, seed + t, bound=bound)
+        return hinge_to_bars(h, hinges, seed + 7919 * (t + 1), multiplied)[1]
+
+    numeric = analyze_sampled(
+        multiplied, rep, draw, samples, _witness_bounds(verdicts),
         {"seed": seed, "samples": samples, "bound": bound, "prng": PRNG_NAME,
          "model": "body-hinge", "bars_per_hinge": bar_multiplicity(rep.d)},
     )

@@ -24,6 +24,10 @@ realified for a complex character (phi(m) integer rows per quotient edge
 and phi(m) columns per screw coordinate, see ``symmetry``), and the block
 is ranked exactly.  Flex extraction and the tests read ``orbit_matrix``
 too.
+
+A rank that meets either upper bound is the generic rank, and the report
+names that bound as its proof.  ``analyze_sampled``, the sampling loop of
+both models, samples a block again only while its rank is unproven.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, lcm
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .algebra import Scalar
 from .errors import ConsistencyError, InputError
@@ -68,9 +72,10 @@ __all__ = [
     "orbit_matrix",
     "analyze",
     "analyze_generic",
-    "merge_samples",
+    "analyze_sampled",
     "extract_flex",
     "crosscheck_block_ranks",
+    "lifted_rank",
 ]
 
 
@@ -280,14 +285,35 @@ def _below_witness(rank: int, witness_bound: int | None, g: Element) -> int:
 
 @dataclass(frozen=True)
 class IrrepReport:
+    """One character's rank and flex count.  ``sample_ranks`` are the ranks
+    of its block at each configuration sampled for it, and ``rank`` is
+    their maximum.  ``proof`` names the upper bound on the rank at every
+    configuration that ``rank`` meets, which makes it the generic rank:
+    "bound" (the columns minus the proven fixed screws) or "witness" (the
+    matroid union's witness bound); None when it meets neither.  Reports
+    compare by their numbers, not by the proof."""
+
     irrep: Element
     rank: int
     trivial: int
     flex: int
+    sample_ranks: tuple[int, ...] = ()
+    proof: str | None = field(default=None, compare=False)
 
     @property
     def rigid(self) -> bool:
         return self.flex == 0
+
+    def merge(self, later: "IrrepReport") -> "IrrepReport":
+        """This report and a later sample's of the same character as one:
+        the maximum rank, both samples' ranks, and the later proof."""
+        rank = max(self.rank, later.rank)
+        return replace(
+            later,
+            rank=rank,
+            flex=later.flex + later.rank - rank,
+            sample_ranks=self.sample_ranks + later.sample_ranks,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -296,6 +322,8 @@ class IrrepReport:
             "trivial": self.trivial,
             "flex": self.flex,
             "rigid": self.rigid,
+            "proof": self.proof,
+            "sample_ranks": list(self.sample_ranks),
         }
 
 
@@ -345,35 +373,50 @@ def _lifted_edge_count(h: GainGraph, order: int) -> int:
     return n
 
 
+def _proof(rank: int, bound: int, witness_bound: int | None) -> str | None:
+    """Which upper bound on the rank at every configuration ``rank`` meets,
+    "bound" checked first; None when it meets neither."""
+    if rank == bound:
+        return "bound"
+    if rank == witness_bound:
+        return "witness"
+    return None
+
+
 def analyze(
     h: GainGraph,
     rep: PointRepresentation,
     config: BarConfiguration,
     witness_bounds: Mapping[Element, int] | None = None,
+    irreps: Sequence[Element] | None = None,
 ) -> RigidityReport:
     """Per-character ranks for one fixed configuration: the flex count of a
     block is the column count minus its rank minus its fixed-screw
     dimension.  One block is ranked per Galois orbit of characters.
     ``witness_bounds`` maps characters to the matroid union's witness
-    bounds on their ranks (see ``_block_rank``)."""
+    bounds on their ranks (see ``_block_rank``).  Each rank carries its
+    proof (see ``IrrepReport``).  ``irreps`` limits the report, and the
+    blocks ranked, to those characters; all of them by default."""
     _check_inputs(h, config, rep)
     b = comb(rep.d + 1, 2)
     nv = len(h.vertices)
     reports = []
-    ranks: dict[Element, int] = {}
-    for g in rep.group.elements():
+    ranks: dict[Element, tuple[int, str | None]] = {}
+    for g in rep.group.elements() if irreps is None else irreps:
         root = galois_representative(rep.group, g)
         if root not in ranks:
             witness_bound = None if witness_bounds is None else witness_bounds[root]
-            ranks[root] = _block_rank(h, config, rep, root, witness_bound)
-        rank = ranks[root]
+            rank = _block_rank(h, config, rep, root, witness_bound)
+            bound = b * nv - proven_trivial_dim(rep, root)
+            ranks[root] = rank, _proof(rank, bound, witness_bound)
+        rank, proof = ranks[root]
         trivial = trivial_motion_dim(rep, root)
         flex = b * nv - rank - trivial
         if flex < 0:
             raise ConsistencyError(
                 f"negative flex count in irrep {g}: rank {rank}, trivial {trivial}"
             )
-        reports.append(IrrepReport(irrep=g, rank=rank, trivial=trivial, flex=flex))
+        reports.append(IrrepReport(g, rank, trivial, flex, (rank,), proof))
     return RigidityReport(
         d=rep.d,
         group_orders=rep.group.orders,
@@ -385,6 +428,37 @@ def analyze(
     )
 
 
+def analyze_sampled(
+    h: GainGraph,
+    rep: PointRepresentation,
+    draw: Callable[[int], BarConfiguration],
+    samples: int,
+    witness_bounds: Mapping[Element, int] | None,
+    meta: dict,
+) -> RigidityReport:
+    """The sampling loop of both models.  Sample 0 is ``analyze`` at
+    ``draw(0)``.  Sample t + 1 is drawn only while some character's rank is
+    unproven, and ranks only those characters' blocks; a block is sampled
+    at most ``samples`` times.  Per character the rank is the maximum of
+    its sample ranks, the proof that of its last sample, and
+    ``samples_agree`` holds when every character's sample ranks are equal.
+    ``meta`` replaces the configurations' metadata."""
+    if samples < 1:
+        raise InputError("need at least one sample")
+    merged: dict[Element, IrrepReport] = {}
+    todo = rep.group.elements()
+    for t in range(samples):
+        report = analyze(h, rep, draw(t), witness_bounds, todo)
+        for r in report.irreps:
+            merged[r.irrep] = r if r.irrep not in merged else merged[r.irrep].merge(r)
+        todo = [g for g in todo if merged[g].proof is None]
+        if not todo:
+            break
+    irreps = tuple(merged[g] for g in rep.group.elements())
+    agree = all(len(set(r.sample_ranks)) == 1 for r in irreps)
+    return replace(report, irreps=irreps, samples_agree=agree, meta=meta)
+
+
 def analyze_generic(
     h: GainGraph,
     rep: PointRepresentation,
@@ -393,35 +467,13 @@ def analyze_generic(
     bound: int = 10 ** 6,
     witness_bounds: Mapping[Element, int] | None = None,
 ) -> RigidityReport:
-    """Analyze at a random symmetric configuration, sampling ``samples``
-    independent seeds and keeping the per-character maximum rank.  Exact
-    rank agreement across the samples is the practical genericity surrogate
-    and is reported, not enforced."""
-    per_sample = [
-        analyze(h, rep, random_generic_bars(h, rep, seed + t, bound=bound), witness_bounds)
-        for t in range(samples)
-    ]
+    """Analyze at random symmetric configurations, sample t drawn from seed
+    + t, at most ``samples`` of them per block (``analyze_sampled``)."""
     meta = {"seed": seed, "samples": samples, "bound": bound, "prng": "python-random-mt19937"}
-    return merge_samples(per_sample, meta)
-
-
-def merge_samples(per_sample: list[RigidityReport], meta: dict) -> RigidityReport:
-    """One report from the reports of independent samples: per character
-    the maximum rank and its flex count, ``samples_agree`` when every sample
-    gave the same ranks, and ``meta`` in place of the samples' metadata."""
-    if not per_sample:
-        raise InputError("need at least one sample")
-    base = per_sample[0]
-    agree = all(
-        [r.rank for r in rep_t.irreps] == [r.rank for r in base.irreps] for rep_t in per_sample
+    return analyze_sampled(
+        h, rep, lambda t: random_generic_bars(h, rep, seed + t, bound=bound),
+        samples, witness_bounds, meta,
     )
-    b = comb(base.d + 1, 2)
-    merged = []
-    for i, r in enumerate(base.irreps):
-        best = max(rep_t.irreps[i].rank for rep_t in per_sample)
-        flex = b * base.quotient_vertices - best - r.trivial
-        merged.append(IrrepReport(irrep=r.irrep, rank=best, trivial=r.trivial, flex=flex))
-    return replace(base, irreps=tuple(merged), samples_agree=agree, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +576,16 @@ class CrosscheckResult:
         return self.lifted_rank == sum(self.block_ranks.values())
 
 
+def lifted_rank(h: GainGraph, config: BarConfiguration, rep: PointRepresentation) -> int:
+    """Exact rank of the rigidity matrix of the lifted framework."""
+    cov, bars = lift_bars(h, config, rep)
+    lifted = rigidity_matrix(cov, bars, rep.d)
+    # each row is +vec at its tail block and -vec at its head block, so the
+    # C(d+1,2) constant screw assignments lie in the kernel
+    b = comb(rep.d + 1, 2)
+    return rank_certified(lifted, b * (len(cov.vertices) - 1))
+
+
 def crosscheck_block_ranks(
     h: GainGraph, config: BarConfiguration, rep: PointRepresentation
 ) -> CrosscheckResult:
@@ -533,12 +595,7 @@ def crosscheck_block_ranks(
     for g in rep.group.elements():
         if not irrep_is_real(rep.group, g):
             raise InputError("rank additivity crosscheck needs all-real characters")
-    cov, bars = lift_bars(h, config, rep)
-    lifted = rigidity_matrix(cov, bars, rep.d)
-    # each row is +vec at its tail block and -vec at its head block, so the
-    # C(d+1,2) constant screw assignments lie in the kernel
-    b = comb(rep.d + 1, 2)
-    lifted_rank = rank_certified(lifted, b * (len(cov.vertices) - 1))
+    lifted = lifted_rank(h, config, rep)
     _check_inputs(h, config, rep)
     blocks = {g: _block_rank(h, config, rep, g) for g in rep.group.elements()}
-    return CrosscheckResult(lifted_rank=lifted_rank, block_ranks=blocks)
+    return CrosscheckResult(lifted_rank=lifted, block_ranks=blocks)

@@ -226,19 +226,37 @@ class PointRepresentation:
                 raise RepresentationError(f"image of {g} is {m.n}x{m.n}, expected {self.d}x{self.d}")
             if not all(isinstance(x, (int, Fraction)) for row in m.rows for x in row):
                 raise RepresentationError(f"image of {g} has entries that are not rational")
+        # each image M as (D, N), N = D M an integer matrix, so that the
+        # products below are integer ones
+        scaled = {g: _integer_image(m) for g, m in self.images.items()}
         gens = sorted(self.group.generators())  # in element order
         for g in gens:
-            if not self.images[g].is_orthogonal():
+            den, n = scaled[g]
+            # N N^T = D^2 I exactly when M is orthogonal
+            square = (n @ n.transpose()).rows
+            if any(
+                x != (den * den if i == j else 0)
+                for i, row in enumerate(square)
+                for j, x in enumerate(row)
+            ):
                 raise RepresentationError(f"image of {g} is not orthogonal")
         # With I at the identity and invertible generator images, the
         # products below give G_s G_t = G_t G_s and G_t^(k_t) = I, and make
         # every image a product of generator images: a homomorphism.
+        # M_(a+b) = M_a M_b reads D_a D_b N_(a+b) = D_(a+b) N_a N_b.
         e = self.group.identity
         if self.images[e] != SquareMatrix.identity(self.d):
             raise RepresentationError(f"images violate homomorphism at {e}+{e}")
         for a in elems:
+            da, na = scaled[a]
             for b in gens:
-                if self.images[self.group.add(a, b)] != self.images[a] @ self.images[b]:
+                db, nb = scaled[b]
+                dc, nc = scaled[self.group.add(a, b)]
+                if any(
+                    da * db * x != dc * y
+                    for row, prow in zip(nc.rows, (na @ nb).rows)
+                    for x, y in zip(row, prow)
+                ):
                     raise RepresentationError(f"images violate homomorphism at {a}+{b}")
 
     def tau(self, g: Element) -> SquareMatrix:
@@ -291,6 +309,14 @@ class PointRepresentation:
         if not self.is_faithful():
             return RepresentationError("representation must be faithful")
         return None
+
+
+def _integer_image(m: SquareMatrix) -> tuple[int, SquareMatrix]:
+    """(D, D m) for a rational matrix m, D the lcm of its denominators."""
+    den = lcm(*(x.denominator for row in m.rows for x in row))
+    return den, SquareMatrix(
+        tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in m.rows)
+    )
 
 
 def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix:

@@ -3,18 +3,23 @@
 Everything here deliberately avoids the production algorithms: independence
 goes through exact incidence-matrix ranks, union ranks through exhaustive
 subset enumeration, and tree packings through the partition criterion.
-The one exception is ``matroid_union_rank_unpruned``, an earlier version of
-the union algorithm kept to pin the exact output of the current one.
+The exceptions are earlier versions of production code, kept to pin the
+exact output of the current ones: ``matroid_union_rank_unpruned``, the union
+algorithm, and ``analyze_generic`` with ``merge_samples``, the sampler that
+ranked every block at every sample.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from itertools import combinations
+from math import comb
 from typing import Mapping, Sequence
 
 from orbitrig.errors import ConsistencyError, InputError
-from orbitrig.gaingraph import EdgeId
+from orbitrig.gaingraph import EdgeId, GainGraph
+from orbitrig.genframe import random_generic_bars
 from orbitrig.linalg import rank_exact
 from orbitrig.matroid import (
     PairLabel,
@@ -24,6 +29,8 @@ from orbitrig.matroid import (
     _SignedForest,
     incidence_matrix,
 )
+from orbitrig.rigidity import IrrepReport, RigidityReport, analyze
+from orbitrig.symmetry import Element, PointRepresentation
 
 
 def incidence_rank(sg: SignedGraph, ids=None) -> int:
@@ -252,3 +259,42 @@ def matroid_union_rank_unpruned(
     rank = len(part_of)
     witness = tuple(e for e in elements if e in reach)
     return UnionRankResult(rank, decomposition, witness)
+
+
+def analyze_generic(
+    h: GainGraph,
+    rep: PointRepresentation,
+    seed: int,
+    samples: int = 2,
+    bound: int = 10 ** 6,
+    witness_bounds: Mapping[Element, int] | None = None,
+) -> RigidityReport:
+    """Analyze at a random symmetric configuration, sampling ``samples``
+    independent seeds and keeping the per-character maximum rank.  Exact
+    rank agreement across the samples is the practical genericity surrogate
+    and is reported, not enforced."""
+    per_sample = [
+        analyze(h, rep, random_generic_bars(h, rep, seed + t, bound=bound), witness_bounds)
+        for t in range(samples)
+    ]
+    meta = {"seed": seed, "samples": samples, "bound": bound, "prng": "python-random-mt19937"}
+    return merge_samples(per_sample, meta)
+
+
+def merge_samples(per_sample: list[RigidityReport], meta: dict) -> RigidityReport:
+    """One report from the reports of independent samples: per character
+    the maximum rank and its flex count, ``samples_agree`` when every sample
+    gave the same ranks, and ``meta`` in place of the samples' metadata."""
+    if not per_sample:
+        raise InputError("need at least one sample")
+    base = per_sample[0]
+    agree = all(
+        [r.rank for r in rep_t.irreps] == [r.rank for r in base.irreps] for rep_t in per_sample
+    )
+    b = comb(base.d + 1, 2)
+    merged = []
+    for i, r in enumerate(base.irreps):
+        best = max(rep_t.irreps[i].rank for rep_t in per_sample)
+        flex = b * base.quotient_vertices - best - r.trivial
+        merged.append(IrrepReport(irrep=r.irrep, rank=best, trivial=r.trivial, flex=flex))
+    return replace(base, irreps=tuple(merged), samples_agree=agree, meta=meta)

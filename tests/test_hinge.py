@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitrig.algebra import Extensor, hodge_star, wedge
+from orbitrig.algebra import Extensor, SquareMatrix, hodge_star, wedge
 from orbitrig.errors import UnsupportedGroupError
 from orbitrig.gaingraph import GainGraph, make_gain_graph, multiply_edges
 from orbitrig.genframe import BarConfiguration, BarEntry
@@ -221,6 +221,39 @@ class TestTrivialGroupReduction:
             quintupled = [pair for pair in pairs for _ in range(5)]
             assert report.rigid == tree_packing_exists(vertices, quintupled, 6)
             assert report.consistent
+
+
+class TestHingeSampling:
+    def test_witness_proven_flexible_input_is_sampled_once(self, monkeypatch):
+        """Two (2,2)-symmetric bodies joined by two hinge orbits: every block
+        is deficient and meets its witness bound at sample 0, so no second
+        hinge or bar configuration is drawn."""
+        from orbitrig import hinge
+        from orbitrig.symmetry import AbelianGroup
+
+        rep = PointRepresentation.from_generators(
+            AbelianGroup((2, 2)), 3,
+            [SquareMatrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+             SquareMatrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])],
+        )
+        h = make_gain_graph(
+            ["u", "v"], [(0, "u", "v", (0, 0)), (1, "u", "v", (1, 0))], group=rep.group
+        )
+        calls = []
+        for name in ("random_generic_hinges", "hinge_to_bars"):
+            original = getattr(hinge, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(hinge, name, counting)
+        out = analyze_hinge(h, rep, seed=3)
+        assert not out.rigid and out.consistent and out.numeric.samples_agree
+        assert [(r.proof, r.sample_ranks) for r in out.numeric.irreps] == [
+            ("witness", (10,)), ("witness", (10,)), ("witness", (8,)), ("witness", (8,))
+        ]
+        assert calls == ["random_generic_hinges", "hinge_to_bars"]
 
 
 class TestHingeDeterminism:

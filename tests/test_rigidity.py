@@ -39,7 +39,8 @@ from orbitrig.symmetry import (
     proven_trivial_dim,
     trivial_motion_dim,
 )
-from conftest import reflection9_rep, stewart_graph
+import oracles
+from conftest import mirror_rep, reflection9_rep, stewart_graph
 
 
 def trivial_framework(n_bars: int):
@@ -630,6 +631,85 @@ class TestWitnessBound:
         assert result.numeric == honest.numeric
         assert fallbacks == []
         assert not result.consistent
+
+
+class TestLazySampling:
+    """``analyze_generic`` ranks a block again only while no bound proves
+    its rank, at the configurations of the sampler that ranked every block
+    at every sample (``oracles.analyze_generic``), so its ranks are that
+    sampler's."""
+
+    def test_matches_the_sampler_that_ranks_every_block(self):
+        """Diagonal (2), (2,2), (2,2,2) and the quarter turn (4), d = 3;
+        coordinates in [-1, 1] and [-2, 2] put many samples in special
+        position, so that some blocks are sampled again."""
+        rng = random.Random(83)
+        reps = [random_diagonal_rep(rng, orders, 3) for orders in ((2,), (2, 2), (2, 2, 2))]
+        reps.append(_complex_rep(*COMPLEX_GROUPS[1]))
+        resampled = unproven = 0
+        for rep in reps:
+            for _ in range(3):
+                h = random_gain_graph(rng, rep.group, 3, rng.choice((3, 6, 12)))
+                bounds = None
+                if rep.is_combinatorial():
+                    bounds = {
+                        g: combinatorial_verdict(h, rep, g).witness_bound
+                        for g in rep.group.elements()
+                    }
+                for coordinate_bound in (1, 2, 10 ** 6):
+                    for samples in (1, 2, 3):
+                        seed = rng.randrange(2 ** 32)
+                        args = (h, rep, seed, samples, coordinate_bound, bounds)
+                        lazy = analyze_generic(*args)
+                        eager = oracles.analyze_generic(*args)
+                        assert [(r.irrep, r.rank, r.flex, r.rigid) for r in lazy.irreps] == [
+                            (r.irrep, r.rank, r.flex, r.rigid) for r in eager.irreps
+                        ]
+                        assert lazy.rigid == eager.rigid and lazy.meta == eager.meta
+                        assert lazy.samples_agree or not eager.samples_agree
+                        for r in lazy.irreps:
+                            assert r.rank == max(r.sample_ranks)
+                            assert 1 <= len(r.sample_ranks) <= samples
+                            if r.proof is None:
+                                assert len(r.sample_ranks) == samples
+                            resampled += len(r.sample_ranks) > 1
+                            unproven += r.proof is None
+        assert resampled >= 30 and unproven >= 40, (resampled, unproven)
+
+    def test_only_the_unproven_block_is_sampled_again(self, monkeypatch):
+        """Sample 0 puts the six loop bars of a mirror-symmetric body
+        through one point off the mirror: block (0,) still meets its bound
+        3, block (1,) has rank 2.  Sample 1 ranks block (1,) alone, and its
+        rank 3 meets the bound."""
+        rep = mirror_rep()
+        h = make_gain_graph(["v"], [(i, "v", "v", (1,)) for i in range(6)], group=rep.group)
+        point = (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
+        rng = random.Random(3)
+        special = BarConfiguration(3, {
+            i: bar_from_points(3, point, tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
+                               + (Fraction(1),))
+            for i in range(6)
+        })
+        draw = rigidity.random_generic_bars
+        monkeypatch.setattr(
+            rigidity, "random_generic_bars",
+            lambda h, rep, seed, bound: special if seed == 5 else draw(h, rep, seed, bound),
+        )
+        ranked = []
+        block_rank = rigidity._block_rank
+
+        def recording(h, config, rep, g, witness_bound=None):
+            ranked.append((config is special, g))
+            return block_rank(h, config, rep, g, witness_bound)
+
+        monkeypatch.setattr(rigidity, "_block_rank", recording)
+        bounds = {g: combinatorial_verdict(h, rep, g).witness_bound for g in rep.group.elements()}
+        report = analyze_generic(h, rep, seed=5, witness_bounds=bounds)
+        assert ranked == [(True, (0,)), (True, (1,)), (False, (1,))]
+        assert [(r.rank, r.sample_ranks, r.proof) for r in report.irreps] == [
+            (3, (3,), "bound"), (3, (2, 3), "bound")
+        ]
+        assert report.rigid and not report.samples_agree
 
 
 class TestMultiVertexFlex:

@@ -129,6 +129,20 @@ class TestPointRepresentation:
         with pytest.raises(RepresentationError, match=r"violate homomorphism at \(\)\+\(\)"):
             PointRepresentation(AbelianGroup(()), 3, {(): mirror})
 
+    def test_checks_images_with_denominators(self):
+        """The validation scales each image to integers.  A reflection with
+        denominators 9 passes; a rotation by the angle with cosine 3/5 is
+        orthogonal but of infinite order; squeezing its z axis breaks
+        orthogonality."""
+        assert reflection9_rep().images[(1,)].entry(0, 0) == Fraction(7, 9)
+        cos, sin = Fraction(3, 5), Fraction(4, 5)
+        rotation = [[cos, -sin, 0], [sin, cos, 0], [0, 0, 1]]
+        with pytest.raises(RepresentationError, match="violate homomorphism"):
+            PointRepresentation.from_generators(two_group(1), 3, [SquareMatrix.from_rows(rotation)])
+        squeezed = rotation[:2] + [[0, 0, Fraction(1, 2)]]
+        with pytest.raises(RepresentationError, match="not orthogonal"):
+            PointRepresentation.from_generators(two_group(1), 3, [SquareMatrix.from_rows(squeezed)])
+
     def test_rejects_non_rational_images(self):
         quarter = SquareMatrix.from_rows([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(RepresentationError, match="not rational"):
