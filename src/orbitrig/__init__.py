@@ -55,7 +55,6 @@ from .symmetry import (
     PointRepresentation,
     fixed_subspace_basis,
     induced_labeling,
-    irrep_value,
     tau_hat2_j,
     trivial_motion_dim,
 )

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InputError, RepresentationError, UnsupportedGroupError
-from .symmetry import AbelianGroup, Element, PointRepresentation, irrep_value
+from .symmetry import AbelianGroup, Element, PointRepresentation, character_power
 
 VertexId = Hashable
 EdgeId = Hashable
@@ -225,7 +225,7 @@ def remove_zero_loops(h: GainGraph, rep: PointRepresentation, g: Element) -> Gai
         raise RepresentationError("zero-loop removal requires a faithful representation")
     drop = set()
     for e in h.loops_in_l():
-        if irrep_value(rep.group, g, e.gain) == -1:
+        if 2 * character_power(rep.group, g, e.gain) == rep.group.element_order(g):
             drop.add(e.id)
     if not drop:
         return h

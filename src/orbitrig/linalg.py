@@ -12,7 +12,7 @@ pivot over the row multipliers, and ``kernel_vectors`` back-substitutes on
 its rows, one kernel vector per free column.
 
 ``rank_mod_p`` is the only prime-field engine.  It ranks rows given as
-``{column: residue}`` dicts, choosing pivots by Markowitz's rule (the
+``{column: x mod p}`` dicts, choosing pivots by Markowitz's rule (the
 sparsest row, then the sparsest column in it), and stops once a target
 rank is reached.  The rank over F_p never exceeds the rank over Q (nor, for
 rows over Z[zeta_m] sent to F_p by zeta_m -> w, the rank over Q(zeta_m)),
@@ -21,18 +21,18 @@ arithmetic, an F_p rank equal to min(nonzero rows, U) is the exact rank.
 The same holds for any other proven upper bound that the F_p rank meets;
 ``rigidity._block_rank`` uses the matroid union's witness bound that way,
 after eliminating up to min(nonzero rows, U) so that an F_p rank above the
-witness bound is caught rather than hidden.  The orbit blocks reach it as
-integer rows reduced mod p, so no denominator is involved there.
+witness bound is caught rather than hidden.
 ``prime_with_root(m)`` gives the prime for characters of order m: the
 largest prime p < 2**31 with p = 1 (mod m), and a primitive m-th root of
-unity w mod p.  ``rank_certified`` applies the certificate to dense
-rational matrices with p = ``PRIME`` = 2**31 - 1; any other outcome (a
-deficient matrix, a row that vanishes mod p, or p dividing a denominator)
-falls back to ``rank_exact``.  ``rank_complex`` ranks a realified block of
-a complex character, each entry of Q(zeta_m) replaced by its
-phi(m) x phi(m) integer multiplication block, as its certified rational
-rank divided by phi(m).  Every rank these return is exact; no
-floating-point value is involved.
+unity w mod p.  Every input reaches F_p as integer rows: the orbit blocks
+are assembled that way, and ``rank_certified`` clears each row of a dense
+rational matrix of its denominators, as ``echelon`` does, before reducing
+it mod ``PRIME`` = 2**31 - 1; a matrix it cannot certify (deficient, or
+with a row that vanishes mod p) falls back to ``rank_exact``.
+``rank_complex`` ranks a realified block of a complex character, each
+entry of Q(zeta_m) replaced by its phi(m) x phi(m) integer multiplication
+block, as its Bareiss rank divided by phi(m).  Every rank these return is
+exact; no floating-point value is involved.
 """
 
 from __future__ import annotations
@@ -147,44 +147,26 @@ def nullspace_exact(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[
     return list(kernel_vectors(rows, ncols))
 
 
-def residue(x: Scalar, p: int) -> int | None:
-    """``x`` reduced mod the prime ``p``, or None when p divides its
-    denominator."""
-    num, den = x.as_integer_ratio()
-    if den == 1:
-        return num % p
-    if den % p:
-        return num * pow(den, -1, p) % p
-    return None
-
-
 def rank_certified(rows: Sequence[Sequence[Scalar]], bound: int) -> int:
     """Rank over the rationals of a matrix with int or Fraction entries,
     given ``bound``, an upper bound on that rank which the
     caller has proven exactly.
 
-    Rows that are zero over Q are skipped.  The rest are reduced mod PRIME
-    to sparse rows and ranked by ``rank_mod_p``; since rank_p <= rank_Q <=
-    min(nonzero rows, bound), an F_p rank reaching that minimum is returned
-    as it is.  Otherwise, or when PRIME divides a denominator, the result
-    is ``rank_exact(rows)``."""
+    Rows that are zero over Q are skipped.  Each other row is multiplied
+    by the least common multiple of its denominators, as in ``echelon``,
+    and its integers are reduced mod PRIME to a sparse row for
+    ``rank_mod_p``; since rank_p <= rank_Q <= min(nonzero rows, bound), an
+    F_p rank reaching that minimum is returned as it is.  Otherwise the
+    result is ``rank_exact(rows)``."""
     reduced = []
     ncols = len(rows[0]) if rows else 0
     for row in rows:
         if len(row) != ncols:
             raise InputError("ragged matrix")
-        out = {}
-        nonzero = False
-        for c, x in enumerate(row):
-            if x:
-                nonzero = True
-                r = residue(x, PRIME)
-                if r is None:
-                    return rank_exact(rows)
-                if r:
-                    out[c] = r
-        if nonzero:
-            reduced.append(out)
+        terms = [(c, x.numerator, x.denominator) for c, x in enumerate(row) if x]
+        if terms:
+            denom = lcm(*(d for _, _, d in terms))
+            reduced.append({c: r for c, n, d in terms if (r := n * (denom // d) % PRIME)})
     target = min(len(reduced), bound)
     if rank_mod_p(reduced, target, PRIME) == target:
         return target
@@ -193,7 +175,7 @@ def rank_certified(rows: Sequence[Sequence[Scalar]], bound: int) -> int:
 
 def rank_mod_p(rows: list[dict[int, int]], target: int, p: int) -> int:
     """Rank over F_p of sparse rows, each a dict from column to nonzero
-    residue, by Gaussian elimination that stops once the rank reaches
+    value mod p, by Gaussian elimination that stops once the rank reaches
     ``target``.  Pivots follow Markowitz's rule: the sparsest row, then
     the column of that row shared with the fewest other rows, which keeps
     the fill-in of incidence-like matrices small.  The dicts are consumed."""
@@ -276,13 +258,12 @@ def prime_with_root(m: int) -> tuple[int, int]:
         g += 1
 
 
-def rank_complex(rows: Sequence[Sequence[Scalar]], bound: int, degree: int) -> int:
+def rank_complex(rows: Sequence[Sequence[Scalar]], degree: int) -> int:
     """Rank over Q(zeta_m) of a matrix given in realified form, ``degree``
-    being phi(m): its rational rank, certified against ``bound`` as in
-    ``rank_certified``, divided by ``degree``.  Realifying multiplies every
-    rank by the degree, so a remainder means the input was not realified."""
-    rank, rest = divmod(rank_certified(rows, bound), degree)
+    being phi(m): its Bareiss rank divided by ``degree``.  Realifying
+    multiplies every rank by the degree, so a remainder means the input
+    was not realified."""
+    rank, rest = divmod(rank_exact(rows), degree)
     if rest:
         raise ConsistencyError(f"realified rank is not a multiple of the degree {degree}")
     return rank
-

@@ -34,9 +34,8 @@ part's elements on that circuit, since ``I - y + x`` is independent iff
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -318,12 +317,14 @@ class UnionDecomposition:
 @dataclass(frozen=True)
 class UnionRankResult:
     """Union rank plus certificates: a decomposition of a maximum
-    independent subset, and a witness set X with
-    rank == |S \\ X| + sum_i r_i(X) (tight by construction)."""
+    independent subset, a witness set X, and ``witness_bound``, the
+    |S \\ X| + sum_i r_i(X) evaluated from X, which equals the rank (tight
+    by construction, and checked)."""
 
     rank: int
     decomposition: UnionDecomposition
     witness: tuple[EdgeId, ...]
+    witness_bound: int
 
 
 def matroid_union_rank(
@@ -334,10 +335,10 @@ def matroid_union_rank(
     common ground set, via incremental augmenting paths in the exchange
     graph (breadth-first, deterministic tie-breaking).
 
-    Returns the rank, a decomposition of a maximum independent subset, and
-    the set X of elements reachable from the unassigned ones (the saturated
-    set), which certifies optimality: rank = |S \\ X| + sum_i r_i(X),
-    checked here.
+    Returns the rank, a decomposition of a maximum independent subset, the
+    set X of elements reachable from the unassigned ones (the saturated
+    set), which certifies optimality, and |S \\ X| + sum_i r_i(X)
+    evaluated from X, checked here to equal the rank.
     """
     if not labeled_sgs:
         raise InputError("need at least one matroid")
@@ -418,9 +419,10 @@ def matroid_union_rank(
     )
     rank = len(part_of)
     witness = tuple(e for e in elements if e in saturated)
-    if rank != union_rank_by_formula(labeled_sgs, elements, witness):
+    witness_bound = union_rank_by_formula(labeled_sgs, elements, witness)
+    if rank != witness_bound:
         raise ConsistencyError("union rank does not meet its witness bound")
-    return UnionRankResult(rank, decomposition, witness)
+    return UnionRankResult(rank, decomposition, witness, witness_bound)
 
 
 def union_rank_by_formula(
@@ -484,13 +486,14 @@ class CombinatorialVerdict:
     """Outcome of the signed-matroid union test for one character label.
 
     ``witness_bound`` is |S \\ X| + sum_i r_i(X) for the union's witness X
-    on the ``labeled`` graphs, evaluated by ``union_rank_by_formula`` on
-    first use and never read from the union's count.  Coordinate i of the
-    character's orbit matrix is a row-scaled signed incidence matrix of
-    labeled graph i, in columns of its own, so the rows of X span rank at
-    most sum_i r_i(X) and the others at most |S \\ X|: the bound holds for
-    the rank of the block at every configuration (the removed zero loops
-    have zero rows).  Neither is part of ``to_json``."""
+    on the labeled graphs, as the union evaluated it from X for its own
+    check (``UnionRankResult``), never read from the union's count.
+    Coordinate i of the character's orbit matrix is a row-scaled signed
+    incidence matrix of labeled graph i, in columns of its own, so the
+    rows of X span rank at most sum_i r_i(X) and the others at most
+    |S \\ X|: the bound holds for the rank of the block at every
+    configuration (the removed zero loops have zero rows).  It is not part
+    of ``to_json``."""
 
     irrep: Element
     d: int
@@ -502,16 +505,11 @@ class CombinatorialVerdict:
     removed_loops: tuple[EdgeId, ...]
     decomposition: UnionDecomposition
     witness: tuple[EdgeId, ...]
-    labeled: tuple[tuple[PairLabel, SignedGraph], ...] = field(repr=False, compare=False)
+    witness_bound: int
 
     @property
     def count_matches_target(self) -> bool:
         return self.edges == self.target
-
-    @cached_property
-    def witness_bound(self) -> int:
-        ground = [e.id for e in self.labeled[0][1].edges]
-        return union_rank_by_formula(self.labeled, ground, self.witness)
 
     def to_json(self) -> dict:
         return {
@@ -575,7 +573,7 @@ def combinatorial_verdict(h: GainGraph, rep: PointRepresentation, g: Element) ->
         removed_loops=removed,
         decomposition=result.decomposition,
         witness=result.witness,
-        labeled=tuple(labeled),
+        witness_bound=result.witness_bound,
     )
 
 

@@ -21,13 +21,14 @@ union's witness bound, an upper bound on the rank at every configuration,
 also certifies an F_p rank that reaches it, so a deficient block needs no
 Bareiss elimination either.  Otherwise ``orbit_matrix`` densifies the rows,
 realified for a complex character (phi(m) integer rows per quotient edge
-and phi(m) columns per screw coordinate, see ``symmetry``), and the block
-is ranked exactly.  Flex extraction and the tests read ``orbit_matrix``
-too.
+and phi(m) columns per screw coordinate, see ``symmetry``), and
+``OrbitMatrix.rank`` ranks it by Bareiss, divided by phi(m).  Flex
+extraction and the tests read ``orbit_matrix`` too.
 
-A rank that meets either upper bound is the generic rank, and the report
-names that bound as its proof.  ``analyze_sampled``, the sampling loop of
-both models, samples a block again only while its rank is unproven.
+A rank that meets either upper bound is the generic rank, and
+``_block_rank`` names that bound as its proof.  ``analyze_sampled``, the
+sampling loop of both models, samples a block again only while its rank
+is unproven.
 """
 
 from __future__ import annotations
@@ -41,14 +42,7 @@ from .algebra import Scalar
 from .errors import ConsistencyError, InputError
 from .gaingraph import CoveredGraph, EdgeId, GainGraph, VertexId
 from .genframe import BarConfiguration, BarEntry, lift_bars, random_generic_bars, verify_loop_form
-from .linalg import (
-    kernel_vectors,
-    prime_with_root,
-    rank_certified,
-    rank_complex,
-    rank_exact,
-    rank_mod_p,
-)
+from .linalg import kernel_vectors, prime_with_root, rank_certified, rank_complex, rank_mod_p
 from .symmetry import (
     Element,
     PointRepresentation,
@@ -56,7 +50,6 @@ from .symmetry import (
     fixed_subspace_basis,
     galois_representative,
     irrep_degree,
-    irrep_is_real,
     proven_trivial_dim,
     root_of_unity_matrix,
     tau_hat2_int,
@@ -128,8 +121,9 @@ class OrbitMatrix:
         return self.rows[self.edge_ids.index(eid) * self.degree]
 
     def rank(self) -> int:
-        """Rank over Q(zeta_m) by Bareiss, independent of the certified path."""
-        return rank_exact(self.rows) // self.degree
+        """Rank over Q(zeta_m) by Bareiss (``rank_complex``), independent of
+        the certified path."""
+        return rank_complex(self.rows, self.degree)
 
 
 def orbit_matrix(
@@ -228,14 +222,14 @@ def _block_rank(
     rep: PointRepresentation,
     g: Element,
     witness_bound: int | None = None,
-) -> int:
+) -> tuple[int, str | None]:
     """Exact rank over Q(zeta_m) of the block of character g, m its order,
-    for inputs that passed ``_check_inputs``.  The rows of ``_block_rows``
-    are sent to F_p, p the prime of ``prime_with_root(m)``, by zeta_m -> w:
-    column t phi(m) + c goes to t with weight w^c.  That is a ring
-    homomorphism, so rank_p <= rank <= min(nonzero rows, bound), the bound
-    being the columns minus the proven fixed screws, and elimination runs
-    up to that minimum.  An F_p rank reaching it is returned.
+    for inputs that passed ``_check_inputs``, and its proof.  The rows of
+    ``_block_rows`` are sent to F_p, p the prime of ``prime_with_root(m)``,
+    by zeta_m -> w: column t phi(m) + c goes to t with weight w^c.  That is
+    a ring homomorphism, so rank_p <= rank <= min(nonzero rows, bound), the
+    bound being the columns minus the proven fixed screws, and elimination
+    runs up to that minimum.  An F_p rank reaching it is the rank.
 
     ``witness_bound``, given for a two-group character, is the matroid
     union's |S \\ X| + sum_i r_i(X) (``CombinatorialVerdict``), another
@@ -243,9 +237,9 @@ def _block_rank(
     Elimination does not stop at it: an F_p rank above it raises
     ``ConsistencyError``, and one equal to it is the rank, which certifies
     deficient blocks too.  Otherwise the realified orbit matrix is ranked
-    by Bareiss (real characters) or ``rank_complex``."""
-    trivial = proven_trivial_dim(rep, g)
-    bound = comb(rep.d + 1, 2) * len(h.vertices) - trivial
+    by ``OrbitMatrix.rank``.  The proof names the bound that the rank
+    meets, "bound" checked first, or is None (see ``IrrepReport``)."""
+    bound = comb(rep.d + 1, 2) * len(h.vertices) - proven_trivial_dim(rep, g)
     p, w = prime_with_root(rep.group.element_order(g))
     deg = irrep_degree(rep.group, g)
     weights = [pow(w, c, p) for c in range(deg)]
@@ -262,12 +256,9 @@ def _block_rank(
         rows.append({t: y for t, x in row.items() if (y := x % p)})
     target = min(len(rows), bound)
     rank = _below_witness(rank_mod_p(rows, target, p), witness_bound, g)
-    if rank in (target, witness_bound):
-        return rank
-    om = orbit_matrix(h, config, rep, g)
-    if om.degree == 1:
-        return _below_witness(rank_exact(om.rows), witness_bound, g)
-    return rank_complex(om.rows, om.ncols - om.degree * trivial, om.degree)
+    if rank not in (target, witness_bound):
+        rank = _below_witness(orbit_matrix(h, config, rep, g).rank(), witness_bound, g)
+    return rank, "bound" if rank == bound else "witness" if rank == witness_bound else None
 
 
 def _below_witness(rank: int, witness_bound: int | None, g: Element) -> int:
@@ -373,16 +364,6 @@ def _lifted_edge_count(h: GainGraph, order: int) -> int:
     return n
 
 
-def _proof(rank: int, bound: int, witness_bound: int | None) -> str | None:
-    """Which upper bound on the rank at every configuration ``rank`` meets,
-    "bound" checked first; None when it meets neither."""
-    if rank == bound:
-        return "bound"
-    if rank == witness_bound:
-        return "witness"
-    return None
-
-
 def analyze(
     h: GainGraph,
     rep: PointRepresentation,
@@ -406,9 +387,7 @@ def analyze(
         root = galois_representative(rep.group, g)
         if root not in ranks:
             witness_bound = None if witness_bounds is None else witness_bounds[root]
-            rank = _block_rank(h, config, rep, root, witness_bound)
-            bound = b * nv - proven_trivial_dim(rep, root)
-            ranks[root] = rank, _proof(rank, bound, witness_bound)
+            ranks[root] = _block_rank(h, config, rep, root, witness_bound)
         rank, proof = ranks[root]
         trivial = trivial_motion_dim(rep, root)
         flex = b * nv - rank - trivial
@@ -590,12 +569,9 @@ def crosscheck_block_ranks(
     h: GainGraph, config: BarConfiguration, rep: PointRepresentation
 ) -> CrosscheckResult:
     """Exact rank of the lifted rigidity matrix against the sum of the
-    orbit-matrix ranks across characters.  Restricted to representations
-    whose characters are all real so both sides stay rational."""
-    for g in rep.group.elements():
-        if not irrep_is_real(rep.group, g):
-            raise InputError("rank additivity crosscheck needs all-real characters")
+    block ranks across characters, each over Q(zeta_m) for its character's
+    order m.  The lifted matrix is rational for every representation."""
     lifted = lifted_rank(h, config, rep)
     _check_inputs(h, config, rep)
-    blocks = {g: _block_rank(h, config, rep, g) for g in rep.group.elements()}
+    blocks = {g: _block_rank(h, config, rep, g)[0] for g in rep.group.elements()}
     return CrosscheckResult(lifted_rank=lifted, block_ranks=blocks)

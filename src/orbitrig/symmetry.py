@@ -5,10 +5,11 @@ Groups are products Z/k_1 x ... x Z/k_l written additively; an element is an
 integer tuple reduced componentwise.  The trivial group is the empty product
 ``AbelianGroup(())``.  Characters are labeled by group elements.  A
 character j of order m takes values in the powers of zeta_m; it is real
-(values +-1) when m <= 2.  The exact constructions here (twisted images,
-fixed screws and their kernel proof) handle every character over Q through
-its realification; the prime-field block ranks of ``rigidity`` instead
-send zeta_m to a root of unity mod p.  Q(zeta_m) is a Q-vector space of
+(values +-1) when m <= 2.  A value is kept exactly, as its exponent a
+for the value zeta_m^a (``character_power``).  The exact constructions
+here (twisted images, fixed screws and their kernel proof) handle every
+character over Q through its realification; the prime-field block ranks
+of ``rigidity`` instead send zeta_m to a root of unity mod p.  Q(zeta_m) is a Q-vector space of
 dimension phi(m) with basis 1, zeta_m, ..., zeta_m^(phi(m)-1), and
 multiplication by zeta_m^a is the integer matrix C_m^a, C_m the companion
 matrix of the cyclotomic polynomial Phi_m.  Real characters have phi = 1
@@ -17,7 +18,6 @@ and C = [+-1], so their twisted images are the plain scaled ones.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -80,32 +80,11 @@ class AbelianGroup:
         return all(k == 2 for k in self.orders)
 
 
-def _phase(group: AbelianGroup, j: Element, i: Element) -> Fraction:
-    """The character labeled by j at the element i is exp(2 pi i phase)."""
-    phase = Fraction(0)
-    for jt, it, kt in zip(group.canon(j), group.canon(i), group.orders):
-        phase += Fraction(jt * it, kt)
-    return phase % 1
-
-
-def irrep_value(group: AbelianGroup, j: Element, i: Element) -> Fraction | complex:
-    """Value of the character labeled by j at the element i, for display and
-    for telling +-1 apart: the product of the per-factor roots of unity.
-    Returns an exact Fraction(+-1) whenever the accumulated phase is 0 or
-    1/2, complex otherwise.  No rank or dimension is computed from the
-    complex value; see ``tau_hat2_j``."""
-    phase = _phase(group, j, i)
-    if phase == 0:
-        return Fraction(1)
-    if phase == Fraction(1, 2):
-        return Fraction(-1)
-    return cmath.exp(2j * cmath.pi * float(phase))
-
-
 def character_power(group: AbelianGroup, j: Element, i: Element) -> int:
     """The exponent a, 0 <= a < m, with value zeta_m^a of the character
-    labeled by j at the element i, m the order of j: the phase of
-    ``_phase`` times m, where each j_t m / k_t is an integer."""
+    labeled by j at the element i, m the order of j: the value is
+    exp(2 pi i sum_t j_t i_t / k_t), and each j_t m / k_t is an integer.
+    The value is -1 exactly when 2a = m."""
     m = group.element_order(j)
     return sum(x * y * m // k for x, y, k in zip(group.canon(j), group.canon(i), group.orders)) % m
 

@@ -167,7 +167,8 @@ def matroid_union_rank_unpruned(
 
     Returns the rank, a decomposition of a maximum independent subset, and
     the set X of elements reachable from the unassigned ones, which
-    certifies optimality: rank = |S \\ X| + sum_i r_i(X).
+    certifies optimality: rank = |S \\ X| + sum_i r_i(X).  That sum is
+    evaluated here with the incidence ranks r_i(X) of ``incidence_rank``.
     """
     if not labeled_sgs:
         raise InputError("need at least one matroid")
@@ -258,7 +259,9 @@ def matroid_union_rank_unpruned(
     )
     rank = len(part_of)
     witness = tuple(e for e in elements if e in reach)
-    return UnionRankResult(rank, decomposition, witness)
+    ranks = sum(incidence_rank(sg, witness) for _, sg in labeled_sgs)
+    bound = len(elements) - len(witness) + ranks
+    return UnionRankResult(rank, decomposition, witness, bound)
 
 
 def analyze_generic(

@@ -24,7 +24,7 @@ from orbitrig.matroid import (
     matroid_union_rank,
 )
 from orbitrig.rigidity import analyze_generic, crosscheck_block_ranks, orbit_matrix
-from orbitrig.symmetry import PointRepresentation, irrep_value
+from orbitrig.symmetry import PointRepresentation, character_power
 from conftest import halfturn_rep, mirror_rep
 from oracles import (
     independent_by_incidence,
@@ -139,7 +139,9 @@ class TestAcceptance:
                         if not e.is_loop():
                             continue
                         rows = [om.row_of(e.id) for om in oms]
-                        if e.id in h.loops_l and irrep_value(rep.group, g, e.gain) == -1:
+                        if e.id in h.loops_l and 2 * character_power(
+                            rep.group, g, e.gain
+                        ) == rep.group.element_order(g):
                             assert all(all(x == 0 for x in row) for row in rows)
                         else:
                             assert any(any(x != 0 for x in row) for row in rows)

@@ -99,9 +99,25 @@ class TestRankCertified:
         assert len(fallbacks) == 2
 
     def test_denominator_divisible_by_p(self, fallbacks):
+        # rows are cleared of denominators before they are reduced mod p, so
+        # only the deficient matrix falls back
         assert rank_certified([[Fraction(1, PRIME), 0], [0, 1]], 2) == 2
         assert rank_certified([[Fraction(1, PRIME), Fraction(2, PRIME)], [1, 2]], 2) == 1
-        assert len(fallbacks) == 2
+        assert fallbacks == [2]
+
+    def test_rows_are_cleared_of_denominators(self):
+        """Rows of a deficient integer matrix divided by row scalars: the
+        rational rank is unchanged, but the entries' numerators alone,
+        reduced mod p, would make independent rows."""
+        rng = random.Random(12)
+        for _ in range(30):
+            m, n = rng.randint(3, 8), rng.randint(3, 8)
+            r = rng.randint(1, min(m, n) - 1)
+            scales = [rng.randint(2, 30) for _ in range(m)]
+            product = _product_matrix(rng, m, n, r)
+            rows = [[Fraction(x, k) for x in row] for row, k in zip(product, scales)]
+            expected = rank_exact(rows)
+            assert rank_certified(rows, r) == rank_certified(rows, n) == expected
 
     def test_zero_rows_do_not_count_toward_the_bound(self, fallbacks):
         rows = [[0, 0, 0], [1, 2, 3], [Fraction(0)] * 3, [2, 4, 7]]

@@ -7,11 +7,11 @@ from math import comb
 
 import pytest
 
-from orbitrig import matroid, rigidity
+from orbitrig import linalg, matroid, rigidity
 from orbitrig.algebra import SquareMatrix, wedge
 from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
 from orbitrig.errors import ConsistencyError, InputError
-from orbitrig.gaingraph import lift_cover, make_gain_graph
+from orbitrig.gaingraph import lift_cover, make_gain_graph, remove_zero_loops
 from orbitrig.genframe import (
     BarConfiguration,
     BarEntry,
@@ -20,7 +20,7 @@ from orbitrig.genframe import (
     random_generic_bars,
 )
 from orbitrig.hinge import HingeConfiguration, analyze_framework, analyze_hinge
-from orbitrig.matroid import combinatorial_verdict
+from orbitrig.matroid import combinatorial_verdict, labeled_signed_graphs, union_rank_by_formula
 from orbitrig.linalg import kernel_vectors, prime_with_root, rank_complex, rank_exact
 from orbitrig.rigidity import (
     analyze,
@@ -35,7 +35,7 @@ from orbitrig.rigidity import (
 from orbitrig.symmetry import (
     AbelianGroup,
     PointRepresentation,
-    irrep_value,
+    character_power,
     proven_trivial_dim,
     trivial_motion_dim,
 )
@@ -72,7 +72,7 @@ class TestMatrixRank:
         # [[1, i], [2, 2i]] over Q(i), each entry x + y i realified as the
         # multiplication block [[x, -y], [y, x]] in the basis 1, i
         rows = [[1, 0, 0, -1], [0, 1, 1, 0], [2, 0, 0, -2], [0, 2, 2, 0]]
-        assert rank_complex(rows, 4, 2) == 1
+        assert rank_complex(rows, 2) == 1
 
 
 class TestRigidityMatrix:
@@ -149,7 +149,7 @@ class TestOrbitMatrix:
                 om = orbit_matrix(h, config, rep, g)
                 for e in h.loops_in_l():
                     row = om.row_of(e.id)
-                    if irrep_value(rep.group, g, e.gain) == -1:
+                    if 2 * character_power(rep.group, g, e.gain) == rep.group.element_order(g):
                         assert all(x == 0 for x in row)
                     else:
                         assert any(x != 0 for x in row)
@@ -348,18 +348,21 @@ class TestComplexCharacters:
                 stacked = tuple(s) * len(h.vertices)
                 assert all(sum(a * x for a, x in zip(row, stacked)) == 0 for row in om.rows)
 
-    def test_crosscheck_requires_real_characters(self):
-        from orbitrig.symmetry import AbelianGroup
-
-        group = AbelianGroup((4,))
-        rot = __import__("orbitrig").SquareMatrix.from_rows(
-            [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
-        )
-        rep = PointRepresentation.from_generators(group, 3, [rot])
-        h = make_gain_graph(["v"], [(0, "v", "v", (1,))], group=group)
-        config = random_generic_bars(h, rep, 6)
-        with pytest.raises(InputError):
-            crosscheck_block_ranks(h, config, rep)
+    @pytest.mark.parametrize("orders, d, generator", COMPLEX_GROUPS, ids=["z3", "z4", "z6", "z8"])
+    def test_crosscheck_is_additive(self, orders, d, generator):
+        """``crosscheck_block_ranks`` takes complex characters: the lifted
+        matrix is rational for any representation, and each block rank is
+        exact over Q(zeta_m).  The first instance is one body with a loop
+        of gain 1."""
+        rep = _complex_rep(orders, d, generator)
+        rng = random.Random(59 + orders[0])
+        graphs = [make_gain_graph(["v"], [(0, "v", "v", (1,))], group=rep.group)]
+        graphs += [random_gain_graph(rng, rep.group, 3, 8 if d == 3 else 14) for _ in range(4)]
+        for t, h in enumerate(graphs):
+            config = random_generic_bars(h, rep, t, bound=50)
+            cc = crosscheck_block_ranks(h, config, rep)
+            assert cc.additive
+            assert cc.block_ranks == {r.irrep: r.rank for r in analyze(h, rep, config).irreps}
 
 
 def _block_groups():
@@ -384,6 +387,35 @@ def _with_parallel_copy(h, config):
     return make_gain_graph(h.vertices, edges, loops_l), BarConfiguration(config.d, entries)
 
 
+def _unrealified_instances(rep):
+    """(h, config) pairs of ``rep``: random gain graphs on 2 vertices with
+    b/2 to 4b edges (b = C(d+1,2)) and bars from [-9, 9], every second one
+    with a parallel copy of its first edge."""
+    rng = random.Random(17 + rep.group.order())
+    b = comb(rep.d + 1, 2)
+    for t in range(16 if rep.d == 3 else 6):
+        h = random_gain_graph(rng, rep.group, 2, rng.choice((b // 2, b, 2 * b, 4 * b)))
+        config = random_generic_bars(h, rep, t, bound=9)
+        yield _with_parallel_copy(h, config) if t % 2 else (h, config)
+
+
+def _witness_instances():
+    """(rep, h, configs) for random diagonal (2), (2,2) and (2,2,2)
+    representations, d = 2-4, on 3 vertices; the three configurations
+    have coordinates from [-1, 1], [-2, 2] and [-1000, 1000], so many of
+    the first two sit in special position and the last almost never."""
+    rng = random.Random(29)
+    for orders, d in WITNESS_SPECS:
+        b = comb(d + 1, 2)
+        for _ in range(6):
+            rep = random_diagonal_rep(rng, orders, d)
+            h = random_gain_graph(rng, rep.group, 3, rng.choice((b, 2 * b, 3 * b)))
+            yield rep, h, [
+                random_generic_bars(h, rep, rng.randrange(2 ** 32), coordinate_bound)
+                for coordinate_bound in (1, 2, 1000)
+            ]
+
+
 @pytest.fixture
 def fallbacks(monkeypatch):
     """The characters whose block ``_block_rank`` had to build as an
@@ -406,18 +438,13 @@ class TestUnrealifiedBlocks:
 
     @pytest.mark.parametrize("rep", _block_groups(), ids=BLOCK_GROUP_IDS)
     def test_equals_realified_bareiss(self, rep, fallbacks):
-        rng = random.Random(17 + rep.group.order())
         b = comb(rep.d + 1, 2)
         kinds = set()
-        for t in range(16 if rep.d == 3 else 6):
-            h = random_gain_graph(rng, rep.group, 2, rng.choice((b // 2, b, 2 * b, 4 * b)))
-            config = random_generic_bars(h, rep, t, bound=9)
-            if t % 2:
-                h, config = _with_parallel_copy(h, config)
+        for h, config in _unrealified_instances(rep):
             for g in rep.group.elements():
                 om = rigidity.orbit_matrix(h, config, rep, g)
                 del fallbacks[:]
-                rank = rigidity._block_rank(h, config, rep, g)
+                rank, _ = rigidity._block_rank(h, config, rep, g)
                 assert rank == om.rank()
                 nonzero = sum(1 for row in om.rows if any(row)) // om.degree
                 bound = b * len(h.vertices) - proven_trivial_dim(rep, g)
@@ -451,14 +478,14 @@ class TestUnrealifiedBlocks:
                 expected = om.rank()
                 independent = expected * om.degree == sum(1 for row in om.rows if any(row))
                 del fallbacks[:]
-                assert rigidity._block_rank(h, config, rep, g) == expected
+                assert rigidity._block_rank(h, config, rep, g)[0] == expected
                 unscaled = list(fallbacks)
                 for scale in (p, Fraction(1, p)):
                     entries = dict(config.entries)
                     entries[free[0]] = BarEntry(tuple(x * scale for x in config.vector(free[0])))
                     scaled = BarConfiguration(config.d, entries)
                     del fallbacks[:]
-                    assert rigidity._block_rank(h, scaled, rep, g) == expected
+                    assert rigidity._block_rank(h, scaled, rep, g)[0] == expected
                     if scale != p:
                         assert fallbacks == unscaled
                     elif independent:
@@ -483,7 +510,7 @@ class TestUnrealifiedBlocks:
             config = BarConfiguration(config.d, entries)
             ranks = []
             for g in rep.group.elements():
-                ranks.append(rigidity._block_rank(h, config, rep, g))
+                ranks.append(rigidity._block_rank(h, config, rep, g)[0])
                 assert ranks[-1] == orbit_matrix(h, config, rep, g).rank()
             assert sum(ranks) == rank_exact(rigidity_matrix(*lift_bars(h, config, rep), rep.d))
 
@@ -496,13 +523,13 @@ WITNESS_SPECS = [((2,), 2), ((2,), 3), ((2,), 4), ((2, 2), 2), ((2, 2), 3), ((2,
 def bareiss_calls(monkeypatch):
     """The row counts of the matrices ``_block_rank`` ranked by Bareiss."""
     calls = []
-    exact = rigidity.rank_exact
+    exact = linalg.rank_exact
 
     def counting(rows):
         calls.append(len(rows))
         return exact(rows)
 
-    monkeypatch.setattr(rigidity, "rank_exact", counting)
+    monkeypatch.setattr(linalg, "rank_exact", counting)
     return calls
 
 
@@ -516,22 +543,17 @@ class TestWitnessBound:
         """Random (2), (2,2) and (2,2,2) instances, d = 2-4; coordinates
         drawn from [-1, 1] and [-2, 2] put many configurations in special
         position, [-1000, 1000] almost none."""
-        rng = random.Random(29)
         tight = below = 0
-        for orders, d in WITNESS_SPECS:
-            b = comb(d + 1, 2)
-            for _ in range(6):
-                rep = random_diagonal_rep(rng, orders, d)
-                h = random_gain_graph(rng, rep.group, 3, rng.choice((b, 2 * b, 3 * b)))
-                verdicts = [combinatorial_verdict(h, rep, g) for g in rep.group.elements()]
-                for coordinate_bound in (1, 2, 1000):
-                    config = random_generic_bars(h, rep, rng.randrange(2 ** 32), coordinate_bound)
-                    for v in verdicts:
-                        exact = orbit_matrix(h, config, rep, v.irrep).rank()
-                        assert exact <= v.witness_bound == v.rank
-                        assert rigidity._block_rank(h, config, rep, v.irrep, v.witness_bound) == exact
-                        tight += exact == v.witness_bound
-                        below += exact < v.witness_bound
+        for rep, h, configs in _witness_instances():
+            verdicts = [combinatorial_verdict(h, rep, g) for g in rep.group.elements()]
+            for config in configs:
+                for v in verdicts:
+                    exact = orbit_matrix(h, config, rep, v.irrep).rank()
+                    assert exact <= v.witness_bound == v.rank
+                    rank, _ = rigidity._block_rank(h, config, rep, v.irrep, v.witness_bound)
+                    assert rank == exact
+                    tight += exact == v.witness_bound
+                    below += exact < v.witness_bound
         assert tight >= 100 and below >= 10, (tight, below)
 
     def test_generic_blocks_need_no_bareiss(self, fallbacks, bareiss_calls):
@@ -570,7 +592,7 @@ class TestWitnessBound:
         config = BarConfiguration(3, entries)
         verdict = combinatorial_verdict(h, rep, ())
         assert verdict.witness_bound == 6
-        assert rigidity._block_rank(h, config, rep, (), verdict.witness_bound) == 3
+        assert rigidity._block_rank(h, config, rep, (), verdict.witness_bound) == (3, None)
         assert fallbacks == [()] and bareiss_calls == [6]
 
     def test_collinear_explicit_hinges_go_to_bareiss(self, fallbacks, bareiss_calls):
@@ -631,6 +653,54 @@ class TestWitnessBound:
         assert result.numeric == honest.numeric
         assert fallbacks == []
         assert not result.consistent
+
+
+class TestCertificatesOnce:
+    """Each certificate is evaluated once, where it is first needed:
+    ``_block_rank`` returns the proof beside the rank, and a verdict
+    carries the witness bound the union evaluated for its own check."""
+
+    def test_proof_names_the_bound_the_rank_meets(self):
+        """The proof is "bound" when the rank is the columns minus the
+        proven fixed screws, else "witness" when it is the witness bound,
+        else None.  Among the None ones are blocks of full row rank below
+        the bound, which a proof keyed on the elimination target would
+        count as proven."""
+        kinds = []
+
+        def check(h, config, rep, g, witness_bound=None):
+            rank, proof = rigidity._block_rank(h, config, rep, g, witness_bound)
+            bound = comb(rep.d + 1, 2) * len(h.vertices) - proven_trivial_dim(rep, g)
+            expected = "bound" if rank == bound else "witness" if rank == witness_bound else None
+            assert proof == expected
+            nonzero = sum(1 for row in rigidity._block_rows(h, config, rep, g) if row)
+            kinds.append("full row rank" if proof is None and rank == nonzero else proof)
+
+        for rep in _block_groups():
+            for h, config in _unrealified_instances(rep):
+                for g in rep.group.elements():
+                    check(h, config, rep, g)
+        for rep, h, configs in _witness_instances():
+            bounds = {g: combinatorial_verdict(h, rep, g).witness_bound for g in rep.group.elements()}
+            for config in configs:
+                for g, bound in bounds.items():
+                    check(h, config, rep, g, bound)
+        counts = {k: kinds.count(k) for k in ("bound", "witness", "full row rank", None)}
+        assert all(n >= 50 for n in counts.values()), counts
+
+    def test_witness_bound_is_evaluated_from_the_witness(self):
+        """Every verdict's ``witness_bound`` is |S \\ X| + sum_i r_i(X) for
+        its witness X on the labeled graphs, rebuilt here."""
+        instances = [(rep, h) for rep in _block_groups() if rep.is_combinatorial()
+                     for h, _ in _unrealified_instances(rep)]
+        instances += [(rep, h) for rep, h, _ in _witness_instances()]
+        for rep, h in instances:
+            for g in rep.group.elements():
+                v = combinatorial_verdict(h, rep, g)
+                labeled = labeled_signed_graphs(remove_zero_loops(h, rep, g), rep, g)
+                ids = [e.id for e in labeled[0][1].edges]
+                assert v.witness_bound == union_rank_by_formula(labeled, ids, v.witness)
+        assert len(instances) >= 60
 
 
 class TestLazySampling:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import cmath
 import json
 import random
 from fractions import Fraction
@@ -17,12 +16,12 @@ from orbitrig.errors import RepresentationError, UnsupportedGroupError
 from orbitrig.symmetry import (
     AbelianGroup,
     PointRepresentation,
+    character_power,
     fixed_subspace_basis,
     galois_representative,
     induced_labeling,
     irrep_degree,
     irrep_is_real,
-    irrep_value,
     root_of_unity_matrix,
     screw_pairs,
     tau_hat2_int,
@@ -53,33 +52,41 @@ class TestAbelianGroup:
 
 
 class TestIrrepValue:
+    """Character values are exact: the value of character j at i is
+    zeta_m^a for a = ``character_power``, m the order of j."""
+
     def test_z2(self):
         g = AbelianGroup((2,))
-        assert irrep_value(g, (1,), (1,)) == Fraction(-1)
-        assert irrep_value(g, (0,), (1,)) == Fraction(1)
+        assert character_power(g, (1,), (1,)) == 1  # -1 = zeta_2
+        assert character_power(g, (0,), (1,)) == 0  # order 1: the value 1
+        assert g.element_order((0,)) == 1
 
     def test_z2xz2(self):
         g = two_group(2)
-        assert irrep_value(g, (1, 1), (1, 0)) == Fraction(-1)
-        assert irrep_value(g, (1, 1), (1, 1)) == Fraction(1)
+        assert g.element_order((1, 1)) == 2
+        assert character_power(g, (1, 1), (1, 0)) == 1
+        assert character_power(g, (1, 1), (1, 1)) == 0
 
     def test_z4_complex(self):
         g = AbelianGroup((4,))
-        val = irrep_value(g, (1,), (1,))
-        assert isinstance(val, complex)
-        assert cmath.isclose(val, 1j)
-        assert irrep_value(g, (1,), (2,)) == Fraction(-1)
+        # the quarter turn: zeta_4 = i, power 1 of order 4
+        assert g.element_order((1,)) == 4
+        assert character_power(g, (1,), (1,)) == 1
+        assert character_power(g, (1,), (2,)) == 2  # i^2 = -1
+        assert character_power(g, (1,), (3,)) == 3
+        assert character_power(g, (2,), (1,)) == 1 and g.element_order((2,)) == 2
         assert not irrep_is_real(g, (1,))
         assert irrep_is_real(g, (2,))
 
     def test_multiplicative(self):
-        g = AbelianGroup((2, 2))
-        for j in g.elements():
-            for a in g.elements():
-                for b in g.elements():
-                    lhs = irrep_value(g, j, g.add(a, b))
-                    rhs = irrep_value(g, j, a) * irrep_value(g, j, b)
-                    assert lhs == rhs
+        """Values multiply: their exponents add mod the order of j."""
+        for g in (AbelianGroup((2, 2)), AbelianGroup((4,))):
+            for j in g.elements():
+                m = g.element_order(j)
+                for a in g.elements():
+                    for b in g.elements():
+                        lhs = character_power(g, j, g.add(a, b))
+                        assert lhs == (character_power(g, j, a) + character_power(g, j, b)) % m
 
 
 class TestRealification:
