@@ -41,6 +41,7 @@ class BarConfiguration:
     meta: dict = field(default_factory=dict)
 
     kind = "bar"  # what an entry is, for messages
+    grade = 2  # of an entry's vector
 
     def vector(self, eid: EdgeId) -> tuple[Scalar, ...]:
         try:
@@ -114,15 +115,16 @@ def verify_loop_form(h: GainGraph, rep: PointRepresentation, config: BarConfigur
 def lift_bars(
     h: GainGraph, config: BarConfiguration, rep: PointRepresentation
 ) -> tuple[CoveredGraph, dict[tuple[EdgeId, tuple], BarEntry]]:
-    """Lift a quotient configuration to the covering framework: the bar of
-    a lifted edge is the grade-2 image of the quotient bar under the group
-    element indexing the lift.  Non-free loops produce one bar per coset.
+    """Lift a quotient configuration to the covering framework: the vector
+    of a lifted edge is the image of the quotient one, at the
+    configuration's grade, under the group element indexing the lift.
+    Non-free loops produce one bar per coset.
     """
     cov = lift_cover(h, rep.group)
     bars: dict[tuple[EdgeId, tuple], BarEntry] = {}
     for le in cov.edges:
         gamma = le.id[1]
-        vec = rep.tau_hat2(gamma).apply(config.vector(le.base))
+        vec = rep.tau_hat_k(gamma, config.grade).apply(config.vector(le.base))
         pts = config.points(le.base)
         moved = None
         if pts is not None:

@@ -1,8 +1,9 @@
 """Body-hinge frameworks: a hinge is a grade-(d-1) simplex shared by two
 bodies, and removes all relative freedoms except the rotation about it.
-Each quotient edge is expanded into C(d+1,2)-1 parallel bars spanning the
-orthogonal complement of the starred hinge, after which the body-bar
-machinery (numeric and combinatorial) applies to the multiplied quotient.
+Each quotient edge is expanded into C(d+1,2)-1 parallel bars, a basis of
+the orthogonal complement of the starred hinge (any basis gives the same
+ranks), after which the body-bar machinery (numeric and combinatorial)
+applies to the multiplied quotient.
 
 The group must act freely on the edge set here: the non-free loop set is
 required to be empty.
@@ -24,9 +25,9 @@ from typing import Sequence
 
 from .algebra import Extensor, hodge_star, wedge
 from .errors import InputError, UnsupportedGroupError
-from .gaingraph import CoveredGraph, EdgeId, GainGraph, lift_cover, multiply_edges
-from .genframe import PRNG_NAME, BarConfiguration, BarEntry, random_point
-from .linalg import nullspace_exact, rank_certified
+from .gaingraph import CoveredGraph, EdgeId, GainGraph, multiply_edges
+from .genframe import DEFAULT_BOUND, PRNG_NAME, BarConfiguration, BarEntry, lift_bars, random_point
+from .linalg import nullspace_exact
 from .matroid import CombinatorialVerdict, combinatorial_verdict, counting_violation
 from .rigidity import IrrepReport, RigidityReport, analyze, analyze_generic, analyze_sampled
 from .symmetry import Element, PointRepresentation
@@ -34,12 +35,17 @@ from .symmetry import Element, PointRepresentation
 
 class HingeConfiguration(BarConfiguration):
     """A hinge per quotient edge, kept as a bar is: a ``BarEntry`` with the
-    grade-(d-1) coordinates of the hinge and its d-1 generating points."""
+    coordinates of the hinge at its grade, d-1, which ``extensor`` and
+    ``lift_bars`` read, and its d-1 generating points."""
 
     kind = "hinge"
 
+    @property
+    def grade(self) -> int:
+        return self.d - 1
+
     def extensor(self, eid: EdgeId) -> Extensor:
-        return Extensor(self.d, self.d - 1, self.vector(eid))
+        return Extensor(self.d, self.grade, self.vector(eid))
 
 
 def bar_multiplicity(d: int) -> int:
@@ -58,7 +64,7 @@ def random_generic_hinges(
     h: GainGraph,
     rep: PointRepresentation,
     seed: int,
-    bound: int = 10 ** 6,
+    bound: int = DEFAULT_BOUND,
 ) -> HingeConfiguration:
     """A hinge per quotient edge: d-1 random homogeneous points wedged."""
     _require_free_edges(h)
@@ -88,16 +94,15 @@ def hinge_complement_basis(hinge: Extensor) -> list[tuple[Fraction, ...]]:
 
 
 def hinge_to_bars(
-    h: GainGraph, config: HingeConfiguration, seed: int, multiplied: GainGraph | None = None
+    h: GainGraph, config: HingeConfiguration, multiplied: GainGraph | None = None
 ) -> tuple[GainGraph, BarConfiguration]:
-    """Expand every quotient edge into C(d+1,2)-1 parallel copies whose
-    bars are generic rational combinations of a complement basis of the
-    starred hinge; every produced vector pairs to zero with it.
+    """Expand every quotient edge into C(d+1,2)-1 parallel copies, bar copy
+    t being the t-th vector of the hinge's ``hinge_complement_basis``.  A
+    copy's rows are linear in its bar, so any basis gives the same ranks.
     ``multiplied`` is ``multiply_edges(h, C(d+1,2)-1)`` when the caller
     has it already."""
     d = config.d
     m = bar_multiplicity(d)
-    rng = random.Random(seed)
     if multiplied is None:
         multiplied = multiply_edges(h, m)
     entries: dict[EdgeId, BarEntry] = {}
@@ -106,45 +111,21 @@ def hinge_to_bars(
         basis = hinge_complement_basis(hinge)
         if len(basis) != m:
             raise InputError(f"complement of hinge {e.id!r} has dimension {len(basis)} != {m}")
-        while True:
-            coeffs = [[Fraction(rng.randint(-99, 99)) for _ in range(m)] for _ in range(m)]
-            if rank_certified(coeffs, m) == m:
-                break
-        star = hodge_star(hinge)
-        # a kernel vector of the one starred row has at most two nonzeros
-        support = [[(c, x) for c, x in enumerate(v) if x] for v in basis]
-        for t in range(1, m + 1):
-            row = coeffs[t - 1]
-            acc = [Fraction(0)] * len(star.coords)
-            for s, terms in enumerate(support):
-                for c, x in terms:
-                    acc[c] += row[s] * x
-            vec = tuple(acc)
-            pairing = sum(a * b for a, b in zip(vec, star.coords))
-            if pairing != 0:
+        star = hodge_star(hinge).coords
+        for t, vec in enumerate(basis, 1):
+            if sum(a * b for a, b in zip(vec, star)) != 0:
                 raise InputError(f"bar copy {t} of {e.id!r} is not orthogonal to the hinge")
             entries[(e.id, t)] = BarEntry(vector=vec, points=None)
-    meta = dict(config.meta)
-    meta["bar_seed"] = seed
-    return multiplied, BarConfiguration(d=d, entries=entries, meta=meta)
+    return multiplied, BarConfiguration(d=d, entries=entries, meta=dict(config.meta))
 
 
 def lift_hinges(
     h: GainGraph, config: HingeConfiguration, rep: PointRepresentation
 ) -> tuple[CoveredGraph, dict[tuple, BarEntry]]:
-    """Lift a quotient hinge configuration: the hinge of a lifted edge is
-    the grade-(d-1) image of the quotient hinge under the indexing group
-    element."""
+    """``lift_bars`` of a hinge configuration, whose group must act freely
+    on the edges."""
     _require_free_edges(h)
-    cov = lift_cover(h, rep.group)
-    out: dict[tuple, BarEntry] = {}
-    for le in cov.edges:
-        gamma = le.id[1]
-        vec = rep.tau_hat_k(gamma, rep.d - 1).apply(config.vector(le.base))
-        tau = rep.tau_hat(gamma)
-        pts = tuple(tau.apply(p) for p in config.entries[le.base].points)
-        out[le.id] = BarEntry(vector=tuple(vec), points=pts)
-    return cov, out
+    return lift_bars(h, config, rep)
 
 
 @dataclass(frozen=True)
@@ -224,26 +205,22 @@ def analyze_hinge(
     rep: PointRepresentation,
     seed: int,
     samples: int = 2,
-    bound: int = 10 ** 6,
+    bound: int = DEFAULT_BOUND,
     config: HingeConfiguration | None = None,
 ) -> Analysis:
     """Combinatorial path: signed-matroid union verdicts on the multiplied
     gain graph, run first so that their witness bounds certify the
     numeric ranks.  Numeric path: body-bar analysis of the multiplied
-    quotient with hinge-derived bars, sampled by ``analyze_sampled``:
-    sample t has the hinges from seed + t and the bars from seed +
-    7919 (t + 1), drawn only when it is needed.
-
-    An explicit ``config`` fixes the hinges; sampling then varies only the
-    generic bar combinations within each hinge's complement.
-    """
+    quotient with the bars of ``hinge_to_bars``, sampled by
+    ``analyze_sampled``: sample t has the hinges from seed + t, drawn only
+    when it is needed, or the explicit ``config`` at every sample."""
     _require_free_edges(h)
     multiplied = multiply_edges(h, bar_multiplicity(rep.d))
     verdicts = _verdicts(multiplied, rep)
 
     def draw(t: int) -> BarConfiguration:
         hinges = config or random_generic_hinges(h, rep, seed + t, bound=bound)
-        return hinge_to_bars(h, hinges, seed + 7919 * (t + 1), multiplied)[1]
+        return hinge_to_bars(h, hinges, multiplied)[1]
 
     numeric = analyze_sampled(
         multiplied, rep, draw, samples, _witness_bounds(verdicts),
@@ -259,7 +236,7 @@ def analyze_framework(
     rep: PointRepresentation,
     seed: int,
     samples: int = 2,
-    bound: int = 10 ** 6,
+    bound: int = DEFAULT_BOUND,
     config: BarConfiguration | None = None,
 ) -> Analysis:
     """Both paths for a framework of either model; ``config`` holds hinges

@@ -88,9 +88,9 @@ class _SignedForest:
     A rooted spanning forest of the inserted edges.  Per vertex it keeps
     the component root, the sign of the tree path to the root, the parent
     (tree edge, vertex) pair and the depth; per component (keyed by root)
-    the member list, the number of non-tree edges, whether one of them
-    closes a negative cycle, and the first of them with the edge ids of the
-    cycle it closes.  Joining two
+    the member list, whether a non-tree edge closes a negative cycle, and
+    the first non-tree edge with the edge ids of the cycle it closes (its
+    root is a key of ``cycle`` exactly when it has one).  Joining two
     components re-roots the smaller one at its endpoint of the new edge
     and hangs it below the other endpoint, so ``find`` is two lookups and
     ``tree_path`` costs the length of the path.  ``circuit`` assumes the
@@ -105,7 +105,6 @@ class _SignedForest:
         # tree adjacency, walked when a component is re-rooted
         self.tree: dict[VertexId, list[tuple[EdgeId, VertexId, int]]] = {}
         self.members: dict[VertexId, list[VertexId]] = {}
-        self.cycles: dict[VertexId, int] = {}
         self.unbalanced: dict[VertexId, bool] = {}
         self.cycle_edge: dict[VertexId, SignedEdge] = {}
         self.cycle: dict[VertexId, set[EdgeId]] = {}
@@ -119,7 +118,6 @@ class _SignedForest:
         self.depth[v] = 0
         self.tree[v] = []
         self.members[v] = [v]
-        self.cycles[v] = 0
         self.unbalanced[v] = False
 
     def find(self, v: VertexId) -> tuple[VertexId, int]:
@@ -134,7 +132,6 @@ class _SignedForest:
         ru, su = self.find(e.tail)
         rv, sv = self.find(e.head)
         if ru == rv:
-            self.cycles[ru] += 1
             if ru not in self.cycle_edge:
                 self.cycle_edge[ru] = e
                 self.cycle[ru] = set(self.tree_path(e.tail, e.head))
@@ -165,7 +162,6 @@ class _SignedForest:
         tree[e.tail].append((e.id, e.head, e.sign))
         tree[e.head].append((e.id, e.tail, e.sign))
         self.members[keep] += self.members.pop(drop)
-        self.cycles[keep] += self.cycles.pop(drop)
         if self.unbalanced.pop(drop):
             self.unbalanced[keep] = True
         if drop in self.cycle_edge:
@@ -209,12 +205,12 @@ class _SignedForest:
         ru, su = self.find(e.tail)
         rv, sv = self.find(e.head)
         if ru != rv:
-            if not (self.cycles[ru] and self.cycles[rv]):
+            if not (ru in self.cycle and rv in self.cycle):
                 return None
             # handcuff across two components
             return {e.id} | self._to_cycle(e.tail, ru) | self._to_cycle(e.head, rv)
         positive = su * e.sign * sv == 1
-        if not (positive or self.cycles[ru]):
+        if not (positive or ru in self.cycle):
             return None
         closed = set(self.tree_path(e.tail, e.head))
         closed.add(e.id)
@@ -556,7 +552,8 @@ def combinatorial_verdict(h: GainGraph, rep: PointRepresentation, g: Element) ->
     g = rep.group.canon(g)
     h.validate_gains(rep.group)
     h_g = remove_zero_loops(h, rep, g)
-    removed = tuple(e.id for e in h.edges if e.id not in {x.id for x in h_g.edges})
+    kept = {e.id for e in h_g.edges}
+    removed = tuple(e.id for e in h.edges if e.id not in kept)
     labeled = labeled_signed_graphs(h_g, rep, g)
     result = matroid_union_rank(labeled)
     result.decomposition.validate(labeled)

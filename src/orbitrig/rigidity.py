@@ -41,7 +41,15 @@ from typing import Callable, Mapping, Sequence
 from .algebra import Scalar
 from .errors import ConsistencyError, InputError
 from .gaingraph import CoveredGraph, EdgeId, GainGraph, VertexId
-from .genframe import BarConfiguration, BarEntry, lift_bars, random_generic_bars, verify_loop_form
+from .genframe import (
+    DEFAULT_BOUND,
+    PRNG_NAME,
+    BarConfiguration,
+    BarEntry,
+    lift_bars,
+    random_generic_bars,
+    verify_loop_form,
+)
 from .linalg import kernel_vectors, prime_with_root, rank_certified, rank_complex, rank_mod_p
 from .symmetry import (
     Element,
@@ -443,12 +451,12 @@ def analyze_generic(
     rep: PointRepresentation,
     seed: int,
     samples: int = 2,
-    bound: int = 10 ** 6,
+    bound: int = DEFAULT_BOUND,
     witness_bounds: Mapping[Element, int] | None = None,
 ) -> RigidityReport:
     """Analyze at random symmetric configurations, sample t drawn from seed
     + t, at most ``samples`` of them per block (``analyze_sampled``)."""
-    meta = {"seed": seed, "samples": samples, "bound": bound, "prng": "python-random-mt19937"}
+    meta = {"seed": seed, "samples": samples, "bound": bound, "prng": PRNG_NAME}
     return analyze_sampled(
         h, rep, lambda t: random_generic_bars(h, rep, seed + t, bound=bound),
         samples, witness_bounds, meta,

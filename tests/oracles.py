@@ -5,22 +5,27 @@ goes through exact incidence-matrix ranks, union ranks through exhaustive
 subset enumeration, and tree packings through the partition criterion.
 The exceptions are earlier versions of production code, kept to pin the
 exact output of the current ones: ``matroid_union_rank_unpruned``, the union
-algorithm, and ``analyze_generic`` with ``merge_samples``, the sampler that
-ranked every block at every sample.
+algorithm, ``analyze_generic`` with ``merge_samples``, the sampler that
+ranked every block at every sample, and ``hinge_to_bars``, which gave a
+hinge's bar copies random invertible combinations of its complement basis.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
 
+from orbitrig.algebra import hodge_star
 from orbitrig.errors import ConsistencyError, InputError
-from orbitrig.gaingraph import EdgeId, GainGraph
-from orbitrig.genframe import random_generic_bars
-from orbitrig.linalg import rank_exact
+from orbitrig.gaingraph import EdgeId, GainGraph, multiply_edges
+from orbitrig.genframe import BarConfiguration, BarEntry, random_generic_bars
+from orbitrig.hinge import HingeConfiguration, bar_multiplicity, hinge_complement_basis
+from orbitrig.linalg import rank_certified, rank_exact
 from orbitrig.matroid import (
     PairLabel,
     SignedGraph,
@@ -301,3 +306,45 @@ def merge_samples(per_sample: list[RigidityReport], meta: dict) -> RigidityRepor
         flex = b * base.quotient_vertices - best - r.trivial
         merged.append(IrrepReport(irrep=r.irrep, rank=best, trivial=r.trivial, flex=flex))
     return replace(base, irreps=tuple(merged), samples_agree=agree, meta=meta)
+
+
+def hinge_to_bars(
+    h: GainGraph, config: HingeConfiguration, seed: int, multiplied: GainGraph | None = None
+) -> tuple[GainGraph, BarConfiguration]:
+    """Expand every quotient edge into C(d+1,2)-1 parallel copies whose
+    bars are generic rational combinations of a complement basis of the
+    starred hinge; every produced vector pairs to zero with it.
+    ``multiplied`` is ``multiply_edges(h, C(d+1,2)-1)`` when the caller
+    has it already."""
+    d = config.d
+    m = bar_multiplicity(d)
+    rng = random.Random(seed)
+    if multiplied is None:
+        multiplied = multiply_edges(h, m)
+    entries: dict[EdgeId, BarEntry] = {}
+    for e in h.edges:
+        hinge = config.extensor(e.id)
+        basis = hinge_complement_basis(hinge)
+        if len(basis) != m:
+            raise InputError(f"complement of hinge {e.id!r} has dimension {len(basis)} != {m}")
+        while True:
+            coeffs = [[Fraction(rng.randint(-99, 99)) for _ in range(m)] for _ in range(m)]
+            if rank_certified(coeffs, m) == m:
+                break
+        star = hodge_star(hinge)
+        # a kernel vector of the one starred row has at most two nonzeros
+        support = [[(c, x) for c, x in enumerate(v) if x] for v in basis]
+        for t in range(1, m + 1):
+            row = coeffs[t - 1]
+            acc = [Fraction(0)] * len(star.coords)
+            for s, terms in enumerate(support):
+                for c, x in terms:
+                    acc[c] += row[s] * x
+            vec = tuple(acc)
+            pairing = sum(a * b for a, b in zip(vec, star.coords))
+            if pairing != 0:
+                raise InputError(f"bar copy {t} of {e.id!r} is not orthogonal to the hinge")
+            entries[(e.id, t)] = BarEntry(vector=vec, points=None)
+    meta = dict(config.meta)
+    meta["bar_seed"] = seed
+    return multiplied, BarConfiguration(d=d, entries=entries, meta=meta)

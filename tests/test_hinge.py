@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from orbitrig.algebra import Extensor, SquareMatrix, hodge_star, wedge
+from orbitrig.cli import parse_hinge_configuration
 from orbitrig.errors import UnsupportedGroupError
 from orbitrig.gaingraph import GainGraph, make_gain_graph, multiply_edges
 from orbitrig.genframe import BarConfiguration, BarEntry
@@ -22,8 +23,8 @@ from orbitrig.hinge import (
 )
 from orbitrig.linalg import rank_exact
 from orbitrig.matroid import combinatorial_verdict
-from orbitrig.rigidity import orbit_matrix
-from orbitrig.symmetry import PointRepresentation
+from orbitrig.rigidity import analyze, orbit_matrix
+from orbitrig.symmetry import AbelianGroup, PointRepresentation
 from conftest import halfturn_rep, mirror_rep, stewart_graph
 
 
@@ -52,7 +53,7 @@ class TestComplement:
     def test_generic_hinge_bars(self):
         h, rep = two_body_one_hinge()
         hconf = random_generic_hinges(h, rep, seed=3)
-        multiplied, bars = hinge_to_bars(h, hconf, seed=4)
+        multiplied, bars = hinge_to_bars(h, hconf)
         assert len(multiplied.edges) == bar_multiplicity(3) == 5
         star = hodge_star(hconf.extensor(0))
         vecs = [bars.vector(e.id) for e in multiplied.edges]
@@ -113,6 +114,78 @@ class TestSymmetricHingeFixtures:
             random_generic_hinges(h, rep, seed=1)
         with pytest.raises(UnsupportedGroupError):
             analyze_hinge(h, rep, seed=1)
+
+
+def random_hinge_graph(rng: random.Random, rep: PointRepresentation, n: int, m: int) -> GainGraph:
+    """m hinge orbits between consecutive bodies of a cycle on n body
+    orbits, with random gains."""
+    orders = rep.group.orders
+    return make_gain_graph(
+        [f"v{i}" for i in range(n)],
+        [(i, f"v{i % n}", f"v{(i + 1) % n}", tuple(rng.randrange(k) for k in orders))
+         for i in range(m)],
+        group=rep.group,
+    )
+
+
+def explicit_hinges(rng: random.Random, h: GainGraph, rep: PointRepresentation):
+    """An explicit hinge configuration as the CLI parses it, with points of
+    coordinates -1, 0 and 1, so that special positions are common."""
+    hinges = {}
+    for e in h.edges:
+        while True:
+            pts = [[str(rng.randint(-1, 1)) for _ in range(rep.d)] for _ in range(rep.d - 1)]
+            if not wedge([[Fraction(x) for x in p] + [1] for p in pts], rep.d).is_zero():
+                hinges[str(e.id)] = {"points": pts}
+                break
+    return parse_hinge_configuration({"hinges": hinges}, h, rep)
+
+
+def quarter_turn_rep() -> PointRepresentation:
+    return PointRepresentation.from_generators(
+        AbelianGroup((4,)), 3, [SquareMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])]
+    )
+
+
+def klein_rep() -> PointRepresentation:
+    return PointRepresentation.from_generators(
+        AbelianGroup((2, 2)), 3,
+        [SquareMatrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+         SquareMatrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])],
+    )
+
+
+class TestComplementBasisInvariance:
+    """A bar copy's orbit rows are linear in its bar, so every block rank
+    depends on the hinge alone and not on the basis of its complement:
+    the reference expansion's random invertible recombinations give the
+    same report as the basis itself."""
+
+    @staticmethod
+    def summary(h: GainGraph, rep: PointRepresentation, bars: BarConfiguration):
+        return [(r.irrep, r.rank, r.trivial, r.flex) for r in analyze(h, rep, bars).irreps]
+
+    @pytest.mark.parametrize("make_rep, n, m", [
+        pytest.param(halfturn_rep, 3, 3, id="(2)"),
+        pytest.param(klein_rep, 3, 3, id="(2,2)"),
+        pytest.param(quarter_turn_rep, 3, 3, id="(4)"),
+        pytest.param(lambda: PointRepresentation.trivial(2), 3, 3, id="d=2"),
+        pytest.param(lambda: PointRepresentation.trivial(4), 3, 2, id="d=4"),
+    ])
+    def test_ranks_match_recombined_bars(self, make_rep, n, m):
+        from oracles import hinge_to_bars as recombined_hinge_to_bars
+
+        rep = make_rep()
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            h = random_hinge_graph(rng, rep, n, m)
+            for hconf in (random_generic_hinges(h, rep, seed), explicit_hinges(rng, h, rep)):
+                multiplied, bars = hinge_to_bars(h, hconf)
+                assert hinge_to_bars(h, hconf)[1] == bars
+                expected = self.summary(multiplied, rep, bars)
+                for bar_seed in (4, 5, 6):
+                    ref_multiplied, ref_bars = recombined_hinge_to_bars(h, hconf, bar_seed)
+                    assert self.summary(ref_multiplied, rep, ref_bars) == expected
 
 
 class TestHingeLift:
