@@ -22,7 +22,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import InputError
-from .linalg import Scalar, echelon
+from .linalg import Scalar, _cleared, echelon
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +289,33 @@ def kron(a: SquareMatrix, k: SquareMatrix) -> SquareMatrix:
     )
 
 
+def _integer_image(m: SquareMatrix) -> tuple[int, SquareMatrix]:
+    """(D, D m) for a rational matrix m, D the lcm of its denominators."""
+    den, flat = _cleared([x for row in m.rows for x in row])
+    return den, SquareMatrix(tuple(tuple(flat[i : i + m.n]) for i in range(0, len(flat), m.n)))
+
+
 def induced_rep(a: SquareMatrix, k: int) -> SquareMatrix:
     """Action induced on the grade-k exterior power: entry [I, J] is the
-    k x k minor of ``a`` on rows I and columns J, a Fraction; for k = 2 each
-    minor a_ik a_jl - a_il a_jk is taken directly, as ``wedge`` does for
-    bars.  Satisfies (A B)^(k) = A^(k) B^(k) and
+    k x k minor of ``a`` on rows I and columns J, a Fraction.  The minors
+    are taken over the integers, of the integer matrix D a (D the lcm of
+    the denominators of ``a``), and divided by D^k; for k = 2 each minor
+    n_ik n_jl - n_il n_jk is taken directly, as ``wedge`` does for bars.
+    Satisfies (A B)^(k) = A^(k) B^(k) and
     A^(k)(v_1 ^ ... ^ v_k) = (A v_1) ^ ... ^ (A v_k).
     """
+    den, n = _integer_image(a)
+    n, scale = n.rows, den ** k
     idx = lex_index(a.n, k)
     rows = []
     for I in idx.tuples():
         if k == 2:
-            ri, rj = a.rows[I[0] - 1], a.rows[I[1] - 1]
+            ri, rj = n[I[0] - 1], n[I[1] - 1]
             row = [
-                Fraction(ri[c - 1] * rj[d - 1] - ri[d - 1] * rj[c - 1]) for c, d in idx.tuples()
+                Fraction(ri[c - 1] * rj[d - 1] - ri[d - 1] * rj[c - 1], scale)
+                for c, d in idx.tuples()
             ]
         else:
-            row = [det([[a.rows[i - 1][j - 1] for j in J] for i in I]) for J in idx.tuples()]
+            row = [det([[n[i - 1][j - 1] for j in J] for i in I]) / scale for J in idx.tuples()]
         rows.append(tuple(row))
     return SquareMatrix(tuple(rows))

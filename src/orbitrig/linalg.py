@@ -25,10 +25,10 @@ witness bound is caught rather than hidden.
 ``prime_with_root(m)`` gives the prime for characters of order m: the
 largest prime p < 2**31 with p = 1 (mod m), and a primitive m-th root of
 unity w mod p.  Every input reaches F_p as integer rows: the orbit blocks
-are assembled that way, and ``rank_certified`` clears each row of a dense
-rational matrix of its denominators, as ``echelon`` does, before reducing
-it mod ``PRIME`` = 2**31 - 1; a matrix it cannot certify (deficient, or
-with a row that vanishes mod p) falls back to ``rank_exact``.
+and the lifted framework are assembled that way, and ``rank_certified``
+clears the rows of a dense rational matrix of their denominators before
+reducing them mod ``PRIME`` = 2**31 - 1; a matrix it cannot certify
+(deficient, or with a row that vanishes mod p) falls back to Bareiss.
 ``rank_complex`` ranks a realified block of a complex character, each
 entry of Q(zeta_m) replaced by its phi(m) x phi(m) integer multiplication
 block, as its Bareiss rank divided by phi(m).  Every rank these return is
@@ -74,8 +74,8 @@ def echelon(rows: Sequence[Sequence[Scalar]], ncols: int) -> Echelon:
     for row in rows:
         if len(row) != ncols:
             raise InputError("ragged matrix")
-        denom = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (denom // x.denominator) for x in row])
+        denom, ints = _cleared(row)
+        m.append(ints)
         scale *= denom
     nrows = len(m)
     pivots: list[int] = []
@@ -107,6 +107,12 @@ def echelon(rows: Sequence[Sequence[Scalar]], ncols: int) -> Echelon:
         pivots.append(col)
         row += 1
     return Echelon(m[:row], pivots, swaps, scale)
+
+
+def _cleared(row: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """(L, L row) for a rational row, L the lcm of its denominators."""
+    denom = lcm(*(x.denominator for x in row))
+    return denom, [x.numerator * (denom // x.denominator) for x in row]
 
 
 def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -147,30 +153,26 @@ def nullspace_exact(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[
     return list(kernel_vectors(rows, ncols))
 
 
-def rank_certified(rows: Sequence[Sequence[Scalar]], bound: int) -> int:
-    """Rank over the rationals of a matrix with int or Fraction entries,
-    given ``bound``, an upper bound on that rank which the
-    caller has proven exactly.
-
-    Rows that are zero over Q are skipped.  Each other row is multiplied
-    by the least common multiple of its denominators, as in ``echelon``,
-    and its integers are reduced mod PRIME to a sparse row for
-    ``rank_mod_p``; since rank_p <= rank_Q <= min(nonzero rows, bound), an
-    F_p rank reaching that minimum is returned as it is.  Otherwise the
-    result is ``rank_exact(rows)``."""
-    reduced = []
-    ncols = len(rows[0]) if rows else 0
-    for row in rows:
-        if len(row) != ncols:
-            raise InputError("ragged matrix")
-        terms = [(c, x.numerator, x.denominator) for c, x in enumerate(row) if x]
-        if terms:
-            denom = lcm(*(d for _, _, d in terms))
-            reduced.append({c: r for c, n, d in terms if (r := n * (denom // d) % PRIME)})
+def rank_certified(rows: Sequence[Sequence[Scalar] | dict[int, int]], bound: int) -> int:
+    """Rank over the rationals of a matrix, given ``bound``, an upper bound
+    on that rank which the caller has proven exactly.  The rows are sparse
+    integer rows, dicts from column to nonzero integer, or dense rows of
+    ints or Fractions, each multiplied by the lcm of its denominators.
+    Rows zero over Q are skipped and the others reduced mod PRIME for
+    ``rank_mod_p``; a row that vanishes mod PRIME still counts.  Since
+    rank_p <= rank_Q <= min(nonzero rows, bound), an F_p rank reaching that
+    minimum is returned as it is; otherwise ``rank_exact`` of the integer
+    rows."""
+    sparse = bool(rows) and isinstance(rows[0], dict)
+    if not sparse and any(len(row) != len(rows[0]) for row in rows):
+        raise InputError("ragged matrix")
+    ints = rows if sparse else [{c: x for c, x in enumerate(_cleared(r)[1]) if x} for r in rows]
+    reduced = [{c: r for c, x in row.items() if (r := x % PRIME)} for row in ints if row]
     target = min(len(reduced), bound)
     if rank_mod_p(reduced, target, PRIME) == target:
         return target
-    return rank_exact(rows)
+    ncols = 1 + max(c for row in ints for c in row)
+    return rank_exact([[row.get(c, 0) for c in range(ncols)] for row in ints])
 
 
 def rank_mod_p(rows: list[dict[int, int]], target: int, p: int) -> int:

@@ -28,29 +28,31 @@ extraction and the tests read ``orbit_matrix`` too.
 A rank that meets either upper bound is the generic rank, and
 ``_block_rank`` names that bound as its proof.  ``analyze_sampled``, the
 sampling loop of both models, samples a block again only while its rank
-is unproven.
+is unproven.  ``lifted_rank``, the crosscheck's rank of the lifted
+framework, is also one sparse integer row per edge, from ``tau_hat2_int``,
+certified by ``rank_certified``: Bareiss only when F_p falls short.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Callable, Mapping, Sequence
 
 from .algebra import Scalar
 from .errors import ConsistencyError, InputError
-from .gaingraph import CoveredGraph, EdgeId, GainGraph, VertexId
+from .gaingraph import CoveredGraph, EdgeId, GainGraph, VertexId, lift_cover
 from .genframe import (
     DEFAULT_BOUND,
     PRNG_NAME,
     BarConfiguration,
     BarEntry,
-    lift_bars,
     random_generic_bars,
     verify_loop_form,
 )
-from .linalg import kernel_vectors, prime_with_root, rank_certified, rank_complex, rank_mod_p
+from .linalg import _cleared, kernel_vectors, prime_with_root, rank_certified, rank_complex
+from .linalg import rank_mod_p
 from .symmetry import (
     Element,
     PointRepresentation,
@@ -204,9 +206,7 @@ def _block_rows(
             power = root_of_unity_matrix(m, character_power(rep.group, g, e.gain))
             heads[e.gain] = den, terms, [(c, -r[0]) for c, r in enumerate(power.rows) if r[0]]
         den, terms, root = heads[e.gain]
-        vec = config.vector(e.id)
-        scale = lcm(*(x.denominator for x in vec))
-        vec = [x.numerator * (scale // x.denominator) for x in vec]
+        vec = _cleared(config.vector(e.id))[1]
         tb = offset[e.tail]
         row = {tb + t * deg: den * x for t, x in enumerate(vec) if x}
         hb = offset[e.head]
@@ -564,13 +564,22 @@ class CrosscheckResult:
 
 
 def lifted_rank(h: GainGraph, config: BarConfiguration, rep: PointRepresentation) -> int:
-    """Exact rank of the rigidity matrix of the lifted framework."""
-    cov, bars = lift_bars(h, config, rep)
-    lifted = rigidity_matrix(cov, bars, rep.d)
-    # each row is +vec at its tail block and -vec at its head block, so the
-    # C(d+1,2) constant screw assignments lie in the kernel
+    """Exact rank of the rigidity matrix of the lifted framework.  The row
+    of a lifted edge, gamma the element indexing the lift, is ranked as its
+    positive multiple y = D L tau_hat2(gamma) vec at the tail block and -y
+    at the head block, L the bar's denominator (see ``tau_hat2_int``)."""
+    cov = lift_cover(h, rep.group)
     b = comb(rep.d + 1, 2)
-    return rank_certified(lifted, b * (len(cov.vertices) - 1))
+    offset = {v: i * b for i, v in enumerate(cov.vertices)}
+    cleared = {e.id: _cleared(config.vector(e.id))[1] for e in h.edges}
+    rows = []
+    for e in cov.edges:
+        vec = cleared[e.base]
+        y = [sum(a * vec[s] for s, a in ts) for ts in tau_hat2_int(rep, e.id[1])[1]]
+        tb, hb = offset[e.tail], offset[e.head]
+        rows.append({c: z for t, x in enumerate(y) if x for c, z in ((tb + t, x), (hb + t, -x))})
+    # the C(d+1,2) constant screw assignments lie in the kernel
+    return rank_certified(rows, b * (len(cov.vertices) - 1))
 
 
 def crosscheck_block_ranks(

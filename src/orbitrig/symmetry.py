@@ -5,15 +5,15 @@ Groups are products Z/k_1 x ... x Z/k_l written additively; an element is an
 integer tuple reduced componentwise.  The trivial group is the empty product
 ``AbelianGroup(())``.  Characters are labeled by group elements.  A
 character j of order m takes values in the powers of zeta_m; it is real
-(values +-1) when m <= 2.  A value is kept exactly, as its exponent a
-for the value zeta_m^a (``character_power``).  The exact constructions
-here (twisted images, fixed screws and their kernel proof) handle every
-character over Q through its realification; the prime-field block ranks
-of ``rigidity`` instead send zeta_m to a root of unity mod p.  Q(zeta_m) is a Q-vector space of
-dimension phi(m) with basis 1, zeta_m, ..., zeta_m^(phi(m)-1), and
-multiplication by zeta_m^a is the integer matrix C_m^a, C_m the companion
-matrix of the cyclotomic polynomial Phi_m.  Real characters have phi = 1
-and C = [+-1], so their twisted images are the plain scaled ones.
+(values +-1) when m <= 2.  A value is kept exactly, as its exponent a for
+zeta_m^a (``character_power``).  The exact constructions here handle every
+character over Q through its realification (the prime-field block ranks of
+``rigidity`` send zeta_m to a root of unity mod p instead): Q(zeta_m) has
+the basis 1, zeta_m, ..., zeta_m^(phi(m)-1), and multiplication by zeta_m^a
+is the integer matrix C_m^a, C_m the companion matrix of the cyclotomic
+polynomial Phi_m (C = [+-1] for a real character).  Screw images are kept
+as integers over a common denominator (``tau_hat2_int``, ``_twisted_int``),
+and the trace average, fixed screws and kernel proof read only those.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from itertools import product
 from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
-from .algebra import Scalar, SquareMatrix, block_diag_one, induced_rep, kron, lex_index
+from .algebra import SquareMatrix, _integer_image, block_diag_one, induced_rep, kron, lex_index
 from .errors import ConsistencyError, InputError, RepresentationError, UnsupportedGroupError
-from .linalg import nullspace_exact, rank_certified
+from .linalg import _cleared, nullspace_exact, rank_certified
 
 Element = tuple[int, ...]
 
@@ -152,11 +152,11 @@ class PointRepresentation:
     generator; the group is finite.
 
     The instance also caches the exterior-power images per (g, k), and what
-    the module functions derive from it: per character label j the twisted
-    screw images per (j, g), the fixed-screw dimension, the fixed-screw
-    basis and its kernel proof; per g the screw image as integer terms over
-    a common denominator; and the outcome of ``require_combinatorial``.
-    Cached entries are immutable, so they are shared safely.
+    the module functions derive from it: per g the screw image as integer
+    terms over a common denominator; per character label j the integer and
+    rational twisted screw images per (j, g), the fixed-screw dimension,
+    basis and kernel proof, and the signs of ``induced_labeling``; and the
+    outcome of ``require_combinatorial``.  Cached entries are shared safely.
     """
 
     def __init__(self, group: AbelianGroup, d: int, images: Mapping[Element, SquareMatrix]):
@@ -165,10 +165,12 @@ class PointRepresentation:
         self.images = dict(images)
         self._hat_k: dict[tuple[Element, int], SquareMatrix] = {}
         self._twisted: dict[tuple[Element, Element], SquareMatrix] = {}
+        self._twisted_int: dict[tuple[Element, Element], tuple[int, SquareMatrix]] = {}
         self._trivial_dim: dict[Element, int] = {}
-        self._fixed: dict[Element, tuple[tuple[Scalar, ...], ...]] = {}
+        self._fixed: dict[Element, tuple[tuple[Fraction, ...], ...]] = {}
         self._proven_dim: dict[Element, int] = {}
         self._hat2_int: dict[Element, tuple[int, tuple]] = {}
+        self._signs: dict[Element, dict[Element, tuple[int, ...]]] = {}
         self._validate()
 
     @classmethod
@@ -180,14 +182,21 @@ class PointRepresentation:
             raise RepresentationError(
                 f"expected {len(gens)} generator images, got {len(generator_images)}"
             )
+        # as in ``_validate``: the last non-rational generator's image comes first
+        for g, m in reversed(list(zip(gens, generator_images))):
+            _require_rational(g, m)
         # an image is one generator image times the image of the element
         # with its last nonzero coordinate decreased by one, which comes
-        # earlier in the lexicographic order of elements()
-        images: dict[Element, SquareMatrix] = {group.identity: SquareMatrix.identity(d)}
+        # earlier in the lexicographic order of elements(); the products are
+        # taken on the integer images (D, D M) of ``_integer_image``
+        factors = [_integer_image(m) for m in generator_images]
+        images = {group.identity: SquareMatrix.identity(d)}
+        scaled = {group.identity: _integer_image(images[group.identity])}
         for elem in group.elements()[1:]:
             t = max(s for s, x in enumerate(elem) if x)
-            prev = elem[:t] + (elem[t] - 1,) + elem[t + 1 :]
-            images[elem] = images[prev] @ generator_images[t]
+            (da, na), (db, nb) = scaled[elem[:t] + (elem[t] - 1,) + elem[t + 1 :]], factors[t]
+            den, n = scaled[elem] = da * db, na @ nb
+            images[elem] = SquareMatrix(tuple(tuple(Fraction(x, den) for x in r) for r in n.rows))
         return cls(group, d, images)
 
     @classmethod
@@ -203,8 +212,7 @@ class PointRepresentation:
             m = self.images[g]
             if m.n != self.d:
                 raise RepresentationError(f"image of {g} is {m.n}x{m.n}, expected {self.d}x{self.d}")
-            if not all(isinstance(x, (int, Fraction)) for row in m.rows for x in row):
-                raise RepresentationError(f"image of {g} has entries that are not rational")
+            _require_rational(g, m)
         # each image M as (D, N), N = D M an integer matrix, so that the
         # products below are integer ones
         scaled = {g: _integer_image(m) for g, m in self.images.items()}
@@ -290,12 +298,9 @@ class PointRepresentation:
         return None
 
 
-def _integer_image(m: SquareMatrix) -> tuple[int, SquareMatrix]:
-    """(D, D m) for a rational matrix m, D the lcm of its denominators."""
-    den = lcm(*(x.denominator for row in m.rows for x in row))
-    return den, SquareMatrix(
-        tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in m.rows)
-    )
+def _require_rational(g: Element, m: SquareMatrix) -> None:
+    if not all(isinstance(x, (int, Fraction)) for row in m.rows for x in row):
+        raise RepresentationError(f"image of {g} has entries that are not rational")
 
 
 def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix:
@@ -304,14 +309,29 @@ def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix
     Kronecker times C_m^(-a), the matrix of rho_j(g)^{-1} on Q(zeta_m) for
     the character value rho_j(g) = zeta_m^a.  Row and column (t, c) sit at
     t * phi + c.  For a real character this is rho_j(g) times the induced
-    matrix.  Cached on ``rep`` per (j, g)."""
+    matrix.  A rational view of ``_twisted_int``, cached on ``rep`` per (j, g)."""
     key = (tuple(j), tuple(g))
     m = rep._twisted.get(key)
     if m is None:
-        order = rep.group.element_order(j)
-        a = -character_power(rep.group, j, g) % order
-        m = rep._twisted[key] = kron(rep.tau_hat2(g), root_of_unity_matrix(order, a))
+        den, n = _twisted_int(rep, j, g)
+        rows = tuple(tuple(Fraction(x, den) for x in row) for row in n.rows)
+        m = rep._twisted[key] = SquareMatrix(rows)
     return m
+
+
+def _twisted_int(rep: PointRepresentation, j: Element, g: Element) -> tuple[int, SquareMatrix]:
+    """``tau_hat2_j(rep, j, g)`` as (D, N), N = D tau_hat2_j: the dense screw
+    image of ``tau_hat2_int(rep, g)``, integer over its denominator D,
+    Kronecker times C_m^(-a).  Cached on ``rep`` per (j, g)."""
+    j, g = rep.group.canon(j), rep.group.canon(g)
+    out = rep._twisted_int.get((j, g))
+    if out is None:
+        den, terms = tau_hat2_int(rep, g)
+        rows = tuple(tuple(dict(ts).get(c, 0) for c in range(len(terms))) for ts in terms)
+        order = rep.group.element_order(j)
+        power = root_of_unity_matrix(order, -character_power(rep.group, j, g) % order)
+        out = rep._twisted_int[j, g] = den, kron(SquareMatrix(rows), power)
+    return out
 
 
 def tau_hat2_int(
@@ -323,12 +343,8 @@ def tau_hat2_int(
     g."""
     g = rep.group.canon(g)
     if g not in rep._hat2_int:
-        rows = rep.tau_hat2(g).rows
-        den = lcm(*(x.denominator for row in rows for x in row))
-        rep._hat2_int[g] = den, tuple(
-            tuple((c, x.numerator * (den // x.denominator)) for c, x in enumerate(row) if x)
-            for row in rows
-        )
+        den, n = _integer_image(rep.tau_hat2(g))
+        rep._hat2_int[g] = den, tuple(tuple((c, x) for c, x in enumerate(r) if x) for r in n.rows)
     return rep._hat2_int[g]
 
 
@@ -344,15 +360,17 @@ def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
         return rep._trivial_dim[j]
     elems = rep.group.elements()
     m = rep.group.element_order(j)
-    total = sum(
-        rep.tau_hat2(g).trace()
-        * root_of_unity_matrix(m, -character_power(rep.group, j, g) % m).trace()
-        for g in elems
-    )
-    avg = Fraction(total, len(elems) * irrep_degree(rep.group, j))
-    if avg.denominator != 1 or avg < 0:
+    scale = lcm(*(tau_hat2_int(rep, g)[0] for g in elems))
+    total = 0  # scale times the sum of the traces, from the integer terms
+    for g in elems:
+        den, terms = tau_hat2_int(rep, g)
+        c = root_of_unity_matrix(m, -character_power(rep.group, j, g) % m).trace()
+        total += scale // den * c * sum(x for t, ts in enumerate(terms) for s, x in ts if s == t)
+    n = scale * len(elems) * irrep_degree(rep.group, j)
+    if total % n or total < 0:
+        avg = Fraction(total, n)
         raise RepresentationError(f"trace average {avg} is not a nonnegative integer")
-    rep._trivial_dim[j] = dim = int(avg)
+    rep._trivial_dim[j] = dim = total // n
     return dim
 
 
@@ -363,17 +381,19 @@ def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Fra
     inverse, so these are the screws fixed by every image.  The twisted
     images form a representation, so a screw fixed by the images of the
     generators is fixed by every image: only their A^T - I are stacked,
-    which leaves the kernel, and so its basis, as it is.  Length equals
-    ``phi(m) * trivial_motion_dim``.  Cached on ``rep`` per j; each call
-    returns a new list."""
+    which leaves the kernel, and so its basis, as it is.  Each A^T - I is
+    stacked as the integer rows N^T - D I of ``_twisted_int``.  Length
+    equals ``phi(m) * trivial_motion_dim``.  Cached on ``rep`` per j; each
+    call returns a new list."""
     j = rep.group.canon(j)
     if j in rep._fixed:
         return list(rep._fixed[j])
     size = comb(rep.d + 1, 2) * irrep_degree(rep.group, j)
-    ident = SquareMatrix.identity(size)
-    rows: list[tuple[Scalar, ...]] = []
+    rows: list[tuple[int, ...]] = []
     for g in rep.group.generators():
-        rows.extend((tau_hat2_j(rep, j, g).transpose() - ident).rows)
+        den, n = _twisted_int(rep, j, g)
+        for r, col in enumerate(n.transpose().rows):
+            rows.append(tuple(x - den if c == r else x for c, x in enumerate(col)))
     basis = nullspace_exact([r for r in rows if any(r)], size)
     dim = trivial_motion_dim(rep, j) * irrep_degree(rep.group, j)
     if len(basis) != dim:
@@ -393,20 +413,23 @@ def proven_trivial_dim(rep: PointRepresentation, j: Element) -> int:
     screw s, assigned to every vertex, with vec . (s - A^T s); the fixed
     screws thus give phi(m) times this many independent kernel vectors of
     every realified orbit matrix of j, and its column count minus that
-    bounds its rank.  Raises ``ConsistencyError`` when the check fails.
-    Cached on ``rep`` per j."""
+    bounds its rank.  With s cleared of denominators and (D, N) the integer
+    image of ``_twisted_int``, A^T s = s is checked as N^T s = D s.  Raises
+    ``ConsistencyError`` when the check fails.  Cached on ``rep`` per j."""
     j = rep.group.canon(j)
     if j in rep._proven_dim:
         return rep._proven_dim[j]
     basis = fixed_subspace_basis(rep, j)
-    if rank_certified(basis, len(basis)) != len(basis):
+    cleared = [_cleared(s)[1] for s in basis]
+    if rank_certified(cleared, len(basis)) != len(basis):
         raise ConsistencyError(f"fixed screws of irrep {j} are linearly dependent")
     for g in rep.group.elements():
-        rows = tau_hat2_j(rep, j, g).rows
-        for s in basis:
-            # A^T s as the sum of x times row r of A over the support of s
-            support = [(rows[r], x) for r, x in enumerate(s) if x]
-            if [sum(row[c] * x for row, x in support) for c in range(len(s))] != list(s):
+        den, n = _twisted_int(rep, j, g)
+        for s, si in zip(basis, cleared):
+            # N^T s as the sum of x times row r of N over the support of s
+            support = [(n.rows[r], x) for r, x in enumerate(si) if x]
+            image = [sum(row[c] * x for row, x in support) for c in range(len(si))]
+            if image != [den * x for x in si]:
                 raise ConsistencyError(
                     f"screw {tuple(map(str, s))} is not fixed by the transposed "
                     f"image of {g} in irrep {j}"
@@ -422,14 +445,18 @@ def induced_labeling(rep: PointRepresentation, g: Element, pair: tuple[int, int]
     matrices.  The induced image of diag(s_1, ..., s_d, 1) is diagonal with
     entry s_i s_j at the pair (i, j), so the sign under gamma is
     s_i(gamma) s_j(gamma) rho_g(gamma), with s_(d+1) = 1: the diagonal entry
-    of ``tau_hat2_j(rep, g, gamma)``, read without building it."""
+    of ``tau_hat2_j(rep, g, gamma)``, read from the diagonal of
+    ``tau_hat2_int(rep, gamma)`` without building it.  The signs of every
+    pair are cached on ``rep`` per g."""
     rep.require_combinatorial()
-    i, j = pair
-    out: dict[Element, int] = {}
-    for gamma in rep.group.elements():
-        s = rep.tau(gamma).diagonal() + (1,)
-        out[gamma] = int(s[i - 1] * s[j - 1]) * (-1) ** character_power(rep.group, g, gamma)
-    return out
+    signs = rep._signs.get(g)
+    if signs is None:
+        signs = rep._signs[g] = {}
+        for gamma in rep.group.elements():
+            sign = (-1) ** character_power(rep.group, g, gamma)
+            signs[gamma] = tuple(sign * row[0][1] for row in tau_hat2_int(rep, gamma)[1])
+    pos = lex_index(rep.d + 1, 2).position(pair)
+    return {gamma: s[pos] for gamma, s in signs.items()}
 
 
 def screw_pairs(d: int) -> tuple[tuple[int, int], ...]:

@@ -38,6 +38,18 @@ def reflection9_rep() -> rig.PointRepresentation:
     return rig.PointRepresentation.from_generators(two_group(1), 3, [reflection])
 
 
+def rotation9_rep() -> rig.PointRepresentation:
+    """Z/4 acting by the quarter turn v v^T + [v]_x about the unit axis
+    v = (1, 2, 2) / 3: a rotation whose entries have denominators 3 and 9,
+    and whose square is a half-turn with denominator 9."""
+    v = [Fraction(x, 3) for x in (1, 2, 2)]
+    cross = [[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]]
+    rotation = rig.SquareMatrix.from_rows(
+        [[v[i] * v[j] + cross[i][j] for j in range(3)] for i in range(3)]
+    )
+    return rig.PointRepresentation.from_generators(rig.AbelianGroup((4,)), 3, [rotation])
+
+
 def stewart_graph(group: rig.AbelianGroup) -> rig.GainGraph:
     """One body orbit, four bar orbits with the non-identity gain, two of
     them non-free."""

@@ -6,8 +6,14 @@ subset enumeration, and tree packings through the partition criterion.
 The exceptions are earlier versions of production code, kept to pin the
 exact output of the current ones: ``matroid_union_rank_unpruned``, the union
 algorithm, ``analyze_generic`` with ``merge_samples``, the sampler that
-ranked every block at every sample, and ``hinge_to_bars``, which gave a
-hinge's bar copies random invertible combinations of its complement basis.
+ranked every block at every sample, ``hinge_to_bars``, which gave a
+hinge's bar copies random invertible combinations of its complement basis,
+and the screw-image functions that multiplied Fraction matrices:
+``induced_rep`` and the ``symmetry`` functions ``tau_hat2_j``,
+``trivial_motion_dim``, ``fixed_subspace_basis`` and
+``proven_trivial_dim``.  These cache on the representation they are given,
+in the attributes that the current functions use, so the tests hand them a
+fresh copy of it.
 """
 
 from __future__ import annotations
@@ -20,12 +26,12 @@ from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
 
-from orbitrig.algebra import hodge_star
-from orbitrig.errors import ConsistencyError, InputError
+from orbitrig.algebra import Scalar, SquareMatrix, det, hodge_star, kron, lex_index
+from orbitrig.errors import ConsistencyError, InputError, RepresentationError
 from orbitrig.gaingraph import EdgeId, GainGraph, multiply_edges
 from orbitrig.genframe import BarConfiguration, BarEntry, random_generic_bars
 from orbitrig.hinge import HingeConfiguration, bar_multiplicity, hinge_complement_basis
-from orbitrig.linalg import rank_certified, rank_exact
+from orbitrig.linalg import nullspace_exact, rank_certified, rank_exact
 from orbitrig.matroid import (
     PairLabel,
     SignedGraph,
@@ -35,7 +41,13 @@ from orbitrig.matroid import (
     incidence_matrix,
 )
 from orbitrig.rigidity import IrrepReport, RigidityReport, analyze
-from orbitrig.symmetry import Element, PointRepresentation
+from orbitrig.symmetry import (
+    Element,
+    PointRepresentation,
+    character_power,
+    irrep_degree,
+    root_of_unity_matrix,
+)
 
 
 def incidence_rank(sg: SignedGraph, ids=None) -> int:
@@ -348,3 +360,123 @@ def hinge_to_bars(
     meta = dict(config.meta)
     meta["bar_seed"] = seed
     return multiplied, BarConfiguration(d=d, entries=entries, meta=meta)
+
+
+def induced_rep(a: SquareMatrix, k: int) -> SquareMatrix:
+    """Action induced on the grade-k exterior power: entry [I, J] is the
+    k x k minor of ``a`` on rows I and columns J, a Fraction; for k = 2 each
+    minor a_ik a_jl - a_il a_jk is taken directly, as ``wedge`` does for
+    bars.  Satisfies (A B)^(k) = A^(k) B^(k) and
+    A^(k)(v_1 ^ ... ^ v_k) = (A v_1) ^ ... ^ (A v_k).
+    """
+    idx = lex_index(a.n, k)
+    rows = []
+    for I in idx.tuples():
+        if k == 2:
+            ri, rj = a.rows[I[0] - 1], a.rows[I[1] - 1]
+            row = [
+                Fraction(ri[c - 1] * rj[d - 1] - ri[d - 1] * rj[c - 1]) for c, d in idx.tuples()
+            ]
+        else:
+            row = [det([[a.rows[i - 1][j - 1] for j in J] for i in I]) for J in idx.tuples()]
+        rows.append(tuple(row))
+    return SquareMatrix(tuple(rows))
+
+
+def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix:
+    """The screw-space representation twisted by the character labeled j,
+    realified over Q: the grade-2 induced matrix of the augmented image,
+    Kronecker times C_m^(-a), the matrix of rho_j(g)^{-1} on Q(zeta_m) for
+    the character value rho_j(g) = zeta_m^a.  Row and column (t, c) sit at
+    t * phi + c.  For a real character this is rho_j(g) times the induced
+    matrix.  Cached on ``rep`` per (j, g)."""
+    key = (tuple(j), tuple(g))
+    m = rep._twisted.get(key)
+    if m is None:
+        order = rep.group.element_order(j)
+        a = -character_power(rep.group, j, g) % order
+        m = rep._twisted[key] = kron(rep.tau_hat2(g), root_of_unity_matrix(order, a))
+    return m
+
+
+def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
+    """Dimension over Q(zeta_m) of the fixed subspace of the twisted screw
+    representation: the average over the group of the traces of the
+    realified images, divided by phi(m).  A realified image is a Kronecker
+    product, so its trace is the product of the factors' traces.  Always a
+    nonnegative integer for a valid representation.  Cached on ``rep`` per
+    j."""
+    j = rep.group.canon(j)
+    if j in rep._trivial_dim:
+        return rep._trivial_dim[j]
+    elems = rep.group.elements()
+    m = rep.group.element_order(j)
+    total = sum(
+        rep.tau_hat2(g).trace()
+        * root_of_unity_matrix(m, -character_power(rep.group, j, g) % m).trace()
+        for g in elems
+    )
+    avg = Fraction(total, len(elems) * irrep_degree(rep.group, j))
+    if avg.denominator != 1 or avg < 0:
+        raise RepresentationError(f"trace average {avg} is not a nonnegative integer")
+    rep._trivial_dim[j] = dim = int(avg)
+    return dim
+
+
+def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Fraction, ...]]:
+    """Basis of the realified screws s with A^T s = s for every twisted image
+    A, i.e. the space of j-symmetric trivial motions on the quotient (see
+    ``proven_trivial_dim``).  For a real character A^T is the image of the
+    inverse, so these are the screws fixed by every image.  The twisted
+    images form a representation, so a screw fixed by the images of the
+    generators is fixed by every image: only their A^T - I are stacked,
+    which leaves the kernel, and so its basis, as it is.  Length equals
+    ``phi(m) * trivial_motion_dim``.  Cached on ``rep`` per j; each call
+    returns a new list."""
+    j = rep.group.canon(j)
+    if j in rep._fixed:
+        return list(rep._fixed[j])
+    size = comb(rep.d + 1, 2) * irrep_degree(rep.group, j)
+    ident = SquareMatrix.identity(size)
+    rows: list[tuple[Scalar, ...]] = []
+    for g in rep.group.generators():
+        rows.extend((tau_hat2_j(rep, j, g).transpose() - ident).rows)
+    basis = nullspace_exact([r for r in rows if any(r)], size)
+    dim = trivial_motion_dim(rep, j) * irrep_degree(rep.group, j)
+    if len(basis) != dim:
+        raise RepresentationError(
+            f"fixed subspace dimension {len(basis)} != trace average {dim}"
+        )
+    rep._fixed[j] = tuple(basis)
+    return list(basis)
+
+
+def proven_trivial_dim(rep: PointRepresentation, j: Element) -> int:
+    """Number of fixed screws of character j over Q(zeta_m), after proving
+    in exact arithmetic that A^T s = s for every realified fixed screw s and
+    every twisted image A, and that those screws are independent.  A
+    realified orbit-matrix row of character j is a realified bar vec paired
+    with the tail screw and A vec paired with the head screw, so it pairs a
+    screw s, assigned to every vertex, with vec . (s - A^T s); the fixed
+    screws thus give phi(m) times this many independent kernel vectors of
+    every realified orbit matrix of j, and its column count minus that
+    bounds its rank.  Raises ``ConsistencyError`` when the check fails.
+    Cached on ``rep`` per j."""
+    j = rep.group.canon(j)
+    if j in rep._proven_dim:
+        return rep._proven_dim[j]
+    basis = fixed_subspace_basis(rep, j)
+    if rank_certified(basis, len(basis)) != len(basis):
+        raise ConsistencyError(f"fixed screws of irrep {j} are linearly dependent")
+    for g in rep.group.elements():
+        rows = tau_hat2_j(rep, j, g).rows
+        for s in basis:
+            # A^T s as the sum of x times row r of A over the support of s
+            support = [(rows[r], x) for r, x in enumerate(s) if x]
+            if [sum(row[c] * x for row, x in support) for c in range(len(s))] != list(s):
+                raise ConsistencyError(
+                    f"screw {tuple(map(str, s))} is not fixed by the transposed "
+                    f"image of {g} in irrep {j}"
+                )
+    rep._proven_dim[j] = dim = len(basis) // irrep_degree(rep.group, j)
+    return dim

@@ -40,7 +40,7 @@ from orbitrig.symmetry import (
     trivial_motion_dim,
 )
 import oracles
-from conftest import mirror_rep, reflection9_rep, stewart_graph
+from conftest import mirror_rep, reflection9_rep, rotation9_rep, stewart_graph
 
 
 def trivial_framework(n_bars: int):
@@ -803,3 +803,66 @@ class TestOtherDimensions:
                 count=10, orders=(2,), d=d, seed=11, max_vertices=3, max_edges=6, bound=999
             )
             assert summary["ok"]
+
+
+def _lifted_oracle_reps():
+    """Diagonal (2), (2,2) and (2,2,2), the quarter turn, the Z/3 and Z/6
+    cycles, and the quarter turn about (1, 2, 2) with denominator 9."""
+    rng = random.Random(67)
+    reps = [random_diagonal_rep(rng, orders, 3) for orders in ((2,), (2, 2), (2, 2, 2))]
+    reps += [_complex_rep(orders, d, gen) for orders, d, gen in COMPLEX_GROUPS[:3]]
+    return reps + [rotation9_rep()]
+
+
+class TestLiftedRankOracle:
+    """``lifted_rank`` ranks one sparse integer row per lifted edge; its
+    oracle is Bareiss on the dense Fraction matrix of the lifted bars."""
+
+    @staticmethod
+    def _oracle(h, config, rep):
+        return rank_exact(rigidity_matrix(*lift_bars(h, config, rep), rep.d))
+
+    def test_seeded_gain_graphs(self):
+        rng = random.Random(71)
+        for rep in _lifted_oracle_reps():
+            for t in range(4):
+                h = random_gain_graph(rng, rep.group, 4, 10)
+                config = random_generic_bars(h, rep, t, bound=50)
+                assert rigidity.lifted_rank(h, config, rep) == self._oracle(h, config, rep)
+
+    def test_deficient_lifts_fall_back(self, bareiss_calls):
+        """Twenty bars between u and v and one from v to w: more lifted rows
+        than the bound b (|V| |G| - 1), and a rank below both."""
+        rng = random.Random(73)
+        for rep in _lifted_oracle_reps():
+            elems = rep.group.elements()
+            edges = [(i, "u", "v", rng.choice(elems)) for i in range(20)]
+            h = make_gain_graph(["u", "v", "w"], edges + [(20, "v", "w", rng.choice(elems))])
+            config = random_generic_bars(h, rep, 5, bound=9)
+            bound = 6 * (3 * rep.group.order() - 1)
+            assert len(lift_cover(h, rep.group).edges) > bound
+            del bareiss_calls[:]
+            rank = rigidity.lifted_rank(h, config, rep)
+            assert rank == self._oracle(h, config, rep) < bound
+            assert len(bareiss_calls) == 1
+
+    def test_rows_vanishing_mod_p_still_count(self, bareiss_calls):
+        """Bars whose coordinates are multiples of PRIME: their lifted rows
+        vanish mod p but not over Q, so they count toward the target, the
+        F_p rank falls short of it and Bareiss gives the rank."""
+        rng = random.Random(79)
+        for rep in _lifted_oracle_reps():
+            others = [g for g in rep.group.elements() if g != rep.group.identity]
+            edges = [(0, "u", "v", rep.group.identity)] + [
+                (i, "u", "v", rng.choice(others)) for i in (1, 2)
+            ]
+            h = make_gain_graph(["u", "v"], edges)
+            config = random_generic_bars(h, rep, 3, bound=50)
+            entries = dict(config.entries)
+            entries[0] = BarEntry(tuple(x * linalg.PRIME for x in config.vector(0)))
+            scaled = BarConfiguration(config.d, entries)
+            del bareiss_calls[:]
+            rank = rigidity.lifted_rank(h, scaled, rep)
+            assert rank == self._oracle(h, scaled, rep) == self._oracle(h, config, rep)
+            assert rank == 3 * rep.group.order()
+            assert len(bareiss_calls) == 1

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -12,7 +12,7 @@ from orbitrig.algebra import SquareMatrix, lex_index
 from orbitrig.cli import parse_framework
 from orbitrig.ensemble import random_diagonal_rep
 from orbitrig.linalg import nullspace_exact
-from orbitrig.errors import RepresentationError, UnsupportedGroupError
+from orbitrig.errors import ConsistencyError, RepresentationError, UnsupportedGroupError
 from orbitrig.symmetry import (
     AbelianGroup,
     PointRepresentation,
@@ -22,13 +22,22 @@ from orbitrig.symmetry import (
     induced_labeling,
     irrep_degree,
     irrep_is_real,
+    proven_trivial_dim,
     root_of_unity_matrix,
     screw_pairs,
     tau_hat2_int,
     tau_hat2_j,
     trivial_motion_dim,
 )
-from conftest import FIXTURE_DIR, halfturn_rep, mirror_rep, reflection9_rep, two_group
+import oracles
+from conftest import (
+    FIXTURE_DIR,
+    halfturn_rep,
+    mirror_rep,
+    reflection9_rep,
+    rotation9_rep,
+    two_group,
+)
 
 
 class TestAbelianGroup:
@@ -504,3 +513,73 @@ def _complex_order_rep(m: int) -> PointRepresentation:
     return PointRepresentation.from_generators(
         AbelianGroup((m,)), 3, [SquareMatrix.from_rows([[sign * x for x in r] for r in cycle])]
     )
+
+
+def _screw_image_reps() -> list[PointRepresentation]:
+    """Diagonal (2), (2,2) and (2,2,2), the quarter turn, the Z/3 and Z/6
+    cycles, a reflection and a quarter turn with denominator 9, and a
+    diagonal (2,2) in d = 4."""
+    rng = random.Random(83)
+    reps = [random_diagonal_rep(rng, orders, 3) for orders in ((2,), (2, 2), (2, 2, 2))]
+    reps += [_quarter_turn_rep(), _complex_order_rep(3), _complex_order_rep(6)]
+    return reps + [reflection9_rep(), rotation9_rep(), random_diagonal_rep(rng, (2, 2), 4)]
+
+
+def _fresh(rep: PointRepresentation) -> PointRepresentation:
+    return PointRepresentation(rep.group, rep.d, rep.images)
+
+
+class TestIntegerScrewImages:
+    """The integer screw images against the Fraction-matrix functions they
+    replaced (``oracles``), each run on its own copy of the representation
+    so that no cache is shared."""
+
+    def test_equal_to_the_fraction_versions(self):
+        for rep in _screw_image_reps():
+            old = _fresh(rep)
+            for j in rep.group.elements():
+                for g in rep.group.elements():
+                    assert tau_hat2_j(rep, j, g) == oracles.tau_hat2_j(old, j, g)
+                assert fixed_subspace_basis(rep, j) == oracles.fixed_subspace_basis(old, j)
+                assert trivial_motion_dim(rep, j) == oracles.trivial_motion_dim(old, j)
+                assert proven_trivial_dim(rep, j) == oracles.proven_trivial_dim(old, j)
+
+    def test_screw_image_is_the_cleared_compound(self):
+        """``tau_hat2_int`` is the Fraction compound cleared by its least
+        common denominator, and the compounds of every grade are the
+        Fraction ones."""
+        dens = set()
+        for rep in _screw_image_reps():
+            for g in rep.group.elements():
+                for k in range(1, rep.d + 1):
+                    assert rep.tau_hat_k(g, k) == oracles.induced_rep(rep.tau_hat(g), k)
+                compound = oracles.induced_rep(rep.tau_hat(g), 2).rows
+                den = lcm(*(x.denominator for row in compound for x in row))
+                terms = tuple(
+                    tuple((c, int(den * x)) for c, x in enumerate(row) if x) for row in compound
+                )
+                assert tau_hat2_int(rep, g) == (den, terms)
+                dens.add(den)
+        assert dens == {1, 9}
+
+    def test_images_with_denominators_are_generator_products(self):
+        rep = rotation9_rep()
+        power = SquareMatrix.identity(3)
+        for g in rep.group.elements():
+            assert rep.images[g] == power
+            assert all(isinstance(x, Fraction) for row in rep.images[g].rows for x in row)
+            power = power @ rep.images[(1,)]
+
+    def test_unfixed_screw_is_refused_with_a_denominator(self, monkeypatch):
+        """With D = 9 the proof reads N^T s = D s: the fixed screws pass it
+        and a screw that is not fixed is refused."""
+        rep = rotation9_rep()
+        assert tau_hat2_int(rep, (1,))[0] == 9
+        for j in rep.group.elements():
+            assert proven_trivial_dim(rep, j) == trivial_motion_dim(rep, j)
+        image = oracles.tau_hat2_j(_fresh(rep), (0,), (1,)).transpose()
+        screw = tuple(Fraction(int(t == 0)) for t in range(6))
+        assert image.apply(screw) != screw
+        monkeypatch.setattr(symmetry, "fixed_subspace_basis", lambda rep, j: [screw])
+        with pytest.raises(ConsistencyError, match="is not fixed"):
+            proven_trivial_dim(_fresh(rep), (0,))
