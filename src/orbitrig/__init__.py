@@ -18,10 +18,16 @@ from .gaingraph import (
     quotient,
     remove_zero_loops,
 )
-from .genframe import BarConfiguration, BarEntry, lift_bars, random_generic_bars
+from .genframe import (
+    BarConfiguration,
+    BarEntry,
+    HingeConfiguration,
+    lift_bars,
+    random_configuration,
+    random_generic_bars,
+)
 from .hinge import (
     Analysis,
-    HingeConfiguration,
     analyze_framework,
     analyze_hinge,
     hinge_to_bars,

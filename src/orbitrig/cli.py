@@ -23,25 +23,18 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .algebra import SquareMatrix, wedge
+from .algebra import SquareMatrix
 from .ensemble import SCHEMA_VERSION, crosscheck_instances
 from .errors import ConsistencyError, InputError
 from .gaingraph import GainGraph, make_gain_graph
 from .genframe import (
     BarConfiguration,
-    BarEntry,
-    bar_from_points,
+    HingeConfiguration,
     lift_bars,
-    loop_bar_from_point,
+    random_configuration,
     random_generic_bars,
 )
-from .hinge import (
-    HingeConfiguration,
-    analyze_framework,
-    certificates,
-    lift_hinges,
-    random_generic_hinges,
-)
+from .hinge import analyze_framework, certificates
 from .matroid import counting_violation
 from .rigidity import extract_flex, flex_residuals, orbit_matrix
 from .symmetry import AbelianGroup, Element, PointRepresentation, irrep_is_real
@@ -50,6 +43,8 @@ EXIT_RIGID = 0
 EXIT_FLEXIBLE = 1
 EXIT_INPUT = 2
 EXIT_INCONSISTENT = 3
+
+KINDS = {"body-bar": BarConfiguration, "body-hinge": HingeConfiguration}  # configuration per model
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +156,7 @@ def parse_framework(doc: dict) -> dict:
 
     config = None
     if "configuration" in doc and doc["configuration"] is not None:
-        if model == "body-hinge":
-            config = parse_hinge_configuration(doc["configuration"], h, rep)
-        else:
-            config = parse_configuration(doc["configuration"], h, rep)
+        config = parse_configuration(doc["configuration"], h, rep, KINDS[model])
 
     return {"model": model, "group": group, "rep": rep, "graph": h, "config": config}
 
@@ -178,51 +170,36 @@ def _parse_point(p: Sequence[Any], d: int) -> tuple[Fraction, ...]:
     raise InputError(f"point must have {d} or {d + 1} coordinates, got {len(vals)}")
 
 
-def _edge_points(doc: dict, kind: str, h: GainGraph, d: int):
-    """Per edge, its generating points in the explicit configuration
-    ``doc``, whose ``kind + "s"`` map is keyed by the string form of the
-    edge id."""
-    entries_doc = _require(doc, f"{kind}s", "configuration")
+def parse_configuration(
+    doc: dict, h: GainGraph, rep: PointRepresentation, kind: type[BarConfiguration]
+) -> BarConfiguration:
+    """Explicit configuration of ``kind``: per edge, its ``kind.point_count``
+    generating points under the string form of the edge id in the
+    ``kind.kind + "s"`` map of ``doc``."""
+    name = kind.kind
+    entries_doc = _require(doc, f"{name}s", "configuration")
     if not isinstance(entries_doc, dict):
-        raise InputError(f"{kind}s must be a JSON object, got {entries_doc!r}")
+        raise InputError(f"{name}s must be a JSON object, got {entries_doc!r}")
+    entries: dict = {}
     for e in h.edges:
         key = str(e.id)
         if key not in entries_doc:
-            raise InputError(f"configuration missing {kind} for edge {e.id!r}")
-        where = f"{kind} {key}"
+            raise InputError(f"configuration missing {name} for edge {e.id!r}")
+        where = f"{name} {key}"
         points = _array(_require(entries_doc[key], "points", where), f"points of {where}")
-        yield e, [_parse_point(_array(p, f"point of {where}"), d) for p in points]
-
-
-def parse_configuration(doc: dict, h: GainGraph, rep: PointRepresentation) -> BarConfiguration:
-    """Explicit bar configuration: one entry per edge, given by generating
-    points (a single point for non-free loops, two points otherwise)."""
-    entries: dict = {}
-    for e, pts in _edge_points(doc, "bar", h, rep.d):
-        if e.id in h.loops_l:
-            if len(pts) != 1:
-                raise InputError(f"non-free loop {e.id!r} takes exactly one point")
-            entries[e.id] = loop_bar_from_point(h, rep, e.id, pts[0])
-        else:
-            if len(pts) != 2:
-                raise InputError(f"edge {e.id!r} takes exactly two points")
-            entries[e.id] = bar_from_points(rep.d, pts[0], pts[1])
-        if all(x == 0 for x in entries[e.id].vector):
-            raise InputError(f"bar of edge {e.id!r} is the zero extensor")
-    return BarConfiguration(d=rep.d, entries=entries, meta={"source": "explicit"})
+        pts = [_parse_point(_array(p, f"point of {where}"), rep.d) for p in points]
+        count = kind.point_count(h, e.id, rep.d)
+        if len(pts) != count:
+            raise InputError(f"{name} of edge {e.id!r} takes {count} point(s), got {len(pts)}")
+        entries[e.id] = kind.entry(h, rep, e.id, pts)
+        if not any(entries[e.id].vector):
+            raise InputError(f"{name} of edge {e.id!r} is the zero extensor")
+    return kind(d=rep.d, entries=entries, meta={"source": "explicit"})
 
 
 def parse_hinge_configuration(doc: dict, h: GainGraph, rep: PointRepresentation):
     """Explicit hinge configuration: d-1 generating points per edge."""
-    entries: dict = {}
-    for e, pts in _edge_points(doc, "hinge", h, rep.d):
-        if len(pts) != rep.d - 1:
-            raise InputError(f"hinge {e.id!r} takes exactly {rep.d - 1} points")
-        ext = wedge(pts, rep.d)
-        if ext.is_zero():
-            raise InputError(f"hinge of edge {e.id!r} is the zero extensor")
-        entries[e.id] = BarEntry(vector=ext.coords, points=tuple(tuple(p) for p in pts))
-    return HingeConfiguration(d=rep.d, entries=entries, meta={"source": "explicit"})
+    return parse_configuration(doc, h, rep, HingeConfiguration)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +314,8 @@ def _flex_text(doc: dict):
 
 def cmd_lift(args) -> int:
     fw = _load(args)
-    rep, h = fw["rep"], fw["graph"]
-    if fw["model"] == "body-hinge":
-        cov, entries = lift_hinges(h, fw["config"] or random_generic_hinges(h, rep, args.seed), rep)
-        vector_key = "hinge"
-    else:
-        cov, entries = lift_bars(h, fw["config"] or random_generic_bars(h, rep, args.seed), rep)
-        vector_key = "bar"
+    rep, h, kind = fw["rep"], fw["graph"], KINDS[fw["model"]]
+    cov, entries = lift_bars(h, fw["config"] or random_configuration(kind, h, rep, args.seed), rep)
     doc = {
         "schema": SCHEMA_VERSION,
         "model": fw["model"],
@@ -353,7 +325,7 @@ def cmd_lift(args) -> int:
                 "id": [e.base, list(e.id[1])],
                 "tail": [e.tail[0], list(e.tail[1])],
                 "head": [e.head[0], list(e.head[1])],
-                vector_key: [str(x) for x in entries[e.id].vector],
+                kind.kind: [str(x) for x in entries[e.id].vector],
                 "points": (
                     None
                     if entries[e.id].points is None

@@ -51,10 +51,7 @@ def random_diagonal_rep(
             )
             for _ in orders
         ]
-        try:
-            rep = PointRepresentation.from_generators(group, d, gens)
-        except InputError:
-            continue
+        rep = PointRepresentation.from_generators(group, d, gens)
         if rep.is_faithful():
             return rep
 

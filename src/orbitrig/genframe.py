@@ -1,5 +1,7 @@
-"""Random symmetric generic bar configurations on quotient graphs and their
-lifts to the covering framework.
+"""Symmetric bar and hinge configurations on quotient graphs and their
+lifts to the covering framework.  Each kind (class) says how many points
+an entry takes and how they become it, so ``random_configuration`` draws
+and ``cli.parse_configuration`` reads both kinds.
 
 Points get integer coordinates from a seeded PRNG (Python's Mersenne
 Twister, recorded in the metadata).  A configuration is not itself
@@ -12,10 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .algebra import Scalar, wedge
-from .errors import InputError
+from .algebra import Extensor, Scalar, wedge
+from .errors import InputError, UnsupportedGroupError
 from .gaingraph import CoveredGraph, EdgeId, GainGraph, lift_cover
 from .symmetry import PointRepresentation
 
@@ -40,7 +41,7 @@ class BarConfiguration:
     entries: dict[EdgeId, BarEntry]
     meta: dict = field(default_factory=dict)
 
-    kind = "bar"  # what an entry is, for messages
+    kind = "bar"  # what an entry is, in messages and documents
     grade = 2  # of an entry's vector
 
     def vector(self, eid: EdgeId) -> tuple[Scalar, ...]:
@@ -52,9 +53,56 @@ class BarConfiguration:
     def points(self, eid: EdgeId):
         return self.entries[eid].points
 
+    @staticmethod
+    def check_edges(h: GainGraph) -> None:
+        """Raise unless every edge of ``h`` can take an entry; a bar can."""
 
-def random_point(rng: random.Random, d: int, bound: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(d)) + (Fraction(1),)
+    @staticmethod
+    def point_count(h: GainGraph, eid: EdgeId, d: int) -> int:
+        """How many generating points the entry of edge ``eid`` takes."""
+        return 1 if eid in h.loops_l else 2
+
+    @staticmethod
+    def entry(h: GainGraph, rep: PointRepresentation, eid: EdgeId, pts: list[tuple]) -> BarEntry:
+        """The entry of edge ``eid`` from its generating points."""
+        if eid in h.loops_l:
+            return loop_bar_from_point(h, rep, eid, pts[0])
+        return bar_from_points(rep.d, *pts)
+
+
+class HingeConfiguration(BarConfiguration):
+    """A hinge per quotient edge, kept as a bar is: a ``BarEntry`` with the
+    coordinates of the hinge at its grade, d-1, which ``extensor`` and
+    ``lift_bars`` read, and its d-1 generating points."""
+
+    kind = "hinge"
+
+    @property
+    def grade(self) -> int:
+        return self.d - 1
+
+    def extensor(self, eid: EdgeId) -> Extensor:
+        return Extensor(self.d, self.grade, self.vector(eid))
+
+    @staticmethod
+    def check_edges(h: GainGraph) -> None:
+        if h.loops_l:
+            raise UnsupportedGroupError(
+                "body-hinge analysis requires the group to act freely on edges "
+                f"(non-free loops present: {sorted(map(repr, h.loops_l))})"
+            )
+
+    @staticmethod
+    def point_count(h: GainGraph, eid: EdgeId, d: int) -> int:
+        return d - 1
+
+    @staticmethod
+    def entry(h: GainGraph, rep: PointRepresentation, eid: EdgeId, pts: list[tuple]) -> BarEntry:
+        return BarEntry(vector=wedge(pts, rep.d).coords, points=tuple(pts))
+
+
+def random_point(rng: random.Random, d: int, bound: int) -> tuple[int, ...]:
+    return tuple(rng.randint(-bound, bound) for _ in range(d)) + (1,)
 
 
 def bar_from_points(d: int, p: tuple, q: tuple) -> BarEntry:
@@ -69,32 +117,32 @@ def loop_bar_from_point(h: GainGraph, rep: PointRepresentation, eid: EdgeId, p: 
     return BarEntry(vector=wedge([p, q], rep.d).coords, points=(tuple(p),))
 
 
-def random_generic_bars(
-    h: GainGraph,
-    rep: PointRepresentation,
-    seed: int,
+def random_configuration(
+    kind: type[BarConfiguration], h: GainGraph, rep: PointRepresentation, seed: int,
     bound: int = DEFAULT_BOUND,
 ) -> BarConfiguration:
-    """Bar per quotient edge: two random homogeneous points wedged, except
-    that a non-free loop wedges one random point with its gain image."""
+    """An entry of ``kind`` per quotient edge, from ``kind.point_count``
+    random homogeneous points; an edge whose entry is the zero extensor
+    draws its points again."""
+    kind.check_edges(h)
     h.validate_gains(rep.group)
     rng = random.Random(seed)
-    d = rep.d
     entries: dict[EdgeId, BarEntry] = {}
     for e in h.edges:
         while True:
-            p = random_point(rng, d, bound)
-            if e.id in h.loops_l:
-                entry = loop_bar_from_point(h, rep, e.id, p)
-            else:
-                q = random_point(rng, d, bound)
-                entry = bar_from_points(d, p, q)
-            if any(x != 0 for x in entry.vector):
-                entries[e.id] = entry
+            pts = [random_point(rng, rep.d, bound) for _ in range(kind.point_count(h, e.id, rep.d))]
+            entries[e.id] = kind.entry(h, rep, e.id, pts)
+            if any(entries[e.id].vector):
                 break
-    return BarConfiguration(
-        d=d, entries=entries, meta={"seed": seed, "bound": bound, "prng": PRNG_NAME}
-    )
+    return kind(d=rep.d, entries=entries, meta={"seed": seed, "bound": bound, "prng": PRNG_NAME})
+
+
+def random_generic_bars(
+    h: GainGraph, rep: PointRepresentation, seed: int, bound: int = DEFAULT_BOUND
+) -> BarConfiguration:
+    """Bar per quotient edge: two random homogeneous points wedged, except
+    that a non-free loop wedges one random point with its gain image."""
+    return random_configuration(BarConfiguration, h, rep, seed, bound)
 
 
 def verify_loop_form(h: GainGraph, rep: PointRepresentation, config: BarConfiguration) -> None:
@@ -118,8 +166,9 @@ def lift_bars(
     """Lift a quotient configuration to the covering framework: the vector
     of a lifted edge is the image of the quotient one, at the
     configuration's grade, under the group element indexing the lift.
-    Non-free loops produce one bar per coset.
+    Non-free loops produce one bar per coset; hinges reject them.
     """
+    config.check_edges(h)
     cov = lift_cover(h, rep.group)
     bars: dict[tuple[EdgeId, tuple], BarEntry] = {}
     for le in cov.edges:

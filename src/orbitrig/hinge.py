@@ -17,71 +17,38 @@ with the verdicts' witness bounds, and checks the two against each other
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .algebra import Extensor, hodge_star, wedge
-from .errors import InputError, UnsupportedGroupError
+from .algebra import Extensor, hodge_star
+from .errors import InputError
 from .gaingraph import CoveredGraph, EdgeId, GainGraph, multiply_edges
-from .genframe import DEFAULT_BOUND, PRNG_NAME, BarConfiguration, BarEntry, lift_bars, random_point
+from .genframe import (
+    DEFAULT_BOUND,
+    PRNG_NAME,
+    BarConfiguration,
+    BarEntry,
+    HingeConfiguration,
+    lift_bars,
+    random_configuration,
+)
 from .linalg import nullspace_exact
 from .matroid import CombinatorialVerdict, combinatorial_verdict, counting_violation
 from .rigidity import IrrepReport, RigidityReport, analyze, analyze_generic, analyze_sampled
 from .symmetry import Element, PointRepresentation
 
 
-class HingeConfiguration(BarConfiguration):
-    """A hinge per quotient edge, kept as a bar is: a ``BarEntry`` with the
-    coordinates of the hinge at its grade, d-1, which ``extensor`` and
-    ``lift_bars`` read, and its d-1 generating points."""
-
-    kind = "hinge"
-
-    @property
-    def grade(self) -> int:
-        return self.d - 1
-
-    def extensor(self, eid: EdgeId) -> Extensor:
-        return Extensor(self.d, self.grade, self.vector(eid))
-
-
 def bar_multiplicity(d: int) -> int:
     return comb(d + 1, 2) - 1
 
 
-def _require_free_edges(h: GainGraph) -> None:
-    if h.loops_l:
-        raise UnsupportedGroupError(
-            "body-hinge analysis requires the group to act freely on edges "
-            f"(non-free loops present: {sorted(map(repr, h.loops_l))})"
-        )
-
-
 def random_generic_hinges(
-    h: GainGraph,
-    rep: PointRepresentation,
-    seed: int,
-    bound: int = DEFAULT_BOUND,
+    h: GainGraph, rep: PointRepresentation, seed: int, bound: int = DEFAULT_BOUND
 ) -> HingeConfiguration:
     """A hinge per quotient edge: d-1 random homogeneous points wedged."""
-    _require_free_edges(h)
-    h.validate_gains(rep.group)
-    d = rep.d
-    rng = random.Random(seed)
-    entries: dict[EdgeId, BarEntry] = {}
-    for e in h.edges:
-        while True:
-            pts = tuple(random_point(rng, d, bound) for _ in range(d - 1))
-            ext = wedge(list(pts), d)
-            if not ext.is_zero():
-                entries[e.id] = BarEntry(vector=ext.coords, points=pts)
-                break
-    return HingeConfiguration(
-        d=d, entries=entries, meta={"seed": seed, "bound": bound, "prng": PRNG_NAME}
-    )
+    return random_configuration(HingeConfiguration, h, rep, seed, bound)
 
 
 def hinge_complement_basis(hinge: Extensor) -> list[tuple[Fraction, ...]]:
@@ -124,7 +91,6 @@ def lift_hinges(
 ) -> tuple[CoveredGraph, dict[tuple, BarEntry]]:
     """``lift_bars`` of a hinge configuration, whose group must act freely
     on the edges."""
-    _require_free_edges(h)
     return lift_bars(h, config, rep)
 
 
@@ -214,7 +180,7 @@ def analyze_hinge(
     quotient with the bars of ``hinge_to_bars``, sampled by
     ``analyze_sampled``: sample t has the hinges from seed + t, drawn only
     when it is needed, or the explicit ``config`` at every sample."""
-    _require_free_edges(h)
+    HingeConfiguration.check_edges(h)
     multiplied = multiply_edges(h, bar_multiplicity(rep.d))
     verdicts = _verdicts(multiplied, rep)
 

@@ -21,6 +21,14 @@ def mirror_rep() -> rig.PointRepresentation:
     )
 
 
+def mirror_rep_d(d: int) -> rig.PointRepresentation:
+    """Reflection in the hyperplane x_d = 0 of R^d."""
+    rows = [[(-1 if i == d - 1 else 1) if i == j else 0 for j in range(d)] for i in range(d)]
+    return rig.PointRepresentation.from_generators(
+        two_group(1), d, [rig.SquareMatrix.from_rows(rows)]
+    )
+
+
 def halfturn_rep() -> rig.PointRepresentation:
     """Half-turn about the x axis."""
     return rig.PointRepresentation.from_generators(

@@ -13,7 +13,12 @@ from orbitrig.cli import (
     parse_framework,
     parse_rational,
 )
+from orbitrig.ensemble import serialize_instance
 from orbitrig.errors import InputError
+from orbitrig.gaingraph import make_gain_graph
+from orbitrig.genframe import BarConfiguration, HingeConfiguration, random_generic_bars
+from orbitrig.hinge import random_generic_hinges
+from conftest import mirror_rep_d
 
 
 def run(capsys, argv):
@@ -253,6 +258,61 @@ class TestExplicitHingeConfiguration:
         assert report["consistent"] is True
         assert report["irreps"][0]["flex"] == 1
         assert report["combinatorial"][0]["deficiency"] == 0
+
+
+class TestExplicitConfigurationRoundTrip:
+    """One parser reads both kinds: a document that gives a drawn
+    configuration's generating points parses to the same entries."""
+
+    @staticmethod
+    def _doc(h, rep, model: str, config) -> dict:
+        key = "hinges" if model == "body-hinge" else "bars"
+        doc = serialize_instance(h, rep, seed=0)
+        doc["model"] = model
+        doc["configuration"] = {key: {
+            str(eid): {"points": [[str(x) for x in p[:-1]] for p in entry.points]}
+            for eid, entry in config.entries.items()
+        }}
+        return doc
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bars_with_a_non_free_loop(self, d):
+        rep = mirror_rep_d(d)
+        h = make_gain_graph(
+            ["u", "v"], [(0, "u", "v", (0,)), (1, "v", "v", (1,)), (2, "u", "u", (1,))],
+            loops_l=[1], group=rep.group,
+        )
+        config = random_generic_bars(h, rep, seed=d)
+        parsed = parse_framework(self._doc(h, rep, "body-bar", config))["config"]
+        assert type(parsed) is BarConfiguration
+        assert parsed.entries == config.entries
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_hinges(self, d):
+        rep = mirror_rep_d(d)
+        h = make_gain_graph(
+            ["u", "v"], [(0, "u", "v", (0,)), (1, "u", "v", (1,)), (2, "u", "u", (1,))],
+            group=rep.group,
+        )
+        config = random_generic_hinges(h, rep, seed=d)
+        parsed = parse_framework(self._doc(h, rep, "body-hinge", config))["config"]
+        assert type(parsed) is HingeConfiguration
+        assert parsed.entries == config.entries
+
+    @pytest.mark.parametrize("eid, points", [
+        pytest.param("0", [[1, 2, 3]], id="free-bar-one-point"),
+        pytest.param("2", [[1, 2, 3], [4, 5, 6]], id="non-free-loop-two-points"),
+    ])
+    def test_wrong_point_count(self, capsys, fixture_dir, tmp_path, eid, points):
+        doc = json.loads((fixture_dir / "cs_stewart.json").read_text())
+        bars = {"0": {"points": [[1, 2, 3], [4, 5, 6]]}, "1": {"points": [[0, 1, 2], [7, 1, 1]]},
+                "2": {"points": [[2, 7, 1]]}, "3": {"points": [[3, 1, 4]]}}
+        bars[eid]["points"] = points
+        doc["configuration"] = {"bars": bars}
+        path = tmp_path / "bars.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", str(path)]) == EXIT_INPUT
+        assert f"bar of edge {eid} takes" in capsys.readouterr().err
 
 
 class TestNonFaithfulRepresentation:

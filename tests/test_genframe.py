@@ -3,11 +3,62 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from orbitrig.algebra import wedge
 from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
 from orbitrig.gaingraph import make_gain_graph
 from orbitrig.genframe import lift_bars, random_generic_bars, verify_loop_form
-from conftest import mirror_rep, two_group
+from orbitrig.hinge import random_generic_hinges
+from conftest import mirror_rep, mirror_rep_d, two_group
+
+
+# (points, vector) per edge, drawn with seed 5 and bound 9: bars on edges 0 (u-v),
+# 1 (a non-free loop at v) and 2 (u-v, the other gain); hinges on edges 0 and 1 (u-v)
+PINNED_DRAWS = {
+    ("bars", 2): {
+        0: ([(-1, 2, 1), (7, -9, 1)], (-5, -8, 11)),
+        1: ([(5, -2, 1)], (20, 0, -4)),
+        2: ([(-8, -4, 1), (-6, 2, 1)], (-40, -2, -6)),
+    },
+    ("hinges", 2): {
+        0: ([(-1, 2, 1)], (-1, 2, 1)),
+        1: ([(7, -9, 1)], (7, -9, 1)),
+    },
+    ("bars", 4): {
+        0: ([(-1, 2, 7, -9, 1), (5, -2, -8, -4, 1)], (-8, -27, 49, -6, -2, -26, 4, -100, 15, -5)),
+        1: ([(-6, 2, 6, -2, 1)], (0, 0, -24, 0, 0, 8, 0, 24, 0, -4)),
+        2: ([(3, 8, -6, 9, 1), (-2, -9, -3, 4, 1)], (-11, -21, 30, 5, -78, 113, 17, 3, -3, 5)),
+    },
+    ("hinges", 4): {
+        0: ([(-1, 2, 7, -9, 1), (5, -2, -8, -4, 1), (-6, 2, 6, -2, 1)],
+            (18, 74, -20, 360, -81, 67, -40, 4, -28, -100)),
+        1: ([(3, 8, -6, 9, 1), (-2, -9, -3, 4, 1), (-1, -4, 3, -4, 1)],
+            (-39, 51, -8, -9, -33, 45, -39, -117, 161, 6)),
+    },
+}
+
+
+class TestDrawLoop:
+    """Bars and hinges come from one draw loop; its points and their order
+    in the PRNG stream are pinned outside d = 3, which the ``lift`` golden
+    cases pin."""
+
+    @pytest.mark.parametrize("kind, d", sorted(PINNED_DRAWS), ids=lambda x: str(x))
+    def test_pinned_entries(self, kind, d):
+        rep = mirror_rep_d(d)
+        if kind == "bars":
+            edges = [(0, "u", "v", (0,)), (1, "v", "v", (1,)), (2, "u", "v", (1,))]
+            h = make_gain_graph(["u", "v"], edges, loops_l=[1], group=rep.group)
+            config = random_generic_bars(h, rep, seed=5, bound=9)
+        else:
+            h = make_gain_graph(["u", "v"], [(0, "u", "v", (0,)), (1, "u", "v", (1,))],
+                                group=rep.group)
+            config = random_generic_hinges(h, rep, seed=5, bound=9)
+        got = {eid: (list(e.points), e.vector) for eid, e in config.entries.items()}
+        assert got == PINNED_DRAWS[kind, d]
+        # generating points are drawn as ints
+        assert all(type(x) is int for e in config.entries.values() for p in e.points for x in p)
 
 
 class TestRandomGenericBars:
