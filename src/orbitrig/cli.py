@@ -176,6 +176,7 @@ def parse_configuration(
     """Explicit configuration of ``kind``: per edge, its ``kind.point_count``
     generating points under the string form of the edge id in the
     ``kind.kind + "s"`` map of ``doc``."""
+    kind.check_edges(h, rep.d)
     name = kind.kind
     entries_doc = _require(doc, f"{name}s", "configuration")
     if not isinstance(entries_doc, dict):

@@ -54,8 +54,8 @@ class BarConfiguration:
         return self.entries[eid].points
 
     @staticmethod
-    def check_edges(h: GainGraph) -> None:
-        """Raise unless every edge of ``h`` can take an entry; a bar can."""
+    def check_edges(h: GainGraph, d: int) -> None:
+        """Raise unless every edge of ``h`` can take an entry at ``d``; a bar can."""
 
     @staticmethod
     def point_count(h: GainGraph, eid: EdgeId, d: int) -> int:
@@ -85,7 +85,9 @@ class HingeConfiguration(BarConfiguration):
         return Extensor(self.d, self.grade, self.vector(eid))
 
     @staticmethod
-    def check_edges(h: GainGraph) -> None:
+    def check_edges(h: GainGraph, d: int) -> None:
+        if d < 2:
+            raise InputError(f"a hinge needs d >= 2, since it spans d-1 points; got d={d}")
         if h.loops_l:
             raise UnsupportedGroupError(
                 "body-hinge analysis requires the group to act freely on edges "
@@ -124,7 +126,7 @@ def random_configuration(
     """An entry of ``kind`` per quotient edge, from ``kind.point_count``
     random homogeneous points; an edge whose entry is the zero extensor
     draws its points again."""
-    kind.check_edges(h)
+    kind.check_edges(h, rep.d)
     h.validate_gains(rep.group)
     rng = random.Random(seed)
     entries: dict[EdgeId, BarEntry] = {}
@@ -168,7 +170,7 @@ def lift_bars(
     configuration's grade, under the group element indexing the lift.
     Non-free loops produce one bar per coset; hinges reject them.
     """
-    config.check_edges(h)
+    config.check_edges(h, config.d)
     cov = lift_cover(h, rep.group)
     bars: dict[tuple[EdgeId, tuple], BarEntry] = {}
     for le in cov.edges:

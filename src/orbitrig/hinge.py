@@ -179,8 +179,8 @@ def analyze_hinge(
     numeric ranks.  Numeric path: body-bar analysis of the multiplied
     quotient with the bars of ``hinge_to_bars``, sampled by
     ``analyze_sampled``: sample t has the hinges from seed + t, drawn only
-    when it is needed, or the explicit ``config`` at every sample."""
-    HingeConfiguration.check_edges(h)
+    when it is needed; an explicit ``config`` is the one sample."""
+    HingeConfiguration.check_edges(h, rep.d)
     multiplied = multiply_edges(h, bar_multiplicity(rep.d))
     verdicts = _verdicts(multiplied, rep)
 
@@ -189,7 +189,7 @@ def analyze_hinge(
         return hinge_to_bars(h, hinges, multiplied)[1]
 
     numeric = analyze_sampled(
-        multiplied, rep, draw, samples, _witness_bounds(verdicts),
+        multiplied, rep, draw, samples if config is None else 1, _witness_bounds(verdicts),
         {"seed": seed, "samples": samples, "bound": bound, "prng": PRNG_NAME,
          "model": "body-hinge", "bars_per_hinge": bar_multiplicity(rep.d)},
     )
@@ -228,6 +228,7 @@ def certificates(
     as a JSON certificate; with ``oracle``, the brute-force counting check
     beside it."""
     if model == "body-hinge":
+        HingeConfiguration.check_edges(h, rep.d)
         h = multiply_edges(h, bar_multiplicity(rep.d))
     out = []
     for g in irreps:

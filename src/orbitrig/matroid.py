@@ -549,7 +549,6 @@ def combinatorial_verdict(h: GainGraph, rep: PointRepresentation, g: Element) ->
     loops, build the induced labelings, compare the union rank of the
     remaining edges against the count of non-fixed screw dimensions."""
     rep.require_combinatorial()
-    g = rep.group.canon(g)
     h.validate_gains(rep.group)
     h_g = remove_zero_loops(h, rep, g)
     kept = {e.id for e in h_g.edges}

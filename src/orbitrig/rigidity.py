@@ -145,7 +145,6 @@ def orbit_matrix(
     coordinate's phi(m) coefficients.  Every entry is an integer.  Rows of
     non-free loops whose character value is -1 vanish identically."""
     _check_inputs(h, config, rep)
-    g = rep.group.canon(g)
     deg = irrep_degree(rep.group, g)
     ncols = comb(rep.d + 1, 2) * deg * len(h.vertices)
     powers = [root_of_unity_matrix(rep.group.element_order(g), r).rows for r in range(deg)]

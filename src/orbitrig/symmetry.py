@@ -2,18 +2,21 @@
 induce on screw space (grade-2 coordinates).
 
 Groups are products Z/k_1 x ... x Z/k_l written additively; an element is an
-integer tuple reduced componentwise.  The trivial group is the empty product
-``AbelianGroup(())``.  Characters are labeled by group elements.  A
-character j of order m takes values in the powers of zeta_m; it is real
-(values +-1) when m <= 2.  A value is kept exactly, as its exponent a for
-zeta_m^a (``character_power``).  The exact constructions here handle every
-character over Q through its realification (the prime-field block ranks of
-``rigidity`` send zeta_m to a root of unity mod p instead): Q(zeta_m) has
-the basis 1, zeta_m, ..., zeta_m^(phi(m)-1), and multiplication by zeta_m^a
-is the integer matrix C_m^a, C_m the companion matrix of the cyclotomic
-polynomial Phi_m (C = [+-1] for a real character).  Screw images are kept
-as integers over a common denominator (``tau_hat2_int``, ``_twisted_int``),
-and the trace average, fixed screws and kernel proof read only those.
+integer tuple reduced componentwise, checked where it enters (``contains``,
+``GainGraph.validate_gains``) or built by the group; nothing here reduces it
+again, and ``canon`` is only for arithmetic that leaves it unreduced.  The
+trivial group is the empty product ``AbelianGroup(())``.  Characters are
+labeled by group elements.  A character j of order m takes values in the
+powers of zeta_m; it is real (values +-1) when m <= 2.  A value is kept
+exactly, as its exponent a for zeta_m^a (``character_power``).  The exact
+constructions here handle every character over Q through its realification
+(the prime-field block ranks of ``rigidity`` send zeta_m to a root of unity
+mod p instead): Q(zeta_m) has the basis 1, zeta_m, ..., zeta_m^(phi(m)-1), and
+multiplication by zeta_m^a is the integer matrix C_m^a, C_m the companion
+matrix of the cyclotomic polynomial Phi_m (C = [+-1] for a real character).
+Screw images are kept as integers over a common denominator (``tau_hat2_int``,
+``_twisted_int``), and the trace average, fixed screws and kernel proof read
+only those.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class AbelianGroup:
         return tuple((-x) % k for x, k in zip(a, self.orders))
 
     def element_order(self, a: Element) -> int:
-        return lcm(*(k // gcd(x, k) for x, k in zip(self.canon(a), self.orders)))
+        return lcm(*(k // gcd(x, k) for x, k in zip(a, self.orders)))
 
     def generators(self) -> list[Element]:
         l = len(self.orders)
@@ -86,7 +89,7 @@ def character_power(group: AbelianGroup, j: Element, i: Element) -> int:
     exp(2 pi i sum_t j_t i_t / k_t), and each j_t m / k_t is an integer.
     The value is -1 exactly when 2a = m."""
     m = group.element_order(j)
-    return sum(x * y * m // k for x, y, k in zip(group.canon(j), group.canon(i), group.orders)) % m
+    return sum(x * y * m // k for x, y, k in zip(j, i, group.orders)) % m
 
 
 def irrep_is_real(group: AbelianGroup, j: Element) -> bool:
@@ -247,7 +250,7 @@ class PointRepresentation:
                     raise RepresentationError(f"images violate homomorphism at {a}+{b}")
 
     def tau(self, g: Element) -> SquareMatrix:
-        return self.images[self.group.canon(g)]
+        return self.images[g]
 
     def tau_hat(self, g: Element) -> SquareMatrix:
         return block_diag_one(self.tau(g))
@@ -256,7 +259,6 @@ class PointRepresentation:
         return self.tau_hat_k(g, 2)
 
     def tau_hat_k(self, g: Element, k: int) -> SquareMatrix:
-        g = self.group.canon(g)
         key = (g, k)
         if key not in self._hat_k:
             self._hat_k[key] = induced_rep(self.tau_hat(g), k)
@@ -310,12 +312,11 @@ def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix
     the character value rho_j(g) = zeta_m^a.  Row and column (t, c) sit at
     t * phi + c.  For a real character this is rho_j(g) times the induced
     matrix.  A rational view of ``_twisted_int``, cached on ``rep`` per (j, g)."""
-    key = (tuple(j), tuple(g))
-    m = rep._twisted.get(key)
+    m = rep._twisted.get((j, g))
     if m is None:
         den, n = _twisted_int(rep, j, g)
         rows = tuple(tuple(Fraction(x, den) for x in row) for row in n.rows)
-        m = rep._twisted[key] = SquareMatrix(rows)
+        m = rep._twisted[j, g] = SquareMatrix(rows)
     return m
 
 
@@ -323,7 +324,6 @@ def _twisted_int(rep: PointRepresentation, j: Element, g: Element) -> tuple[int,
     """``tau_hat2_j(rep, j, g)`` as (D, N), N = D tau_hat2_j: the dense screw
     image of ``tau_hat2_int(rep, g)``, integer over its denominator D,
     Kronecker times C_m^(-a).  Cached on ``rep`` per (j, g)."""
-    j, g = rep.group.canon(j), rep.group.canon(g)
     out = rep._twisted_int.get((j, g))
     if out is None:
         den, terms = tau_hat2_int(rep, g)
@@ -341,7 +341,6 @@ def tau_hat2_int(
     denominator of its entries, and per row of D tau_hat2(g) the
     (column, integer) pairs of its nonzero entries.  Cached on ``rep`` per
     g."""
-    g = rep.group.canon(g)
     if g not in rep._hat2_int:
         den, n = _integer_image(rep.tau_hat2(g))
         rep._hat2_int[g] = den, tuple(tuple((c, x) for c, x in enumerate(r) if x) for r in n.rows)
@@ -355,7 +354,6 @@ def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
     product, so its trace is the product of the factors' traces.  Always a
     nonnegative integer for a valid representation.  Cached on ``rep`` per
     j."""
-    j = rep.group.canon(j)
     if j in rep._trivial_dim:
         return rep._trivial_dim[j]
     elems = rep.group.elements()
@@ -385,7 +383,6 @@ def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Fra
     stacked as the integer rows N^T - D I of ``_twisted_int``.  Length
     equals ``phi(m) * trivial_motion_dim``.  Cached on ``rep`` per j; each
     call returns a new list."""
-    j = rep.group.canon(j)
     if j in rep._fixed:
         return list(rep._fixed[j])
     size = comb(rep.d + 1, 2) * irrep_degree(rep.group, j)
@@ -416,7 +413,6 @@ def proven_trivial_dim(rep: PointRepresentation, j: Element) -> int:
     bounds its rank.  With s cleared of denominators and (D, N) the integer
     image of ``_twisted_int``, A^T s = s is checked as N^T s = D s.  Raises
     ``ConsistencyError`` when the check fails.  Cached on ``rep`` per j."""
-    j = rep.group.canon(j)
     if j in rep._proven_dim:
         return rep._proven_dim[j]
     basis = fixed_subspace_basis(rep, j)

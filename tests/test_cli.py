@@ -427,6 +427,76 @@ class TestReplaySerialization:
         assert doc["counting_violations"]["[1]"] is None
 
 
+class TestBodyHingePreconditions:
+    """A body-hinge framework needs d >= 2 and a group acting freely on its
+    edges; every command checks both before it reads a hinge."""
+
+    NON_FREE = (
+        "input error: body-hinge analysis requires the group to act freely on edges "
+        "(non-free loops present: ['2', '3'])\n"
+    )
+    D1 = "input error: a hinge needs d >= 2, since it spans d-1 points; got d=1\n"
+
+    @staticmethod
+    def _write(tmp_path, doc) -> str:
+        path = tmp_path / "hinges.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def _d1_doc() -> dict:
+        return {
+            "schema": 1, "model": "body-hinge", "group": {"orders": [2]},
+            "representation": {"d": 1, "generators": [[["-1"]]]},
+            "gain_graph": {"vertices": ["a", "b"], "edges": [
+                {"id": 0, "tail": "a", "head": "b", "gain": [0]},
+                {"id": 1, "tail": "a", "head": "b", "gain": [1]},
+            ]},
+        }
+
+    @pytest.mark.parametrize("command", ["analyze", "certify", "lift"])
+    @pytest.mark.parametrize("points", [None, 5])
+    def test_non_free_loops_exit_2(self, capsys, tmp_path, fixture_dir, command, points):
+        """``certify`` used to certify this framework, which the model does
+        not define; an explicit configuration is refused before its points
+        are read, here malformed ones."""
+        doc = json.loads((fixture_dir / "cs_stewart.json").read_text())
+        doc["model"] = "body-hinge"
+        if points is not None:
+            doc["configuration"] = {"hinges": {str(e): {"points": points} for e in range(4)}}
+        assert main([command, self._write(tmp_path, doc)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", self.NON_FREE)
+
+    @pytest.mark.parametrize("command", ["analyze", "certify", "lift"])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_dimension_one_exits_2(self, capsys, tmp_path, command, explicit):
+        """These used to say ``multiplicity must be >= 1`` or ``cannot wedge
+        0 vectors``, which do not name the cause."""
+        doc = self._d1_doc()
+        if explicit:
+            doc["configuration"] = {"hinges": {"0": {"points": []}, "1": {"points": []}}}
+        assert main([command, self._write(tmp_path, doc)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", self.D1)
+
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    def test_explicit_hinges_are_one_sample(self, capsys, tmp_path, fixture_dir, samples):
+        """Every sample of an explicit configuration is the same framework,
+        so an unproven block is ranked once whatever ``--samples`` says;
+        the metadata still records the option."""
+        doc = json.loads((fixture_dir / "trivial_2body_1hinge.json").read_text())
+        doc["gain_graph"]["edges"].append({"id": 1, "tail": "u", "head": "v", "gain": []})
+        doc["configuration"] = {"hinges": {"0": {"points": [[0, 0, 0], [1, 0, 0]]},
+                                           "1": {"points": [[2, 0, 0], [5, 0, 0]]}}}
+        path = self._write(tmp_path, doc)
+        code, out = run(capsys, ["analyze", path, "--samples", str(samples)])
+        assert code == EXIT_FLEXIBLE
+        report = json.loads(out)
+        assert [(r["proof"], r["sample_ranks"]) for r in report["irreps"]] == [(None, [5])]
+        assert report["numeric"]["meta"]["samples"] == samples
+
+
 class TestInputBoundary:
     @staticmethod
     def _write(tmp_path, fixture_dir, edit) -> str:
@@ -532,6 +602,26 @@ class TestInputBoundary:
             f"input error: --irrep {bad!r} is not a comma-separated list of integers\n"
         )
 
+    @pytest.mark.parametrize("command", ["analyze", "certify", "flex"])
+    @pytest.mark.parametrize("irrep", ["2", "-1", "0,0"])
+    def test_irrep_outside_the_group_exits_2(self, capsys, fixture_dir, command, irrep):
+        """A character label is an element as it is written, reduced and of
+        the group's arity; the library never reduces it again."""
+        code = main([command, str(fixture_dir / "cs_stewart.json"), "--irrep", irrep])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: --irrep {irrep!r} is not an element of the group\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "certify", "flex", "lift"])
+    @pytest.mark.parametrize("gain", [[2], [-1], [0, 0]])
+    def test_gain_outside_the_group_exits_2(self, capsys, tmp_path, fixture_dir, command, gain):
+        path = self._write(tmp_path, fixture_dir, lambda g: g["edges"][0].update(gain=gain))
+        assert main([command, path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: edge 0 gain {tuple(gain)} not in group (2,)\n"
+
     @pytest.mark.parametrize("command", ["analyze", "certify", "flex", "lift"])
     def test_empty_gain_graph_exits_2(self, capsys, tmp_path, fixture_dir, command):
         """No vertices used to exit 3 on analyze (negative flex count) and to
@@ -555,6 +645,36 @@ class TestInputBoundary:
         assert captured.out == ""
         assert captured.err.startswith("internal error: TypeError")
         assert captured.err.count("\n") == 1
+
+
+def test_elements_arrive_canonical(capsys, fixture_dir, monkeypatch):
+    """Every element that reaches ``element_order`` or ``tau`` is a tuple of
+    the group, as the input boundary checks it (``contains``,
+    ``validate_gains``) or the group builds it: nothing inside reduces an
+    element again."""
+    from orbitrig.symmetry import AbelianGroup, PointRepresentation
+
+    seen = []
+    element_order, tau = AbelianGroup.element_order, PointRepresentation.tau
+
+    def checked_order(group, a):
+        seen.append((group, a))
+        return element_order(group, a)
+
+    def checked_tau(rep, g):
+        seen.append((rep.group, g))
+        return tau(rep, g)
+
+    monkeypatch.setattr(AbelianGroup, "element_order", checked_order)
+    monkeypatch.setattr(PointRepresentation, "tau", checked_tau)
+    runs = [[command, str(path)] for path in sorted(fixture_dir.glob("*.json"))
+            for command in ("analyze", "certify", "flex", "lift")]
+    runs += [["crosscheck", "--count", "5", "--group", group] for group in ("2", "2x2", "2x2x2")]
+    for argv in runs:
+        main(argv)
+        assert "internal error" not in capsys.readouterr().err
+    assert seen and {type(a) for _, a in seen} == {tuple}
+    assert all(group.contains(a) for group, a in seen)
 
 
 IGNORED_OPTIONS = [

@@ -597,7 +597,8 @@ class TestWitnessBound:
 
     def test_collinear_explicit_hinges_go_to_bareiss(self, fallbacks, bareiss_calls):
         """Two explicit hinges on one line leave the rotation about it, so
-        each sample's block has rank 5 below the witness bound 6."""
+        the block has rank 5 below the witness bound 6; an explicit
+        configuration is ranked once."""
         rep = PointRepresentation.trivial(3)
         h = make_gain_graph(["u", "v"], [(0, "u", "v", ()), (1, "u", "v", ())], group=rep.group)
         entries = {}
@@ -608,7 +609,7 @@ class TestWitnessBound:
         result = analyze_hinge(h, rep, seed=1, config=config)
         assert [v.witness_bound for v in result.verdicts] == [6]
         assert [(r.rank, r.flex) for r in result.numeric.irreps] == [(5, 1)]
-        assert fallbacks == [(), ()] and bareiss_calls == [10, 10]
+        assert fallbacks == [()] and bareiss_calls == [10]
 
     def test_bound_one_too_low_is_inconsistent(self):
         """An F_p rank above the bound is reported, not returned: this also
