@@ -139,8 +139,8 @@ class Extensor:
 def wedge(vectors: Sequence[Sequence[Scalar]], d: int) -> Extensor:
     """Wedge product of k vectors of R^{d+1}: the coordinate at the
     increasing tuple (i_1,...,i_k) is the k x k minor of the stacked-column
-    matrix on those rows, a Fraction.  A bar (k = 2) takes each minor
-    p_i q_j - p_j q_i directly."""
+    matrix on those rows, a ``det`` Fraction, except that a bar (k = 2)
+    takes each minor p_i q_j - p_j q_i directly, an int for int points."""
     k = len(vectors)
     if not 1 <= k <= d + 1:
         raise InputError(f"cannot wedge {k} vectors in dimension d={d}")
@@ -149,9 +149,7 @@ def wedge(vectors: Sequence[Sequence[Scalar]], d: int) -> Extensor:
             raise InputError(f"expected homogeneous vectors of length {d + 1}, got {len(v)}")
     if k == 2:
         p, q = vectors
-        coords = tuple(
-            Fraction(p[i] * q[j] - p[j] * q[i]) for i, j in combinations(range(d + 1), 2)
-        )
+        coords = tuple(p[i] * q[j] - p[j] * q[i] for i, j in combinations(range(d + 1), 2))
         return Extensor(d, 2, coords)
     idx = lex_index(d + 1, k)
     coords = []

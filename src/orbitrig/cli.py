@@ -326,7 +326,7 @@ def cmd_lift(args) -> int:
                 "id": [e.base, list(e.id[1])],
                 "tail": [e.tail[0], list(e.tail[1])],
                 "head": [e.head[0], list(e.head[1])],
-                kind.kind: [str(x) for x in entries[e.id].vector],
+                kind.kind: [str(Fraction(x, entries[e.id].den)) for x in entries[e.id].vector],
                 "points": (
                     None
                     if entries[e.id].points is None

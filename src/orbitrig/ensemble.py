@@ -12,19 +12,18 @@ from fractions import Fraction
 from .algebra import SquareMatrix
 from .errors import InputError
 from .gaingraph import GainGraph, make_gain_graph
-from .genframe import random_generic_bars
 from .hinge import analyze_framework, disagreements
 from .rigidity import CrosscheckResult, lifted_rank
-from .symmetry import AbelianGroup, PointRepresentation
+from .symmetry import MAX_D, AbelianGroup, PointRepresentation
 
 SCHEMA_VERSION = 1  # of the input documents: written here, read by ``cli``
 
 
 def _require_diagonal_two_group(orders: tuple[int, ...], d: int) -> None:
     """A faithful diagonal +-1 representation of (Z/2)^l in dimension d
-    exists iff every factor is 2 and l <= d, with d >= 1."""
-    if d < 1:
-        raise InputError(f"dimension must be positive, got {d}")
+    exists iff every factor is 2 and l <= d, with d >= 1 (and d <= MAX_D)."""
+    if not 1 <= d <= MAX_D:
+        raise InputError(f"dimension must be from 1 to MAX_D = {MAX_D}, got {d}")
     if any(k != 2 for k in orders):
         raise InputError(
             f"group orders {list(orders)}: a diagonal +-1 image needs every factor to be 2"
@@ -129,9 +128,9 @@ def crosscheck_instances(
         h = random_gain_graph(rng, rep.group, max_vertices, max_edges)
         cfg_seed = rng.randrange(2 ** 32)
         result = analyze_framework("body-bar", h, rep, cfg_seed, samples=2, bound=bound)
-        # sample 0 of the analysis is the configuration drawn from cfg_seed
+        # the lifted rank is taken at the analysis's sample 0
         cc = CrosscheckResult(
-            lifted_rank(h, random_generic_bars(h, rep, cfg_seed, bound=bound), rep),
+            lifted_rank(h, result.numeric.config, rep),
             {r.irrep: r.sample_ranks[0] for r in result.numeric.irreps},
         )
         issues = []

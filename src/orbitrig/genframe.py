@@ -7,7 +7,7 @@ Points get integer coordinates from a seeded PRNG (Python's Mersenne
 Twister, recorded in the metadata).  A configuration is not itself
 certified generic: ``rigidity`` proves a rank generic when it meets an
 upper bound that holds at every configuration, and samples again where
-none does.  All arithmetic stays rational so ranks are exact.
+none does.  Entries hold integer vectors (``BarEntry``), so ranks are exact.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .algebra import Extensor, Scalar, wedge
 from .errors import InputError, UnsupportedGroupError
 from .gaingraph import CoveredGraph, EdgeId, GainGraph, lift_cover
+from .linalg import _cleared
 from .symmetry import PointRepresentation
 
 PRNG_NAME = "python-random-mt19937"
@@ -26,13 +27,21 @@ DEFAULT_BOUND = 10 ** 6
 
 @dataclass(frozen=True)
 class BarEntry:
-    """One bar: its grade-2 coordinate vector, and the generating
-    homogeneous points when the bar was built from points (None for bars
-    produced as raw spans, e.g. from hinges).  A hinge entry is kept the
-    same way, with its grade-(d-1) vector and its d-1 points."""
+    """One bar: its grade-2 coordinate vector v, held as the integer vector
+    ``vector`` = ``den`` v, and its generating homogeneous points (None for
+    bars produced as raw spans, e.g. from hinges); a hinge entry likewise at
+    grade d-1, with d-1 points.  It is cleared once, when built, by the lcm
+    of its denominators, which ``den`` takes on, and no gcd (scaling changes
+    no rank), so ``den`` is 1 when drawn under an integer representation."""
 
-    vector: tuple[Scalar, ...]
+    vector: tuple[int, ...]
     points: tuple[tuple[Scalar, ...], ...] | None = None
+    den: int = 1
+
+    def __post_init__(self):
+        den, ints = _cleared(self.vector)
+        object.__setattr__(self, "vector", tuple(ints))
+        object.__setattr__(self, "den", self.den * den)
 
 
 @dataclass(frozen=True)
@@ -112,11 +121,11 @@ def bar_from_points(d: int, p: tuple, q: tuple) -> BarEntry:
 
 
 def loop_bar_from_point(h: GainGraph, rep: PointRepresentation, eid: EdgeId, p: tuple) -> BarEntry:
-    """Bar of a non-free loop: the wedge of a point with its image under
-    the loop gain."""
-    e = h.edge(eid)
-    q = rep.tau_hat(e.gain).apply(p)
-    return BarEntry(vector=wedge([p, q], rep.d).coords, points=(tuple(p),))
+    """Bar of a non-free loop: p ^ tau_hat(gain) p, as p ^ (N p_1..d,
+    D p_d+1) over D, (D, N) the integer image of tau(gain)."""
+    den, n = rep.integer_images[h.edge(eid).gain]
+    q = n.apply(p[:-1]) + (den * p[-1],)
+    return BarEntry(wedge([p, q], rep.d).coords, (tuple(p),), den)
 
 
 def random_configuration(
@@ -157,16 +166,16 @@ def verify_loop_form(h: GainGraph, rep: PointRepresentation, config: BarConfigur
             raise InputError(
                 f"non-free loop {e.id!r} needs a single generating point in its bar entry"
             )
-        expected = loop_bar_from_point(h, rep, e.id, pts[0])
-        if tuple(expected.vector) != tuple(config.vector(e.id)):
+        got, want = config.entries[e.id], loop_bar_from_point(h, rep, e.id, pts[0])
+        if [x * want.den for x in got.vector] != [x * got.den for x in want.vector]:
             raise InputError(f"bar of non-free loop {e.id!r} violates the loop form")
 
 
 def lift_bars(
     h: GainGraph, config: BarConfiguration, rep: PointRepresentation
 ) -> tuple[CoveredGraph, dict[tuple[EdgeId, tuple], BarEntry]]:
-    """Lift a quotient configuration to the covering framework: the vector
-    of a lifted edge is the image of the quotient one, at the
+    """Lift a quotient configuration to the covering framework: the entry of
+    a lifted edge is the image of the quotient one (``den`` kept), at the
     configuration's grade, under the group element indexing the lift.
     Non-free loops produce one bar per coset; hinges reject them.
     """
@@ -181,5 +190,5 @@ def lift_bars(
         if pts is not None:
             tau = rep.tau_hat(gamma)
             moved = tuple(tau.apply(p) for p in pts)
-        bars[le.id] = BarEntry(vector=vec, points=moved)
+        bars[le.id] = BarEntry(vec, moved, config.entries[le.base].den)
     return cov, bars

@@ -51,8 +51,7 @@ from .genframe import (
     random_generic_bars,
     verify_loop_form,
 )
-from .linalg import _cleared, kernel_vectors, prime_with_root, rank_certified, rank_complex
-from .linalg import rank_mod_p
+from .linalg import kernel_vectors, prime_with_root, rank_certified, rank_complex, rank_mod_p
 from .symmetry import (
     Element,
     PointRepresentation,
@@ -191,8 +190,8 @@ def _block_rows(
     t * phi(m) + c of its vertex block (the first realified row).  It holds
     the bar vector at the tail block and minus zeta_m^a tau_hat2(gain^-1)
     vec at the head block, zeta_m^a the character value at the gain, all
-    times D L, D the common denominator of tau_hat2(gain^-1) and L that of
-    the bar.  A row is empty exactly when it is zero over Q(zeta_m)."""
+    times D L, D the common denominator of tau_hat2(gain^-1) and L the
+    entry's ``den``.  A row is empty exactly when it is zero over Q(zeta_m)."""
     deg = irrep_degree(rep.group, g)
     m = rep.group.element_order(g)
     size = comb(rep.d + 1, 2) * deg
@@ -205,7 +204,7 @@ def _block_rows(
             power = root_of_unity_matrix(m, character_power(rep.group, g, e.gain))
             heads[e.gain] = den, terms, [(c, -r[0]) for c, r in enumerate(power.rows) if r[0]]
         den, terms, root = heads[e.gain]
-        vec = _cleared(config.vector(e.id))[1]
+        vec = config.vector(e.id)
         tb = offset[e.tail]
         row = {tb + t * deg: den * x for t, x in enumerate(vec) if x}
         hb = offset[e.head]
@@ -335,6 +334,7 @@ class RigidityReport:
     irreps: tuple[IrrepReport, ...]
     samples_agree: bool = True
     meta: dict = field(default_factory=dict)
+    config: BarConfiguration | None = field(default=None, compare=False, repr=False)  # of sample 0
 
     @property
     def rigid(self) -> bool:
@@ -411,6 +411,7 @@ def analyze(
         lifted_edges=_lifted_edge_count(h, rep.group.order()),
         irreps=tuple(reports),
         meta=dict(config.meta),
+        config=config,
     )
 
 
@@ -428,21 +429,22 @@ def analyze_sampled(
     at most ``samples`` times.  Per character the rank is the maximum of
     its sample ranks, the proof that of its last sample, and
     ``samples_agree`` holds when every character's sample ranks are equal.
-    ``meta`` replaces the configurations' metadata."""
+    ``meta`` replaces the configurations' metadata; ``config`` is sample 0's."""
     if samples < 1:
         raise InputError("need at least one sample")
     merged: dict[Element, IrrepReport] = {}
     todo = rep.group.elements()
+    reports = []
     for t in range(samples):
-        report = analyze(h, rep, draw(t), witness_bounds, todo)
-        for r in report.irreps:
+        reports.append(analyze(h, rep, draw(t), witness_bounds, todo))
+        for r in reports[-1].irreps:
             merged[r.irrep] = r if r.irrep not in merged else merged[r.irrep].merge(r)
         todo = [g for g in todo if merged[g].proof is None]
         if not todo:
             break
     irreps = tuple(merged[g] for g in rep.group.elements())
     agree = all(len(set(r.sample_ranks)) == 1 for r in irreps)
-    return replace(report, irreps=irreps, samples_agree=agree, meta=meta)
+    return replace(reports[0], irreps=irreps, samples_agree=agree, meta=meta)
 
 
 def analyze_generic(
@@ -566,14 +568,13 @@ def lifted_rank(h: GainGraph, config: BarConfiguration, rep: PointRepresentation
     """Exact rank of the rigidity matrix of the lifted framework.  The row
     of a lifted edge, gamma the element indexing the lift, is ranked as its
     positive multiple y = D L tau_hat2(gamma) vec at the tail block and -y
-    at the head block, L the bar's denominator (see ``tau_hat2_int``)."""
+    at the head block, L the entry's ``den`` (see ``tau_hat2_int``)."""
     cov = lift_cover(h, rep.group)
     b = comb(rep.d + 1, 2)
     offset = {v: i * b for i, v in enumerate(cov.vertices)}
-    cleared = {e.id: _cleared(config.vector(e.id))[1] for e in h.edges}
     rows = []
     for e in cov.edges:
-        vec = cleared[e.base]
+        vec = config.vector(e.base)
         y = [sum(a * vec[s] for s, a in ts) for ts in tau_hat2_int(rep, e.id[1])[1]]
         tb, hb = offset[e.tail], offset[e.head]
         rows.append({c: z for t, x in enumerate(y) if x for c, z in ((tb + t, x), (hb + t, -x))})

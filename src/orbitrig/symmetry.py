@@ -33,6 +33,7 @@ from .errors import ConsistencyError, InputError, RepresentationError, Unsupport
 from .linalg import _cleared, nullspace_exact, rank_certified
 
 Element = tuple[int, ...]
+MAX_D = 12  # the largest d taken: the work grows like d^4 (screw space is C(d+1, 2))
 
 
 @dataclass(frozen=True)
@@ -180,6 +181,8 @@ class PointRepresentation:
     def from_generators(
         cls, group: AbelianGroup, d: int, generator_images: Sequence[SquareMatrix]
     ) -> "PointRepresentation":
+        if d > MAX_D:  # checked before any image is built
+            raise RepresentationError(f"d = {d} is above the supported limit MAX_D = {MAX_D}")
         gens = group.generators()
         if len(generator_images) != len(gens):
             raise RepresentationError(
@@ -216,9 +219,9 @@ class PointRepresentation:
             if m.n != self.d:
                 raise RepresentationError(f"image of {g} is {m.n}x{m.n}, expected {self.d}x{self.d}")
             _require_rational(g, m)
-        # each image M as (D, N), N = D M an integer matrix, so that the
-        # products below are integer ones
-        scaled = {g: _integer_image(m) for g, m in self.images.items()}
+        # each image M as (D, N), N = D M an integer matrix (kept as
+        # ``integer_images``), so that the products below are integer ones
+        scaled = self.integer_images = {g: _integer_image(m) for g, m in self.images.items()}
         gens = sorted(self.group.generators())  # in element order
         for g in gens:
             den, n = scaled[g]

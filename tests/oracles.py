@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the production algorithms: independence
 goes through exact incidence-matrix ranks, union ranks through exhaustive
-subset enumeration, and tree packings through the partition criterion.
+subset enumeration, tree packings through the partition criterion, and
+a bar through ``fraction_wedge``, its definition in Fraction arithmetic.
 The exceptions are earlier versions of production code, kept to pin the
 exact output of the current ones: ``matroid_union_rank_unpruned``, the union
 algorithm, ``analyze_generic`` with ``merge_samples``, the sampler that
@@ -318,6 +319,13 @@ def merge_samples(per_sample: list[RigidityReport], meta: dict) -> RigidityRepor
         flex = b * base.quotient_vertices - best - r.trivial
         merged.append(IrrepReport(irrep=r.irrep, rank=best, trivial=r.trivial, flex=flex))
     return replace(base, irreps=tuple(merged), samples_agree=agree, meta=meta)
+
+
+def fraction_wedge(p: Sequence[Scalar], q: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    """The bar p ^ q of two homogeneous points by its definition, in
+    Fraction arithmetic: the minors p_i q_j - p_j q_i, i < j in lex order."""
+    p, q = [Fraction(x) for x in p], [Fraction(x) for x in q]
+    return tuple(p[i] * q[j] - p[j] * q[i] for i, j in combinations(range(len(p)), 2))
 
 
 def hinge_to_bars(

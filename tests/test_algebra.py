@@ -72,9 +72,10 @@ class TestWedge:
             assert lhs.coords == (rhs_u + rhs_v).coords
 
     def test_bar_coordinates_are_the_two_by_two_minors(self):
-        """A bar's coordinates are the Fraction minors det [[p_i, q_i],
-        [p_j, q_j]], i < j in lex order, for int and Fraction entries alike
-        (zeros included, which make the elimination swap rows)."""
+        """A bar's coordinates are the minors det [[p_i, q_i], [p_j, q_j]],
+        i < j in lex order, for int and Fraction entries alike (zeros
+        included, which make the elimination swap rows); int points, here
+        7 times the drawn ones, give int coordinates."""
         rng = random.Random(12)
         def entry():
             return rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)))
@@ -89,7 +90,9 @@ class TestWedge:
             )
             coords = wedge([p, q], d).coords
             assert coords == minors
-            assert all(type(x) is Fraction for x in coords)
+            ints = wedge([[int(7 * x) for x in p], [int(7 * x) for x in q]], d).coords
+            assert ints == tuple(49 * x for x in minors)
+            assert all(type(x) is int for x in ints)
 
     def test_dependent_set_is_zero(self):
         rng = random.Random(55)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -18,13 +19,66 @@ from orbitrig.errors import InputError
 from orbitrig.gaingraph import make_gain_graph
 from orbitrig.genframe import BarConfiguration, HingeConfiguration, random_generic_bars
 from orbitrig.hinge import random_generic_hinges
-from conftest import mirror_rep_d
+from conftest import mirror_rep_d, reflection9_rep, rotation9_rep
 
 
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _rational_docs() -> dict[str, dict]:
+    """Documents with denominators: a quarter turn whose images have
+    denominators 3 and 9 (with a non-free loop of the half-turn), a
+    reflection with denominator 9 and two non-free loops, and explicit
+    rational bar and hinge points."""
+    rot, ref = rotation9_rep(), reflection9_rep()
+    edges = [(0, "a", "b", (0,)), (1, "a", "b", (1,)), (2, "a", "a", (1,)), (3, "b", "b", (2,))]
+    quarter = serialize_instance(make_gain_graph(["a", "b"], edges, [3], group=rot.group), rot, 5)
+    edges = [(0, "v", "w", (0,)), (1, "v", "w", (1,)), (2, "v", "v", (1,)), (3, "w", "w", (1,))]
+    h = make_gain_graph(["v", "w"], edges, [2, 3], group=ref.group)
+    reflection, bars = serialize_instance(h, ref, 6), serialize_instance(h, ref, 6)
+    points = [[["1/2", "7/5", "3"], ["2", "-1/3", "5/7"]],
+              [["-3/4", "1", "2/9"], ["7/5", "1/2", "-1"]],
+              [["1/2", "7/5", "-2/3"], ["1", "1", "1/3"]],
+              [["5/3", "-1/2", "1/7"], ["0", "2", "1/2"]]]
+    bars["configuration"] = {"bars": {str(i): {"points": p[: 1 if i >= 2 else 2]}
+                                      for i, p in enumerate(points)}}
+    edges = [(0, "a", "b", (0,)), (1, "a", "b", (1,)), (2, "a", "b", (2,)), (3, "a", "a", (1,))]
+    hinges = serialize_instance(make_gain_graph(["a", "b"], edges, group=rot.group), rot, 8)
+    hinges["model"] = "body-hinge"
+    hinges["configuration"] = {"hinges": {str(i): {"points": p} for i, p in enumerate(points)}}
+    return {"quarter-turn": quarter, "reflection-loops": reflection,
+            "explicit-bars": bars, "explicit-hinges": hinges}
+
+
+# (exit code, first 16 hex digits of the sha256 of stdout) of JSON output; the
+# quarter turn's flex is asked for its real characters 0 and 2
+RATIONAL_OUTPUTS = {
+    ("quarter-turn", "lift"): (0, "85828064ed1891d2"),
+    ("quarter-turn", "analyze"): (1, "f32b3d7f4ddf9a8d"),
+    ("quarter-turn", "flex"): (1, "823e7a3f8e0ed538"),
+    ("reflection-loops", "lift"): (0, "dc64e0e56e03c9c6"),
+    ("reflection-loops", "analyze"): (1, "55c662b7ddae76f2"),
+    ("reflection-loops", "flex"): (1, "a4df77e24dbfd914"),
+    ("explicit-bars", "lift"): (0, "513ee0f73f7be76a"),
+    ("explicit-bars", "analyze"): (1, "bf0d095cd96ef067"),
+    ("explicit-bars", "flex"): (1, "af4dbe6d5a259604"),
+    ("explicit-hinges", "lift"): (0, "0b42dc98b1958608"),
+    ("explicit-hinges", "analyze"): (0, "c2424a55349d37ed"),
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(RATIONAL_OUTPUTS))
+def test_rational_documents(capsys, tmp_path, name, command):
+    """Bars with denominators, from rational images or rational points,
+    give the pinned output: a lifted bar is printed over its entry's den."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_rational_docs()[name]), encoding="utf-8")
+    extra = ["--irrep", "0;2"] if (name, command) == ("quarter-turn", "flex") else []
+    code, out = run(capsys, [command, str(path), "--format", "json"] + extra)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == RATIONAL_OUTPUTS[name, command]
 
 
 class TestParsing:
@@ -495,6 +549,27 @@ class TestBodyHingePreconditions:
         report = json.loads(out)
         assert [(r["proof"], r["sample_ranks"]) for r in report["irreps"]] == [(None, [5])]
         assert report["numeric"]["meta"]["samples"] == samples
+
+
+@pytest.mark.parametrize("d", [13, 16, 100])
+def test_dimension_above_the_limit_exits_2(capsys, tmp_path, fixture_dir, d):
+    """d is limited to MAX_D = 12, where the slowest command takes seconds;
+    a larger d exits 2, naming the limit, before any image is built."""
+    doc = json.loads((fixture_dir / "trivial_2body_6bars.json").read_text())
+    doc["representation"]["d"] = 12
+    assert parse_framework(doc)["rep"].d == 12
+    doc["representation"]["d"] = d
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("analyze", "certify", "flex", "lift"):
+        assert main([command, str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: d = {d} is above the supported limit MAX_D = 12\n"
+        )
+    assert main(["crosscheck", "--count", "1", "--dim", str(d)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"input error: dimension must be from 1 to MAX_D = 12, got {d}\n"
+    )
 
 
 class TestInputBoundary:

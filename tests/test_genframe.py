@@ -4,13 +4,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitrig.algebra import wedge
 from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
 from orbitrig.gaingraph import make_gain_graph
-from orbitrig.genframe import lift_bars, random_generic_bars, verify_loop_form
+from orbitrig.genframe import (
+    BarConfiguration,
+    BarEntry,
+    bar_from_points,
+    lift_bars,
+    loop_bar_from_point,
+    random_generic_bars,
+    verify_loop_form,
+)
 from orbitrig.hinge import random_generic_hinges
-from conftest import mirror_rep, mirror_rep_d, two_group
+from conftest import mirror_rep, mirror_rep_d, reflection9_rep, rotation9_rep, two_group
+from oracles import fraction_wedge
 
 
 # (points, vector) per edge, drawn with seed 5 and bound 9: bars on edges 0 (u-v),
@@ -136,3 +147,69 @@ class TestLiftBars:
                         assert got == want or got == tuple(-x for x in want)
                     else:
                         assert got == want
+
+
+coordinates = st.one_of(
+    st.integers(-99, 99), st.fractions(min_value=-9, max_value=9, max_denominator=9)
+)
+
+
+def point_pairs(d: int):
+    return st.lists(st.lists(coordinates, min_size=d + 1, max_size=d + 1), min_size=2, max_size=2)
+
+
+# a representation and the order-two gain of a non-free loop under it
+LOOP_REPS = {
+    "mirror": (mirror_rep(), (1,)),
+    "reflection9": (reflection9_rep(), (1,)),
+    "rotation9": (rotation9_rep(), (2,)),
+}
+
+
+class TestIntegerEntries:
+    """An entry holds its bar as integers over its ``den``: every vector
+    coordinate is an int, and read as Fraction(x, den) the vector is
+    ``oracles.fraction_wedge`` of its points."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5).flatmap(point_pairs))
+    def test_bars_of_int_and_rational_points(self, pq):
+        p, q = pq
+        entry = bar_from_points(len(p) - 1, p, q)
+        assert all(type(x) is int for x in entry.vector)
+        assert tuple(Fraction(x, entry.den) for x in entry.vector) == fraction_wedge(p, q)
+        if all(type(x) is int for x in p + q):
+            assert entry.den == 1
+
+    @pytest.mark.parametrize("name", sorted(LOOP_REPS))
+    @settings(max_examples=50, deadline=None)
+    @given(p=st.lists(coordinates, min_size=4, max_size=4))
+    def test_loop_bars(self, name, p):
+        """A non-free loop's bar is p ^ tau_hat(gain) p, also under the
+        rational reflection and quarter turn, whose images have
+        denominator 9; under the integer mirror, int points give den 1."""
+        rep, gain = LOOP_REPS[name]
+        h = make_gain_graph(["v"], [(0, "v", "v", gain)], loops_l=[0], group=rep.group)
+        entry = loop_bar_from_point(h, rep, 0, p)
+        assert all(type(x) is int for x in entry.vector)
+        want = fraction_wedge(p, rep.tau_hat(gain).apply(p))
+        assert tuple(Fraction(x, entry.den) for x in entry.vector) == want
+        if name == "mirror" and all(type(x) is int for x in p):
+            assert entry.den == 1
+        # the loop form holds of the same bar built at its own scale
+        verify_loop_form(h, rep, BarConfiguration(3, {0: BarEntry(want, (tuple(p),))}))
+
+    @pytest.mark.parametrize("name", sorted(LOOP_REPS))
+    def test_lifted_bars(self, name):
+        """A lifted bar is tau_hat2(gamma) times its quotient bar, gamma the
+        element indexing the lift, also held as integers over its ``den``."""
+        rep, gain = LOOP_REPS[name]
+        edges = [(0, "u", "v", gain), (1, "u", "v", rep.group.identity), (2, "v", "v", gain)]
+        h = make_gain_graph(["u", "v"], edges, loops_l=[2], group=rep.group)
+        config = random_generic_bars(h, rep, seed=3, bound=9)
+        cov, bars = lift_bars(h, config, rep)
+        for e in cov.edges:
+            entry, base = bars[e.id], config.entries[e.base]
+            assert all(type(x) is int for x in entry.vector)
+            want = rep.tau_hat2(e.id[1]).apply([Fraction(x, base.den) for x in base.vector])
+            assert tuple(Fraction(x, entry.den) for x in entry.vector) == want

@@ -504,7 +504,7 @@ class TestUnrealifiedBlocks:
             config = random_generic_bars(h, rep, t, bound=9)
             entries = {
                 eid: entry if h.edge(eid).is_loop()
-                else BarEntry(tuple(x / rng.randint(2, 9) for x in entry.vector))
+                else BarEntry(tuple(Fraction(x, rng.randint(2, 9)) for x in entry.vector))
                 for eid, entry in config.entries.items()
             }
             config = BarConfiguration(config.d, entries)
@@ -804,6 +804,31 @@ class TestOtherDimensions:
                 count=10, orders=(2,), d=d, seed=11, max_vertices=3, max_edges=6, bound=999
             )
             assert summary["ok"]
+
+
+def test_crosscheck_draws_each_configuration_once(monkeypatch):
+    """The lifted rank is taken at the analysis's sample 0, so an instance
+    draws one configuration per sample it analyzes: one alone when no
+    block is sampled again."""
+    from orbitrig import ensemble, genframe
+
+    draws, samples = [], []
+    draw, analyze_framework = genframe.random_configuration, ensemble.analyze_framework
+
+    def counted_draw(*args, **kwargs):
+        draws.append(args)
+        return draw(*args, **kwargs)
+
+    def analyze(*args, **kwargs):
+        result = analyze_framework(*args, **kwargs)
+        samples.append(max(len(r.sample_ranks) for r in result.numeric.irreps))
+        return result
+
+    monkeypatch.setattr(genframe, "random_configuration", counted_draw)
+    monkeypatch.setattr(ensemble, "analyze_framework", analyze)
+    assert ensemble.crosscheck_instances(5, (2, 2), 3, 7)["ok"]
+    assert len(samples) == 5 and 1 in samples
+    assert len(draws) == sum(samples)
 
 
 def _lifted_oracle_reps():
