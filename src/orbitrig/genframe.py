@@ -53,14 +53,17 @@ class BarConfiguration:
     kind = "bar"  # what an entry is, in messages and documents
     grade = 2  # of an entry's vector
 
-    def vector(self, eid: EdgeId) -> tuple[Scalar, ...]:
+    def _entry(self, eid: EdgeId) -> BarEntry:
         try:
-            return self.entries[eid].vector
+            return self.entries[eid]
         except KeyError:
             raise InputError(f"no {self.kind} for edge {eid!r}")
 
+    def vector(self, eid: EdgeId) -> tuple[Scalar, ...]:
+        return self._entry(eid).vector
+
     def points(self, eid: EdgeId):
-        return self.entries[eid].points
+        return self._entry(eid).points
 
     @staticmethod
     def check_edges(h: GainGraph, d: int) -> None:

@@ -6,7 +6,10 @@ negative sign product.  Rank follows the component formula
 ``sum(|V(X)| - 1 + alpha(X))`` where alpha marks components containing a
 negative cycle.  The union over the C(d+1,2) induced labelings is computed
 by an augmenting-path partition algorithm that emits a decomposition
-certificate and, on the deficient side, a rank witness set.
+certificate and, on the deficient side, a rank witness set.  A new element
+that some part accepts goes into the first such part as one forest edge,
+the path a search would find at its first step; only a longer augmenting
+path rebuilds the forests of the parts it changes.
 
 A search that finds no augmenting path marks its whole reach R saturated,
 and no later search enters R.  Each x in R is spanned, in every part it is
@@ -198,6 +201,15 @@ class _SignedForest:
         that path and part of the cycle; the cycle covers the rest."""
         return self.cycle[root].union(self.tree_path(v, self.cycle_edge[root].tail))
 
+    def accepts(self, e: SignedEdge) -> bool:
+        """Whether adding ``e`` keeps the inserted edges independent, i.e.
+        ``circuit(e) is None``, from two root lookups and no tree path."""
+        ru, su = self.find(e.tail)
+        rv, sv = self.find(e.head)
+        if ru != rv:
+            return not (ru in self.cycle and rv in self.cycle)
+        return su * e.sign * sv == -1 and ru not in self.cycle
+
     def circuit(self, e: SignedEdge) -> set[EdgeId] | None:
         """Edge ids of the unique circuit that ``e`` closes with the inserted
         (independent) edges, or None when adding ``e`` keeps them
@@ -367,6 +379,14 @@ def matroid_union_rank(
                     yield ("arc", y)
 
     def try_augment(source: EdgeId) -> bool:
+        # the source's first free part would end the search at its first
+        # step, so it takes the source by one insertion and nothing is rebuilt
+        for i, emap in enumerate(edge_maps):
+            if forests[i].accepts(emap[source]):
+                parts[i].append(source)
+                part_of[source] = i
+                forests[i].add(emap[source])
+                return True
         prev: dict[EdgeId, EdgeId | None] = {source: None}
         q = deque([source])
         while q:
@@ -400,7 +420,7 @@ def matroid_union_rank(
             emap = edge_maps[i]
             forest = forests[i] = _SignedForest()
             for y in parts[i]:
-                if forest.circuit(emap[y]) is not None:
+                if not forest.accepts(emap[y]):
                     raise ConsistencyError(f"augmentation broke part {labeled_sgs[i][0]}")
                 forest.add(emap[y])
 

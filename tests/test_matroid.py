@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbitrig import matroid
 from orbitrig.ensemble import random_diagonal_rep
 from orbitrig.errors import InputError
 from orbitrig.gaingraph import make_gain_graph, remove_zero_loops
@@ -128,6 +129,37 @@ def forest_circuit(g: SignedGraph, part, x):
     return _SignedForest(emap[y] for y in part).circuit(emap[x])
 
 
+def accepts_shape(forest: _SignedForest, e: SignedEdge, emap) -> str:
+    """Check that ``forest.accepts(e)`` is ``circuit(e) is None`` and name
+    the case: what e closes when accepted, the shape of its circuit when
+    not."""
+    circuit = forest.circuit(e)
+    assert forest.accepts(e) == (circuit is None)
+    (ru, su), (rv, sv) = forest.find(e.tail), forest.find(e.head)
+    if circuit is None:
+        if ru != rv:
+            return "tree"
+        return "negative-loop" if e.is_loop() else "negative-cycle"
+    degree: dict = {}
+    for x in circuit:
+        for v in (emap[x].tail, emap[x].head):
+            degree[v] = degree.get(v, 0) + 1
+    if len(circuit) == len(degree):
+        if e.is_loop():
+            return "positive-loop"
+        # a negative e that closes a balanced cycle meets the component's
+        # negative cycle in a theta
+        return "positive-cycle" if su * e.sign * sv == 1 else "theta"
+    assert len(circuit) == len(degree) + 1
+    return "tight-handcuff" if max(degree.values()) == 4 else "loose-handcuff"
+
+
+ACCEPTS_SHAPES = {
+    "tree", "negative-loop", "negative-cycle", "positive-loop", "positive-cycle", "theta",
+    "tight-handcuff", "loose-handcuff",
+}
+
+
 class TestCircuit:
     @pytest.mark.parametrize(
         "vertices, part, x, circuit",
@@ -183,6 +215,29 @@ class TestCircuit:
                     assert forest_circuit(g, part, x) == expected
                     dependent += expected is not None
         assert dependent >= 1000
+
+    def test_accepts_is_no_circuit_randomized(self):
+        """``accepts`` answers ``circuit(e) is None`` for every edge outside
+        seeded random parts, and every case of the circuit query occurs."""
+        rng = random.Random(139)
+        shapes: dict = {}
+        for _ in range(400):
+            g = random_signed_graph(rng, max_vertices=6, max_edges=10)
+            emap = g.edge_map()
+            ids = [e.id for e in g.edges]
+            rng.shuffle(ids)
+            forest = _SignedForest()
+            part = []
+            for eid in ids:
+                if rng.random() < 0.8 and forest.accepts(emap[eid]):
+                    forest.add(emap[eid])
+                    part.append(eid)
+            for x in ids:
+                if x not in part:
+                    shape = accepts_shape(forest, emap[x], emap)
+                    shapes[shape] = shapes.get(shape, 0) + 1
+        assert set(shapes) == ACCEPTS_SHAPES
+        assert min(shapes.values()) >= 10, shapes
 
     def test_witness_is_a_circuit_randomized(self):
         rng = random.Random(137)
@@ -308,6 +363,26 @@ class TestForestInvariants:
         assert merges["tail"] >= 50 and merges["head"] >= 50
         assert merges["deep"] >= 5
 
+    def test_accepts_is_no_circuit_on_long_sequences(self):
+        """On longer seeded insertion sequences, with deep trees that are
+        re-rooted as they join, ``accepts`` answers ``circuit(e) is None``
+        for random edges before every insertion."""
+        rng = random.Random(313)
+        shapes: dict = {}
+        for _ in range(18):
+            n = rng.randint(10, 40)
+            forest = _SignedForest()
+            emap: dict = {}
+            for eid in range(4 * n):
+                e = SignedEdge(eid, rng.randrange(n), rng.randrange(n), rng.choice((1, -1)))
+                emap[eid] = e
+                shape = accepts_shape(forest, e, emap)
+                shapes[shape] = shapes.get(shape, 0) + 1
+                if forest.accepts(e):
+                    forest.add(e)
+        assert set(shapes) == ACCEPTS_SHAPES
+        assert min(shapes.values()) >= 5, shapes
+
     def test_signed_rank_matches_incidence_rank(self):
         rng = random.Random(311)
         for _ in range(25):
@@ -431,6 +506,51 @@ class TestMatroidUnion:
             assert_matches_unpruned(labeled, res)
             failed += len(res.decomposition.unassigned) >= 2
         assert failed >= 20
+
+    def test_free_slot_costs_one_insertion(self, monkeypatch):
+        """Six copies of a spanning tree under six all-positive labelings:
+        copy k of each edge fits straight into part k, so the search builds
+        one forest per part and inserts each element once.  The witness
+        formula's own ``signed_rank`` forests are not counted."""
+        rng = random.Random(53)
+        n = 12
+        tree = [(rng.randrange(v), v) for v in range(1, n)]
+        edges = [(k * n + i, u, v, 1) for k in range(6) for i, (u, v) in enumerate(tree)]
+        g = sg(range(n), edges)
+        labeled = [((1, t + 2), g) for t in range(6)]
+        counting = [True]
+        built = []
+        inserted = []
+
+        class Counted(_SignedForest):
+            def __init__(self, edges=()):
+                if counting[0]:
+                    built.append(self)
+                super().__init__(edges)
+
+            def add(self, e):
+                if counting[0]:
+                    inserted.append(e.id)
+                super().add(e)
+
+        formula = matroid.union_rank_by_formula
+
+        def uncounted(*args):
+            counting[0] = False
+            try:
+                return formula(*args)
+            finally:
+                counting[0] = True
+
+        monkeypatch.setattr(matroid, "_SignedForest", Counted)
+        monkeypatch.setattr(matroid, "union_rank_by_formula", uncounted)
+        res = matroid_union_rank(labeled)
+        assert res.rank == len(edges)
+        assert [list(ids) for ids in res.decomposition.parts.values()] == [
+            [k * n + i for i in range(n - 1)] for k in range(6)
+        ]
+        assert len(built) == len(labeled)
+        assert sorted(inserted) == sorted(e[0] for e in edges)
 
     def test_witness_is_tight(self, c2_rep):
         h = stewart_graph(c2_rep.group)

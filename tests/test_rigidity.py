@@ -196,6 +196,13 @@ class TestAnalyze:
             ranks.append([orbit_matrix(h, config, rep, g).rank() for g in rep.group.elements()])
         assert ranks[0] == ranks[1] == ranks[2]
 
+    def test_missing_loop_bar(self, cs_stewart):
+        """A configuration without the bar of a non-free loop is an input
+        error, as a missing free bar is."""
+        h, rep = cs_stewart
+        with pytest.raises(InputError, match="no bar for edge 2"):
+            analyze(h, rep, BarConfiguration(3, {}))
+
 
 class TestExtractFlex:
     def test_cs_antisymmetric_flex(self, cs_stewart):
