@@ -304,16 +304,20 @@ def induced_rep(a: SquareMatrix, k: int) -> SquareMatrix:
     """
     den, n = _integer_image(a)
     n, scale = n.rows, den ** k
+    if k == 2:
+        return SquareMatrix(tuple(tuple(Fraction(x, scale) for x in r) for r in compound2(n)))
     idx = lex_index(a.n, k)
-    rows = []
-    for I in idx.tuples():
-        if k == 2:
-            ri, rj = n[I[0] - 1], n[I[1] - 1]
-            row = [
-                Fraction(ri[c - 1] * rj[d - 1] - ri[d - 1] * rj[c - 1], scale)
-                for c, d in idx.tuples()
-            ]
-        else:
-            row = [det([[n[i - 1][j - 1] for j in J] for i in I]) / scale for J in idx.tuples()]
-        rows.append(tuple(row))
-    return SquareMatrix(tuple(rows))
+    return SquareMatrix(
+        tuple(
+            tuple(det([[n[i - 1][j - 1] for j in J] for i in I]) / scale for J in idx.tuples())
+            for I in idx.tuples()
+        )
+    )
+
+
+def compound2(n: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """The grade-2 compound of a square matrix, integer for an integer one:
+    entry [I, J] is the 2 x 2 minor n_ik n_jl - n_il n_jk on rows I = (i, j)
+    and columns J = (k, l), both in lex order."""
+    pairs = list(combinations(range(len(n)), 2))
+    return [[n[i][k] * n[j][l] - n[i][l] * n[j][k] for k, l in pairs] for i, j in pairs]

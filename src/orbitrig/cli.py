@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Any, Sequence
 
 from .algebra import SquareMatrix
@@ -404,7 +405,11 @@ OPTIONS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process when first asked for:
+    parsing leaves it unchanged, and a process that calls ``main`` many
+    times (the tests, the benchmark) would otherwise rebuild it each time."""
     parser = argparse.ArgumentParser(
         prog="orbitrig",
         description="Infinitesimal rigidity of symmetric body-bar and body-hinge frameworks.",

@@ -40,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from .errors import ConsistencyError, InputError
@@ -146,6 +146,25 @@ def kernel_vectors(rows: Sequence[Sequence[Scalar]], ncols: int) -> Iterator[tup
             scaled.append((e.pivots[i], y))
             vec[e.pivots[i]] = Fraction(y, d)
         yield tuple(vec)
+
+
+def orthogonal_part(vec: Sequence[Scalar], ortho: Sequence[Sequence[int]]) -> list[int]:
+    """A positive integer multiple of ``vec`` minus its projections onto
+    the pairwise orthogonal integer vectors ``ortho``, fraction-free:
+    ``vec`` cleared of denominators, then per u the step
+    v <- (u.u) v - (v.u) u, divided by the gcd of its entries.  A multiple
+    of u projects as u does, so the parts this returns can serve as
+    ``ortho`` themselves."""
+    v = _cleared(vec)[1]
+    for u in ortho:
+        vu = sum(a * b for a, b in zip(v, u))
+        if vu:
+            uu = sum(a * a for a in u)
+            v = [uu * a - vu * b for a, b in zip(v, u)]
+            f = gcd(*v)
+            if f > 1:
+                v = [a // f for a in v]
+    return v
 
 
 def nullspace_exact(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[Fraction, ...]]:

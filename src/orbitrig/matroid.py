@@ -23,15 +23,25 @@ and the parts restricted to X span X in every matroid.  The union checks
 this equality before it returns.
 
 All independence questions go through one rooted spanning forest,
-``_SignedForest``, which keeps each vertex's root, sign to the root, parent
-edge and depth, so a root lookup is O(1) and a tree path costs its own
-length.  Its ``circuit`` query returns the unique circuit an edge
-closes with an independent set: a positive (balanced) cycle, a theta's
-balanced cycle, or a tight or loose handcuff (two negative cycles joined at
-a vertex or by a path, possibly across two former components).  The
-exchange arcs of the union algorithm from ``x`` into a part are exactly the
-part's elements on that circuit, since ``I - y + x`` is independent iff
-``y`` lies on the circuit of ``x`` in ``I``.
+``_SignedForest``, kept in lists over vertex indices 0..nv-1 with edges
+given as (k, tail, head, sign) ints, k an element index.  It keeps each
+vertex's root, sign to the root, parent edge and depth, so a root lookup
+is one list read and a tree path costs its own length.  Its ``circuit``
+query returns the unique circuit an edge closes with an independent set: a
+positive (balanced) cycle, a theta's balanced cycle, or a tight or loose
+handcuff (two negative cycles joined at a vertex or by a path, possibly
+across two former components).  The exchange arcs of the union algorithm
+from ``x`` into a part are exactly the part's elements on that circuit,
+since ``I - y + x`` is independent iff ``y`` lies on the circuit of ``x``
+in ``I``.
+
+The union numbers its elements and their endpoints once per call, so its
+parts, searches and saturated set hold ints, and edge ids come back only
+in its results.  Pairs whose induced labelings agree share one
+``SignedGraph`` (``labeled_signed_graphs``), and so one sign list in the
+union and one forest in its witness formula.  The certificate checks,
+``union_rank_by_formula`` and ``UnionDecomposition.validate``, index the
+graphs again and build forests of their own, never the union's.
 """
 
 from __future__ import annotations
@@ -39,8 +49,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConsistencyError, InputError
 from .gaingraph import EdgeId, GainGraph, VertexId, remove_zero_loops
@@ -55,8 +66,7 @@ from .symmetry import (
 PairLabel = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SignedEdge:
+class SignedEdge(NamedTuple):
     id: EdgeId
     tail: VertexId
     head: VertexId
@@ -77,6 +87,12 @@ class SignedGraph:
                 raise InputError(f"edge {e.id} sign must be +-1, got {e.sign}")
 
     def edge_map(self) -> dict[EdgeId, SignedEdge]:
+        """The edges by id, built once per graph and shared: not to be
+        modified."""
+        return self._edge_map
+
+    @cached_property
+    def _edge_map(self) -> dict[EdgeId, SignedEdge]:
         return {e.id: e for e in self.edges}
 
     @staticmethod
@@ -85,155 +101,174 @@ class SignedGraph:
         return SignedGraph(h.vertices, edges)
 
 
-class _SignedForest:
-    """Incremental tracker for signed-graphic independence.
+def _edge_table(
+    sg: SignedGraph, ids: Sequence[EdgeId]
+) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """The edges ``ids`` of ``sg`` as (k, tail, head, sign), k the position
+    in ``ids`` and the vertices numbered 0, 1, ... in order of first
+    appearance, with the number of vertices: the form ``_SignedForest``
+    takes."""
+    emap = sg.edge_map()
+    vindex: dict[VertexId, int] = {}
+    table = []
+    for k, eid in enumerate(ids):
+        _, tail, head, sign = emap[eid]
+        u = vindex.setdefault(tail, len(vindex))
+        table.append((k, u, vindex.setdefault(head, len(vindex)), sign))
+    return len(vindex), table
 
-    A rooted spanning forest of the inserted edges.  Per vertex it keeps
-    the component root, the sign of the tree path to the root, the parent
-    (tree edge, vertex) pair and the depth; per component (keyed by root)
-    the member list, whether a non-tree edge closes a negative cycle, and
-    the first non-tree edge with the edge ids of the cycle it closes (its
-    root is a key of ``cycle`` exactly when it has one).  Joining two
-    components re-roots the smaller one at its endpoint of the new edge
-    and hangs it below the other endpoint, so ``find`` is two lookups and
-    ``tree_path`` costs the length of the path.  ``circuit`` assumes the
-    inserted edges are independent.
+
+class _SignedForest:
+    """Incremental tracker for signed-graphic independence on the vertices
+    0 .. nv-1, with edges given as (k, tail, head, sign) ints, k an element
+    index.
+
+    A rooted spanning forest of the inserted edges, kept in lists indexed
+    by vertex.  Per vertex: the component root, the sign of the tree path
+    to the root, the parent vertex and tree edge (-1 at a root), the depth
+    and the tree adjacency.  Per component, at its root: the member list,
+    whether a non-tree edge closes a negative cycle (cleared when the root
+    stops being one), and the element indices of the first cycle a
+    non-tree edge closes with a vertex on it (``cycle`` is None while there
+    is none).  Joining two components re-roots the smaller one at its
+    endpoint of the new edge and hangs it below the other endpoint, so a
+    root lookup is one list read and ``tree_path`` costs the length of the
+    path.  ``circuit`` assumes the inserted edges are independent.
     """
 
-    def __init__(self, edges: Iterable[SignedEdge] = ()):
-        self.root: dict[VertexId, VertexId] = {}
-        self.sign: dict[VertexId, int] = {}
-        self.parent: dict[VertexId, tuple[EdgeId, VertexId] | None] = {}
-        self.depth: dict[VertexId, int] = {}
+    __slots__ = (
+        "root", "sign", "parent", "pedge", "depth", "tree",
+        "members", "unbalanced", "cycle", "cycle_at",
+    )
+
+    def __init__(self, nv: int, edges: Iterable[tuple[int, int, int, int]] = ()):
+        self.root = list(range(nv))
+        self.sign = [1] * nv
+        self.parent = [-1] * nv
+        self.pedge = [-1] * nv
+        self.depth = [0] * nv
         # tree adjacency, walked when a component is re-rooted
-        self.tree: dict[VertexId, list[tuple[EdgeId, VertexId, int]]] = {}
-        self.members: dict[VertexId, list[VertexId]] = {}
-        self.unbalanced: dict[VertexId, bool] = {}
-        self.cycle_edge: dict[VertexId, SignedEdge] = {}
-        self.cycle: dict[VertexId, set[EdgeId]] = {}
+        self.tree: list[list[tuple[int, int, int]]] = [[] for _ in range(nv)]
+        self.members = [[v] for v in range(nv)]
+        self.unbalanced = [False] * nv
+        self.cycle: list[set[int] | None] = [None] * nv
+        self.cycle_at = [0] * nv
         for e in edges:
-            self.add(e)
+            self.add(*e)
 
-    def _ensure(self, v: VertexId) -> None:
-        self.root[v] = v
-        self.sign[v] = 1
-        self.parent[v] = None
-        self.depth[v] = 0
-        self.tree[v] = []
-        self.members[v] = [v]
-        self.unbalanced[v] = False
-
-    def find(self, v: VertexId) -> tuple[VertexId, int]:
-        """The root of v's component and the sign of the tree path to it."""
-        if v not in self.root:
-            self._ensure(v)
-        return self.root[v], self.sign[v]
-
-    def add(self, e: SignedEdge) -> None:
-        """Insert an edge: a tree edge when it joins two components, else a
+    def add(self, k: int, u: int, v: int, s: int) -> None:
+        """Insert edge k: a tree edge when it joins two components, else a
         cycle edge of its component (negative cycles mark it unbalanced)."""
-        ru, su = self.find(e.tail)
-        rv, sv = self.find(e.head)
+        root, sign = self.root, self.sign
+        ru, rv = root[u], root[v]
         if ru == rv:
-            if ru not in self.cycle_edge:
-                self.cycle_edge[ru] = e
-                self.cycle[ru] = set(self.tree_path(e.tail, e.head))
-                self.cycle[ru].add(e.id)
-            if su * e.sign * sv == -1:
+            if self.cycle[ru] is None:
+                cycle = self.cycle[ru] = set(self.tree_path(u, v))
+                cycle.add(k)
+                self.cycle_at[ru] = u
+            if sign[u] * s * sign[v] < 0:
                 self.unbalanced[ru] = True
             return
         # hang the smaller component below the endpoint in the larger one
-        if len(self.members[ru]) >= len(self.members[rv]):
-            keep, drop, low, high = ru, rv, e.head, e.tail
+        members = self.members
+        if len(members[ru]) >= len(members[rv]):
+            keep, drop, low, high = ru, rv, v, u
         else:
-            keep, drop, low, high = rv, ru, e.tail, e.head
-        root, sign, parent, depth, tree = self.root, self.sign, self.parent, self.depth, self.tree
+            keep, drop, low, high = rv, ru, u, v
+        parent, pedge, depth, tree = self.parent, self.pedge, self.depth, self.tree
         root[low] = keep
-        sign[low] = sign[high] * e.sign
-        parent[low] = (e.id, high)
+        sign[low] = sign[high] * s
+        parent[low] = high
+        pedge[low] = k
         depth[low] = depth[high] + 1
         stack = [low]
         while stack:
             x = stack.pop()
-            for eid, y, s in tree[x]:
+            for j, y, t in tree[x]:
                 if root[y] == drop:
                     root[y] = keep
-                    sign[y] = sign[x] * s
-                    parent[y] = (eid, x)
+                    sign[y] = sign[x] * t
+                    parent[y] = x
+                    pedge[y] = j
                     depth[y] = depth[x] + 1
                     stack.append(y)
-        tree[e.tail].append((e.id, e.head, e.sign))
-        tree[e.head].append((e.id, e.tail, e.sign))
-        self.members[keep] += self.members.pop(drop)
-        if self.unbalanced.pop(drop):
+        tree[u].append((k, v, s))
+        tree[v].append((k, u, s))
+        members[keep] += members[drop]
+        if self.unbalanced[drop]:
             self.unbalanced[keep] = True
-        if drop in self.cycle_edge:
-            edge, cycle = self.cycle_edge.pop(drop), self.cycle.pop(drop)
-            if keep not in self.cycle_edge:
-                self.cycle_edge[keep], self.cycle[keep] = edge, cycle
+            self.unbalanced[drop] = False
+        if self.cycle[keep] is None:
+            self.cycle[keep], self.cycle_at[keep] = self.cycle[drop], self.cycle_at[drop]
 
-    def tree_path(self, u: VertexId, v: VertexId) -> list[EdgeId]:
-        """Edge ids of the forest path from u to v (empty if u == v), by
-        climbing from the deeper end to the common ancestor."""
-        parent, depth = self.parent, self.depth
-        up: list[EdgeId] = []
-        down: list[EdgeId] = []
+    def tree_path(self, u: int, v: int) -> list[int]:
+        """Element indices of the forest path from u to v (empty if u == v),
+        by climbing from the deeper end to the common ancestor."""
+        parent, pedge, depth = self.parent, self.pedge, self.depth
+        up: list[int] = []
+        down: list[int] = []
         du, dv = depth[u], depth[v]
         while du > dv:
-            eid, u = parent[u]
-            up.append(eid)
+            up.append(pedge[u])
+            u = parent[u]
             du -= 1
         while dv > du:
-            eid, v = parent[v]
-            down.append(eid)
+            down.append(pedge[v])
+            v = parent[v]
             dv -= 1
         while u != v:
-            eid, u = parent[u]
-            up.append(eid)
-            eid, v = parent[v]
-            down.append(eid)
+            up.append(pedge[u])
+            u = parent[u]
+            down.append(pedge[v])
+            v = parent[v]
         down.reverse()
         return up + down
 
-    def _to_cycle(self, v: VertexId, root: VertexId) -> set[EdgeId]:
+    def _to_cycle(self, v: int, root: int) -> set[int]:
         """The negative cycle of ``root``'s component plus the tree path from
-        ``v`` to it.  The path from ``v`` to one end of the cycle edge covers
+        ``v`` to it.  The path from ``v`` to a vertex of the cycle covers
         that path and part of the cycle; the cycle covers the rest."""
-        return self.cycle[root].union(self.tree_path(v, self.cycle_edge[root].tail))
+        return self.cycle[root].union(self.tree_path(v, self.cycle_at[root]))
 
-    def accepts(self, e: SignedEdge) -> bool:
-        """Whether adding ``e`` keeps the inserted edges independent, i.e.
-        ``circuit(e) is None``, from two root lookups and no tree path."""
-        ru, su = self.find(e.tail)
-        rv, sv = self.find(e.head)
+    def accepts(self, k: int, u: int, v: int, s: int) -> bool:
+        """Whether adding edge k keeps the inserted edges independent, i.e.
+        ``circuit(k, u, v, s) is None``, from two root lookups and no tree
+        path."""
+        ru, rv = self.root[u], self.root[v]
+        cycle = self.cycle
         if ru != rv:
-            return not (ru in self.cycle and rv in self.cycle)
-        return su * e.sign * sv == -1 and ru not in self.cycle
+            return cycle[ru] is None or cycle[rv] is None
+        return cycle[ru] is None and self.sign[u] * s * self.sign[v] < 0
 
-    def circuit(self, e: SignedEdge) -> set[EdgeId] | None:
-        """Edge ids of the unique circuit that ``e`` closes with the inserted
-        (independent) edges, or None when adding ``e`` keeps them
+    def circuit(self, k: int, u: int, v: int, s: int) -> set[int] | None:
+        """Element indices of the unique circuit that edge k closes with the
+        inserted (independent) edges, or None when adding it keeps them
         independent."""
-        ru, su = self.find(e.tail)
-        rv, sv = self.find(e.head)
+        ru, rv = self.root[u], self.root[v]
+        cycle = self.cycle
         if ru != rv:
-            if not (ru in self.cycle and rv in self.cycle):
+            if cycle[ru] is None or cycle[rv] is None:
                 return None
             # handcuff across two components
-            return {e.id} | self._to_cycle(e.tail, ru) | self._to_cycle(e.head, rv)
-        positive = su * e.sign * sv == 1
-        if not (positive or ru in self.cycle):
+            return {k} | self._to_cycle(u, ru) | self._to_cycle(v, rv)
+        positive = self.sign[u] * s * self.sign[v] > 0
+        if not positive and cycle[ru] is None:
             return None
-        closed = set(self.tree_path(e.tail, e.head))
-        closed.add(e.id)
+        closed = set(self.tree_path(u, v))
+        closed.add(k)
         if positive:
             return closed
-        cycle = self.cycle[ru]
-        if not closed.isdisjoint(cycle):
+        if not closed.isdisjoint(cycle[ru]):
             # theta: the two negative cycles share a path, the third is balanced
-            return closed ^ cycle
+            return closed ^ cycle[ru]
         # tight or loose handcuff inside one component
-        return {e.id} | self._to_cycle(e.tail, ru) | self._to_cycle(e.head, ru)
+        return {k} | self._to_cycle(u, ru) | self._to_cycle(v, ru)
+
+    def rank(self) -> int:
+        """The component formula: |V(X)| - 1 per component X, plus 1 when X
+        holds a negative cycle."""
+        members, unbalanced = self.members, self.unbalanced
+        return sum(len(members[r]) - 1 + unbalanced[r] for r, x in enumerate(self.root) if r == x)
 
 
 @dataclass(frozen=True)
@@ -249,28 +284,25 @@ def is_independent_signed(
     the first dependent edge (in subset order) as witness: a balanced
     cycle ('positive_cycle', as many edges as vertices) or a handcuff
     ('second_cycle', one edge more)."""
-    emap = sg.edge_map()
     ids = [e.id for e in sg.edges] if subset is None else list(subset)
-    forest = _SignedForest()
-    for eid in ids:
-        e = emap[eid]
-        circuit = forest.circuit(e)
+    nv, table = _edge_table(sg, ids)
+    forest = _SignedForest(nv)
+    for e in table:
+        circuit = forest.circuit(*e)
         if circuit is None:
-            forest.add(e)
+            forest.add(*e)
             continue
-        verts = {v for x in circuit for v in (emap[x].tail, emap[x].head)}
+        verts = {v for k in circuit for v in table[k][1:3]}
         kind = "positive_cycle" if len(circuit) == len(verts) else "second_cycle"
-        return False, DependenceWitness(kind, tuple(x for x in ids if x in circuit))
+        return False, DependenceWitness(kind, tuple(ids[k] for k in sorted(circuit)))
     return True, None
 
 
 def signed_rank(sg: SignedGraph, subset: Iterable[EdgeId] | None = None) -> int:
     """Rank by the component formula: for every connected component X of the
     subset, |V(X)| - 1, plus 1 when X contains a negative cycle."""
-    emap = sg.edge_map()
-    ids = list(emap) if subset is None else list(subset)
-    forest = _SignedForest(emap[eid] for eid in ids)
-    return sum(len(vs) - 1 + forest.unbalanced[r] for r, vs in forest.members.items())
+    ids = [e.id for e in sg.edges] if subset is None else list(subset)
+    return _SignedForest(*_edge_table(sg, ids)).rank()
 
 
 def incidence_matrix(sg: SignedGraph) -> list[list[Fraction]]:
@@ -341,7 +373,8 @@ def matroid_union_rank(
 ) -> UnionRankResult:
     """Rank of an edge set in the union of signed-graphic matroids on a
     common ground set, via incremental augmenting paths in the exchange
-    graph (breadth-first, deterministic tie-breaking).
+    graph (breadth-first, deterministic tie-breaking).  The graphs differ
+    only in their signs: the endpoints are read from the first.
 
     Returns the rank, a decomposition of a maximum independent subset, the
     set X of elements reachable from the unassigned ones (the saturated
@@ -350,27 +383,44 @@ def matroid_union_rank(
     """
     if not labeled_sgs:
         raise InputError("need at least one matroid")
-    edge_maps = [sg.edge_map() for _, sg in labeled_sgs]
+    first = labeled_sgs[0][1]
+    emap = first.edge_map()
     if elements is None:
-        elements = [e.id for e in labeled_sgs[0][1].edges]
+        elements = [e.id for e in first.edges]
     elements = list(elements)
-    unknown = [e for e in elements if e not in edge_maps[0]]
+    unknown = [e for e in elements if e not in emap]
     if unknown:
         raise InputError(f"elements not on the ground set: {unknown!r}")
 
-    parts: list[list[EdgeId]] = [[] for _ in labeled_sgs]
-    forests = [_SignedForest() for _ in labeled_sgs]
-    part_of: dict[EdgeId, int] = {}
-    unassigned: list[EdgeId] = []
-    saturated: set[EdgeId] = set()
+    # one edge table: element k of ``elements`` has endpoints tails[k] and
+    # heads[k], shared by every part, and sign signs[i][k] in part i; parts
+    # on the same labeling share one sign list
+    nv, table = _edge_table(first, elements)
+    tails = [e[1] for e in table]
+    heads = [e[2] for e in table]
+    by_graph = {id(first): [e[3] for e in table]}
+    signs = []
+    for _, sg in labeled_sgs:
+        if id(sg) not in by_graph:
+            smap = sg.edge_map()
+            by_graph[id(sg)] = [smap[x].sign for x in elements]
+        signs.append(by_graph[id(sg)])
+    m, nparts = len(elements), len(labeled_sgs)
 
-    def arcs_and_terminal(x: EdgeId, visited: set[EdgeId]):
+    parts: list[list[int]] = [[] for _ in range(nparts)]
+    forests = [_SignedForest(nv) for _ in range(nparts)]
+    part_of = [-1] * m
+    saturated = [False] * m
+    unassigned: list[int] = []
+
+    def arcs_and_terminal(x: int, visited: Mapping[int, int]):
         """Yield ('insert', i) for a free slot or ('arc', y) for exchanges:
         the members y of part i on the circuit x closes there, in part order."""
-        for i, emap in enumerate(edge_maps):
-            if part_of.get(x) == i:
+        u, v = tails[x], heads[x]
+        for i in range(nparts):
+            if part_of[x] == i:
                 continue
-            circuit = forests[i].circuit(emap[x])
+            circuit = forests[i].circuit(x, u, v, signs[i][x])
             if circuit is None:
                 yield ("insert", i)
                 continue
@@ -378,63 +428,68 @@ def matroid_union_rank(
                 if y in circuit and y not in visited:
                     yield ("arc", y)
 
-    def try_augment(source: EdgeId) -> bool:
+    def try_augment(source: int) -> bool:
         # the source's first free part would end the search at its first
         # step, so it takes the source by one insertion and nothing is rebuilt
-        for i, emap in enumerate(edge_maps):
-            if forests[i].accepts(emap[source]):
+        u, v = tails[source], heads[source]
+        for i in range(nparts):
+            s = signs[i][source]
+            if forests[i].accepts(source, u, v, s):
                 parts[i].append(source)
                 part_of[source] = i
-                forests[i].add(emap[source])
+                forests[i].add(source, u, v, s)
                 return True
-        prev: dict[EdgeId, EdgeId | None] = {source: None}
+        prev = {source: -1}
         q = deque([source])
         while q:
             x = q.popleft()
-            for kind, val in arcs_and_terminal(x, prev.keys()):
+            for kind, val in arcs_and_terminal(x, prev):
                 if kind == "insert":
                     _cascade(x, val, prev)
                     return True
-                if val not in prev and val not in saturated:
+                if val not in prev and not saturated[val]:
                     prev[val] = x
                     q.append(val)
-        saturated.update(prev)
+        for x in prev:
+            saturated[x] = True
         return False
 
-    def _cascade(x: EdgeId, target: int, prev: Mapping[EdgeId, EdgeId | None]) -> None:
+    def _cascade(x: int, target: int, prev: Mapping[int, int]) -> None:
         # every part that loses an element also gains one, so the targets
         # are all the parts the path changed; the others keep their forests
         touched = set()
         while True:
-            old = part_of.get(x)
-            if old is not None:
+            old = part_of[x]
+            if old >= 0:
                 parts[old].remove(x)
             parts[target].append(x)
             part_of[x] = target
             touched.add(target)
-            p = prev[x]
-            if p is None:
+            x, target = prev[x], old
+            if x < 0:
                 break
-            x, target = p, old
         for i in sorted(touched):
-            emap = edge_maps[i]
-            forest = forests[i] = _SignedForest()
+            sign = signs[i]
+            forest = forests[i] = _SignedForest(nv)
             for y in parts[i]:
-                if not forest.accepts(emap[y]):
+                if not forest.accepts(y, tails[y], heads[y], sign[y]):
                     raise ConsistencyError(f"augmentation broke part {labeled_sgs[i][0]}")
-                forest.add(emap[y])
+                forest.add(y, tails[y], heads[y], sign[y])
 
-    for e in elements:
-        if not try_augment(e):
-            unassigned.append(e)
+    for k in range(m):
+        if not try_augment(k):
+            unassigned.append(k)
 
+    labels = [label for label, _ in labeled_sgs]
     decomposition = UnionDecomposition(
-        parts={label: tuple(parts[i]) for i, (label, _) in enumerate(labeled_sgs)},
-        assignment={eid: labeled_sgs[i][0] for eid, i in part_of.items()},
-        unassigned=tuple(unassigned),
+        parts={label: tuple(elements[k] for k in parts[i]) for i, label in enumerate(labels)},
+        # an element is first assigned as the source of its own search, so
+        # element order is the order of first assignment
+        assignment={elements[k]: labels[i] for k, i in enumerate(part_of) if i >= 0},
+        unassigned=tuple(elements[k] for k in unassigned),
     )
-    rank = len(part_of)
-    witness = tuple(e for e in elements if e in saturated)
+    rank = m - len(unassigned)
+    witness = tuple(e for e, sat in zip(elements, saturated) if sat)
     witness_bound = union_rank_by_formula(labeled_sgs, elements, witness)
     if rank != witness_bound:
         raise ConsistencyError("union rank does not meet its witness bound")
@@ -449,7 +504,12 @@ def union_rank_by_formula(
     """Evaluate |S \\ X| + sum_i r_i(X) for a witness set X."""
     xset = set(witness)
     inside = [e for e in subset if e in xset]
-    return len(subset) - len(inside) + sum(signed_rank(sg, inside) for _, sg in labeled_sgs)
+    # one fresh forest per distinct labeling; parts on one labeling share it
+    ranks: dict[int, int] = {}
+    for _, sg in labeled_sgs:
+        if id(sg) not in ranks:
+            ranks[id(sg)] = signed_rank(sg, inside)
+    return len(subset) - len(inside) + sum(ranks[id(sg)] for _, sg in labeled_sgs)
 
 
 # ---------------------------------------------------------------------------
@@ -473,27 +533,23 @@ def check_counting_condition(
     ``|F| <= B|V(F)| - B + sum alpha(F)`` with B the number of matroids.
     Exponential; guarded to small ground sets.  Returns the first violation
     in subset-enumeration order, or None."""
-    edge_maps = [sg.edge_map() for _, sg in labeled_sgs]
-    all_edges = labeled_sgs[0][1].edge_map()
-    ids = list(all_edges) if subset is None else list(subset)
+    ids = [e.id for e in labeled_sgs[0][1].edges] if subset is None else list(subset)
     if len(ids) > max_size:
         raise InputError(f"counting oracle limited to {max_size} edges, got {len(ids)}")
+    tables = [_edge_table(sg, ids) for _, sg in labeled_sgs]
+    first = tables[0][1]
     b = len(labeled_sgs)
     for mask in range(1, 1 << len(ids)):
-        f = [ids[i] for i in range(len(ids)) if mask >> i & 1]
-        verts = set()
-        for eid in f:
-            e = all_edges[eid]
-            verts.add(e.tail)
-            verts.add(e.head)
+        f = [k for k in range(len(ids)) if mask >> k & 1]
+        verts = {v for k in f for v in first[k][1:3]}
         # the forest keeps one flag per component, set when it holds a negative cycle
         alphas = {
-            label: int(any(_SignedForest(edge_maps[i][e] for e in f).unbalanced.values()))
-            for i, (label, _) in enumerate(labeled_sgs)
+            label: int(any(_SignedForest(nv, (table[k] for k in f)).unbalanced))
+            for (label, _), (nv, table) in zip(labeled_sgs, tables)
         }
         bound = b * len(verts) - b + sum(alphas.values())
         if len(f) > bound:
-            return CountingViolation(tuple(f), len(f), bound, alphas)
+            return CountingViolation(tuple(ids[k] for k in f), len(f), bound, alphas)
     return None
 
 
@@ -556,11 +612,17 @@ def labeled_signed_graphs(
     h: GainGraph, rep: PointRepresentation, g: Element
 ) -> list[tuple[PairLabel, SignedGraph]]:
     """The C(d+1,2) signed graphs on ``h`` under the labelings induced by
-    the twisted screw representation for character ``g``."""
+    the twisted screw representation for character ``g``, one object per
+    distinct labeling: pairs with the same labeling share it."""
     out = []
+    built: list[tuple[dict[Element, int], SignedGraph]] = []
     for pair in screw_pairs(rep.d):
         labeling = induced_labeling(rep, g, pair)
-        out.append((pair, SignedGraph.from_gain_graph(h, labeling)))
+        sg = next((sg for seen, sg in built if seen == labeling), None)
+        if sg is None:
+            sg = SignedGraph.from_gain_graph(h, labeling)
+            built.append((labeling, sg))
+        out.append((pair, sg))
     return out
 
 

@@ -51,7 +51,14 @@ from .genframe import (
     random_generic_bars,
     verify_loop_form,
 )
-from .linalg import kernel_vectors, prime_with_root, rank_certified, rank_complex, rank_mod_p
+from .linalg import (
+    kernel_vectors,
+    orthogonal_part,
+    prime_with_root,
+    rank_certified,
+    rank_complex,
+    rank_mod_p,
+)
 from .symmetry import (
     Element,
     PointRepresentation,
@@ -509,39 +516,32 @@ def trivial_space_vectors(
 
 def extract_flex(om: OrbitMatrix, rep: PointRepresentation) -> Flex | None:
     """The first kernel vector of the orbit matrix, in free-column order,
-    that lies outside the trivial subspace, orthogonalized against it; None
-    when the kernel is exactly the trivial space.  A kernel vector lies
-    outside exactly when its part orthogonal to a Gram-Schmidt basis of the
-    trivial space is nonzero, and the kernel vectors are drawn lazily, so
-    none after that one is computed.  Real characters only: a flex of a
-    complex character is a vector over Q(zeta_m), which the report does not
-    carry."""
+    that lies outside the trivial subspace, orthogonalized against it and
+    divided by its lead entry; None when the kernel is exactly the trivial
+    space.  A kernel vector lies outside exactly when its part orthogonal
+    to a Gram-Schmidt basis of the trivial space is nonzero.  Basis and
+    parts are integer multiples (``orthogonal_part``), which the division
+    by the lead entry makes no difference to.  The kernel vectors are
+    drawn lazily, so none after that one is computed.  Real characters
+    only: a flex of a complex character is a vector over Q(zeta_m), which
+    the report does not carry."""
     if om.degree != 1:
         raise InputError("flex extraction is implemented for the exact rational path")
-    ortho: list[list[Fraction]] = []
+    ortho: list[list[int]] = []
     for t in trivial_space_vectors(rep, om.irrep, len(om.vertices)):
-        vec = _orthogonal_part(t, ortho)
+        vec = orthogonal_part(t, ortho)
         if any(vec):
             ortho.append(vec)
     for k in kernel_vectors(om.rows, om.ncols):
-        vec = _orthogonal_part(k, ortho)
+        vec = orthogonal_part(k, ortho)
         lead = next((x for x in vec if x != 0), None)
         if lead is None:
             continue
-        vec = [x / lead for x in vec]
+        vec = [Fraction(x, lead) for x in vec]
         b = om.block_size
         assignment = {v: tuple(vec[i * b : (i + 1) * b]) for i, v in enumerate(om.vertices)}
         return Flex(irrep=om.irrep, vertices=om.vertices, assignment=assignment)
     return None
-
-
-def _orthogonal_part(vec, ortho: list[list[Fraction]]) -> list[Fraction]:
-    """``vec`` minus its projections onto the pairwise orthogonal ``ortho``."""
-    vec = [Fraction(x) for x in vec]
-    for u in ortho:
-        c = sum(a * b for a, b in zip(vec, u)) / sum(a * a for a in u)
-        vec = [a - c * b for a, b in zip(vec, u)]
-    return vec
 
 
 def flex_residuals(om: OrbitMatrix, flex: Flex) -> list[Scalar]:

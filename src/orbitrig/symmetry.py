@@ -28,7 +28,15 @@ from itertools import product
 from math import comb, gcd, lcm
 from typing import Mapping, Sequence
 
-from .algebra import SquareMatrix, _integer_image, block_diag_one, induced_rep, kron, lex_index
+from .algebra import (
+    SquareMatrix,
+    _integer_image,
+    block_diag_one,
+    compound2,
+    induced_rep,
+    kron,
+    lex_index,
+)
 from .errors import ConsistencyError, InputError, RepresentationError, UnsupportedGroupError
 from .linalg import _cleared, nullspace_exact, rank_certified
 
@@ -163,7 +171,13 @@ class PointRepresentation:
     outcome of ``require_combinatorial``.  Cached entries are shared safely.
     """
 
-    def __init__(self, group: AbelianGroup, d: int, images: Mapping[Element, SquareMatrix]):
+    def __init__(
+        self,
+        group: AbelianGroup,
+        d: int,
+        images: Mapping[Element, SquareMatrix],
+        integer_images: Mapping[Element, tuple[int, SquareMatrix]] | None = None,
+    ):
         self.group = group
         self.d = d
         self.images = dict(images)
@@ -175,7 +189,7 @@ class PointRepresentation:
         self._proven_dim: dict[Element, int] = {}
         self._hat2_int: dict[Element, tuple[int, tuple]] = {}
         self._signs: dict[Element, dict[Element, tuple[int, ...]]] = {}
-        self._validate()
+        self._validate(integer_images)
 
     @classmethod
     def from_generators(
@@ -194,23 +208,30 @@ class PointRepresentation:
         # an image is one generator image times the image of the element
         # with its last nonzero coordinate decreased by one, which comes
         # earlier in the lexicographic order of elements(); the products are
-        # taken on the integer images (D, D M) of ``_integer_image``
+        # taken on the integer images (D, D M) of ``_integer_image``, and
+        # each product is divided by the gcd of D and its entries, which
+        # leaves D the least common denominator, as ``_integer_image`` has it
         factors = [_integer_image(m) for m in generator_images]
         images = {group.identity: SquareMatrix.identity(d)}
         scaled = {group.identity: _integer_image(images[group.identity])}
         for elem in group.elements()[1:]:
             t = max(s for s, x in enumerate(elem) if x)
             (da, na), (db, nb) = scaled[elem[:t] + (elem[t] - 1,) + elem[t + 1 :]], factors[t]
-            den, n = scaled[elem] = da * db, na @ nb
-            images[elem] = SquareMatrix(tuple(tuple(Fraction(x, den) for x in r) for r in n.rows))
-        return cls(group, d, images)
+            den, n = da * db, (na @ nb).rows
+            f = gcd(den, *(x for r in n for x in r))
+            den, n = den // f, tuple(tuple(x // f for x in r) for r in n)
+            scaled[elem] = den, SquareMatrix(n)
+            images[elem] = SquareMatrix(tuple(tuple(Fraction(x, den) for x in r) for r in n))
+        return cls(group, d, images, scaled)
 
     @classmethod
     def trivial(cls, d: int) -> "PointRepresentation":
         group = AbelianGroup(())
         return cls(group, d, {(): SquareMatrix.identity(d)})
 
-    def _validate(self) -> None:
+    def _validate(
+        self, integer_images: Mapping[Element, tuple[int, SquareMatrix]] | None
+    ) -> None:
         elems = self.group.elements()
         if set(self.images) != set(elems):
             raise RepresentationError("images must be given for every group element")
@@ -219,9 +240,12 @@ class PointRepresentation:
             if m.n != self.d:
                 raise RepresentationError(f"image of {g} is {m.n}x{m.n}, expected {self.d}x{self.d}")
             _require_rational(g, m)
-        # each image M as (D, N), N = D M an integer matrix (kept as
-        # ``integer_images``), so that the products below are integer ones
-        scaled = self.integer_images = {g: _integer_image(m) for g, m in self.images.items()}
+        # each image M as (D, N), N = D M an integer matrix and D the least
+        # common denominator (kept as ``integer_images``; ``from_generators``
+        # passes the ones it built), so that the products below are integer
+        if integer_images is None:
+            integer_images = {g: _integer_image(m) for g, m in self.images.items()}
+        scaled = self.integer_images = dict(integer_images)
         gens = sorted(self.group.generators())  # in element order
         for g in gens:
             den, n = scaled[g]
@@ -330,10 +354,15 @@ def _twisted_int(rep: PointRepresentation, j: Element, g: Element) -> tuple[int,
     out = rep._twisted_int.get((j, g))
     if out is None:
         den, terms = tau_hat2_int(rep, g)
-        rows = tuple(tuple(dict(ts).get(c, 0) for c in range(len(terms))) for ts in terms)
+        rows = []
+        for ts in terms:
+            row = [0] * len(terms)
+            for c, x in ts:
+                row[c] = x
+            rows.append(tuple(row))
         order = rep.group.element_order(j)
         power = root_of_unity_matrix(order, -character_power(rep.group, j, g) % order)
-        out = rep._twisted_int[j, g] = den, kron(SquareMatrix(rows), power)
+        out = rep._twisted_int[j, g] = den, kron(SquareMatrix(tuple(rows)), power)
     return out
 
 
@@ -342,11 +371,17 @@ def tau_hat2_int(
 ) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
     """The screw image tau_hat2(g) as (D, terms): D the least common
     denominator of its entries, and per row of D tau_hat2(g) the
-    (column, integer) pairs of its nonzero entries.  Cached on ``rep`` per
-    g."""
+    (column, integer) pairs of its nonzero entries.  With (E, N) the
+    integer image of tau(g), E^2 tau_hat2(g) is the integer compound of N
+    augmented by a trailing E, and dividing it and E^2 by the gcd of them
+    all leaves D.  Cached on ``rep`` per g."""
     if g not in rep._hat2_int:
-        den, n = _integer_image(rep.tau_hat2(g))
-        rep._hat2_int[g] = den, tuple(tuple((c, x) for c, x in enumerate(r) if x) for r in n.rows)
+        den, n = rep.integer_images[g]
+        compound = compound2([list(r) + [0] for r in n.rows] + [[0] * rep.d + [den]])
+        f = gcd(den * den, *(x for r in compound for x in r))
+        rep._hat2_int[g] = den * den // f, tuple(
+            tuple((c, x // f) for c, x in enumerate(r) if x) for r in compound
+        )
     return rep._hat2_int[g]
 
 

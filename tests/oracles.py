@@ -197,9 +197,21 @@ def matroid_union_rank_unpruned(
     unknown = [e for e in elements if e not in edge_maps[0]]
     if unknown:
         raise InputError(f"elements not on the ground set: {unknown!r}")
+    # the forest takes an edge as (k, tail, head, sign) ints: k the
+    # element's position, the vertices numbered in order of appearance
+    index = {x: k for k, x in enumerate(elements)}
+    vindex: dict = {}
+    for emap in edge_maps:
+        for x in elements:
+            vindex.setdefault(emap[x].tail, len(vindex))
+            vindex.setdefault(emap[x].head, len(vindex))
+
+    def edge(emap, x):
+        e = emap[x]
+        return index[x], vindex[e.tail], vindex[e.head], e.sign
 
     parts: list[list[EdgeId]] = [[] for _ in labeled_sgs]
-    forests = [_SignedForest() for _ in labeled_sgs]
+    forests = [_SignedForest(len(vindex)) for _ in labeled_sgs]
     part_of: dict[EdgeId, int] = {}
     unassigned: list[EdgeId] = []
 
@@ -209,12 +221,12 @@ def matroid_union_rank_unpruned(
         for i, emap in enumerate(edge_maps):
             if part_of.get(x) == i:
                 continue
-            circuit = forests[i].circuit(emap[x])
+            circuit = forests[i].circuit(*edge(emap, x))
             if circuit is None:
                 yield ("insert", i)
                 continue
             for y in parts[i]:
-                if y in circuit and y not in visited:
+                if index[y] in circuit and y not in visited:
                     yield ("arc", y)
 
     def try_augment(source: EdgeId) -> bool:
@@ -248,11 +260,11 @@ def matroid_union_rank_unpruned(
             x, target = p, old
         for i in sorted(touched):
             emap = edge_maps[i]
-            forest = forests[i] = _SignedForest()
+            forest = forests[i] = _SignedForest(len(vindex))
             for y in parts[i]:
-                if forest.circuit(emap[y]) is not None:
+                if forest.circuit(*edge(emap, y)) is not None:
                     raise ConsistencyError(f"augmentation broke part {labeled_sgs[i][0]}")
-                forest.add(emap[y])
+                forest.add(*edge(emap, y))
 
     for e in elements:
         if not try_augment(e):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -223,6 +224,23 @@ class TestFlexCommand:
         code, out = run(capsys, ["flex", str(fixture_dir / "c2_stewart.json")])
         assert code == EXIT_RIGID
         assert json.loads(out)["flexes"] == []
+
+    def test_six_bars_at_d6(self, capsys, fixture_dir, tmp_path):
+        """Two bodies joined by six bars in 6-space, 15 short of rigid: the
+        flex is projected off the 21 trivial motions, and its output (first
+        16 hex digits of the sha256 of stdout) is the one the Fraction
+        Gram-Schmidt projection gave."""
+        doc = json.loads((fixture_dir / "trivial_2body_6bars.json").read_text())
+        doc["representation"]["d"] = 6
+        path = tmp_path / "six_bars_d6.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(capsys, ["flex", str(path)])
+        assert code == EXIT_FLEXIBLE
+        (flex,) = json.loads(out)["flexes"]
+        u, v = flex["assignment"]["u"], flex["assignment"]["v"]
+        # u moves against v, and the flex is scaled to lead with 1
+        assert u[0] == "1" and v == [str(-Fraction(x)) for x in u]
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "ff13234332311cc4"
 
 
 class TestLiftCommand:

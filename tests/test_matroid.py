@@ -9,7 +9,7 @@ import pytest
 from orbitrig import matroid
 from orbitrig.ensemble import random_diagonal_rep
 from orbitrig.errors import InputError
-from orbitrig.gaingraph import make_gain_graph, remove_zero_loops
+from orbitrig.gaingraph import make_gain_graph, multiply_edges, remove_zero_loops
 from orbitrig.matroid import (
     SignedEdge,
     _SignedForest,
@@ -126,16 +126,17 @@ def oracle_circuit(g: SignedGraph, part, x):
 
 def forest_circuit(g: SignedGraph, part, x):
     emap = g.edge_map()
-    return _SignedForest(emap[y] for y in part).circuit(emap[x])
+    return _SignedForest(len(g.vertices), (emap[y] for y in part)).circuit(*emap[x])
 
 
 def accepts_shape(forest: _SignedForest, e: SignedEdge, emap) -> str:
     """Check that ``forest.accepts(e)`` is ``circuit(e) is None`` and name
     the case: what e closes when accepted, the shape of its circuit when
     not."""
-    circuit = forest.circuit(e)
-    assert forest.accepts(e) == (circuit is None)
-    (ru, su), (rv, sv) = forest.find(e.tail), forest.find(e.head)
+    circuit = forest.circuit(*e)
+    assert forest.accepts(*e) == (circuit is None)
+    ru, su = forest.root[e.tail], forest.sign[e.tail]
+    rv, sv = forest.root[e.head], forest.sign[e.head]
     if circuit is None:
         if ru != rv:
             return "tree"
@@ -226,11 +227,11 @@ class TestCircuit:
             emap = g.edge_map()
             ids = [e.id for e in g.edges]
             rng.shuffle(ids)
-            forest = _SignedForest()
+            forest = _SignedForest(len(g.vertices))
             part = []
             for eid in ids:
-                if rng.random() < 0.8 and forest.accepts(emap[eid]):
-                    forest.add(emap[eid])
+                if rng.random() < 0.8 and forest.accepts(*emap[eid]):
+                    forest.add(*emap[eid])
                     part.append(eid)
             for x in ids:
                 if x not in part:
@@ -268,7 +269,7 @@ class TestForestInvariants:
         they link consecutive vertices of a random permutation in random
         order; in mode 'halves' they grow two paths and join them last at
         their far ends, which re-roots the shorter one at a deep vertex."""
-        forest = _SignedForest()
+        forest = _SignedForest(n)
         adjacency: dict = {}
         sign_of: dict = {}
         label: dict = {}  # reference component label per inserted vertex
@@ -306,10 +307,10 @@ class TestForestInvariants:
                     continue
                 sign = rng.choice((1, -1))
             e = SignedEdge(eid, u, v, sign)
-            assert forest.circuit(e) is None
-            before = {w: forest.find(w)[0] for w in (u, v)}
-            depth_before = dict(forest.depth)
-            forest.add(e)
+            assert forest.circuit(*e) is None
+            before = {w: forest.root[w] for w in (u, v)}
+            depth_before = list(forest.depth)
+            forest.add(*e)
             # reference update
             lu, lv = label.setdefault(u, ("v", u)), label.setdefault(v, ("v", v))
             if lu == lv:
@@ -324,16 +325,18 @@ class TestForestInvariants:
                 adjacency.setdefault(u, []).append((eid, v))
                 adjacency.setdefault(v, []).append((eid, u))
                 sign_of[eid] = sign
-                low = u if forest.find(u)[0] != before[u] else v
+                low = u if forest.root[u] != before[u] else v
                 merges["tail" if low == u else "head"] += 1
                 merges["deep"] += depth_before[low] >= 3
             # invariants
             comps: dict = {}
             for w, lab in label.items():
                 comps.setdefault(lab, []).append(w)
-            assert len(forest.members) == len(comps)
+            # the vertices no edge has touched are single-vertex components
+            components = [r for r, x in enumerate(forest.root) if r == x]
+            assert len(components) == len(comps) + n - len(label)
             for lab, verts in comps.items():
-                roots = {forest.find(w)[0] for w in verts}
+                roots = {forest.root[w] for w in verts}
                 assert len(roots) == 1
                 (r,) = roots
                 assert sorted(forest.members[r]) == sorted(verts)
@@ -342,7 +345,7 @@ class TestForestInvariants:
                     to_root = tree_path_bfs(adjacency, w, r)
                     assert forest.tree_path(w, r) == to_root
                     assert forest.depth[w] == len(to_root)
-                    assert forest.find(w)[1] == math.prod(sign_of[x] for x in to_root)
+                    assert forest.sign[w] == math.prod(sign_of[x] for x in to_root)
             verts = sorted(label)
             for _ in range(20):
                 a, b = rng.choice(verts), rng.choice(verts)
@@ -371,15 +374,15 @@ class TestForestInvariants:
         shapes: dict = {}
         for _ in range(18):
             n = rng.randint(10, 40)
-            forest = _SignedForest()
+            forest = _SignedForest(n)
             emap: dict = {}
             for eid in range(4 * n):
                 e = SignedEdge(eid, rng.randrange(n), rng.randrange(n), rng.choice((1, -1)))
                 emap[eid] = e
                 shape = accepts_shape(forest, e, emap)
                 shapes[shape] = shapes.get(shape, 0) + 1
-                if forest.accepts(e):
-                    forest.add(e)
+                if forest.accepts(*e):
+                    forest.add(*e)
         assert set(shapes) == ACCEPTS_SHAPES
         assert min(shapes.values()) >= 5, shapes
 
@@ -522,16 +525,18 @@ class TestMatroidUnion:
         built = []
         inserted = []
 
-        class Counted(_SignedForest):
-            def __init__(self, edges=()):
-                if counting[0]:
-                    built.append(self)
-                super().__init__(edges)
+        init, add = _SignedForest.__init__, _SignedForest.add
 
-            def add(self, e):
-                if counting[0]:
-                    inserted.append(e.id)
-                super().add(e)
+        def counted_init(self, nv, edges=()):
+            if counting[0]:
+                built.append(self)
+            init(self, nv, edges)
+
+        def counted_add(self, k, u, v, s):
+            # k indexes the elements, here the edges in order
+            if counting[0]:
+                inserted.append(edges[k][0])
+            add(self, k, u, v, s)
 
         formula = matroid.union_rank_by_formula
 
@@ -542,7 +547,8 @@ class TestMatroidUnion:
             finally:
                 counting[0] = True
 
-        monkeypatch.setattr(matroid, "_SignedForest", Counted)
+        monkeypatch.setattr(_SignedForest, "__init__", counted_init)
+        monkeypatch.setattr(_SignedForest, "add", counted_add)
         monkeypatch.setattr(matroid, "union_rank_by_formula", uncounted)
         res = matroid_union_rank(labeled)
         assert res.rank == len(edges)
@@ -608,6 +614,55 @@ class TestUnionMedium:
                 deficient += res.rank < len(ids)
                 full += res.rank == len(ids)
         assert deficient >= 3 and full >= 1
+
+
+class TestUnionEdgeTable:
+    """The union numbers its elements and vertices once per call.  Its
+    output equals the unpruned search's on edge ids that are tuples
+    (``multiply_edges``, as for body-hinge inputs) and on (2) groups, whose
+    six labelings per character are two shared graphs."""
+
+    def test_multiplied_edges(self):
+        rng = random.Random(419)
+        deficient = full = 0
+        # five copies of a spanning cycle, with or without more edges
+        for n, extra in ((4, -20), (4, -16), (6, -30), (5, -20)):
+            rep = random_diagonal_rep(rng, (2, 2), 3)
+            h = multiply_edges(medium_gain_graph(rng, rep.group, n, extra), 5)
+            for g in rep.group.elements():
+                h_g = remove_zero_loops(h, rep, g)
+                labeled = labeled_signed_graphs(h_g, rep, g)
+                ids = [e.id for e in h_g.edges]
+                assert all(isinstance(x, tuple) for x in ids)
+                res = matroid_union_rank(labeled)
+                res.decomposition.validate(labeled)
+                assert res.rank == union_rank_by_formula(labeled, ids, res.witness)
+                assert_matches_unpruned(labeled, res)
+                deficient += res.rank < len(ids)
+                full += res.rank == len(ids)
+        assert deficient >= 3 and full >= 1
+
+    def test_shared_labelings_of_z2(self):
+        rng = random.Random(421)
+        deficient = 0
+        for n, extra in ((6, -4), (8, 4), (10, -4)):
+            rep = random_diagonal_rep(rng, (2,), 3)
+            h = medium_gain_graph(rng, rep.group, n, extra)
+            for g in rep.group.elements():
+                h_g = remove_zero_loops(h, rep, g)
+                labeled = labeled_signed_graphs(h_g, rep, g)
+                # two objects for six pairs, shared exactly when the signs agree
+                assert len({id(sg) for _, sg in labeled}) == 2
+                for _, a in labeled:
+                    for _, b in labeled:
+                        assert (a is b) == (a.edges == b.edges)
+                ids = [e.id for e in h_g.edges]
+                res = matroid_union_rank(labeled)
+                res.decomposition.validate(labeled)
+                assert res.rank == union_rank_by_formula(labeled, ids, res.witness)
+                assert_matches_unpruned(labeled, res)
+                deficient += res.rank < len(ids)
+        assert deficient >= 3
 
 
 def degree_balanced_gain_graph(rng, group, n, nedges):

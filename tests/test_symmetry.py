@@ -3,12 +3,12 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
 from orbitrig import symmetry
-from orbitrig.algebra import SquareMatrix, lex_index
+from orbitrig.algebra import SquareMatrix, _integer_image, lex_index
 from orbitrig.cli import parse_framework
 from orbitrig.ensemble import random_diagonal_rep
 from orbitrig.linalg import nullspace_exact
@@ -504,6 +504,21 @@ class TestReadoutsWithoutKron:
                 assert tau_hat2_int(rep, g) is tau_hat2_int(rep, g)
         assert tau_hat2_int(rep9, (1,))[0] == 9
         assert tau_hat2_int(rep9, (0,))[0] == 1
+
+    def test_integer_images_are_least(self):
+        """``from_generators`` builds each integer image (D, D M) as a
+        product of generator images divided by its gcd, and the validation
+        reads those: they equal ``_integer_image`` of the image, D the
+        least common denominator.  The quarter turn about (1, 2, 2) / 3
+        multiplies denominators 9 into 81, which the gcd takes back to 9.
+        ``tau_hat2_int``, from the integer compound, is reduced alike."""
+        quarter = rotation9_rep()
+        for rep in _fixture_reps() + [quarter, reflection9_rep()]:
+            for g, m in rep.images.items():
+                assert rep.integer_images[g] == _integer_image(m)
+                den, terms = tau_hat2_int(rep, g)
+                assert gcd(den, *(x for row in terms for _, x in row)) == 1
+        assert [quarter.integer_images[g][0] for g in quarter.group.elements()] == [1, 9, 9, 9]
 
 
 def _complex_order_rep(m: int) -> PointRepresentation:
