@@ -38,7 +38,13 @@ from .genframe import (
 from .hinge import analyze_framework, certificates
 from .matroid import counting_violation
 from .rigidity import extract_flex, flex_residuals, orbit_matrix
-from .symmetry import AbelianGroup, Element, PointRepresentation, irrep_is_real
+from .symmetry import (
+    AbelianGroup,
+    Element,
+    PointRepresentation,
+    intern_representation,
+    irrep_is_real,
+)
 
 EXIT_RIGID = 0
 EXIT_FLEXIBLE = 1
@@ -129,7 +135,7 @@ def parse_framework(doc: dict) -> dict:
         if len(rows) != d or any(len(r) != d for r in rows):
             raise InputError(f"generator matrices must be {d}x{d}")
         gens.append(SquareMatrix.from_rows([[parse_rational(x) for x in r] for r in rows]))
-    rep = PointRepresentation.from_generators(group, d, gens)
+    rep = intern_representation(group, d, gens)
 
     gg_doc = _require(doc, "gain_graph", "document")
     vertices = [

@@ -14,7 +14,7 @@ from .errors import InputError
 from .gaingraph import GainGraph, make_gain_graph
 from .hinge import analyze_framework, disagreements
 from .rigidity import CrosscheckResult, lifted_rank
-from .symmetry import MAX_D, AbelianGroup, PointRepresentation
+from .symmetry import MAX_D, AbelianGroup, PointRepresentation, intern_representation
 
 SCHEMA_VERSION = 1  # of the input documents: written here, read by ``cli``
 
@@ -50,7 +50,7 @@ def random_diagonal_rep(
             )
             for _ in orders
         ]
-        rep = PointRepresentation.from_generators(group, d, gens)
+        rep = intern_representation(group, d, gens)
         if rep.is_faithful():
             return rep
 

@@ -58,7 +58,7 @@ from .gaingraph import EdgeId, GainGraph, VertexId, remove_zero_loops
 from .symmetry import (
     Element,
     PointRepresentation,
-    induced_labeling,
+    induced_signs,
     screw_pairs,
     trivial_motion_dim,
 )
@@ -613,15 +613,16 @@ def labeled_signed_graphs(
 ) -> list[tuple[PairLabel, SignedGraph]]:
     """The C(d+1,2) signed graphs on ``h`` under the labelings induced by
     the twisted screw representation for character ``g``, one object per
-    distinct labeling: pairs with the same labeling share it."""
+    distinct labeling: pairs with the same labeling share it.  A pair's
+    labeling is compared as its tuple of signs over the group elements."""
+    signs = induced_signs(rep, g)
+    built: dict[tuple[int, ...], SignedGraph] = {}
     out = []
-    built: list[tuple[dict[Element, int], SignedGraph]] = []
-    for pair in screw_pairs(rep.d):
-        labeling = induced_labeling(rep, g, pair)
-        sg = next((sg for seen, sg in built if seen == labeling), None)
+    for pos, pair in enumerate(screw_pairs(rep.d)):
+        key = tuple(s[pos] for s in signs.values())
+        sg = built.get(key)
         if sg is None:
-            sg = SignedGraph.from_gain_graph(h, labeling)
-            built.append((labeling, sg))
+            sg = built[key] = SignedGraph.from_gain_graph(h, dict(zip(signs, key)))
         out.append((pair, sg))
     return out
 

@@ -14,9 +14,16 @@ constructions here handle every character over Q through its realification
 mod p instead): Q(zeta_m) has the basis 1, zeta_m, ..., zeta_m^(phi(m)-1), and
 multiplication by zeta_m^a is the integer matrix C_m^a, C_m the companion
 matrix of the cyclotomic polynomial Phi_m (C = [+-1] for a real character).
-Screw images are kept as integers over a common denominator (``tau_hat2_int``,
-``_twisted_int``), and the trace average, fixed screws and kernel proof read
-only those.
+Screw images are kept as integers over a common denominator (``tau_hat2_int``),
+and the trace average, fixed screws and kernel proof read only those.
+
+A representation depends on its generator images alone, and so does all
+that is cached on it.  ``intern_representation`` is where the package
+builds one from generator images: it keys a process-wide table on
+(group orders, d, the integer images (D, D M) of the generators) and hands
+back the object already built for an equal key, so each distinct
+representation is validated, and its fixed screws proven, once per process.
+The table keeps the ``INTERN_CAP`` newest entries.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .linalg import _cleared, nullspace_exact, rank_certified
 
 Element = tuple[int, ...]
 MAX_D = 12  # the largest d taken: the work grows like d^4 (screw space is C(d+1, 2))
+INTERN_CAP = 256  # representations kept by ``intern_representation``; the oldest goes first
 
 
 @dataclass(frozen=True)
@@ -165,10 +173,16 @@ class PointRepresentation:
 
     The instance also caches the exterior-power images per (g, k), and what
     the module functions derive from it: per g the screw image as integer
-    terms over a common denominator; per character label j the integer and
-    rational twisted screw images per (j, g), the fixed-screw dimension,
-    basis and kernel proof, and the signs of ``induced_labeling``; and the
-    outcome of ``require_combinatorial``.  Cached entries are shared safely.
+    terms over a common denominator; per character label j the rational
+    twisted screw images of ``tau_hat2_j`` per (j, g), the fixed-screw
+    dimension, basis and kernel proof, and the signs of
+    ``induced_labeling``; and the outcome of ``require_combinatorial``.
+    The dense integer twisted images are not kept: the fixed-screw basis
+    and its proof, which read them, run once per character.  Cached entries
+    are shared safely, also between the callers of
+    ``intern_representation``, which hands one instance to every caller
+    with the same generator images.  ``from_generators`` builds a new one
+    on each call.
     """
 
     def __init__(
@@ -183,7 +197,6 @@ class PointRepresentation:
         self.images = dict(images)
         self._hat_k: dict[tuple[Element, int], SquareMatrix] = {}
         self._twisted: dict[tuple[Element, Element], SquareMatrix] = {}
-        self._twisted_int: dict[tuple[Element, Element], tuple[int, SquareMatrix]] = {}
         self._trivial_dim: dict[Element, int] = {}
         self._fixed: dict[Element, tuple[tuple[Fraction, ...], ...]] = {}
         self._proven_dim: dict[Element, int] = {}
@@ -202,9 +215,7 @@ class PointRepresentation:
             raise RepresentationError(
                 f"expected {len(gens)} generator images, got {len(generator_images)}"
             )
-        # as in ``_validate``: the last non-rational generator's image comes first
-        for g, m in reversed(list(zip(gens, generator_images))):
-            _require_rational(g, m)
+        _require_rational_generators(group, generator_images)
         # an image is one generator image times the image of the element
         # with its last nonzero coordinate decreased by one, which comes
         # earlier in the lexicographic order of elements(); the products are
@@ -292,6 +303,11 @@ class PointRepresentation:
         return self._hat_k[key]
 
     def is_faithful(self) -> bool:
+        """Whether only the identity acts as I.  Checked once."""
+        return self._faithful
+
+    @cached_property
+    def _faithful(self) -> bool:
         ident = SquareMatrix.identity(self.d)
         return all(self.images[g] != ident for g in self.group.elements() if g != self.group.identity)
 
@@ -332,6 +348,39 @@ def _require_rational(g: Element, m: SquareMatrix) -> None:
         raise RepresentationError(f"image of {g} has entries that are not rational")
 
 
+def _require_rational_generators(
+    group: AbelianGroup, generator_images: Sequence[SquareMatrix]
+) -> None:
+    # as in ``_validate``: the last non-rational generator's image comes first
+    for g, m in reversed(list(zip(group.generators(), generator_images))):
+        _require_rational(g, m)
+
+
+_interned: dict[tuple, PointRepresentation] = {}
+
+
+def intern_representation(
+    group: AbelianGroup, d: int, generator_images: Sequence[SquareMatrix]
+) -> PointRepresentation:
+    """``PointRepresentation.from_generators(group, d, generator_images)``,
+    shared per process: the instance already built for the same group
+    orders, d and integer generator images (D, D M) when there is one, so
+    that what it caches is computed once.  The images are checked to be
+    rational first, as ``from_generators`` checks them; the key is taken on
+    their integer images, under which 0.0 and 0 would not be told apart.  A
+    construction that raises is not kept, and the table drops its oldest
+    entry beyond ``INTERN_CAP``."""
+    _require_rational_generators(group, generator_images)
+    key = (group.orders, d, tuple(_integer_image(m) for m in generator_images))
+    rep = _interned.get(key)
+    if rep is None:
+        rep = PointRepresentation.from_generators(group, d, generator_images)
+        if len(_interned) >= INTERN_CAP:
+            del _interned[next(iter(_interned))]
+        _interned[key] = rep
+    return rep
+
+
 def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix:
     """The screw-space representation twisted by the character labeled j,
     realified over Q: the grade-2 induced matrix of the augmented image,
@@ -350,20 +399,17 @@ def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix
 def _twisted_int(rep: PointRepresentation, j: Element, g: Element) -> tuple[int, SquareMatrix]:
     """``tau_hat2_j(rep, j, g)`` as (D, N), N = D tau_hat2_j: the dense screw
     image of ``tau_hat2_int(rep, g)``, integer over its denominator D,
-    Kronecker times C_m^(-a).  Cached on ``rep`` per (j, g)."""
-    out = rep._twisted_int.get((j, g))
-    if out is None:
-        den, terms = tau_hat2_int(rep, g)
-        rows = []
-        for ts in terms:
-            row = [0] * len(terms)
-            for c, x in ts:
-                row[c] = x
-            rows.append(tuple(row))
-        order = rep.group.element_order(j)
-        power = root_of_unity_matrix(order, -character_power(rep.group, j, g) % order)
-        out = rep._twisted_int[j, g] = den, kron(SquareMatrix(tuple(rows)), power)
-    return out
+    Kronecker times C_m^(-a).  Built on each call and not kept."""
+    den, terms = tau_hat2_int(rep, g)
+    rows = []
+    for ts in terms:
+        row = [0] * len(terms)
+        for c, x in ts:
+            row[c] = x
+        rows.append(tuple(row))
+    order = rep.group.element_order(j)
+    power = root_of_unity_matrix(order, -character_power(rep.group, j, g) % order)
+    return den, kron(SquareMatrix(tuple(rows)), power)
 
 
 def tau_hat2_int(
@@ -480,8 +526,16 @@ def induced_labeling(rep: PointRepresentation, g: Element, pair: tuple[int, int]
     entry s_i s_j at the pair (i, j), so the sign under gamma is
     s_i(gamma) s_j(gamma) rho_g(gamma), with s_(d+1) = 1: the diagonal entry
     of ``tau_hat2_j(rep, g, gamma)``, read from the diagonal of
-    ``tau_hat2_int(rep, gamma)`` without building it.  The signs of every
-    pair are cached on ``rep`` per g."""
+    ``tau_hat2_int(rep, gamma)`` without building it: ``induced_signs``
+    at the position of the pair."""
+    pos = lex_index(rep.d + 1, 2).position(pair)
+    return {gamma: s[pos] for gamma, s in induced_signs(rep, g).items()}
+
+
+def induced_signs(rep: PointRepresentation, g: Element) -> dict[Element, tuple[int, ...]]:
+    """Per group element gamma, the sign of ``induced_labeling`` under gamma
+    for every pair of ``screw_pairs(rep.d)``, in its order.  Cached on
+    ``rep`` per g and shared: not to be modified."""
     rep.require_combinatorial()
     signs = rep._signs.get(g)
     if signs is None:
@@ -489,8 +543,7 @@ def induced_labeling(rep: PointRepresentation, g: Element, pair: tuple[int, int]
         for gamma in rep.group.elements():
             sign = (-1) ** character_power(rep.group, g, gamma)
             signs[gamma] = tuple(sign * row[0][1] for row in tau_hat2_int(rep, gamma)[1])
-    pos = lex_index(rep.d + 1, 2).position(pair)
-    return {gamma: s[pos] for gamma, s in signs.items()}
+    return signs
 
 
 def screw_pairs(d: int) -> tuple[tuple[int, int], ...]:

@@ -2,9 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from orbitrig import symmetry
 
 from orbitrig.cli import (
     EXIT_FLEXIBLE,
@@ -21,6 +27,9 @@ from orbitrig.gaingraph import make_gain_graph
 from orbitrig.genframe import BarConfiguration, HingeConfiguration, random_generic_bars
 from orbitrig.hinge import random_generic_hinges
 from conftest import mirror_rep_d, reflection9_rep, rotation9_rep
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def run(capsys, argv):
@@ -292,6 +301,42 @@ class TestCrosscheckCommand:
         input errors, rejected before any sampling."""
         assert main(["crosscheck", "--count", "1", *args]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("input error:")
+
+
+class TestInternedRepresentations:
+    """Representations are shared across ``main`` calls in one process
+    (``symmetry.intern_representation``); what they cache changes no
+    output."""
+
+    def test_crosscheck_runs_match_a_fresh_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(symmetry, "_interned", {})
+        argv = ["crosscheck", "--count", "20", "--group", "2x2"]
+        first, second = run(capsys, argv), run(capsys, argv)
+        assert first == second and first[0] == EXIT_RIGID
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitrig.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == first
+
+    def test_fixed_screws_found_once_per_character(self, capsys, monkeypatch, fixture_dir):
+        monkeypatch.setattr(symmetry, "_interned", {})
+        calls = []
+        basis = symmetry.fixed_subspace_basis
+
+        def counting(rep, j):
+            calls.append(j)
+            return basis(rep, j)
+
+        monkeypatch.setattr(symmetry, "fixed_subspace_basis", counting)
+        golden = json.loads((TESTS / "golden_cli.json").read_text(encoding="utf-8"))
+        expected = golden["c2_stewart analyze json"]
+        argv = ["analyze", str(fixture_dir / "c2_stewart.json"), "--format", "json"]
+        for _ in range(2):
+            code, out = run(capsys, argv)
+            assert {"code": code, "stdout": out} == expected
+        assert sorted(calls) == [(0,), (1,)]
 
 
 class TestExplicitHingeConfiguration:
