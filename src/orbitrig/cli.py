@@ -42,7 +42,6 @@ from .symmetry import (
     AbelianGroup,
     Element,
     PointRepresentation,
-    intern_representation,
     irrep_is_real,
 )
 
@@ -112,7 +111,7 @@ def parse_framework(doc: dict) -> dict:
     """Parse a schema-1 framework document into model objects."""
     if not isinstance(doc, dict):
         raise InputError("top-level JSON value must be an object")
-    schema = doc.get("schema", SCHEMA_VERSION)
+    schema = _integer(doc.get("schema", SCHEMA_VERSION), "schema")
     if schema != SCHEMA_VERSION:
         raise InputError(f"unsupported schema {schema!r}, expected {SCHEMA_VERSION}")
     model = doc.get("model", "body-bar")
@@ -135,7 +134,7 @@ def parse_framework(doc: dict) -> dict:
         if len(rows) != d or any(len(r) != d for r in rows):
             raise InputError(f"generator matrices must be {d}x{d}")
         gens.append(SquareMatrix.from_rows([[parse_rational(x) for x in r] for r in rows]))
-    rep = intern_representation(group, d, gens)
+    rep = PointRepresentation.from_generators(group, d, gens)
 
     gg_doc = _require(doc, "gain_graph", "document")
     vertices = [
@@ -203,11 +202,6 @@ def parse_configuration(
         if not any(entries[e.id].vector):
             raise InputError(f"{name} of edge {e.id!r} is the zero extensor")
     return kind(d=rep.d, entries=entries, meta={"source": "explicit"})
-
-
-def parse_hinge_configuration(doc: dict, h: GainGraph, rep: PointRepresentation):
-    """Explicit hinge configuration: d-1 generating points per edge."""
-    return parse_configuration(doc, h, rep, HingeConfiguration)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from .errors import InputError
 from .gaingraph import GainGraph, make_gain_graph
 from .hinge import analyze_framework, disagreements
 from .rigidity import CrosscheckResult, lifted_rank
-from .symmetry import MAX_D, AbelianGroup, PointRepresentation, intern_representation
+from .symmetry import MAX_D, AbelianGroup, PointRepresentation
 
 SCHEMA_VERSION = 1  # of the input documents: written here, read by ``cli``
 
@@ -50,7 +50,7 @@ def random_diagonal_rep(
             )
             for _ in orders
         ]
-        rep = intern_representation(group, d, gens)
+        rep = PointRepresentation.from_generators(group, d, gens)
         if rep.is_faithful():
             return rep
 
@@ -64,8 +64,9 @@ def random_gain_graph(
 ) -> GainGraph:
     """Random quotient gain graph: loops never get the identity gain, and a
     loop whose gain has order two goes to the non-free set with probability
-    one half."""
-    nv = rng.randint(1, max_vertices)
+    one half.  The trivial group has no other gain, so for it at least two
+    vertices are drawn, and a drawn loop becomes an edge to the next vertex."""
+    nv = rng.randint(1 if group.orders else 2, max_vertices)
     vertices = [f"v{i}" for i in range(nv)]
     ne = rng.randint(1, max_edges)
     elems = group.elements()
@@ -79,8 +80,6 @@ def random_gain_graph(
             candidates = [g for g in elems if g != group.identity]
             if not candidates:
                 head = vertices[(vertices.index(tail) + 1) % nv]
-                if head == tail:  # single vertex, trivial group: skip loops
-                    continue
                 gain = group.identity
             else:
                 gain = rng.choice(candidates)
@@ -94,10 +93,6 @@ def random_gain_graph(
         v = rng.choice(vertices)
         edges.append((eid, v, v, rng.choice(involutions)))
         loops_l.append(eid)
-    if not edges:
-        edges.append((0, vertices[0], vertices[-1] if nv > 1 else vertices[0], group.identity))
-        if nv == 1:
-            raise InputError("cannot build a loopless instance on one vertex of a trivial group")
     return make_gain_graph(vertices, edges, loops_l, group=group)
 
 
@@ -119,6 +114,11 @@ def crosscheck_instances(
     if max_vertices < 1 or max_edges < 1:
         raise InputError(
             f"max vertices and max edges must be positive, got {max_vertices} and {max_edges}"
+        )
+    if not orders and max_vertices < 2:
+        raise InputError(
+            f"the trivial group needs max vertices >= 2, got {max_vertices}: "
+            "a loop needs a non-identity gain"
         )
     _require_diagonal_two_group(orders, d)
     rng = random.Random(seed)

@@ -24,14 +24,13 @@ from typing import Sequence
 
 from .algebra import Extensor, hodge_star
 from .errors import InputError
-from .gaingraph import CoveredGraph, EdgeId, GainGraph, multiply_edges
+from .gaingraph import EdgeId, GainGraph, multiply_edges
 from .genframe import (
     DEFAULT_BOUND,
     PRNG_NAME,
     BarConfiguration,
     BarEntry,
     HingeConfiguration,
-    lift_bars,
     random_configuration,
 )
 from .linalg import nullspace_exact
@@ -84,14 +83,6 @@ def hinge_to_bars(
                 raise InputError(f"bar copy {t} of {e.id!r} is not orthogonal to the hinge")
             entries[(e.id, t)] = BarEntry(vector=vec, points=None)
     return multiplied, BarConfiguration(d=d, entries=entries, meta=dict(config.meta))
-
-
-def lift_hinges(
-    h: GainGraph, config: HingeConfiguration, rep: PointRepresentation
-) -> tuple[CoveredGraph, dict[tuple, BarEntry]]:
-    """``lift_bars`` of a hinge configuration, whose group must act freely
-    on the edges."""
-    return lift_bars(h, config, rep)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,12 @@ Screw images are kept as integers over a common denominator (``tau_hat2_int``),
 and the trace average, fixed screws and kernel proof read only those.
 
 A representation depends on its generator images alone, and so does all
-that is cached on it.  ``intern_representation`` is where the package
-builds one from generator images: it keys a process-wide table on
-(group orders, d, the integer images (D, D M) of the generators) and hands
-back the object already built for an equal key, so each distinct
-representation is validated, and its fixed screws proven, once per process.
-The table keeps the ``INTERN_CAP`` newest entries.
+that is cached on it.  ``PointRepresentation.from_generators`` builds one
+from generator images: it keys a process-wide table on (group orders, d,
+the integer images (D, D M) of the generators) and hands back the object
+already built for an equal key, so each distinct representation is
+validated, and its fixed screws proven, once per process.  The table keeps
+the ``INTERN_CAP`` newest entries.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from .linalg import _cleared, nullspace_exact, rank_certified
 
 Element = tuple[int, ...]
 MAX_D = 12  # the largest d taken: the work grows like d^4 (screw space is C(d+1, 2))
-INTERN_CAP = 256  # representations kept by ``intern_representation``; the oldest goes first
+INTERN_CAP = 256  # representations kept by ``from_generators``; the oldest goes first
+_interned: dict[tuple, PointRepresentation] = {}  # the table of ``from_generators``, oldest first
 
 
 @dataclass(frozen=True)
@@ -179,10 +180,9 @@ class PointRepresentation:
     ``induced_labeling``; and the outcome of ``require_combinatorial``.
     The dense integer twisted images are not kept: the fixed-screw basis
     and its proof, which read them, run once per character.  Cached entries
-    are shared safely, also between the callers of
-    ``intern_representation``, which hands one instance to every caller
-    with the same generator images.  ``from_generators`` builds a new one
-    on each call.
+    are shared safely, also between the callers of ``from_generators``,
+    which hands one instance to every caller with the same integer
+    generator images.
     """
 
     def __init__(
@@ -208,6 +208,13 @@ class PointRepresentation:
     def from_generators(
         cls, group: AbelianGroup, d: int, generator_images: Sequence[SquareMatrix]
     ) -> "PointRepresentation":
+        """The representation with these generator images, shared per
+        process: the instance already built for the same group orders, d and
+        integer generator images (D, D M) when there is one, so that what it
+        caches is computed once.  The images are checked to be rational
+        before the key is taken, since it would not tell 0.0 from 0.  A
+        construction that raises is not kept, and the table drops its
+        oldest entry beyond ``INTERN_CAP``."""
         if d > MAX_D:  # checked before any image is built
             raise RepresentationError(f"d = {d} is above the supported limit MAX_D = {MAX_D}")
         gens = group.generators()
@@ -215,14 +222,20 @@ class PointRepresentation:
             raise RepresentationError(
                 f"expected {len(gens)} generator images, got {len(generator_images)}"
             )
-        _require_rational_generators(group, generator_images)
+        # as in ``_validate``: the last non-rational generator's image comes first
+        for g, m in reversed(list(zip(gens, generator_images))):
+            _require_rational(g, m)
+        factors = tuple(_integer_image(m) for m in generator_images)
+        key = (group.orders, d, factors)
+        rep = _interned.get(key)
+        if rep is not None:
+            return rep
         # an image is one generator image times the image of the element
         # with its last nonzero coordinate decreased by one, which comes
         # earlier in the lexicographic order of elements(); the products are
         # taken on the integer images (D, D M) of ``_integer_image``, and
         # each product is divided by the gcd of D and its entries, which
         # leaves D the least common denominator, as ``_integer_image`` has it
-        factors = [_integer_image(m) for m in generator_images]
         images = {group.identity: SquareMatrix.identity(d)}
         scaled = {group.identity: _integer_image(images[group.identity])}
         for elem in group.elements()[1:]:
@@ -233,12 +246,15 @@ class PointRepresentation:
             den, n = den // f, tuple(tuple(x // f for x in r) for r in n)
             scaled[elem] = den, SquareMatrix(n)
             images[elem] = SquareMatrix(tuple(tuple(Fraction(x, den) for x in r) for r in n))
-        return cls(group, d, images, scaled)
+        rep = cls(group, d, images, scaled)
+        if len(_interned) >= INTERN_CAP:
+            del _interned[next(iter(_interned))]
+        _interned[key] = rep
+        return rep
 
     @classmethod
     def trivial(cls, d: int) -> "PointRepresentation":
-        group = AbelianGroup(())
-        return cls(group, d, {(): SquareMatrix.identity(d)})
+        return cls.from_generators(AbelianGroup(()), d, [])
 
     def _validate(
         self, integer_images: Mapping[Element, tuple[int, SquareMatrix]] | None
@@ -346,39 +362,6 @@ class PointRepresentation:
 def _require_rational(g: Element, m: SquareMatrix) -> None:
     if not all(isinstance(x, (int, Fraction)) for row in m.rows for x in row):
         raise RepresentationError(f"image of {g} has entries that are not rational")
-
-
-def _require_rational_generators(
-    group: AbelianGroup, generator_images: Sequence[SquareMatrix]
-) -> None:
-    # as in ``_validate``: the last non-rational generator's image comes first
-    for g, m in reversed(list(zip(group.generators(), generator_images))):
-        _require_rational(g, m)
-
-
-_interned: dict[tuple, PointRepresentation] = {}
-
-
-def intern_representation(
-    group: AbelianGroup, d: int, generator_images: Sequence[SquareMatrix]
-) -> PointRepresentation:
-    """``PointRepresentation.from_generators(group, d, generator_images)``,
-    shared per process: the instance already built for the same group
-    orders, d and integer generator images (D, D M) when there is one, so
-    that what it caches is computed once.  The images are checked to be
-    rational first, as ``from_generators`` checks them; the key is taken on
-    their integer images, under which 0.0 and 0 would not be told apart.  A
-    construction that raises is not kept, and the table drops its oldest
-    entry beyond ``INTERN_CAP``."""
-    _require_rational_generators(group, generator_images)
-    key = (group.orders, d, tuple(_integer_image(m) for m in generator_images))
-    rep = _interned.get(key)
-    if rep is None:
-        rep = PointRepresentation.from_generators(group, d, generator_images)
-        if len(_interned) >= INTERN_CAP:
-            del _interned[next(iter(_interned))]
-        _interned[key] = rep
-    return rep
 
 
 def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import orbitrig as rig
+from orbitrig import symmetry
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -67,6 +68,13 @@ def stewart_graph(group: rig.AbelianGroup) -> rig.GainGraph:
         loops_l=[2, 3],
         group=group,
     )
+
+
+@pytest.fixture(autouse=True)
+def empty_intern_table(monkeypatch):
+    """Every test starts with an empty table of ``from_generators``, so that
+    no representation comes back with what an earlier test cached on it."""
+    monkeypatch.setattr(symmetry, "_interned", {})
 
 
 @pytest.fixture

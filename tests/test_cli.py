@@ -105,9 +105,10 @@ class TestParsing:
 
     def test_schema_version_enforced(self, fixture_dir):
         doc = json.loads((fixture_dir / "cs_stewart.json").read_text())
-        doc["schema"] = 99
-        with pytest.raises(InputError):
-            parse_framework(doc)
+        for schema in (99, True, 1.0):  # the version is an integer, as JSON spells it
+            doc["schema"] = schema
+            with pytest.raises(InputError):
+                parse_framework(doc)
 
     def test_missing_field_diagnostics(self, fixture_dir):
         doc = json.loads((fixture_dir / "cs_stewart.json").read_text())
@@ -278,6 +279,15 @@ class TestCrosscheckCommand:
         assert code == EXIT_RIGID
         assert json.loads(out)["mismatches"] == []
 
+    def test_trivial_group(self, capsys):
+        """On one vertex the trivial group admits no bar, so every graph is
+        drawn on at least two."""
+        argv = ["crosscheck", "--count", "20", "--group", "trivial", "--seed", "7"]
+        code, out = run(capsys, argv)
+        assert code == EXIT_RIGID
+        doc = json.loads(out)
+        assert doc["group"]["orders"] == [] and doc["ok"] is True
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -289,10 +299,12 @@ class TestCrosscheckCommand:
             ["--max-vertices", "0"],
             ["--max-edges", "0"],
             ["--count", "-1"],
+            ["--group", "trivial", "--max-vertices", "1"],
         ],
         ids=[
             "group-q", "group-2x2x2-dim-2", "group-4", "group-3",
             "dim-0", "max-vertices-0", "max-edges-0", "count-minus-1",
+            "trivial-max-vertices-1",
         ],
     )
     def test_bad_arguments(self, capsys, args):
@@ -305,11 +317,10 @@ class TestCrosscheckCommand:
 
 class TestInternedRepresentations:
     """Representations are shared across ``main`` calls in one process
-    (``symmetry.intern_representation``); what they cache changes no
+    (``PointRepresentation.from_generators``); what they cache changes no
     output."""
 
-    def test_crosscheck_runs_match_a_fresh_process(self, capsys, monkeypatch):
-        monkeypatch.setattr(symmetry, "_interned", {})
+    def test_crosscheck_runs_match_a_fresh_process(self, capsys):
         argv = ["crosscheck", "--count", "20", "--group", "2x2"]
         first, second = run(capsys, argv), run(capsys, argv)
         assert first == second and first[0] == EXIT_RIGID
@@ -321,7 +332,6 @@ class TestInternedRepresentations:
         assert (proc.returncode, proc.stdout) == first
 
     def test_fixed_screws_found_once_per_character(self, capsys, monkeypatch, fixture_dir):
-        monkeypatch.setattr(symmetry, "_interned", {})
         calls = []
         basis = symmetry.fixed_subspace_basis
 

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from orbitrig.algebra import Extensor, SquareMatrix, hodge_star, wedge
-from orbitrig.cli import parse_hinge_configuration
+from orbitrig.cli import parse_configuration
 from orbitrig.errors import UnsupportedGroupError
 from orbitrig.gaingraph import GainGraph, make_gain_graph, multiply_edges
-from orbitrig.genframe import BarConfiguration, BarEntry
+from orbitrig.genframe import BarConfiguration, BarEntry, HingeConfiguration, lift_bars
 from orbitrig.hinge import (
     analyze_framework,
     analyze_hinge,
@@ -18,7 +18,6 @@ from orbitrig.hinge import (
     disagreements,
     hinge_complement_basis,
     hinge_to_bars,
-    lift_hinges,
     random_generic_hinges,
 )
 from orbitrig.linalg import rank_exact
@@ -138,7 +137,7 @@ def explicit_hinges(rng: random.Random, h: GainGraph, rep: PointRepresentation):
             if not wedge([[Fraction(x) for x in p] + [1] for p in pts], rep.d).is_zero():
                 hinges[str(e.id)] = {"points": pts}
                 break
-    return parse_hinge_configuration({"hinges": hinges}, h, rep)
+    return parse_configuration({"hinges": hinges}, h, rep, HingeConfiguration)
 
 
 def quarter_turn_rep() -> PointRepresentation:
@@ -193,7 +192,7 @@ class TestHingeLift:
         rep = mirror_rep()
         h = hinge_quotient(rep.group, 3)
         hconf = random_generic_hinges(h, rep, seed=31)
-        cov, lifted = lift_hinges(h, hconf, rep)
+        cov, lifted = lift_bars(h, hconf, rep)
         assert len(cov.edges) == 6
         for gamma in rep.group.elements():
             mk = rep.tau_hat_k(gamma, rep.d - 1)

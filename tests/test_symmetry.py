@@ -21,7 +21,6 @@ from orbitrig.symmetry import (
     fixed_subspace_basis,
     galois_representative,
     induced_labeling,
-    intern_representation,
     irrep_degree,
     irrep_is_real,
     proven_trivial_dim,
@@ -439,12 +438,9 @@ def _diagonal(signs) -> SquareMatrix:
 
 
 class TestInternRepresentation:
-    """``intern_representation`` shares one instance per group orders, d and
-    integer generator images; each test starts from an empty table."""
-
-    @pytest.fixture(autouse=True)
-    def empty_table(self, monkeypatch):
-        monkeypatch.setattr(symmetry, "_interned", {})
+    """``from_generators`` shares one instance per group orders, d and
+    integer generator images; each test starts from an empty table (see
+    ``conftest.empty_intern_table``)."""
 
     def test_equal_integer_images_give_one_object(self):
         group = AbelianGroup((2, 2))
@@ -453,33 +449,33 @@ class TestInternRepresentation:
             [_diagonal((Fraction(1), Fraction(-1), Fraction(-1))),
              _diagonal((Fraction(-1), 1, Fraction(-1)))],
         ]
-        first, second = (intern_representation(group, 3, gens) for gens in spelled)
+        first, second = (PointRepresentation.from_generators(group, 3, gens) for gens in spelled)
         assert first is second
         assert len(symmetry._interned) == 1
 
     def test_different_images_or_d_give_different_objects(self):
         group = AbelianGroup((2,))
-        mirror = intern_representation(group, 3, [_diagonal((1, 1, -1))])
-        halfturn = intern_representation(group, 3, [_diagonal((1, -1, -1))])
-        mirror4 = intern_representation(group, 4, [_diagonal((1, 1, -1, 1))])
+        mirror = PointRepresentation.from_generators(group, 3, [_diagonal((1, 1, -1))])
+        halfturn = PointRepresentation.from_generators(group, 3, [_diagonal((1, -1, -1))])
+        mirror4 = PointRepresentation.from_generators(group, 4, [_diagonal((1, 1, -1, 1))])
         assert len({id(mirror), id(halfturn), id(mirror4)}) == 3
-        assert intern_representation(group, 3, [_diagonal((1, 1, -1))]) is mirror
+        assert PointRepresentation.from_generators(group, 3, [_diagonal((1, 1, -1))]) is mirror
         assert trivial_motion_dim(mirror, (1,)) == 3 and trivial_motion_dim(halfturn, (1,)) == 4
 
     def test_float_images_are_refused_after_their_integer_twin(self):
         group = AbelianGroup((4,))
         quarter = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
-        rep = intern_representation(group, 3, [SquareMatrix.from_rows(quarter)])
+        rep = PointRepresentation.from_generators(group, 3, [SquareMatrix.from_rows(quarter)])
         floats = SquareMatrix.from_rows([[float(x) for x in row] for row in quarter])
         with pytest.raises(RepresentationError, match="not rational"):
-            intern_representation(group, 3, [floats])
+            PointRepresentation.from_generators(group, 3, [floats])
         assert list(symmetry._interned.values()) == [rep]
 
     def test_failed_construction_is_not_kept(self):
         swap = SquareMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # order 3
         for _ in range(2):
             with pytest.raises(RepresentationError, match="violate homomorphism"):
-                intern_representation(AbelianGroup((2,)), 3, [swap])
+                PointRepresentation.from_generators(AbelianGroup((2,)), 3, [swap])
         assert symmetry._interned == {}
 
     def test_table_never_exceeds_its_cap(self):
@@ -487,20 +483,12 @@ class TestInternRepresentation:
         patterns = list(product((1, -1), repeat=9))[: symmetry.INTERN_CAP + 20]
         reps = []
         for signs in patterns:
-            reps.append(intern_representation(group, 9, [_diagonal(signs)]))
+            reps.append(PointRepresentation.from_generators(group, 9, [_diagonal(signs)]))
             assert len(symmetry._interned) <= symmetry.INTERN_CAP
         assert len(symmetry._interned) == symmetry.INTERN_CAP
         # the oldest entries went first; the newest are still shared
-        assert intern_representation(group, 9, [_diagonal(patterns[-1])]) is reps[-1]
-        assert intern_representation(group, 9, [_diagonal(patterns[0])]) is not reps[0]
-
-    def test_from_generators_stays_fresh(self):
-        group, gens = AbelianGroup((2,)), [_diagonal((1, 1, -1))]
-        shared = intern_representation(group, 3, gens)
-        first = PointRepresentation.from_generators(group, 3, gens)
-        second = PointRepresentation.from_generators(group, 3, gens)
-        assert len({id(shared), id(first), id(second)}) == 3
-        assert first.images == second.images == shared.images
+        assert PointRepresentation.from_generators(group, 9, [_diagonal(patterns[-1])]) is reps[-1]
+        assert PointRepresentation.from_generators(group, 9, [_diagonal(patterns[0])]) is not reps[0]
 
 
 def _quarter_turn_rep() -> PointRepresentation:
