@@ -37,26 +37,34 @@ def halfturn_rep() -> rig.PointRepresentation:
     )
 
 
-def reflection9_rep() -> rig.PointRepresentation:
+def reflection9() -> rig.SquareMatrix:
     """Reflection I - 2 v v^T / 9 in the plane normal to v = (1, 2, 2): a
     rational image whose entries have denominator 9."""
     v = (1, 2, 2)
-    reflection = rig.SquareMatrix.from_rows(
+    return rig.SquareMatrix.from_rows(
         [[Fraction(int(i == j)) - Fraction(2 * v[i] * v[j], 9) for j in range(3)] for i in range(3)]
     )
-    return rig.PointRepresentation.from_generators(two_group(1), 3, [reflection])
+
+
+def rotation9() -> rig.SquareMatrix:
+    """The quarter turn v v^T + [v]_x about the unit axis v = (1, 2, 2) / 3:
+    a rotation whose entries have denominators 3 and 9, and whose square is
+    a half-turn with denominator 9."""
+    v = [Fraction(x, 3) for x in (1, 2, 2)]
+    cross = [[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]]
+    return rig.SquareMatrix.from_rows(
+        [[v[i] * v[j] + cross[i][j] for j in range(3)] for i in range(3)]
+    )
+
+
+def reflection9_rep() -> rig.PointRepresentation:
+    """Z/2 acting by ``reflection9``."""
+    return rig.PointRepresentation.from_generators(two_group(1), 3, [reflection9()])
 
 
 def rotation9_rep() -> rig.PointRepresentation:
-    """Z/4 acting by the quarter turn v v^T + [v]_x about the unit axis
-    v = (1, 2, 2) / 3: a rotation whose entries have denominators 3 and 9,
-    and whose square is a half-turn with denominator 9."""
-    v = [Fraction(x, 3) for x in (1, 2, 2)]
-    cross = [[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]]
-    rotation = rig.SquareMatrix.from_rows(
-        [[v[i] * v[j] + cross[i][j] for j in range(3)] for i in range(3)]
-    )
-    return rig.PointRepresentation.from_generators(rig.AbelianGroup((4,)), 3, [rotation])
+    """Z/4 acting by ``rotation9``."""
+    return rig.PointRepresentation.from_generators(rig.AbelianGroup((4,)), 3, [rotation9()])
 
 
 def stewart_graph(group: rig.AbelianGroup) -> rig.GainGraph:

@@ -26,7 +26,9 @@ from orbitrig.errors import InputError
 from orbitrig.gaingraph import make_gain_graph
 from orbitrig.genframe import BarConfiguration, HingeConfiguration, random_generic_bars
 from orbitrig.hinge import random_generic_hinges
-from conftest import mirror_rep_d, reflection9_rep, rotation9_rep
+from orbitrig.algebra import SquareMatrix
+from orbitrig.symmetry import AbelianGroup, PointRepresentation
+from conftest import mirror_rep_d, reflection9, reflection9_rep, rotation9, rotation9_rep
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -38,11 +40,32 @@ def run(capsys, argv):
     return code, out
 
 
+def _block_diagonal(a: SquareMatrix, b: list[list[int]]) -> SquareMatrix:
+    n, k = a.n, len(b)
+    return SquareMatrix.from_rows([list(r) + [0] * k for r in a.rows] + [[0] * n + r for r in b])
+
+
+def _hinge_doc(orders: tuple[int, ...], image: SquareMatrix, gains: list[tuple]) -> dict:
+    """Body-hinge on two bodies in d-space, d the size of ``image``: a hinge
+    a -> b per gain, then a free loop at a, each at explicit rational points."""
+    d = image.n
+    rep = PointRepresentation.from_generators(AbelianGroup(orders), d, [image])
+    edges = [(i, "a", "b", g) for i, g in enumerate(gains)] + [(len(gains), "a", "a", gains[1])]
+    doc = serialize_instance(make_gain_graph(["a", "b"], edges, group=rep.group), rep, 9)
+    doc["model"] = "body-hinge"
+    doc["configuration"] = {"hinges": {str(i): {"points": [
+        [f"{(3 * i + 5 * p + 7 * c) % 11 - 5}/{1 + (i + p + c) % 4}" for c in range(d)]
+        for p in range(d - 1)
+    ]} for i in range(len(edges))}}
+    return doc
+
+
 def _rational_docs() -> dict[str, dict]:
     """Documents with denominators: a quarter turn whose images have
     denominators 3 and 9 (with a non-free loop of the half-turn), a
-    reflection with denominator 9 and two non-free loops, and explicit
-    rational bar and hinge points."""
+    reflection with denominator 9 and two non-free loops, explicit
+    rational bar and hinge points, and explicit rational hinges in 4- and
+    5-space, which lift at grades 3 and 4, under images of denominator 9."""
     rot, ref = rotation9_rep(), reflection9_rep()
     edges = [(0, "a", "b", (0,)), (1, "a", "b", (1,)), (2, "a", "a", (1,)), (3, "b", "b", (2,))]
     quarter = serialize_instance(make_gain_graph(["a", "b"], edges, [3], group=rot.group), rot, 5)
@@ -59,8 +82,12 @@ def _rational_docs() -> dict[str, dict]:
     hinges = serialize_instance(make_gain_graph(["a", "b"], edges, group=rot.group), rot, 8)
     hinges["model"] = "body-hinge"
     hinges["configuration"] = {"hinges": {str(i): {"points": p} for i, p in enumerate(points)}}
+    hinges_d4 = _hinge_doc((2,), _block_diagonal(reflection9(), [[-1]]), [(0,), (1,)])
+    quarter_5 = _block_diagonal(rotation9(), [[0, -1], [1, 0]])
+    hinges_d5 = _hinge_doc((4,), quarter_5, [(0,), (1,), (2,)])
     return {"quarter-turn": quarter, "reflection-loops": reflection,
-            "explicit-bars": bars, "explicit-hinges": hinges}
+            "explicit-bars": bars, "explicit-hinges": hinges,
+            "hinges-d4": hinges_d4, "hinges-d5": hinges_d5}
 
 
 # (exit code, first 16 hex digits of the sha256 of stdout) of JSON output; the
@@ -77,6 +104,10 @@ RATIONAL_OUTPUTS = {
     ("explicit-bars", "flex"): (1, "af4dbe6d5a259604"),
     ("explicit-hinges", "lift"): (0, "0b42dc98b1958608"),
     ("explicit-hinges", "analyze"): (0, "c2424a55349d37ed"),
+    ("hinges-d4", "lift"): (0, "a29a8bcb35a20f96"),
+    ("hinges-d4", "analyze"): (0, "dd4d6dfb1457b559"),
+    ("hinges-d5", "lift"): (0, "3e839910ff91dce9"),
+    ("hinges-d5", "analyze"): (0, "3ba23d782b6ceb5b"),
 }
 
 
