@@ -6,7 +6,7 @@ matroid union on the induced edge labelings), with verifiable certificates
 and explicit nontrivial flexes.
 """
 
-from .algebra import Extensor, LexIndex, SquareMatrix, cap_product, hodge_star, induced_rep, wedge
+from .algebra import Extensor, LexIndex, SquareMatrix, cap_product, compound, hodge_star, wedge
 from .errors import ConsistencyError, InputError, RepresentationError, UnsupportedGroupError
 from .gaingraph import (
     CoveredGraph,

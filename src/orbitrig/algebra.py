@@ -1,5 +1,5 @@
 """Exterior-algebra substrate: wedge products, Hodge star, the duality
-pairing, and representations induced on exterior powers.
+pairing, and the compounds that carry a matrix to the exterior powers.
 
 Conventions used throughout the package:
 
@@ -8,8 +8,10 @@ Conventions used throughout the package:
 * a grade-k element is stored as its coordinate vector of length C(d+1, k),
   indexed by strictly increasing k-tuples of {1, ..., d+1} in lexicographic
   order;
-* scalars are exact ``fractions.Fraction`` values (or ints); complex
-  characters are realified over Q instead of introducing complex entries.
+* scalars are exact: ints, or ``fractions.Fraction`` values where a
+  denominator is kept (a rational matrix is mostly held as the integer
+  matrix D M beside its denominator D); complex characters are realified
+  over Q instead of introducing complex entries.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ def cap_product(p: Extensor, q: Extensor) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# square matrices and induced representations
+# square matrices and compounds
 
 
 @dataclass(frozen=True)
@@ -270,15 +272,6 @@ class SquareMatrix:
         return True
 
 
-def block_diag_one(a: SquareMatrix) -> SquareMatrix:
-    """Augment a d x d matrix to (d+1) x (d+1) by a trailing 1 (homogeneous
-    coordinates fix the last axis)."""
-    n = a.n
-    rows = [tuple(a.rows[i]) + (Fraction(0),) for i in range(n)]
-    rows.append(tuple(Fraction(0) for _ in range(n)) + (Fraction(1),))
-    return SquareMatrix(tuple(rows))
-
-
 def kron(a: SquareMatrix, k: SquareMatrix) -> SquareMatrix:
     """Kronecker product: entry [(t, r), (s, c)] = a[t][s] * k[r][c], with
     the pair (t, r) at position t * k.n + r."""
@@ -293,31 +286,15 @@ def _integer_image(m: SquareMatrix) -> tuple[int, SquareMatrix]:
     return den, SquareMatrix(tuple(tuple(flat[i : i + m.n]) for i in range(0, len(flat), m.n)))
 
 
-def induced_rep(a: SquareMatrix, k: int) -> SquareMatrix:
-    """Action induced on the grade-k exterior power: entry [I, J] is the
-    k x k minor of ``a`` on rows I and columns J, a Fraction.  The minors
-    are taken over the integers, of the integer matrix D a (D the lcm of
-    the denominators of ``a``), and divided by D^k; for k = 2 each minor
-    n_ik n_jl - n_il n_jk is taken directly, as ``wedge`` does for bars.
-    Satisfies (A B)^(k) = A^(k) B^(k) and
-    A^(k)(v_1 ^ ... ^ v_k) = (A v_1) ^ ... ^ (A v_k).
-    """
-    den, n = _integer_image(a)
-    n, scale = n.rows, den ** k
+def compound(n: Sequence[Sequence[Scalar]], k: int) -> list[list[Scalar]]:
+    """The grade-k compound of a square matrix, integer for an integer one:
+    entry [I, J] is the k x k minor on rows I and columns J, increasing
+    k-tuples in lex order.  At k = 2 each minor n_ik n_jl - n_il n_jk is
+    taken directly, as ``wedge`` does for bars; any other k takes the
+    ``det`` of the minor as an int, so there n must be integer.  The
+    compound of A B is that of A times that of B, and that of A maps
+    v_1 ^ ... ^ v_k to (A v_1) ^ ... ^ (A v_k)."""
+    tuples = list(combinations(range(len(n)), k))
     if k == 2:
-        return SquareMatrix(tuple(tuple(Fraction(x, scale) for x in r) for r in compound2(n)))
-    idx = lex_index(a.n, k)
-    return SquareMatrix(
-        tuple(
-            tuple(det([[n[i - 1][j - 1] for j in J] for i in I]) / scale for J in idx.tuples())
-            for I in idx.tuples()
-        )
-    )
-
-
-def compound2(n: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """The grade-2 compound of a square matrix, integer for an integer one:
-    entry [I, J] is the 2 x 2 minor n_ik n_jl - n_il n_jk on rows I = (i, j)
-    and columns J = (k, l), both in lex order."""
-    pairs = list(combinations(range(len(n)), 2))
-    return [[n[i][k] * n[j][l] - n[i][l] * n[j][k] for k, l in pairs] for i, j in pairs]
+        return [[n[i][a] * n[j][b] - n[i][b] * n[j][a] for a, b in tuples] for i, j in tuples]
+    return [[int(det([[n[i][j] for j in J] for i in I])) for J in tuples] for I in tuples]

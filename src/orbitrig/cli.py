@@ -328,10 +328,14 @@ def cmd_lift(args) -> int:
                 "tail": [e.tail[0], list(e.tail[1])],
                 "head": [e.head[0], list(e.head[1])],
                 kind.kind: [str(Fraction(x, entries[e.id].den)) for x in entries[e.id].vector],
+                # each moved point is D times itself, D the denominator of its image
                 "points": (
                     None
                     if entries[e.id].points is None
-                    else [[str(x) for x in p] for p in entries[e.id].points]
+                    else [
+                        [str(Fraction(x, rep.integer_images[e.id[1]][0])) for x in p]
+                        for p in entries[e.id].points
+                    ]
                 ),
             }
             for e in cov.edges

@@ -168,8 +168,8 @@ def crosscheck_instances(
 def serialize_instance(h: GainGraph, rep: PointRepresentation, seed: int) -> dict:
     gens = []
     for gen in rep.group.generators():
-        m = rep.tau(gen)
-        gens.append([[str(x) for x in row] for row in m.rows])
+        den, n = rep.integer_images[gen]
+        gens.append([[str(Fraction(x, den)) for x in row] for row in n.rows])
     return {
         "schema": SCHEMA_VERSION,
         "model": "body-bar",

@@ -37,6 +37,10 @@ class GainGraph:
     vertices: tuple[VertexId, ...]
     edges: tuple[GainEdge, ...]
     loops_l: frozenset[EdgeId] = field(default_factory=frozenset)
+    # the groups whose ``validate_gains`` check the gains have passed
+    _valid_for: set[AbelianGroup] = field(
+        default_factory=set, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
@@ -53,6 +57,11 @@ class GainGraph:
             raise InputError(f"loop-set ids {sorted(map(str, unknown))} are not edges")
 
     def validate_gains(self, group: AbelianGroup) -> None:
+        """Raise unless every gain is an element of ``group``, no loop has
+        the identity gain and every non-free loop's gain has order two.
+        Each group is checked once: a group that passed returns at once."""
+        if group in self._valid_for:
+            return
         for e in self.edges:
             if not group.contains(e.gain):
                 raise InputError(f"edge {e.id} gain {e.gain} not in group {group.orders}")
@@ -63,6 +72,7 @@ class GainGraph:
                     raise InputError(f"non-loop edge {e.id} marked as non-free")
                 if group.add(e.gain, e.gain) != group.identity:
                     raise InputError(f"non-free loop {e.id} gain must have order 2")
+        self._valid_for.add(group)
 
     @cached_property
     def _edge_by_id(self) -> dict[EdgeId, GainEdge]:

@@ -19,7 +19,7 @@ from .algebra import Extensor, Scalar, wedge
 from .errors import InputError, UnsupportedGroupError
 from .gaingraph import CoveredGraph, EdgeId, GainGraph, lift_cover
 from .linalg import _cleared
-from .symmetry import PointRepresentation
+from .symmetry import Element, PointRepresentation, tau_hat_int
 
 PRNG_NAME = "python-random-mt19937"
 DEFAULT_BOUND = 10 ** 6
@@ -123,12 +123,19 @@ def bar_from_points(d: int, p: tuple, q: tuple) -> BarEntry:
     return BarEntry(vector=wedge([p, q], d).coords, points=(tuple(p), tuple(q)))
 
 
+def moved_point(rep: PointRepresentation, g: Element, p: tuple) -> tuple:
+    """D tau_hat(g) p for a homogeneous point p, (D, N) the integer image
+    of g: (N p_1..d, D p_d+1), the point that g moves p to, scaled by D."""
+    den, n = rep.integer_images[g]
+    return n.apply(p[:-1]) + (den * p[-1],)
+
+
 def loop_bar_from_point(h: GainGraph, rep: PointRepresentation, eid: EdgeId, p: tuple) -> BarEntry:
-    """Bar of a non-free loop: p ^ tau_hat(gain) p, as p ^ (N p_1..d,
-    D p_d+1) over D, (D, N) the integer image of tau(gain)."""
-    den, n = rep.integer_images[h.edge(eid).gain]
-    q = n.apply(p[:-1]) + (den * p[-1],)
-    return BarEntry(wedge([p, q], rep.d).coords, (tuple(p),), den)
+    """Bar of a non-free loop: p ^ tau_hat(gain) p, as p ^ ``moved_point``
+    over D, D the denominator of the gain's image."""
+    gain = h.edge(eid).gain
+    q = moved_point(rep, gain, p)
+    return BarEntry(wedge([p, q], rep.d).coords, (tuple(p),), rep.integer_images[gain][0])
 
 
 def random_configuration(
@@ -178,20 +185,26 @@ def lift_bars(
     h: GainGraph, config: BarConfiguration, rep: PointRepresentation
 ) -> tuple[CoveredGraph, dict[tuple[EdgeId, tuple], BarEntry]]:
     """Lift a quotient configuration to the covering framework: the entry of
-    a lifted edge is the image of the quotient one (``den`` kept), at the
-    configuration's grade, under the group element indexing the lift.
-    Non-free loops produce one bar per coset; hinges reject them.
+    a lifted edge is the image of the quotient one under the group element
+    gamma indexing the lift, at the configuration's grade: the quotient
+    entry's integer vector times the integer image D T of gamma at that
+    grade (``tau_hat_int``), over the quotient entry's ``den`` times D.
+    Its points are the ``moved_point``s of the quotient entry's, so each is
+    the moved point times the denominator of gamma's image.  Non-free loops
+    produce one bar per coset; hinges reject them.
     """
     config.check_edges(h, config.d)
     cov = lift_cover(h, rep.group)
     bars: dict[tuple[EdgeId, tuple], BarEntry] = {}
     for le in cov.edges:
         gamma = le.id[1]
-        vec = rep.tau_hat_k(gamma, config.grade).apply(config.vector(le.base))
+        vec = config.vector(le.base)
+        den, terms = tau_hat_int(rep, gamma, config.grade)
         pts = config.points(le.base)
-        moved = None
-        if pts is not None:
-            tau = rep.tau_hat(gamma)
-            moved = tuple(tau.apply(p) for p in pts)
-        bars[le.id] = BarEntry(vec, moved, config.entries[le.base].den)
+        moved = None if pts is None else tuple(moved_point(rep, gamma, p) for p in pts)
+        bars[le.id] = BarEntry(
+            tuple(sum(a * vec[s] for s, a in ts) for ts in terms),
+            moved,
+            config.entries[le.base].den * den,
+        )
     return cov, bars

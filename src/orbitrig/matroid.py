@@ -334,9 +334,6 @@ class UnionDecomposition:
     assignment: dict[EdgeId, PairLabel]
     unassigned: tuple[EdgeId, ...]
 
-    def size(self) -> int:
-        return len(self.assignment)
-
     def validate(self, labeled_sgs: Sequence[tuple[PairLabel, SignedGraph]]) -> None:
         sg_by_label = dict(labeled_sgs)
         seen: set[EdgeId] = set()

@@ -29,7 +29,7 @@ A rank that meets either upper bound is the generic rank, and
 ``_block_rank`` names that bound as its proof.  ``analyze_sampled``, the
 sampling loop of both models, samples a block again only while its rank
 is unproven.  ``lifted_rank``, the crosscheck's rank of the lifted
-framework, is also one sparse integer row per edge, from ``tau_hat2_int``,
+framework, is also one sparse integer row per edge, from ``tau_hat_int``,
 certified by ``rank_certified``: Bareiss only when F_p falls short.
 """
 
@@ -68,7 +68,7 @@ from .symmetry import (
     irrep_degree,
     proven_trivial_dim,
     root_of_unity_matrix,
-    tau_hat2_int,
+    tau_hat_int,
     trivial_motion_dim,
 )
 
@@ -207,7 +207,7 @@ def _block_rows(
     rows = []
     for e in h.edges:
         if e.gain not in heads:
-            den, terms = tau_hat2_int(rep, rep.group.inverse(e.gain))
+            den, terms = tau_hat_int(rep, rep.group.inverse(e.gain), 2)
             power = root_of_unity_matrix(m, character_power(rep.group, g, e.gain))
             heads[e.gain] = den, terms, [(c, -r[0]) for c, r in enumerate(power.rows) if r[0]]
         den, terms, root = heads[e.gain]
@@ -568,14 +568,14 @@ def lifted_rank(h: GainGraph, config: BarConfiguration, rep: PointRepresentation
     """Exact rank of the rigidity matrix of the lifted framework.  The row
     of a lifted edge, gamma the element indexing the lift, is ranked as its
     positive multiple y = D L tau_hat2(gamma) vec at the tail block and -y
-    at the head block, L the entry's ``den`` (see ``tau_hat2_int``)."""
+    at the head block, L the entry's ``den`` (see ``tau_hat_int``)."""
     cov = lift_cover(h, rep.group)
     b = comb(rep.d + 1, 2)
     offset = {v: i * b for i, v in enumerate(cov.vertices)}
     rows = []
     for e in cov.edges:
         vec = config.vector(e.base)
-        y = [sum(a * vec[s] for s, a in ts) for ts in tau_hat2_int(rep, e.id[1])[1]]
+        y = [sum(a * vec[s] for s, a in ts) for ts in tau_hat_int(rep, e.id[1], 2)[1]]
         tb, hb = offset[e.tail], offset[e.head]
         rows.append({c: z for t, x in enumerate(y) if x for c, z in ((tb + t, x), (hb + t, -x))})
     # the C(d+1,2) constant screw assignments lie in the kernel

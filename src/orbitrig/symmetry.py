@@ -14,8 +14,11 @@ constructions here handle every character over Q through its realification
 mod p instead): Q(zeta_m) has the basis 1, zeta_m, ..., zeta_m^(phi(m)-1), and
 multiplication by zeta_m^a is the integer matrix C_m^a, C_m the companion
 matrix of the cyclotomic polynomial Phi_m (C = [+-1] for a real character).
-Screw images are kept as integers over a common denominator (``tau_hat2_int``),
-and the trace average, fixed screws and kernel proof read only those.
+A representation holds each element's image M only as the integer image
+(D, N = D M) over its least common denominator, and its image on grade-k
+extensors only as the integer compound of that over a common denominator
+(``tau_hat_int``); the trace average, fixed screws, kernel proof, lifts
+and orbit-matrix rows read only those.
 
 A representation depends on its generator images alone, and so does all
 that is cached on it.  ``PointRepresentation.from_generators`` builds one
@@ -33,17 +36,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import comb, gcd, lcm
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .algebra import (
-    SquareMatrix,
-    _integer_image,
-    block_diag_one,
-    compound2,
-    induced_rep,
-    kron,
-    lex_index,
-)
+from .algebra import SquareMatrix, _integer_image, compound, kron, lex_index
 from .errors import ConsistencyError, InputError, RepresentationError, UnsupportedGroupError
 from .linalg import _cleared, nullspace_exact, rank_certified
 
@@ -166,43 +161,62 @@ def galois_representative(group: AbelianGroup, j: Element) -> Element:
 
 class PointRepresentation:
     """An orthogonal action of an Abelian group on d-space by rational
-    matrices, given by the images of the factor generators.
+    matrices, held as integer images: the image M of each element as
+    (D, N), N = D M an integer matrix and D the least common denominator
+    of M.  Built from the integer images of the factor generators (see
+    ``from_generators``); the group is finite.
 
-    Images of all elements are derived from the generators and the
-    homomorphism property is verified on every element times every
-    generator; the group is finite.
-
-    The instance also caches the exterior-power images per (g, k), and what
-    the module functions derive from it: per g the screw image as integer
-    terms over a common denominator; per character label j the rational
-    twisted screw images of ``tau_hat2_j`` per (j, g), the fixed-screw
-    dimension, basis and kernel proof, and the signs of
-    ``induced_labeling``; and the outcome of ``require_combinatorial``.
-    The dense integer twisted images are not kept: the fixed-screw basis
-    and its proof, which read them, run once per character.  Cached entries
-    are shared safely, also between the callers of ``from_generators``,
-    which hands one instance to every caller with the same integer
-    generator images.
+    The instance also caches, per (g, k), the integer exterior-power image
+    of ``tau_hat_int``, and what the module functions derive from it: per
+    character label j the rational twisted screw images of ``tau_hat2_j``
+    per (j, g), the fixed-screw dimension, basis and kernel proof, and the
+    signs of ``induced_labeling``; and the outcome of
+    ``require_combinatorial``.  The dense integer twisted images are not
+    kept: the fixed-screw basis and its proof, which read them, run once
+    per character.  Cached entries are shared safely, also between the
+    callers of ``from_generators``, which hands one instance to every
+    caller with the same integer generator images.
     """
 
     def __init__(
-        self,
-        group: AbelianGroup,
-        d: int,
-        images: Mapping[Element, SquareMatrix],
-        integer_images: Mapping[Element, tuple[int, SquareMatrix]] | None = None,
+        self, group: AbelianGroup, d: int, generators: Sequence[tuple[int, SquareMatrix]]
     ):
+        """``generators`` holds the integer image (D, N) of each factor
+        generator, D > 0 and gcd(D, entries of N) = 1, in the order of
+        ``group.generators()``.  Each must be d x d with N N^T = D^2 I, that
+        is orthogonal; the last that is not is named first.  Then one walk
+        over the elements a and generators b builds the image of a + b, the
+        first time it is reached, as the product of the images of a and b
+        divided by the gcd of its denominator and entries, and checks it
+        against that product every later time.  With I at the identity, this
+        gives every image as a product of generator images and proves
+        G_s G_t = G_t G_s and G_t^(k_t) = I: a homomorphism."""
         self.group = group
         self.d = d
-        self.images = dict(images)
-        self._hat_k: dict[tuple[Element, int], SquareMatrix] = {}
+        self._hat: dict[tuple[Element, int], tuple[int, tuple]] = {}
         self._twisted: dict[tuple[Element, Element], SquareMatrix] = {}
         self._trivial_dim: dict[Element, int] = {}
         self._fixed: dict[Element, tuple[tuple[Fraction, ...], ...]] = {}
         self._proven_dim: dict[Element, int] = {}
-        self._hat2_int: dict[Element, tuple[int, tuple]] = {}
         self._signs: dict[Element, dict[Element, tuple[int, ...]]] = {}
-        self._validate(integer_images)
+        gens = list(zip(group.generators(), generators, strict=True))
+        for g, (den, n) in reversed(gens):
+            if n.n != d:
+                raise RepresentationError(f"image of {g} is {n.n}x{n.n}, expected {d}x{d}")
+            square = enumerate((n @ n.transpose()).rows)
+            if any(x != den * den * (i == j) for i, r in square for j, x in enumerate(r)):
+                raise RepresentationError(f"image of {g} is not orthogonal")
+        ident = SquareMatrix(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
+        images = self.integer_images = {group.identity: (1, ident)}
+        for a in group.elements():
+            da, na = images[a]
+            for b, (db, nb) in gens:
+                den, n = da * db, (na @ nb).rows
+                f = gcd(den, *(x for r in n for x in r))
+                image = den // f, SquareMatrix(tuple(tuple(x // f for x in r) for r in n))
+                c = group.add(a, b)
+                if images.setdefault(c, image) != image:
+                    raise RepresentationError(f"images violate homomorphism at {a}+{b}")
 
     @classmethod
     def from_generators(
@@ -211,10 +225,10 @@ class PointRepresentation:
         """The representation with these generator images, shared per
         process: the instance already built for the same group orders, d and
         integer generator images (D, D M) when there is one, so that what it
-        caches is computed once.  The images are checked to be rational
-        before the key is taken, since it would not tell 0.0 from 0.  A
-        construction that raises is not kept, and the table drops its
-        oldest entry beyond ``INTERN_CAP``."""
+        caches is computed once.  The images are checked to be rational,
+        the last that is not named first, before the key is taken, since it
+        would not tell 0.0 from 0.  A construction that raises is not kept,
+        and the table drops its oldest entry beyond ``INTERN_CAP``."""
         if d > MAX_D:  # checked before any image is built
             raise RepresentationError(f"d = {d} is above the supported limit MAX_D = {MAX_D}")
         gens = group.generators()
@@ -222,114 +236,35 @@ class PointRepresentation:
             raise RepresentationError(
                 f"expected {len(gens)} generator images, got {len(generator_images)}"
             )
-        # as in ``_validate``: the last non-rational generator's image comes first
         for g, m in reversed(list(zip(gens, generator_images))):
-            _require_rational(g, m)
-        factors = tuple(_integer_image(m) for m in generator_images)
-        key = (group.orders, d, factors)
+            if not all(isinstance(x, (int, Fraction)) for row in m.rows for x in row):
+                raise RepresentationError(f"image of {g} has entries that are not rational")
+        key = (group.orders, d, tuple(_integer_image(m) for m in generator_images))
         rep = _interned.get(key)
-        if rep is not None:
-            return rep
-        # an image is one generator image times the image of the element
-        # with its last nonzero coordinate decreased by one, which comes
-        # earlier in the lexicographic order of elements(); the products are
-        # taken on the integer images (D, D M) of ``_integer_image``, and
-        # each product is divided by the gcd of D and its entries, which
-        # leaves D the least common denominator, as ``_integer_image`` has it
-        images = {group.identity: SquareMatrix.identity(d)}
-        scaled = {group.identity: _integer_image(images[group.identity])}
-        for elem in group.elements()[1:]:
-            t = max(s for s, x in enumerate(elem) if x)
-            (da, na), (db, nb) = scaled[elem[:t] + (elem[t] - 1,) + elem[t + 1 :]], factors[t]
-            den, n = da * db, (na @ nb).rows
-            f = gcd(den, *(x for r in n for x in r))
-            den, n = den // f, tuple(tuple(x // f for x in r) for r in n)
-            scaled[elem] = den, SquareMatrix(n)
-            images[elem] = SquareMatrix(tuple(tuple(Fraction(x, den) for x in r) for r in n))
-        rep = cls(group, d, images, scaled)
-        if len(_interned) >= INTERN_CAP:
-            del _interned[next(iter(_interned))]
-        _interned[key] = rep
+        if rep is None:
+            rep = cls(group, d, key[2])
+            if len(_interned) >= INTERN_CAP:
+                del _interned[next(iter(_interned))]
+            _interned[key] = rep
         return rep
 
     @classmethod
     def trivial(cls, d: int) -> "PointRepresentation":
         return cls.from_generators(AbelianGroup(()), d, [])
 
-    def _validate(
-        self, integer_images: Mapping[Element, tuple[int, SquareMatrix]] | None
-    ) -> None:
-        elems = self.group.elements()
-        if set(self.images) != set(elems):
-            raise RepresentationError("images must be given for every group element")
-        for g in elems:
-            m = self.images[g]
-            if m.n != self.d:
-                raise RepresentationError(f"image of {g} is {m.n}x{m.n}, expected {self.d}x{self.d}")
-            _require_rational(g, m)
-        # each image M as (D, N), N = D M an integer matrix and D the least
-        # common denominator (kept as ``integer_images``; ``from_generators``
-        # passes the ones it built), so that the products below are integer
-        if integer_images is None:
-            integer_images = {g: _integer_image(m) for g, m in self.images.items()}
-        scaled = self.integer_images = dict(integer_images)
-        gens = sorted(self.group.generators())  # in element order
-        for g in gens:
-            den, n = scaled[g]
-            # N N^T = D^2 I exactly when M is orthogonal
-            square = (n @ n.transpose()).rows
-            if any(
-                x != (den * den if i == j else 0)
-                for i, row in enumerate(square)
-                for j, x in enumerate(row)
-            ):
-                raise RepresentationError(f"image of {g} is not orthogonal")
-        # With I at the identity and invertible generator images, the
-        # products below give G_s G_t = G_t G_s and G_t^(k_t) = I, and make
-        # every image a product of generator images: a homomorphism.
-        # M_(a+b) = M_a M_b reads D_a D_b N_(a+b) = D_(a+b) N_a N_b.
-        e = self.group.identity
-        if self.images[e] != SquareMatrix.identity(self.d):
-            raise RepresentationError(f"images violate homomorphism at {e}+{e}")
-        for a in elems:
-            da, na = scaled[a]
-            for b in gens:
-                db, nb = scaled[b]
-                dc, nc = scaled[self.group.add(a, b)]
-                if any(
-                    da * db * x != dc * y
-                    for row, prow in zip(nc.rows, (na @ nb).rows)
-                    for x, y in zip(row, prow)
-                ):
-                    raise RepresentationError(f"images violate homomorphism at {a}+{b}")
-
-    def tau(self, g: Element) -> SquareMatrix:
-        return self.images[g]
-
-    def tau_hat(self, g: Element) -> SquareMatrix:
-        return block_diag_one(self.tau(g))
-
-    def tau_hat2(self, g: Element) -> SquareMatrix:
-        return self.tau_hat_k(g, 2)
-
-    def tau_hat_k(self, g: Element, k: int) -> SquareMatrix:
-        key = (g, k)
-        if key not in self._hat_k:
-            self._hat_k[key] = induced_rep(self.tau_hat(g), k)
-        return self._hat_k[key]
-
     def is_faithful(self) -> bool:
-        """Whether only the identity acts as I.  Checked once."""
+        """Whether only the identity acts as I, that is has the integer
+        image (1, I).  Checked once."""
         return self._faithful
 
     @cached_property
     def _faithful(self) -> bool:
-        ident = SquareMatrix.identity(self.d)
-        return all(self.images[g] != ident for g in self.group.elements() if g != self.group.identity)
+        e = self.group.identity
+        ident = self.integer_images[e]
+        return all(m != ident for g, m in self.integer_images.items() if g != e)
 
     def is_diagonal_pm_one(self) -> bool:
-        return all(m.is_diagonal_pm_one() for m in self.images.values())
-
+        return all(den == 1 and n.is_diagonal_pm_one() for den, n in self.integer_images.values())
     def is_combinatorial(self) -> bool:
         """Whether the signed-matroid path applies (see
         ``require_combinatorial``)."""
@@ -359,11 +294,6 @@ class PointRepresentation:
         return None
 
 
-def _require_rational(g: Element, m: SquareMatrix) -> None:
-    if not all(isinstance(x, (int, Fraction)) for row in m.rows for x in row):
-        raise RepresentationError(f"image of {g} has entries that are not rational")
-
-
 def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix:
     """The screw-space representation twisted by the character labeled j,
     realified over Q: the grade-2 induced matrix of the augmented image,
@@ -381,9 +311,9 @@ def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix
 
 def _twisted_int(rep: PointRepresentation, j: Element, g: Element) -> tuple[int, SquareMatrix]:
     """``tau_hat2_j(rep, j, g)`` as (D, N), N = D tau_hat2_j: the dense screw
-    image of ``tau_hat2_int(rep, g)``, integer over its denominator D,
+    image of ``tau_hat_int(rep, g, 2)``, integer over its denominator D,
     Kronecker times C_m^(-a).  Built on each call and not kept."""
-    den, terms = tau_hat2_int(rep, g)
+    den, terms = tau_hat_int(rep, g, 2)
     rows = []
     for ts in terms:
         row = [0] * len(terms)
@@ -395,23 +325,24 @@ def _twisted_int(rep: PointRepresentation, j: Element, g: Element) -> tuple[int,
     return den, kron(SquareMatrix(tuple(rows)), power)
 
 
-def tau_hat2_int(
-    rep: PointRepresentation, g: Element
+def tau_hat_int(
+    rep: PointRepresentation, g: Element, k: int
 ) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """The screw image tau_hat2(g) as (D, terms): D the least common
-    denominator of its entries, and per row of D tau_hat2(g) the
-    (column, integer) pairs of its nonzero entries.  With (E, N) the
-    integer image of tau(g), E^2 tau_hat2(g) is the integer compound of N
-    augmented by a trailing E, and dividing it and E^2 by the gcd of them
-    all leaves D.  Cached on ``rep`` per g."""
-    if g not in rep._hat2_int:
+    """The image T of g on grade-k extensors (the screw image at k = 2) as
+    (D, terms): D the least common denominator of its entries, and per row
+    of D T the (column, integer) pairs of its nonzero entries.  With (E, N)
+    the integer image of g, E^k T is the integer ``compound`` of N
+    augmented by a trailing E, and dividing it and E^k by the gcd of them
+    all leaves D.  Cached on ``rep`` per (g, k)."""
+    key = g, k
+    if key not in rep._hat:
         den, n = rep.integer_images[g]
-        compound = compound2([list(r) + [0] for r in n.rows] + [[0] * rep.d + [den]])
-        f = gcd(den * den, *(x for r in compound for x in r))
-        rep._hat2_int[g] = den * den // f, tuple(
-            tuple((c, x // f) for c, x in enumerate(r) if x) for r in compound
+        c = compound([list(r) + [0] for r in n.rows] + [[0] * rep.d + [den]], k)
+        f = gcd(den ** k, *(x for r in c for x in r))
+        rep._hat[key] = den ** k // f, tuple(
+            tuple((col, x // f) for col, x in enumerate(r) if x) for r in c
         )
-    return rep._hat2_int[g]
+    return rep._hat[key]
 
 
 def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
@@ -425,10 +356,10 @@ def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
         return rep._trivial_dim[j]
     elems = rep.group.elements()
     m = rep.group.element_order(j)
-    scale = lcm(*(tau_hat2_int(rep, g)[0] for g in elems))
+    scale = lcm(*(tau_hat_int(rep, g, 2)[0] for g in elems))
     total = 0  # scale times the sum of the traces, from the integer terms
     for g in elems:
-        den, terms = tau_hat2_int(rep, g)
+        den, terms = tau_hat_int(rep, g, 2)
         c = root_of_unity_matrix(m, -character_power(rep.group, j, g) % m).trace()
         total += scale // den * c * sum(x for t, ts in enumerate(terms) for s, x in ts if s == t)
     n = scale * len(elems) * irrep_degree(rep.group, j)
@@ -509,7 +440,7 @@ def induced_labeling(rep: PointRepresentation, g: Element, pair: tuple[int, int]
     entry s_i s_j at the pair (i, j), so the sign under gamma is
     s_i(gamma) s_j(gamma) rho_g(gamma), with s_(d+1) = 1: the diagonal entry
     of ``tau_hat2_j(rep, g, gamma)``, read from the diagonal of
-    ``tau_hat2_int(rep, gamma)`` without building it: ``induced_signs``
+    ``tau_hat_int(rep, gamma, 2)`` without building it: ``induced_signs``
     at the position of the pair."""
     pos = lex_index(rep.d + 1, 2).position(pair)
     return {gamma: s[pos] for gamma, s in induced_signs(rep, g).items()}
@@ -525,7 +456,7 @@ def induced_signs(rep: PointRepresentation, g: Element) -> dict[Element, tuple[i
         signs = rep._signs[g] = {}
         for gamma in rep.group.elements():
             sign = (-1) ** character_power(rep.group, g, gamma)
-            signs[gamma] = tuple(sign * row[0][1] for row in tau_hat2_int(rep, gamma)[1])
+            signs[gamma] = tuple(sign * row[0][1] for row in tau_hat_int(rep, gamma, 2)[1])
     return signs
 
 

@@ -10,7 +10,9 @@ algorithm, ``analyze_generic`` with ``merge_samples``, the sampler that
 ranked every block at every sample, ``hinge_to_bars``, which gave a
 hinge's bar copies random invertible combinations of its complement basis,
 and the screw-image functions that multiplied Fraction matrices:
-``induced_rep`` and the ``symmetry`` functions ``tau_hat2_j``,
+``induced_rep`` with the Fraction images ``image``, ``tau_hat`` and
+``tau_hat_k`` read from a representation's integer images, and the
+``symmetry`` functions ``tau_hat2_j``,
 ``trivial_motion_dim``, ``fixed_subspace_basis`` and
 ``proven_trivial_dim``.  These cache on the representation they are given,
 in the attributes that the current functions use, so the tests hand them a
@@ -403,6 +405,26 @@ def induced_rep(a: SquareMatrix, k: int) -> SquareMatrix:
     return SquareMatrix(tuple(rows))
 
 
+def image(rep: PointRepresentation, g: Element) -> SquareMatrix:
+    """The rational image of g, read from its integer image (D, N) as N / D."""
+    den, n = rep.integer_images[g]
+    return SquareMatrix(tuple(tuple(Fraction(x, den) for x in r) for r in n.rows))
+
+
+def tau_hat(rep: PointRepresentation, g: Element) -> SquareMatrix:
+    """The image of g augmented by a trailing 1: its action on homogeneous
+    points."""
+    zero, one = Fraction(0), Fraction(1)
+    rows = tuple(r + (zero,) for r in image(rep, g).rows)
+    return SquareMatrix(rows + ((zero,) * rep.d + (one,),))
+
+
+def tau_hat_k(rep: PointRepresentation, g: Element, k: int) -> SquareMatrix:
+    """The Fraction image of g on grade-k extensors: ``induced_rep`` of
+    ``tau_hat``."""
+    return induced_rep(tau_hat(rep, g), k)
+
+
 def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix:
     """The screw-space representation twisted by the character labeled j,
     realified over Q: the grade-2 induced matrix of the augmented image,
@@ -415,7 +437,7 @@ def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix
     if m is None:
         order = rep.group.element_order(j)
         a = -character_power(rep.group, j, g) % order
-        m = rep._twisted[key] = kron(rep.tau_hat2(g), root_of_unity_matrix(order, a))
+        m = rep._twisted[key] = kron(tau_hat_k(rep, g, 2), root_of_unity_matrix(order, a))
     return m
 
 
@@ -432,7 +454,7 @@ def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
     elems = rep.group.elements()
     m = rep.group.element_order(j)
     total = sum(
-        rep.tau_hat2(g).trace()
+        tau_hat_k(rep, g, 2).trace()
         * root_of_unity_matrix(m, -character_power(rep.group, j, g) % m).trace()
         for g in elems
     )

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitrig.algebra import Extensor, SquareMatrix, cap_product, hodge_star, induced_rep
+from orbitrig.algebra import Extensor, SquareMatrix, cap_product, compound, hodge_star
 from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
 from orbitrig.gaingraph import make_gain_graph
 from orbitrig.genframe import random_generic_bars
@@ -255,8 +255,10 @@ class TestAcceptance:
             mirror = SquareMatrix.from_rows(
                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
             )
-            assert induced_rep(mirror, 2).diagonal() == (1, -1, 1, -1, 1, -1)
+            induced = SquareMatrix.from_rows(compound(mirror.rows, 2))
+            assert induced.diagonal() == (1, -1, 1, -1, 1, -1)
             halfturn = SquareMatrix.from_rows(
                 [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
             )
-            assert induced_rep(halfturn, 2).diagonal() == (-1, -1, 1, 1, -1, -1)
+            induced = SquareMatrix.from_rows(compound(halfturn.rows, 2))
+            assert induced.diagonal() == (-1, -1, 1, 1, -1, -1)

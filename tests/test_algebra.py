@@ -13,8 +13,8 @@ from orbitrig.algebra import (
     SquareMatrix,
     cap_product,
     det,
+    compound,
     hodge_star,
-    induced_rep,
     lex_index,
     wedge,
 )
@@ -174,28 +174,35 @@ class TestCapProduct:
             cap_product(p, p)
 
 
+def induced(a: SquareMatrix, k: int = 2) -> SquareMatrix:
+    """The grade-k compound of ``a`` as a matrix."""
+    return SquareMatrix.from_rows(compound(a.rows, k))
+
+
 class TestInducedRep:
+    """The action induced on the grade-2 exterior power: ``compound``."""
+
     def test_mirror_diagonal(self):
         a = SquareMatrix.from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
         )
-        assert induced_rep(a, 2).diagonal() == (1, -1, 1, -1, 1, -1)
+        assert induced(a).diagonal() == (1, -1, 1, -1, 1, -1)
 
     def test_halfturn_diagonal(self):
         a = SquareMatrix.from_rows(
             [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
         )
-        assert induced_rep(a, 2).diagonal() == (-1, -1, 1, 1, -1, -1)
+        assert induced(a).diagonal() == (-1, -1, 1, 1, -1, -1)
 
     def test_identity(self):
-        assert induced_rep(SquareMatrix.identity(4), 2) == SquareMatrix.identity(6)
+        assert induced(SquareMatrix.identity(4)) == SquareMatrix.identity(6)
 
     def test_compatible_with_wedge(self):
         rng = random.Random(3)
         for _ in range(10):
             a = SquareMatrix.from_rows([rand_vec(rng, 4) for _ in range(4)])
             p, q = rand_vec(rng, 4), rand_vec(rng, 4)
-            lhs = induced_rep(a, 2).apply(wedge([p, q], 3).coords)
+            lhs = induced(a).apply(wedge([p, q], 3).coords)
             rhs = wedge([a.apply(p), a.apply(q)], 3).coords
             assert tuple(lhs) == rhs
 
@@ -204,15 +211,15 @@ class TestInducedRep:
         for _ in range(10):
             a = SquareMatrix.from_rows([rand_vec(rng, 4) for _ in range(4)])
             b = SquareMatrix.from_rows([rand_vec(rng, 4) for _ in range(4)])
-            assert induced_rep(a @ b, 2) == induced_rep(a, 2) @ induced_rep(b, 2)
-            assert induced_rep(a.transpose(), 2) == induced_rep(a, 2).transpose()
+            assert induced(a @ b) == induced(a) @ induced(b)
+            assert induced(a.transpose()) == induced(a).transpose()
 
     def test_orthogonal_stays_orthogonal(self):
         a = SquareMatrix.from_rows(
             [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         )
         assert a.is_orthogonal()
-        assert induced_rep(a, 2).is_orthogonal()
+        assert induced(a).is_orthogonal()
 
 
 def leibniz(m) -> Fraction:
@@ -289,17 +296,29 @@ class TestDet:
 
 class TestInducedRepMinors:
     def test_grade_two_entries_are_the_minors(self):
-        """The direct 2 x 2 minors equal ``det`` of each minor, as Fractions,
-        for int and Fraction entries alike."""
+        """The direct 2 x 2 minors equal ``det`` of each minor, for int and
+        Fraction entries alike."""
         rng = random.Random(33)
         for _ in range(20):
             n = rng.randint(2, 5)
-            a = SquareMatrix.from_rows(rand_square(rng, n))
+            a = rand_square(rng, n)
             idx = lex_index(n, 2)
-            compound = induced_rep(a, 2)
-            for r, (i1, i2) in enumerate(idx.tuples()):
-                for c, (j1, j2) in enumerate(idx.tuples()):
-                    x = compound.entry(r, c)
-                    assert type(x) is Fraction
-                    minor = [[a.entry(i - 1, j - 1) for j in (j1, j2)] for i in (i1, i2)]
+            for r, (i1, i2) in zip(compound(a, 2), idx.tuples()):
+                for x, (j1, j2) in zip(r, idx.tuples()):
+                    minor = [[a[i - 1][j - 1] for j in (j1, j2)] for i in (i1, i2)]
                     assert x == det(minor)
+
+    def test_other_grades_take_integer_minors(self):
+        """At every other grade an entry of the compound of an integer
+        matrix is ``det`` of its minor, as an int."""
+        rng = random.Random(34)
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            # the denominators of ``rand_square`` divide 2520
+            a = [[int(x * 2520) for x in r] for r in rand_square(rng, n)]
+            for k in set(range(1, n + 1)) - {2}:
+                idx = lex_index(n, k)
+                for r, rows in zip(compound(a, k), idx.tuples()):
+                    for x, cols in zip(r, idx.tuples()):
+                        assert type(x) is int
+                        assert x == det([[a[i - 1][j - 1] for j in cols] for i in rows])

@@ -565,7 +565,7 @@ class TestReplaySerialization:
         doc = serialize_instance(h, rep, seed=123)
         fw = parse_framework(doc)
         assert fw["graph"] == h
-        assert fw["rep"].images == rep.images
+        assert fw["rep"].integer_images == rep.integer_images
 
     def test_lift_hinge_model(self, capsys, fixture_dir):
         code, out = run(capsys, ["lift", str(fixture_dir / "cs_hinge.json")])
@@ -827,25 +827,27 @@ class TestInputBoundary:
 
 
 def test_elements_arrive_canonical(capsys, fixture_dir, monkeypatch):
-    """Every element that reaches ``element_order`` or ``tau`` is a tuple of
-    the group, as the input boundary checks it (``contains``,
+    """Every element that reaches ``element_order`` or ``tau_hat_int`` is a
+    tuple of the group, as the input boundary checks it (``contains``,
     ``validate_gains``) or the group builds it: nothing inside reduces an
     element again."""
-    from orbitrig.symmetry import AbelianGroup, PointRepresentation
+    from orbitrig import genframe, rigidity
+    from orbitrig.symmetry import AbelianGroup
 
     seen = []
-    element_order, tau = AbelianGroup.element_order, PointRepresentation.tau
+    element_order, tau = AbelianGroup.element_order, symmetry.tau_hat_int
 
     def checked_order(group, a):
         seen.append((group, a))
         return element_order(group, a)
 
-    def checked_tau(rep, g):
+    def checked_tau(rep, g, k):
         seen.append((rep.group, g))
-        return tau(rep, g)
+        return tau(rep, g, k)
 
     monkeypatch.setattr(AbelianGroup, "element_order", checked_order)
-    monkeypatch.setattr(PointRepresentation, "tau", checked_tau)
+    for module in (symmetry, rigidity, genframe):
+        monkeypatch.setattr(module, "tau_hat_int", checked_tau)
     runs = [[command, str(path)] for path in sorted(fixture_dir.glob("*.json"))
             for command in ("analyze", "certify", "flex", "lift")]
     runs += [["crosscheck", "--count", "5", "--group", group] for group in ("2", "2x2", "2x2x2")]

@@ -43,6 +43,43 @@ class TestValidation:
             make_gain_graph(["u"], [(0, "u", "w", (0,))])
 
 
+class TestGainsCheckedOnce:
+    def test_failed_group_is_not_recorded_and_graphs_compare_without_it(self):
+        h = make_gain_graph(["u"], [(0, "u", "u", (1,))], group=two_group(1))
+        h.validate_gains(two_group(1))
+        assert h == make_gain_graph(["u"], [(0, "u", "u", (1,))])
+        for _ in range(2):  # a group that fails is not recorded
+            with pytest.raises(InputError, match="not in group"):
+                h.validate_gains(AbelianGroup((3, 2)))
+
+    def test_crosscheck_instance_walks_once_per_graph_and_group(self, monkeypatch):
+        """``validate_gains`` runs at every entry point of one ``crosscheck``
+        instance, but walks the edges of a graph once per group."""
+        from orbitrig.ensemble import crosscheck_instances
+        from orbitrig.gaingraph import GainGraph
+
+        contains, validate = AbelianGroup.contains, GainGraph.validate_gains
+        counts = {"contains": 0}
+        walks = Counter()
+        calls = []
+
+        def counting_contains(group, a):
+            counts["contains"] += 1
+            return contains(group, a)
+
+        def recording_validate(graph, group):
+            before = counts["contains"]
+            validate(graph, group)
+            calls.append(graph)
+            walks[id(graph), group] += counts["contains"] > before
+
+        monkeypatch.setattr(AbelianGroup, "contains", counting_contains)
+        monkeypatch.setattr(GainGraph, "validate_gains", recording_validate)
+        assert crosscheck_instances(1, (2, 2), 3, 7)["ok"]
+        assert len(calls) >= 7
+        assert set(walks.values()) == {1}
+
+
 class TestLiftCover:
     def test_nonfree_loop_single_edge(self):
         """A non-free loop lifts to one edge between the two vertex copies."""

@@ -21,6 +21,7 @@ from orbitrig.genframe import (
 )
 from orbitrig.hinge import random_generic_hinges
 from conftest import mirror_rep, mirror_rep_d, reflection9_rep, rotation9_rep, two_group
+import oracles
 from oracles import fraction_wedge
 
 
@@ -138,7 +139,7 @@ class TestLiftBars:
             config = random_generic_bars(h, rep, rng.randrange(2 ** 31), bound=99)
             cov, bars = lift_bars(h, config, rep)
             for gamma in rep.group.elements():
-                m2 = rep.tau_hat2(gamma)
+                m2 = oracles.tau_hat_k(rep, gamma, 2)
                 for e in cov.edges:
                     moved = cov.edge_action(gamma, e)
                     got = bars[moved.id].vector
@@ -192,7 +193,7 @@ class TestIntegerEntries:
         h = make_gain_graph(["v"], [(0, "v", "v", gain)], loops_l=[0], group=rep.group)
         entry = loop_bar_from_point(h, rep, 0, p)
         assert all(type(x) is int for x in entry.vector)
-        want = fraction_wedge(p, rep.tau_hat(gain).apply(p))
+        want = fraction_wedge(p, oracles.tau_hat(rep, gain).apply(p))
         assert tuple(Fraction(x, entry.den) for x in entry.vector) == want
         if name == "mirror" and all(type(x) is int for x in p):
             assert entry.den == 1
@@ -211,5 +212,6 @@ class TestIntegerEntries:
         for e in cov.edges:
             entry, base = bars[e.id], config.entries[e.base]
             assert all(type(x) is int for x in entry.vector)
-            want = rep.tau_hat2(e.id[1]).apply([Fraction(x, base.den) for x in base.vector])
+            quotient = [Fraction(x, base.den) for x in base.vector]
+            want = oracles.tau_hat_k(rep, e.id[1], 2).apply(quotient)
             assert tuple(Fraction(x, entry.den) for x in entry.vector) == want

@@ -24,6 +24,7 @@ from orbitrig.linalg import rank_exact
 from orbitrig.matroid import combinatorial_verdict
 from orbitrig.rigidity import analyze, orbit_matrix
 from orbitrig.symmetry import AbelianGroup, PointRepresentation
+import oracles
 from conftest import halfturn_rep, mirror_rep, stewart_graph
 
 
@@ -33,8 +34,8 @@ def hinge_quotient(group, n_loops: int) -> GainGraph:
     )
 
 
-def two_body_one_hinge():
-    rep = PointRepresentation.trivial(3)
+def two_body_one_hinge(d: int = 3):
+    rep = PointRepresentation.trivial(d)
     h = make_gain_graph(["u", "v"], [(0, "u", "v", ())], group=rep.group)
     return h, rep
 
@@ -50,15 +51,19 @@ class TestComplement:
         assert rank_exact([list(v) for v in basis]) == 5
 
     def test_generic_hinge_bars(self):
-        h, rep = two_body_one_hinge()
-        hconf = random_generic_hinges(h, rep, seed=3)
-        multiplied, bars = hinge_to_bars(h, hconf)
-        assert len(multiplied.edges) == bar_multiplicity(3) == 5
-        star = hodge_star(hconf.extensor(0))
-        vecs = [bars.vector(e.id) for e in multiplied.edges]
-        assert rank_exact([list(v) for v in vecs]) == 5
-        for v in vecs:
-            assert sum(a * b for a, b in zip(v, star.coords)) == 0
+        """A hinge's C(d+1,2)-1 bar copies are independent and orthogonal to
+        the starred hinge, for d = 2..6."""
+        for d in range(2, 7):
+            h, rep = two_body_one_hinge(d)
+            hconf = random_generic_hinges(h, rep, seed=3)
+            multiplied, bars = hinge_to_bars(h, hconf)
+            assert len(multiplied.edges) == len(bars.entries) == bar_multiplicity(d)
+            assert bar_multiplicity(3) == 5
+            star = hodge_star(hconf.extensor(0))
+            vecs = [bars.vector(e.id) for e in multiplied.edges]
+            assert rank_exact([list(v) for v in vecs]) == bar_multiplicity(d)
+            for v in vecs:
+                assert sum(a * b for a, b in zip(v, star.coords)) == 0
 
     def test_zero_hinge_rejected(self):
         from orbitrig.errors import InputError
@@ -195,7 +200,7 @@ class TestHingeLift:
         cov, lifted = lift_bars(h, hconf, rep)
         assert len(cov.edges) == 6
         for gamma in rep.group.elements():
-            mk = rep.tau_hat_k(gamma, rep.d - 1)
+            mk = oracles.tau_hat_k(rep, gamma, rep.d - 1)
             for e in cov.edges:
                 moved = cov.edge_action(gamma, e)
                 assert lifted[moved.id].vector == mk.apply(lifted[e.id].vector)
