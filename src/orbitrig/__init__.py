@@ -40,7 +40,6 @@ from .matroid import (
     UnionDecomposition,
     check_counting_condition,
     combinatorial_verdict,
-    incidence_matrix,
     is_independent_signed,
     matroid_union_rank,
     signed_rank,
@@ -60,7 +59,6 @@ from .symmetry import (
     AbelianGroup,
     PointRepresentation,
     fixed_subspace_basis,
-    induced_labeling,
     tau_hat2_j,
     trivial_motion_dim,
 )

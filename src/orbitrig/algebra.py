@@ -55,9 +55,6 @@ class LexIndex:
         except KeyError:
             raise InputError(f"{tuple(t)} is not an increasing {self.k}-tuple of 1..{self.n}")
 
-    def tuple_at(self, i: int) -> tuple[int, ...]:
-        return self._tuples[i]
-
 
 @lru_cache(maxsize=None)
 def lex_index(n: int, k: int) -> LexIndex:
@@ -121,22 +118,6 @@ class Extensor:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
 
-    def __add__(self, other: "Extensor") -> "Extensor":
-        self._check_shape(other)
-        return Extensor(self.d, self.k, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c: Scalar) -> "Extensor":
-        return Extensor(self.d, self.k, tuple(c * a for a in self.coords))
-
-    def dot(self, other: "Extensor") -> Scalar:
-        """Plain coordinatewise inner product of two same-grade elements."""
-        self._check_shape(other)
-        return sum(a * b for a, b in zip(self.coords, other.coords))
-
-    def _check_shape(self, other: "Extensor") -> None:
-        if (self.d, self.k) != (other.d, other.k):
-            raise InputError("extensor shape mismatch")
-
 
 def wedge(vectors: Sequence[Sequence[Scalar]], d: int) -> Extensor:
     """Wedge product of k vectors of R^{d+1}: the coordinate at the
@@ -166,7 +147,7 @@ def hodge_star(x: Extensor) -> Extensor:
     sending (I, complement(I)) to (1, ..., d+1) on each basis element."""
     n = x.d + 1
     out_idx = lex_index(n, n - x.k)
-    out = [Fraction(0)] * len(out_idx)
+    out = [0] * len(out_idx)
     for pos, t in enumerate(x.index.tuples()):
         comp, sign = complement_sign(t, n)
         out[out_idx.position(comp)] = sign * x.coords[pos]
@@ -184,7 +165,7 @@ def cap_product(p: Extensor, q: Extensor) -> Scalar:
         raise InputError("cap product needs complementary grades in the same dimension")
     n = p.d + 1
     q_idx = q.index
-    total: Scalar = Fraction(0)
+    total: Scalar = 0
     for pos, t in enumerate(p.index.tuples()):
         comp, sign = complement_sign(t, n)
         total += sign * p.coords[pos] * q.coords[q_idx.position(comp)]
@@ -210,18 +191,9 @@ class SquareMatrix:
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "SquareMatrix":
         return SquareMatrix(tuple(tuple(r) for r in rows))
 
-    @staticmethod
-    def identity(n: int) -> "SquareMatrix":
-        return SquareMatrix(
-            tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n))
-        )
-
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
 
     def __matmul__(self, other: "SquareMatrix") -> "SquareMatrix":
         if self.n != other.n:
@@ -241,24 +213,8 @@ class SquareMatrix:
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix(tuple(zip(*self.rows)))
 
-    def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
-        if self.n != other.n:
-            raise InputError("matrix size mismatch")
-        return SquareMatrix(
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        )
-
     def trace(self) -> Scalar:
         return sum(self.rows[i][i] for i in range(self.n))
-
-    def diagonal(self) -> tuple[Scalar, ...]:
-        return tuple(self.rows[i][i] for i in range(self.n))
-
-    def is_identity(self) -> bool:
-        return self == SquareMatrix.identity(self.n)
-
-    def is_orthogonal(self) -> bool:
-        return (self.transpose() @ self).is_identity()
 
     def is_diagonal_pm_one(self) -> bool:
         for i in range(self.n):

@@ -38,12 +38,7 @@ from .genframe import (
 from .hinge import analyze_framework, certificates
 from .matroid import counting_violation
 from .rigidity import extract_flex, flex_residuals, orbit_matrix
-from .symmetry import (
-    AbelianGroup,
-    Element,
-    PointRepresentation,
-    irrep_is_real,
-)
+from .symmetry import AbelianGroup, Element, PointRepresentation, irrep_degree
 
 EXIT_RIGID = 0
 EXIT_FLEXIBLE = 1
@@ -290,7 +285,7 @@ def cmd_flex(args) -> int:
         raise InputError("flex extraction runs on the body-bar model; expand hinges first")
     config = fw["config"] or random_generic_bars(h, rep, args.seed)
     irreps = _irrep_filter(rep, args.irrep)
-    if not all(irrep_is_real(rep.group, g) for g in irreps):
+    if not all(irrep_degree(rep.group, g) == 1 for g in irreps):
         raise InputError("flex extraction is implemented for the exact rational path")
     flexes = []
     for g in irreps:
@@ -440,7 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     for option in ("--seed", "--format"):
         p.add_argument(option, **OPTIONS[option])
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--group", default="2", help="'2', '2x2', or 'trivial'")
+    p.add_argument(
+        "--group",
+        default="2",
+        help="'trivial', or a product of 2s with at most --dim factors: '2', '2x2', '2x2x2', ...",
+    )
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--max-vertices", type=int, default=4)
     p.add_argument("--max-edges", type=int, default=10)

@@ -17,6 +17,7 @@ from .rigidity import CrosscheckResult, lifted_rank
 from .symmetry import MAX_D, AbelianGroup, PointRepresentation
 
 SCHEMA_VERSION = 1  # of the input documents: written here, read by ``cli``
+CROSSCHECK_BOUND = 1000  # coordinates of the drawn points lie in [-bound, bound]
 
 
 def _require_diagonal_two_group(orders: tuple[int, ...], d: int) -> None:
@@ -43,10 +44,7 @@ def random_diagonal_rep(
     while True:
         gens = [
             SquareMatrix.from_rows(
-                [
-                    [Fraction(rng.choice((1, -1)) if i == j else 0) for j in range(d)]
-                    for i in range(d)
-                ]
+                [[rng.choice((1, -1)) if i == j else 0 for j in range(d)] for i in range(d)]
             )
             for _ in orders
         ]
@@ -60,7 +58,6 @@ def random_gain_graph(
     group: AbelianGroup,
     max_vertices: int,
     max_edges: int,
-    require_loop_l: bool = False,
 ) -> GainGraph:
     """Random quotient gain graph: loops never get the identity gain, and a
     loop whose gain has order two goes to the non-free set with probability
@@ -70,7 +67,6 @@ def random_gain_graph(
     vertices = [f"v{i}" for i in range(nv)]
     ne = rng.randint(1, max_edges)
     elems = group.elements()
-    involutions = [g for g in elems if g != group.identity and group.add(g, g) == group.identity]
     edges = []
     loops_l = []
     for eid in range(ne):
@@ -88,11 +84,6 @@ def random_gain_graph(
         else:
             gain = rng.choice(elems)
         edges.append((eid, tail, head, gain))
-    if require_loop_l and not loops_l and involutions:
-        eid = len(edges)
-        v = rng.choice(vertices)
-        edges.append((eid, v, v, rng.choice(involutions)))
-        loops_l.append(eid)
     return make_gain_graph(vertices, edges, loops_l, group=group)
 
 
@@ -103,7 +94,6 @@ def crosscheck_instances(
     seed: int,
     max_vertices: int = 4,
     max_edges: int = 10,
-    bound: int = 1000,
 ) -> dict:
     """Randomized agreement harness: per instance, (a) the exact lifted
     rank must equal the sum of the orbit-matrix ranks, and (b) the
@@ -127,7 +117,7 @@ def crosscheck_instances(
         rep = random_diagonal_rep(rng, orders, d)
         h = random_gain_graph(rng, rep.group, max_vertices, max_edges)
         cfg_seed = rng.randrange(2 ** 32)
-        result = analyze_framework("body-bar", h, rep, cfg_seed, samples=2, bound=bound)
+        result = analyze_framework("body-bar", h, rep, cfg_seed, samples=2, bound=CROSSCHECK_BOUND)
         # the lifted rank is taken at the analysis's sample 0
         cc = CrosscheckResult(
             lifted_rank(h, result.numeric.config, rep),

@@ -124,9 +124,6 @@ class CoveredGraph:
     edges: tuple[LiftedEdge, ...]
     half_orbit_bases: frozenset[EdgeId]
 
-    def vertex_action(self, gamma: Element, v: tuple[VertexId, Element]) -> tuple[VertexId, Element]:
-        return (v[0], self.group.add(gamma, v[1]))
-
     def edge_action(self, gamma: Element, e: LiftedEdge) -> LiftedEdge:
         base, delta = e.id
         moved = self.group.add(gamma, delta)

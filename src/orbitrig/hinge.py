@@ -33,7 +33,7 @@ from .genframe import (
     HingeConfiguration,
     random_configuration,
 )
-from .linalg import nullspace_exact
+from .linalg import kernel_vectors
 from .matroid import CombinatorialVerdict, combinatorial_verdict, counting_violation
 from .rigidity import IrrepReport, RigidityReport, analyze, analyze_generic, analyze_sampled
 from .symmetry import Element, PointRepresentation
@@ -56,7 +56,7 @@ def hinge_complement_basis(hinge: Extensor) -> list[tuple[Fraction, ...]]:
     star = hodge_star(hinge)
     if hinge.is_zero():
         raise InputError("zero hinge extensor has no complement basis")
-    return nullspace_exact([list(star.coords)], len(star.coords))
+    return list(kernel_vectors([list(star.coords)], len(star.coords)))
 
 
 def hinge_to_bars(

@@ -167,11 +167,6 @@ def orthogonal_part(vec: Sequence[Scalar], ortho: Sequence[Sequence[int]]) -> li
     return v
 
 
-def nullspace_exact(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Every vector of ``kernel_vectors``."""
-    return list(kernel_vectors(rows, ncols))
-
-
 def rank_certified(rows: Sequence[Sequence[Scalar] | dict[int, int]], bound: int) -> int:
     """Rank over the rationals of a matrix, given ``bound``, an upper bound
     on that rank which the caller has proven exactly.  The rows are sparse

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -64,6 +63,7 @@ from .symmetry import (
 )
 
 PairLabel = tuple[int, int]
+COUNTING_MAX_EDGES = 20  # the largest edge set ``check_counting_condition`` enumerates
 
 
 class SignedEdge(NamedTuple):
@@ -71,9 +71,6 @@ class SignedEdge(NamedTuple):
     tail: VertexId
     head: VertexId
     sign: int
-
-    def is_loop(self) -> bool:
-        return self.tail == self.head
 
 
 @dataclass(frozen=True)
@@ -305,23 +302,6 @@ def signed_rank(sg: SignedGraph, subset: Iterable[EdgeId] | None = None) -> int:
     return _SignedForest(*_edge_table(sg, ids)).rank()
 
 
-def incidence_matrix(sg: SignedGraph) -> list[list[Fraction]]:
-    """Row per edge: -sign at the tail and 1 at the head for a non-loop,
-    1 - sign at the vertex of a loop.  Row independence over the rationals
-    matches signed-graphic independence."""
-    vindex = {v: i for i, v in enumerate(sg.vertices)}
-    rows = []
-    for e in sg.edges:
-        row = [Fraction(0)] * len(sg.vertices)
-        if e.is_loop():
-            row[vindex[e.tail]] = Fraction(1 - e.sign)
-        else:
-            row[vindex[e.tail]] = Fraction(-e.sign)
-            row[vindex[e.head]] = Fraction(1)
-        rows.append(row)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # matroid union
 
@@ -366,12 +346,11 @@ class UnionRankResult:
 
 def matroid_union_rank(
     labeled_sgs: Sequence[tuple[PairLabel, SignedGraph]],
-    elements: Sequence[EdgeId] | None = None,
 ) -> UnionRankResult:
-    """Rank of an edge set in the union of signed-graphic matroids on a
-    common ground set, via incremental augmenting paths in the exchange
-    graph (breadth-first, deterministic tie-breaking).  The graphs differ
-    only in their signs: the endpoints are read from the first.
+    """Rank of the union of signed-graphic matroids on a common ground set,
+    the first graph's edges, via incremental augmenting paths in the
+    exchange graph (breadth-first, deterministic tie-breaking).  The graphs
+    differ only in their signs: the endpoints are read from the first.
 
     Returns the rank, a decomposition of a maximum independent subset, the
     set X of elements reachable from the unassigned ones (the saturated
@@ -381,13 +360,7 @@ def matroid_union_rank(
     if not labeled_sgs:
         raise InputError("need at least one matroid")
     first = labeled_sgs[0][1]
-    emap = first.edge_map()
-    if elements is None:
-        elements = [e.id for e in first.edges]
-    elements = list(elements)
-    unknown = [e for e in elements if e not in emap]
-    if unknown:
-        raise InputError(f"elements not on the ground set: {unknown!r}")
+    elements = [e.id for e in first.edges]
 
     # one edge table: element k of ``elements`` has endpoints tails[k] and
     # heads[k], shared by every part, and sign signs[i][k] in part i; parts
@@ -523,16 +496,15 @@ class CountingViolation:
 
 def check_counting_condition(
     labeled_sgs: Sequence[tuple[PairLabel, SignedGraph]],
-    subset: Sequence[EdgeId] | None = None,
-    max_size: int = 20,
 ) -> CountingViolation | None:
-    """Brute-force check of the per-subset count
-    ``|F| <= B|V(F)| - B + sum alpha(F)`` with B the number of matroids.
-    Exponential; guarded to small ground sets.  Returns the first violation
-    in subset-enumeration order, or None."""
-    ids = [e.id for e in labeled_sgs[0][1].edges] if subset is None else list(subset)
-    if len(ids) > max_size:
-        raise InputError(f"counting oracle limited to {max_size} edges, got {len(ids)}")
+    """Brute-force check of the count ``|F| <= B|V(F)| - B + sum alpha(F)``
+    for every nonempty subset F of the first graph's edges, with B the
+    number of matroids.  Exponential; refused beyond
+    ``COUNTING_MAX_EDGES`` edges.  Returns the first violation in
+    subset-enumeration order, or None."""
+    ids = [e.id for e in labeled_sgs[0][1].edges]
+    if len(ids) > COUNTING_MAX_EDGES:
+        raise InputError(f"counting oracle limited to {COUNTING_MAX_EDGES} edges, got {len(ids)}")
     tables = [_edge_table(sg, ids) for _, sg in labeled_sgs]
     first = tables[0][1]
     b = len(labeled_sgs)

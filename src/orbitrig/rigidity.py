@@ -132,10 +132,6 @@ class OrbitMatrix:
     def ncols(self) -> int:
         return self.block_size * len(self.vertices)
 
-    def row_of(self, eid: EdgeId) -> tuple[int, ...]:
-        """The first row of edge ``eid`` (its only row for a real character)."""
-        return self.rows[self.edge_ids.index(eid) * self.degree]
-
     def rank(self) -> int:
         """Rank over Q(zeta_m) by Bareiss (``rank_complex``), independent of
         the certified path."""
@@ -350,12 +346,6 @@ class RigidityReport:
     @property
     def isostatic(self) -> bool:
         return self.rigid and sum(r.rank for r in self.irreps) == self.lifted_edges
-
-    def irrep_report(self, g: Element) -> IrrepReport:
-        for r in self.irreps:
-            if r.irrep == tuple(g):
-                return r
-        raise InputError(f"no report for irrep {g}")
 
     def to_json(self) -> dict:
         return {

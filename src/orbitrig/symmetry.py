@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .algebra import SquareMatrix, _integer_image, compound, kron, lex_index
 from .errors import ConsistencyError, InputError, RepresentationError, UnsupportedGroupError
-from .linalg import _cleared, nullspace_exact, rank_certified
+from .linalg import _cleared, kernel_vectors, rank_certified
 
 Element = tuple[int, ...]
 MAX_D = 12  # the largest d taken: the work grows like d^4 (screw space is C(d+1, 2))
@@ -105,11 +105,6 @@ def character_power(group: AbelianGroup, j: Element, i: Element) -> int:
     return sum(x * y * m // k for x, y, k in zip(j, i, group.orders)) % m
 
 
-def irrep_is_real(group: AbelianGroup, j: Element) -> bool:
-    """True when every value of the character labeled by j is +-1."""
-    return irrep_degree(group, j) == 1
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(m: int) -> tuple[int, ...]:
     """Coefficients of the cyclotomic polynomial Phi_m, constant term first:
@@ -170,7 +165,7 @@ class PointRepresentation:
     of ``tau_hat_int``, and what the module functions derive from it: per
     character label j the rational twisted screw images of ``tau_hat2_j``
     per (j, g), the fixed-screw dimension, basis and kernel proof, and the
-    signs of ``induced_labeling``; and the outcome of
+    signs of ``induced_signs``; and the outcome of
     ``require_combinatorial``.  The dense integer twisted images are not
     kept: the fixed-screw basis and its proof, which read them, run once
     per character.  Cached entries are shared safely, also between the
@@ -389,7 +384,7 @@ def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Fra
         den, n = _twisted_int(rep, j, g)
         for r, col in enumerate(n.transpose().rows):
             rows.append(tuple(x - den if c == r else x for c, x in enumerate(col)))
-    basis = nullspace_exact([r for r in rows if any(r)], size)
+    basis = list(kernel_vectors([r for r in rows if any(r)], size))
     dim = trivial_motion_dim(rep, j) * irrep_degree(rep.group, j)
     if len(basis) != dim:
         raise RepresentationError(
@@ -432,24 +427,17 @@ def proven_trivial_dim(rep: PointRepresentation, j: Element) -> int:
     return dim
 
 
-def induced_labeling(rep: PointRepresentation, g: Element, pair: tuple[int, int]) -> dict[Element, int]:
-    """The one-dimensional +-1 representation carried by a coordinate pair
-    (i, j) of screw space under the twisted representation, as a map from
-    group elements to signs.  Requires a two-group acting by diagonal +-1
-    matrices.  The induced image of diag(s_1, ..., s_d, 1) is diagonal with
-    entry s_i s_j at the pair (i, j), so the sign under gamma is
-    s_i(gamma) s_j(gamma) rho_g(gamma), with s_(d+1) = 1: the diagonal entry
-    of ``tau_hat2_j(rep, g, gamma)``, read from the diagonal of
-    ``tau_hat_int(rep, gamma, 2)`` without building it: ``induced_signs``
-    at the position of the pair."""
-    pos = lex_index(rep.d + 1, 2).position(pair)
-    return {gamma: s[pos] for gamma, s in induced_signs(rep, g).items()}
-
-
 def induced_signs(rep: PointRepresentation, g: Element) -> dict[Element, tuple[int, ...]]:
-    """Per group element gamma, the sign of ``induced_labeling`` under gamma
-    for every pair of ``screw_pairs(rep.d)``, in its order.  Cached on
-    ``rep`` per g and shared: not to be modified."""
+    """Per group element gamma, the +-1 sign under gamma of every pair
+    (i, j) of ``screw_pairs(rep.d)``, in its order: the one-dimensional
+    representation that the pair carries under the twisted screw
+    representation.  Requires a two-group acting by diagonal +-1 matrices.
+    The induced image of diag(s_1, ..., s_d, 1) is diagonal with entry
+    s_i s_j at the pair (i, j), so the sign under gamma is
+    s_i(gamma) s_j(gamma) rho_g(gamma), with s_(d+1) = 1: the diagonal
+    entry of ``tau_hat2_j(rep, g, gamma)``, read from the diagonal of
+    ``tau_hat_int(rep, gamma, 2)`` without building it.  Cached on ``rep``
+    per g and shared: not to be modified."""
     rep.require_combinatorial()
     signs = rep._signs.get(g)
     if signs is None:

@@ -7,6 +7,7 @@ import pytest
 
 import orbitrig as rig
 from orbitrig import symmetry
+from orbitrig.ensemble import random_gain_graph
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -65,6 +66,33 @@ def reflection9_rep() -> rig.PointRepresentation:
 def rotation9_rep() -> rig.PointRepresentation:
     """Z/4 acting by ``rotation9``."""
     return rig.PointRepresentation.from_generators(rig.AbelianGroup((4,)), 3, [rotation9()])
+
+
+def identity(n: int) -> rig.SquareMatrix:
+    return rig.SquareMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def diagonal(m: rig.SquareMatrix) -> tuple:
+    return tuple(m.rows[i][i] for i in range(m.n))
+
+
+def irrep_report(report: rig.RigidityReport, g) -> rig.rigidity.IrrepReport:
+    return next(r for r in report.irreps if r.irrep == g)
+
+
+def loop_l_gain_graph(rng, group: rig.AbelianGroup, max_vertices, max_edges):
+    """``random_gain_graph``, and when it drew no non-free loop and the group
+    has an element of order two, one more edge drawn from ``rng``: a
+    non-free loop at a random vertex with a random such gain."""
+    h = random_gain_graph(rng, group, max_vertices, max_edges)
+    e = group.identity
+    involutions = [g for g in group.elements() if g != e and group.add(g, g) == e]
+    if h.loops_l or not involutions:
+        return h
+    v = rng.choice(h.vertices)
+    loop = (len(h.edges), v, v, rng.choice(involutions))
+    edges = [(x.id, x.tail, x.head, x.gain) for x in h.edges] + [loop]
+    return rig.make_gain_graph(h.vertices, edges, [loop[0]], group=group)
 
 
 def stewart_graph(group: rig.AbelianGroup) -> rig.GainGraph:

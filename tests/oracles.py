@@ -34,14 +34,13 @@ from orbitrig.errors import ConsistencyError, InputError, RepresentationError
 from orbitrig.gaingraph import EdgeId, GainGraph, multiply_edges
 from orbitrig.genframe import BarConfiguration, BarEntry, random_generic_bars
 from orbitrig.hinge import HingeConfiguration, bar_multiplicity, hinge_complement_basis
-from orbitrig.linalg import nullspace_exact, rank_certified, rank_exact
+from orbitrig.linalg import kernel_vectors, rank_certified, rank_exact
 from orbitrig.matroid import (
     PairLabel,
     SignedGraph,
     UnionDecomposition,
     UnionRankResult,
     _SignedForest,
-    incidence_matrix,
 )
 from orbitrig.rigidity import IrrepReport, RigidityReport, analyze
 from orbitrig.symmetry import (
@@ -51,6 +50,23 @@ from orbitrig.symmetry import (
     irrep_degree,
     root_of_unity_matrix,
 )
+
+
+def incidence_matrix(sg: SignedGraph) -> list[list[Fraction]]:
+    """Row per edge: -sign at the tail and 1 at the head for a non-loop,
+    1 - sign at the vertex of a loop.  Row independence over the rationals
+    matches signed-graphic independence."""
+    vindex = {v: i for i, v in enumerate(sg.vertices)}
+    rows = []
+    for e in sg.edges:
+        row = [Fraction(0)] * len(sg.vertices)
+        if e.tail == e.head:
+            row[vindex[e.tail]] = Fraction(1 - e.sign)
+        else:
+            row[vindex[e.tail]] = Fraction(-e.sign)
+            row[vindex[e.head]] = Fraction(1)
+        rows.append(row)
+    return rows
 
 
 def incidence_rank(sg: SignedGraph, ids=None) -> int:
@@ -479,11 +495,11 @@ def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Fra
     if j in rep._fixed:
         return list(rep._fixed[j])
     size = comb(rep.d + 1, 2) * irrep_degree(rep.group, j)
-    ident = SquareMatrix.identity(size)
     rows: list[tuple[Scalar, ...]] = []
     for g in rep.group.generators():
-        rows.extend((tau_hat2_j(rep, j, g).transpose() - ident).rows)
-    basis = nullspace_exact([r for r in rows if any(r)], size)
+        for r, col in enumerate(tau_hat2_j(rep, j, g).transpose().rows):
+            rows.append(tuple(x - int(c == r) for c, x in enumerate(col)))
+    basis = list(kernel_vectors([r for r in rows if any(r)], size))
     dim = trivial_motion_dim(rep, j) * irrep_degree(rep.group, j)
     if len(basis) != dim:
         raise RepresentationError(

@@ -19,10 +19,15 @@ from orbitrig.algebra import (
     wedge,
 )
 from orbitrig.errors import InputError
+from conftest import diagonal, identity
 
 
 def rand_vec(rng, n, lo=-9, hi=9):
     return [Fraction(rng.randint(lo, hi)) for _ in range(n)]
+
+
+def dot(x: Extensor, y: Extensor):
+    return sum(a * b for a, b in zip(x.coords, y.coords))
 
 
 class TestLexIndex:
@@ -31,7 +36,7 @@ class TestLexIndex:
         assert len(idx) == comb(5, 3)
         for i, t in enumerate(idx.tuples()):
             assert idx.position(t) == i
-            assert idx.tuple_at(i) == t
+            assert idx.tuples()[i] == t
 
     def test_d3_grade2_order(self):
         assert lex_index(4, 2).tuples() == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -67,9 +72,9 @@ class TestWedge:
             w = rand_vec(rng, d + 1)
             a, b = Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))
             lhs = wedge([[a * x + b * y for x, y in zip(u, v)], w], d)
-            rhs_u = wedge([u, w], d).scale(a)
-            rhs_v = wedge([v, w], d).scale(b)
-            assert lhs.coords == (rhs_u + rhs_v).coords
+            rhs_u = wedge([u, w], d).coords
+            rhs_v = wedge([v, w], d).coords
+            assert lhs.coords == tuple(a * x + b * y for x, y in zip(rhs_u, rhs_v))
 
     def test_bar_coordinates_are_the_two_by_two_minors(self):
         """A bar's coordinates are the minors det [[p_i, q_i], [p_j, q_j]],
@@ -127,7 +132,7 @@ class TestHodgeStar:
             for j in range(len(idx)):
                 x = Extensor(3, 2, tuple(Fraction(int(t == i)) for t in range(6)))
                 y = Extensor(3, 2, tuple(Fraction(int(t == j)) for t in range(6)))
-                assert hodge_star(x).dot(hodge_star(y)) == x.dot(y)
+                assert dot(hodge_star(x), hodge_star(y)) == dot(x, y)
 
 
 class TestCapProduct:
@@ -166,7 +171,7 @@ class TestCapProduct:
             ps = [rand_vec(rng, 4) for _ in range(2)]
             qs = [rand_vec(rng, 4) for _ in range(2)]
             p, q = wedge(ps, 3), wedge(qs, 3)
-            assert cap_product(p, q) == p.dot(hodge_star(q))
+            assert cap_product(p, q) == dot(p, hodge_star(q))
 
     def test_grade_mismatch(self):
         p = wedge([[1, 0, 0, 1]], 3)
@@ -186,16 +191,16 @@ class TestInducedRep:
         a = SquareMatrix.from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
         )
-        assert induced(a).diagonal() == (1, -1, 1, -1, 1, -1)
+        assert diagonal(induced(a)) == (1, -1, 1, -1, 1, -1)
 
     def test_halfturn_diagonal(self):
         a = SquareMatrix.from_rows(
             [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
         )
-        assert induced(a).diagonal() == (-1, -1, 1, 1, -1, -1)
+        assert diagonal(induced(a)) == (-1, -1, 1, 1, -1, -1)
 
     def test_identity(self):
-        assert induced(SquareMatrix.identity(4)) == SquareMatrix.identity(6)
+        assert induced(identity(4)) == identity(6)
 
     def test_compatible_with_wedge(self):
         rng = random.Random(3)
@@ -218,8 +223,8 @@ class TestInducedRep:
         a = SquareMatrix.from_rows(
             [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         )
-        assert a.is_orthogonal()
-        assert induced(a).is_orthogonal()
+        assert a.transpose() @ a == identity(4)
+        assert induced(a).transpose() @ induced(a) == identity(6)
 
 
 def leibniz(m) -> Fraction:

@@ -15,7 +15,7 @@ from orbitrig.gaingraph import (
     remove_zero_loops,
 )
 from orbitrig.symmetry import AbelianGroup
-from conftest import mirror_rep, stewart_graph, two_group
+from conftest import identity, mirror_rep, stewart_graph, two_group
 
 
 def edge_pairs(cov) -> Counter:
@@ -159,7 +159,7 @@ class TestLiftCover:
             if gamma == g.identity:
                 continue
             for v in cov.vertices:
-                assert cov.vertex_action(gamma, v) != v
+                assert (v[0], cov.group.add(gamma, v[1])) != v
 
 
 class TestQuotient:
@@ -269,10 +269,9 @@ class TestFaithfulnessGuard:
 
         from orbitrig.errors import RepresentationError
         from orbitrig.symmetry import PointRepresentation
-        from orbitrig.algebra import SquareMatrix
 
         g = two_group(1)
-        unfaithful = PointRepresentation.from_generators(g, 3, [SquareMatrix.identity(3)])
+        unfaithful = PointRepresentation.from_generators(g, 3, [identity(3)])
         h = make_gain_graph(["v"], [(0, "v", "v", (1,))], loops_l=[0], group=g)
         with _pytest.raises(RepresentationError):
             remove_zero_loops(h, unfaithful, (1,))

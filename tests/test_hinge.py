@@ -25,7 +25,7 @@ from orbitrig.matroid import combinatorial_verdict
 from orbitrig.rigidity import analyze, orbit_matrix
 from orbitrig.symmetry import AbelianGroup, PointRepresentation
 import oracles
-from conftest import halfturn_rep, mirror_rep, stewart_graph
+from conftest import halfturn_rep, irrep_report, mirror_rep, stewart_graph
 
 
 def hinge_quotient(group, n_loops: int) -> GainGraph:
@@ -76,7 +76,7 @@ class TestTwoBodyOneHinge:
     def test_rank_five(self):
         h, rep = two_body_one_hinge()
         report = analyze_hinge(h, rep, seed=11)
-        r = report.numeric.irrep_report(())
+        r = irrep_report(report.numeric, ())
         assert r.rank == 5
         assert r.flex == 1  # the rotation about the hinge line
         assert not report.rigid
@@ -350,7 +350,7 @@ class TestDimensionParameter:
             rep = PointRepresentation.trivial(d)
             h = make_gain_graph(["u", "v"], [(0, "u", "v", ())], group=rep.group)
             out = analyze_hinge(h, rep, seed=3)
-            r = out.numeric.irrep_report(())
+            r = irrep_report(out.numeric, ())
             assert r.rank == bar_multiplicity(d)
             assert r.flex == 1
 
@@ -363,7 +363,7 @@ class TestDisagreements:
         rep = mirror_rep()
         result = analyze_framework("body-bar", stewart_graph(rep.group), rep, seed=5)
         assert result.consistent and disagreements(result.numeric, result.verdicts) == []
-        anti = result.numeric.irrep_report((1,))
+        anti = irrep_report(result.numeric, (1,))
         verdict = next(v for v in result.verdicts if v.irrep == (1,))
         assert (anti.flex, verdict.deficiency) == (1, 1)
 

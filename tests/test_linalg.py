@@ -23,7 +23,6 @@ from orbitrig.genframe import random_generic_bars
 from orbitrig.linalg import (
     PRIME,
     kernel_vectors,
-    nullspace_exact,
     prime_with_root,
     rank_certified,
     rank_exact,
@@ -184,22 +183,21 @@ class TestKernelVectors:
         vectors = kernel_vectors(rows, 4)
         assert next(vectors) == (-2, 1, 0, 0)
         assert list(vectors) == [(-3, 0, 1, 0), (-4, 0, 0, 1)]
-        assert nullspace_exact(rows, 4) == list(kernel_vectors(rows, 4))
 
     def test_empty_rows_give_the_unit_vectors(self):
-        assert nullspace_exact([], 3) == [
+        assert list(kernel_vectors([], 3)) == [
             (Fraction(1), Fraction(0), Fraction(0)),
             (Fraction(0), Fraction(1), Fraction(0)),
             (Fraction(0), Fraction(0), Fraction(1)),
         ]
-        assert nullspace_exact([], 0) == []
-        assert nullspace_exact([[0, 0]], 2) == nullspace_exact([], 2)
+        assert list(kernel_vectors([], 0)) == []
+        assert list(kernel_vectors([[0, 0]], 2)) == list(kernel_vectors([], 2))
 
     def test_ragged_rows_raise(self):
         with pytest.raises(InputError):
-            nullspace_exact([[1, 2], [3]], 2)
+            list(kernel_vectors([[1, 2], [3]], 2))
         with pytest.raises(InputError):
-            nullspace_exact([[1, 2, 3]], 2)
+            list(kernel_vectors([[1, 2, 3]], 2))
         with pytest.raises(InputError):
             rank_exact([[1, 2], [3]])
 

@@ -12,7 +12,7 @@ from orbitrig import symmetry
 from orbitrig.algebra import SquareMatrix, _integer_image, lex_index
 from orbitrig.cli import parse_framework
 from orbitrig.ensemble import random_diagonal_rep
-from orbitrig.linalg import nullspace_exact
+from orbitrig.linalg import kernel_vectors
 from orbitrig.errors import ConsistencyError, RepresentationError, UnsupportedGroupError
 from orbitrig.symmetry import (
     AbelianGroup,
@@ -20,9 +20,8 @@ from orbitrig.symmetry import (
     character_power,
     fixed_subspace_basis,
     galois_representative,
-    induced_labeling,
+    induced_signs,
     irrep_degree,
-    irrep_is_real,
     proven_trivial_dim,
     root_of_unity_matrix,
     screw_pairs,
@@ -33,12 +32,20 @@ from orbitrig.symmetry import (
 import oracles
 from conftest import (
     FIXTURE_DIR,
+    diagonal,
     halfturn_rep,
+    identity,
     mirror_rep,
     reflection9_rep,
     rotation9_rep,
     two_group,
 )
+
+
+def labeling(rep, g, pair):
+    """The signs of ``induced_signs`` at the position of ``pair``."""
+    pos = screw_pairs(rep.d).index(pair)
+    return {gamma: s[pos] for gamma, s in induced_signs(rep, g).items()}
 
 
 class TestAbelianGroup:
@@ -85,8 +92,8 @@ class TestIrrepValue:
         assert character_power(g, (1,), (2,)) == 2  # i^2 = -1
         assert character_power(g, (1,), (3,)) == 3
         assert character_power(g, (2,), (1,)) == 1 and g.element_order((2,)) == 2
-        assert not irrep_is_real(g, (1,))
-        assert irrep_is_real(g, (2,))
+        assert irrep_degree(g, (1,)) != 1
+        assert irrep_degree(g, (2,)) == 1
 
     def test_multiplicative(self):
         """Values multiply: their exponents add mod the order of j."""
@@ -104,11 +111,11 @@ class TestRealification:
         """C_m^a multiplies like zeta_m^a, and C_m has order exactly m."""
         for m in range(1, 13):
             c = root_of_unity_matrix(m, 1)
-            power = SquareMatrix.identity(c.n)
+            power = identity(c.n)
             for a in range(1, m + 1):
                 power = power @ c
                 assert power == root_of_unity_matrix(m, a % m)
-                assert power.is_identity() == (a == m)
+                assert (power == identity(c.n)) == (a == m)
 
     def test_degrees_and_galois_orbits(self):
         g = AbelianGroup((8,))
@@ -141,7 +148,7 @@ class TestPointRepresentation:
         denominators 9 passes; a rotation by the angle with cosine 3/5 is
         orthogonal but of infinite order; squeezing its z axis breaks
         orthogonality."""
-        assert oracles.image(reflection9_rep(), (1,)).entry(0, 0) == Fraction(7, 9)
+        assert oracles.image(reflection9_rep(), (1,)).rows[0][0] == Fraction(7, 9)
         cos, sin = Fraction(3, 5), Fraction(4, 5)
         rotation = [[cos, -sin, 0], [sin, cos, 0], [0, 0, 1]]
         with pytest.raises(RepresentationError, match="violate homomorphism"):
@@ -175,7 +182,7 @@ class TestPointRepresentation:
         assert len(products) == group.order() * 2 + 2
         monkeypatch.undo()
         for a, b in group.elements():
-            power = SquareMatrix.identity(3)
+            power = identity(3)
             for m in [mirror] * a + [quarter] * b:
                 power = power @ m
             assert oracles.image(rep, (a, b)) == power
@@ -184,7 +191,7 @@ class TestPointRepresentation:
         rep = mirror_rep()
         assert rep.is_faithful()
         g = AbelianGroup((2,))
-        ident = SquareMatrix.identity(3)
+        ident = identity(3)
         unfaithful = PointRepresentation.from_generators(g, 3, [ident])
         assert not unfaithful.is_faithful()
 
@@ -194,12 +201,12 @@ class TestPointRepresentation:
         assert tuple(dict(ts).get(t, 0) for t, ts in enumerate(terms)) == (1, -1, 1, -1, 1, -1)
 
     def test_tau_hat2_j_values(self, cs_rep, c2_rep):
-        assert tau_hat2_j(cs_rep, (1,), (1,)).diagonal() == (-1, 1, -1, 1, -1, 1)
-        assert tau_hat2_j(c2_rep, (0,), (1,)).diagonal() == (-1, -1, 1, 1, -1, -1)
-        assert tau_hat2_j(c2_rep, (1,), (1,)).diagonal() == (1, 1, -1, -1, 1, 1)
+        assert diagonal(tau_hat2_j(cs_rep, (1,), (1,))) == (-1, 1, -1, 1, -1, 1)
+        assert diagonal(tau_hat2_j(c2_rep, (0,), (1,))) == (-1, -1, 1, 1, -1, -1)
+        assert diagonal(tau_hat2_j(c2_rep, (1,), (1,))) == (1, 1, -1, -1, 1, 1)
 
     def test_tau_hat2_j_identity(self, cs_rep):
-        assert tau_hat2_j(cs_rep, (1,), (0,)) == SquareMatrix.identity(6)
+        assert tau_hat2_j(cs_rep, (1,), (0,)) == identity(6)
 
     def test_tau_hat2_j_homomorphism(self):
         for rep in (mirror_rep(), halfturn_rep(), _z2z2_rep()):
@@ -275,14 +282,13 @@ class TestFixedSubspaceFromGenerators:
     @staticmethod
     def _all_elements_basis(rep, j):
         size = comb(rep.d + 1, 2) * irrep_degree(rep.group, j)
-        ident = SquareMatrix.identity(size)
         rows = [
-            list(r)
+            [x - int(c == t) for c, x in enumerate(r)]
             for g in rep.group.elements()
             if g != rep.group.identity
-            for r in (tau_hat2_j(rep, j, g).transpose() - ident).rows
+            for t, r in enumerate(tau_hat2_j(rep, j, g).transpose().rows)
         ]
-        return nullspace_exact([r for r in rows if any(r)], size)
+        return list(kernel_vectors([r for r in rows if any(r)], size))
 
     @staticmethod
     def _reps():
@@ -310,7 +316,7 @@ class TestInducedLabeling:
         negatives = [
             pair
             for pair in screw_pairs(3)
-            if induced_labeling(c2_rep, (0,), pair)[(1,)] == -1
+            if labeling(c2_rep, (0,), pair)[(1,)] == -1
         ]
         assert negatives == [(1, 2), (1, 3), (2, 4), (3, 4)]
 
@@ -318,21 +324,21 @@ class TestInducedLabeling:
         negatives = [
             pair
             for pair in screw_pairs(3)
-            if induced_labeling(c2_rep, (1,), pair)[(1,)] == -1
+            if labeling(c2_rep, (1,), pair)[(1,)] == -1
         ]
         assert negatives == [(1, 4), (2, 3)]
 
     def test_identity_always_positive(self, cs_rep):
         for g in cs_rep.group.elements():
             for pair in screw_pairs(3):
-                assert induced_labeling(cs_rep, g, pair)[(0,)] == 1
+                assert labeling(cs_rep, g, pair)[(0,)] == 1
 
     def test_values_multiply(self):
         rep = _z2z2_rep()
         group = rep.group
         for g in group.elements():
             for pair in screw_pairs(3):
-                lab = induced_labeling(rep, g, pair)
+                lab = labeling(rep, g, pair)
                 for a in group.elements():
                     for b in group.elements():
                         assert lab[group.add(a, b)] == lab[a] * lab[b]
@@ -342,7 +348,7 @@ class TestInducedLabeling:
         rot = SquareMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
         rep = PointRepresentation.from_generators(g, 3, [rot])
         with pytest.raises(UnsupportedGroupError):
-            induced_labeling(rep, (0,), (1, 2))
+            labeling(rep, (0,), (1, 2))
 
     def test_equals_diagonal_of_twisted_image(self):
         """The sign read from the generators' diagonals is the diagonal
@@ -361,8 +367,8 @@ class TestInducedLabeling:
             for g in rep.group.elements():
                 for pair in screw_pairs(rep.d):
                     pos = index.position(pair)
-                    assert induced_labeling(rep, g, pair) == {
-                        gamma: tau_hat2_j(rep, g, gamma).entry(pos, pos)
+                    assert labeling(rep, g, pair) == {
+                        gamma: tau_hat2_j(rep, g, gamma).rows[pos][pos]
                         for gamma in rep.group.elements()
                     }
 
@@ -525,8 +531,8 @@ class TestCaches:
             for j in rep.group.elements():
                 trivial_motion_dim(rep, j)
                 fixed_subspace_basis(rep, j)
-        assert tau_hat2_j(cs, (1,), (1,)).diagonal() == (-1, 1, -1, 1, -1, 1)
-        assert tau_hat2_j(c2, (1,), (1,)).diagonal() == (1, 1, -1, -1, 1, 1)
+        assert diagonal(tau_hat2_j(cs, (1,), (1,))) == (-1, 1, -1, 1, -1, 1)
+        assert diagonal(tau_hat2_j(c2, (1,), (1,))) == (1, 1, -1, -1, 1, 1)
         assert [trivial_motion_dim(cs, j) for j in ((0,), (1,))] == [3, 3]
         assert [trivial_motion_dim(c2, j) for j in ((0,), (1,))] == [2, 4]
         assert fixed_subspace_basis(cs, (1,)) != fixed_subspace_basis(c2, (1,))
@@ -633,7 +639,7 @@ class TestIntegerScrewImages:
 
     def test_images_with_denominators_are_generator_products(self):
         rep = rotation9_rep()
-        power = SquareMatrix.identity(3)
+        power = identity(3)
         for g in rep.group.elements():
             assert oracles.image(rep, g) == power
             assert all(isinstance(x, int) for row in rep.integer_images[g][1].rows for x in row)
