@@ -35,10 +35,8 @@ from .hinge import (
 )
 from .matroid import (
     CombinatorialVerdict,
-    CountingViolation,
     SignedGraph,
     UnionDecomposition,
-    check_counting_condition,
     combinatorial_verdict,
     is_independent_signed,
     matroid_union_rank,

@@ -247,9 +247,9 @@ def cmd_analyze(args) -> int:
     )
     doc = result.to_json()
     doc["irreps"] = [r for r in doc["irreps"] if r["irrep"] in shown]
-    if args.oracle and result.verdicts is not None and fw["model"] == "body-bar":
+    if args.oracle and result.verdicts is not None:
         doc["counting_violations"] = {
-            str(list(g)): counting_violation(h, rep, g) for g in rep.group.elements()
+            str(list(v.irrep)): counting_violation(v) for v in result.verdicts
         }
     _emit(doc, args.format, _analyze_text)
     if not result.consistent:
@@ -399,7 +399,7 @@ OPTIONS = {
     ),
     "--format": dict(choices=("json", "text"), default="json"),
     "--oracle": dict(
-        action="store_true", help="run the brute-force counting oracle on small inputs"
+        action="store_true", help="report each character's first edge set that breaks the count"
     ),
 }
 

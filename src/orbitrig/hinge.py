@@ -209,15 +209,16 @@ def certificates(
     model: str, h: GainGraph, rep: PointRepresentation, irreps: Sequence[Element], oracle: bool = False
 ) -> list[dict]:
     """The combinatorial verdict of each character on the body-bar quotient,
-    as a JSON certificate; with ``oracle``, the brute-force counting check
-    beside it."""
+    as a JSON certificate; with ``oracle``, its first counting violation
+    (``counting_violation``) beside it."""
     if model == "body-hinge":
         HingeConfiguration.check_edges(h, rep.d)
         h = multiply_edges(h, bar_multiplicity(rep.d))
     out = []
     for g in irreps:
-        cert = combinatorial_verdict(h, rep, g).to_json()
+        verdict = combinatorial_verdict(h, rep, g)
+        cert = verdict.to_json()
         if oracle:
-            cert["counting_violation"] = counting_violation(h, rep, g)
+            cert["counting_violation"] = counting_violation(verdict)
         out.append(cert)
     return out

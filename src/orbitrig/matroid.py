@@ -63,7 +63,6 @@ from .symmetry import (
 )
 
 PairLabel = tuple[int, int]
-COUNTING_MAX_EDGES = 20  # the largest edge set ``check_counting_condition`` enumerates
 
 
 class SignedEdge(NamedTuple):
@@ -483,43 +482,7 @@ def union_rank_by_formula(
 
 
 # ---------------------------------------------------------------------------
-# the counting oracle and the full combinatorial verdict
-
-
-@dataclass(frozen=True)
-class CountingViolation:
-    edges: tuple[EdgeId, ...]
-    size: int
-    bound: int
-    alphas: dict[PairLabel, int]
-
-
-def check_counting_condition(
-    labeled_sgs: Sequence[tuple[PairLabel, SignedGraph]],
-) -> CountingViolation | None:
-    """Brute-force check of the count ``|F| <= B|V(F)| - B + sum alpha(F)``
-    for every nonempty subset F of the first graph's edges, with B the
-    number of matroids.  Exponential; refused beyond
-    ``COUNTING_MAX_EDGES`` edges.  Returns the first violation in
-    subset-enumeration order, or None."""
-    ids = [e.id for e in labeled_sgs[0][1].edges]
-    if len(ids) > COUNTING_MAX_EDGES:
-        raise InputError(f"counting oracle limited to {COUNTING_MAX_EDGES} edges, got {len(ids)}")
-    tables = [_edge_table(sg, ids) for _, sg in labeled_sgs]
-    first = tables[0][1]
-    b = len(labeled_sgs)
-    for mask in range(1, 1 << len(ids)):
-        f = [k for k in range(len(ids)) if mask >> k & 1]
-        verts = {v for k in f for v in first[k][1:3]}
-        # the forest keeps one flag per component, set when it holds a negative cycle
-        alphas = {
-            label: int(any(_SignedForest(nv, (table[k] for k in f)).unbalanced))
-            for (label, _), (nv, table) in zip(labeled_sgs, tables)
-        }
-        bound = b * len(verts) - b + sum(alphas.values())
-        if len(f) > bound:
-            return CountingViolation(tuple(ids[k] for k in f), len(f), bound, alphas)
-    return None
+# the full combinatorial verdict and the first counting violation
 
 
 @dataclass(frozen=True)
@@ -533,8 +496,9 @@ class CombinatorialVerdict:
     incidence matrix of labeled graph i, in columns of its own, so the
     rows of X span rank at most sum_i r_i(X) and the others at most
     |S \\ X|: the bound holds for the rank of the block at every
-    configuration (the removed zero loops have zero rows).  It is not part
-    of ``to_json``."""
+    configuration (the removed zero loops have zero rows).  Neither it nor
+    ``labeled``, the labeled graphs the union ran on, is part of
+    ``to_json``."""
 
     irrep: Element
     d: int
@@ -547,6 +511,7 @@ class CombinatorialVerdict:
     decomposition: UnionDecomposition
     witness: tuple[EdgeId, ...]
     witness_bound: int
+    labeled: Sequence[tuple[PairLabel, SignedGraph]]
 
     @property
     def count_matches_target(self) -> bool:
@@ -622,21 +587,37 @@ def combinatorial_verdict(h: GainGraph, rep: PointRepresentation, g: Element) ->
         decomposition=result.decomposition,
         witness=result.witness,
         witness_bound=result.witness_bound,
+        labeled=labeled,
     )
 
 
-def counting_violation(h: GainGraph, rep: PointRepresentation, g: Element) -> dict | None:
-    """Brute-force counting check of one character label on the edges left
-    after its zero loops are removed, labeled as in
-    ``combinatorial_verdict`` (small inputs only): the first violation as a
-    JSON document, or None."""
-    violation = check_counting_condition(
-        labeled_signed_graphs(remove_zero_loops(h, rep, g), rep, g)
-    )
-    if violation is None:
+def counting_violation(verdict: CombinatorialVerdict) -> dict | None:
+    """The first edge set F, in subset-enumeration order of the edges S of
+    the verdict's first labeled graph, that violates the count
+    ``|F| <= B|V(F)| - B + sum_i alpha_i(F)``, as a JSON document, or None.
+    B is the number of labeled graphs and alpha_i(F) = 1 when F holds a
+    negative cycle in graph i.
+
+    A set violates the count exactly when it is dependent in the union
+    (Edmonds), so there is no violation when the union left nothing
+    unassigned.  Else let k be the first unassigned element: S[:k] is
+    independent, so S[:k+1] holds one union circuit C, and every violating
+    subset of it contains C, which thus comes first.  The union of S[:k+1]
+    fails only at k, and its failed search reaches exactly the y for which
+    S[:k] - y + k is independent, the elements of C: its witness is C.
+    The bound is evaluated here from the count and checked to fail."""
+    unassigned = verdict.decomposition.unassigned
+    if not unassigned:
         return None
-    return {
-        "edges": [_edge_id_json(e) for e in violation.edges],
-        "size": violation.size,
-        "bound": violation.bound,
-    }
+    (label, first), *rest = labeled = verdict.labeled
+    k = [e.id for e in first.edges].index(unassigned[0])
+    # the union's ground set is the first graph's edges
+    prefix = SignedGraph(first.vertices, first.edges[: k + 1])
+    witness = matroid_union_rank([(label, prefix), *rest]).witness
+    # alpha_i: whether some component of graph i's forest on C is unbalanced
+    alphas = sum(any(_SignedForest(*_edge_table(sg, witness)).unbalanced) for _, sg in labeled)
+    b = len(labeled)
+    bound = b * _edge_table(first, witness)[0] - b + alphas
+    if len(witness) <= bound:
+        raise ConsistencyError(f"union circuit {witness!r} meets the count")
+    return {"edges": [_edge_id_json(e) for e in witness], "size": len(witness), "bound": bound}

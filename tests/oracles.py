@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -40,6 +40,7 @@ from orbitrig.matroid import (
     SignedGraph,
     UnionDecomposition,
     UnionRankResult,
+    _edge_table,
     _SignedForest,
 )
 from orbitrig.rigidity import IrrepReport, RigidityReport, analyze
@@ -310,6 +311,39 @@ def matroid_union_rank_unpruned(
     ranks = sum(incidence_rank(sg, witness) for _, sg in labeled_sgs)
     bound = len(elements) - len(witness) + ranks
     return UnionRankResult(rank, decomposition, witness, bound)
+
+
+@dataclass(frozen=True)
+class CountingViolation:
+    edges: tuple[EdgeId, ...]
+    size: int
+    bound: int
+    alphas: dict[PairLabel, int]
+
+
+def check_counting_condition(
+    labeled_sgs: Sequence[tuple[PairLabel, SignedGraph]],
+) -> CountingViolation | None:
+    """Brute-force check of the count ``|F| <= B|V(F)| - B + sum alpha(F)``
+    for every nonempty subset F of the first graph's edges, with B the
+    number of matroids.  Exponential.  Returns the first violation in
+    subset-enumeration order, or None."""
+    ids = [e.id for e in labeled_sgs[0][1].edges]
+    tables = [_edge_table(sg, ids) for _, sg in labeled_sgs]
+    first = tables[0][1]
+    b = len(labeled_sgs)
+    for mask in range(1, 1 << len(ids)):
+        f = [k for k in range(len(ids)) if mask >> k & 1]
+        verts = {v for k in f for v in first[k][1:3]}
+        # the forest keeps one flag per component, set when it holds a negative cycle
+        alphas = {
+            label: int(any(_SignedForest(nv, (table[k] for k in f)).unbalanced))
+            for (label, _), (nv, table) in zip(labeled_sgs, tables)
+        }
+        bound = b * len(verts) - b + sum(alphas.values())
+        if len(f) > bound:
+            return CountingViolation(tuple(ids[k] for k in f), len(f), bound, alphas)
+    return None
 
 
 def analyze_generic(

@@ -584,6 +584,17 @@ class TestReplaySerialization:
         assert doc["counting_violations"]["[0]"]["bound"] == 3
         assert doc["counting_violations"]["[1]"] is None
 
+    def test_analyze_oracle_flag_body_hinge(self, capsys, fixture_dir):
+        """On a body-hinge document the violations are on the multiplied
+        graph, as ``certify --oracle`` reports them."""
+        path = str(fixture_dir / "cs_hinge.json")
+        code, out = run(capsys, ["analyze", path, "--oracle"])
+        assert code == EXIT_RIGID
+        violation = json.loads(out)["counting_violations"]["[0]"]
+        assert violation == {"edges": [[0, 1], [0, 2], [0, 3], [0, 4]], "size": 4, "bound": 3}
+        _, out = run(capsys, ["certify", path, "--oracle"])
+        assert json.loads(out)["certificates"][0]["counting_violation"] == violation
+
 
 class TestBodyHingePreconditions:
     """A body-hinge framework needs d >= 2 and a group acting freely on its

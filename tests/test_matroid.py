@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,24 +8,26 @@ from fractions import Fraction
 import pytest
 
 from orbitrig import matroid
-from orbitrig.ensemble import random_diagonal_rep
-from orbitrig.errors import InputError
+from orbitrig.cli import parse_framework
+from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
 from orbitrig.gaingraph import make_gain_graph, multiply_edges, remove_zero_loops
+from orbitrig.hinge import bar_multiplicity
 from orbitrig.matroid import (
     SignedEdge,
     _SignedForest,
     SignedGraph,
-    check_counting_condition,
     combinatorial_verdict,
+    counting_violation,
     is_independent_signed,
     labeled_signed_graphs,
     matroid_union_rank,
     signed_rank,
     union_rank_by_formula,
 )
-from orbitrig.symmetry import PointRepresentation, screw_pairs
+from orbitrig.symmetry import AbelianGroup, PointRepresentation, screw_pairs
 from conftest import stewart_graph
 from oracles import (
+    check_counting_condition,
     incidence_matrix,
     incidence_rank,
     independent_by_incidence,
@@ -723,6 +726,20 @@ class TestUnionRigidAndUnderBraced:
         assert not all(rigid) if under else all(rigid)
 
 
+def assert_matches_enumeration(verdict) -> bool:
+    """``counting_violation`` of the verdict is the enumeration's first
+    violation, set, size and bound, or None when that finds none; returns
+    whether there is one."""
+    ref = check_counting_condition(verdict.labeled)
+    got = counting_violation(verdict)
+    if ref is None:
+        assert got is None
+        return False
+    edges = [list(e) if isinstance(e, tuple) else e for e in ref.edges]
+    assert got == {"edges": edges, "size": ref.size, "bound": ref.bound}
+    return True
+
+
 class TestCountingCondition:
     def test_c2_sym_single_loop(self, c2_rep):
         h = stewart_graph(c2_rep.group)
@@ -748,10 +765,47 @@ class TestCountingCondition:
         assert violation.bound == 3
         assert sum(violation.alphas.values()) == 3
 
-    def test_size_guard(self):
-        g = sg([0, 1], [(i, 0, 1, 1) for i in range(25)])
-        with pytest.raises(InputError):
-            check_counting_condition([((1, 2), g)])
+    def test_no_size_limit(self):
+        # d = 1 has one labeled graph, here all positive: two parallel edges
+        # close a balanced cycle, 2 > 1*2 - 1 + 0
+        group = AbelianGroup(())
+        rep = PointRepresentation.from_generators(group, 1, [])
+        h = make_gain_graph([0, 1], [(i, 0, 1, ()) for i in range(25)], group=group)
+        verdict = combinatorial_verdict(h, rep, ())
+        assert verdict.labeled == [((1, 2), sg([0, 1], [(i, 0, 1, 1) for i in range(25)]))]
+        assert counting_violation(verdict) == {"edges": [0, 1], "size": 2, "bound": 1}
+
+    @pytest.mark.parametrize(
+        "orders, seed, graphs", [((2,), 9, 16), ((2, 2), 9, 8), ((2, 2, 2), 7, 4)]
+    )
+    def test_matches_enumeration_randomized(self, orders, seed, graphs):
+        """On random gain graphs with at most 4 vertices and 14 edges, the
+        union circuit that ``counting_violation`` reports is the
+        enumeration's first violation, set, size and bound, and there is
+        none exactly when the enumeration finds none."""
+        rng = random.Random(seed)
+        found = 0
+        for _ in range(graphs):
+            # (2,2,2) has no faithful diagonal representation in the plane
+            rep = random_diagonal_rep(rng, orders, rng.choice((2, 3)[len(orders) // 3 :]))
+            h = random_gain_graph(rng, rep.group, 4, 14)
+            for g in rep.group.elements():
+                found += assert_matches_enumeration(combinatorial_verdict(h, rep, g))
+        assert found >= 7
+
+    @pytest.mark.parametrize("name", [
+        "c2_hinge", "c2_stewart", "cs_hinge", "cs_stewart",
+        "trivial_2body_1hinge", "trivial_2body_5bars", "trivial_2body_6bars",
+    ])
+    def test_matches_enumeration_on_fixtures(self, name, fixture_dir):
+        """Every character of every (Z/2)^l fixture, a body-hinge one on its
+        multiplied graph, whose edge ids are pairs."""
+        fw = parse_framework(json.loads((fixture_dir / f"{name}.json").read_text()))
+        h, rep = fw["graph"], fw["rep"]
+        if fw["model"] == "body-hinge":
+            h = multiply_edges(h, bar_multiplicity(rep.d))
+        for g in rep.group.elements():
+            assert_matches_enumeration(combinatorial_verdict(h, rep, g))
 
 
 class TestCombinatorialVerdict:
