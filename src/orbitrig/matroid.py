@@ -22,12 +22,16 @@ rank = |S \\ X| + sum_i r_i(X): the elements outside X are all assigned,
 and the parts restricted to X span X in every matroid.  The union checks
 this equality before it returns.
 
+A part whose members a search has all reached or saturated is closed to
+it: an arc there would lead to an element the search never enqueues, so
+it is asked only for a free slot (``accepts``), with no circuit query or
+member scan.  Saturated members never leave their part, so the union
+counts them per part, and each search counts the members it reached.
+
 All independence questions go through one rooted spanning forest,
-``_SignedForest``, kept in lists over vertex indices 0..nv-1 with edges
-given as (k, tail, head, sign) ints, k an element index.  It keeps each
-vertex's root, sign to the root, parent edge and depth, so a root lookup
-is one list read and a tree path costs its own length.  Its ``circuit``
-query returns the unique circuit an edge closes with an independent set: a
+``_SignedForest``, over vertex indices 0..nv-1 with edges given as (k,
+tail, head, sign) ints, k an element index.  Its ``circuit`` query
+returns the unique circuit an edge closes with an independent set: a
 positive (balanced) cycle, a theta's balanced cycle, or a tight or loose
 handcuff (two negative cycles joined at a vertex or by a path, possibly
 across two former components).  The exchange arcs of the union algorithm
@@ -82,13 +86,10 @@ class SignedGraph:
             if e.sign not in (1, -1):
                 raise InputError(f"edge {e.id} sign must be +-1, got {e.sign}")
 
+    @cached_property
     def edge_map(self) -> dict[EdgeId, SignedEdge]:
         """The edges by id, built once per graph and shared: not to be
         modified."""
-        return self._edge_map
-
-    @cached_property
-    def _edge_map(self) -> dict[EdgeId, SignedEdge]:
         return {e.id: e for e in self.edges}
 
     @staticmethod
@@ -104,7 +105,7 @@ def _edge_table(
     in ``ids`` and the vertices numbered 0, 1, ... in order of first
     appearance, with the number of vertices: the form ``_SignedForest``
     takes."""
-    emap = sg.edge_map()
+    emap = sg.edge_map
     vindex: dict[VertexId, int] = {}
     table = []
     for k, eid in enumerate(ids):
@@ -307,7 +308,9 @@ def signed_rank(sg: SignedGraph, subset: Iterable[EdgeId] | None = None) -> int:
 
 @dataclass(frozen=True)
 class UnionDecomposition:
-    """Assignment of an independent subset to the constituent matroids."""
+    """Assignment of an independent subset to the constituent matroids;
+    the parts and the unassigned edges partition the ground set, the
+    first labeled graph's edges."""
 
     parts: dict[PairLabel, tuple[EdgeId, ...]]
     assignment: dict[EdgeId, PairLabel]
@@ -328,6 +331,13 @@ class UnionDecomposition:
                 raise ConsistencyError(f"part {label} not independent: {witness}")
         if seen != set(self.assignment):
             raise ConsistencyError("assignment map and parts disagree")
+        rest = set(self.unassigned)
+        if len(rest) < len(self.unassigned):
+            raise ConsistencyError("an unassigned edge is listed twice")
+        if not rest.isdisjoint(seen):
+            raise ConsistencyError("an edge is both assigned and unassigned")
+        if seen | rest != labeled_sgs[0][1].edge_map.keys():
+            raise ConsistencyError("parts and unassigned edges are not the ground set")
 
 
 @dataclass(frozen=True)
@@ -371,7 +381,7 @@ def matroid_union_rank(
     signs = []
     for _, sg in labeled_sgs:
         if id(sg) not in by_graph:
-            smap = sg.edge_map()
+            smap = sg.edge_map
             by_graph[id(sg)] = [smap[x].sign for x in elements]
         signs.append(by_graph[id(sg)])
     m, nparts = len(elements), len(labeled_sgs)
@@ -380,22 +390,9 @@ def matroid_union_rank(
     forests = [_SignedForest(nv) for _ in range(nparts)]
     part_of = [-1] * m
     saturated = [False] * m
+    # saturated members per part, the last slot for the unassigned ones
+    closed = [0] * (nparts + 1)
     unassigned: list[int] = []
-
-    def arcs_and_terminal(x: int, visited: Mapping[int, int]):
-        """Yield ('insert', i) for a free slot or ('arc', y) for exchanges:
-        the members y of part i on the circuit x closes there, in part order."""
-        u, v = tails[x], heads[x]
-        for i in range(nparts):
-            if part_of[x] == i:
-                continue
-            circuit = forests[i].circuit(x, u, v, signs[i][x])
-            if circuit is None:
-                yield ("insert", i)
-                continue
-            for y in parts[i]:
-                if y in circuit and y not in visited:
-                    yield ("arc", y)
 
     def try_augment(source: int) -> bool:
         # the source's first free part would end the search at its first
@@ -409,18 +406,34 @@ def matroid_union_rank(
                 forests[i].add(source, u, v, s)
                 return True
         prev = {source: -1}
+        reached = [0] * nparts
         q = deque([source])
         while q:
             x = q.popleft()
-            for kind, val in arcs_and_terminal(x, prev):
-                if kind == "insert":
-                    _cascade(x, val, prev)
+            u, v = tails[x], heads[x]
+            # in part order: a free slot ends the search, else the arcs are
+            # the part's members on x's circuit there, unless it is closed
+            for i in range(nparts):
+                if part_of[x] == i:
+                    continue
+                part, s = parts[i], signs[i][x]
+                if reached[i] + closed[i] < len(part):
+                    circuit = forests[i].circuit(x, u, v, s)
+                elif forests[i].accepts(x, u, v, s):
+                    circuit = None
+                else:
+                    continue
+                if circuit is None:
+                    _cascade(x, i, prev)
                     return True
-                if val not in prev and not saturated[val]:
-                    prev[val] = x
-                    q.append(val)
+                for y in part:
+                    if y in circuit and y not in prev and not saturated[y]:
+                        prev[y] = x
+                        reached[i] += 1
+                        q.append(y)
         for x in prev:
             saturated[x] = True
+            closed[part_of[x]] += 1
         return False
 
     def _cascade(x: int, target: int, prev: Mapping[int, int]) -> None:

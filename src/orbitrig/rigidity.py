@@ -72,21 +72,6 @@ from .symmetry import (
     trivial_motion_dim,
 )
 
-__all__ = [
-    "OrbitMatrix",
-    "Flex",
-    "IrrepReport",
-    "RigidityReport",
-    "rigidity_matrix",
-    "orbit_matrix",
-    "analyze",
-    "analyze_generic",
-    "analyze_sampled",
-    "extract_flex",
-    "crosscheck_block_ranks",
-    "lifted_rank",
-]
-
 
 def rigidity_matrix(
     cov: CoveredGraph, bars: Mapping[tuple, BarEntry], d: int

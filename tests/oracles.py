@@ -73,7 +73,7 @@ def incidence_matrix(sg: SignedGraph) -> list[list[Fraction]]:
 def incidence_rank(sg: SignedGraph, ids=None) -> int:
     """Rank of the incidence rows of a subset: the linear-algebra side of
     signed-graphic independence."""
-    emap = sg.edge_map()
+    emap = sg.edge_map
     ids = [e.id for e in sg.edges] if ids is None else list(ids)
     all_rows = incidence_matrix(sg)
     order = [e.id for e in sg.edges]
@@ -209,7 +209,7 @@ def matroid_union_rank_unpruned(
     """
     if not labeled_sgs:
         raise InputError("need at least one matroid")
-    edge_maps = [sg.edge_map() for _, sg in labeled_sgs]
+    edge_maps = [sg.edge_map for _, sg in labeled_sgs]
     if elements is None:
         elements = [e.id for e in labeled_sgs[0][1].edges]
     elements = list(elements)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from orbitrig import matroid
 from orbitrig.cli import parse_framework
 from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
+from orbitrig.errors import ConsistencyError
 from orbitrig.gaingraph import make_gain_graph, multiply_edges, remove_zero_loops
 from orbitrig.hinge import bar_multiplicity
 from orbitrig.matroid import (
@@ -132,7 +134,7 @@ def oracle_circuit(g: SignedGraph, part, x):
 
 
 def forest_circuit(g: SignedGraph, part, x):
-    emap = g.edge_map()
+    emap = g.edge_map
     return _SignedForest(len(g.vertices), (emap[y] for y in part)).circuit(*emap[x])
 
 
@@ -231,7 +233,7 @@ class TestCircuit:
         shapes: dict = {}
         for _ in range(400):
             g = random_signed_graph(rng, max_vertices=6, max_edges=10)
-            emap = g.edge_map()
+            emap = g.edge_map
             ids = [e.id for e in g.edges]
             rng.shuffle(ids)
             forest = _SignedForest(len(g.vertices))
@@ -517,6 +519,56 @@ class TestMatroidUnion:
             failed += len(res.decomposition.unassigned) >= 2
         assert failed >= 20
 
+    def test_matches_unpruned_search_workload_shaped(self, monkeypatch):
+        """Instances shaped like the benchmark's characters: 3 to 8
+        vertices, 6 nv + 2 to 6 nv + 6 edges and 3, 4 or 6 distinct
+        labelings, so that later searches find parts whose members they
+        have all reached or that are saturated.  Skipping such a part's
+        circuit query leaves every output equal to the unpruned search's.
+
+        A search queries, for each element x it dequeues, every part but
+        x's own in part order until one has a free slot.  So a run of
+        consecutive circuit queries for one x that found no free slot and
+        is shorter than the number of parts minus one left out a closed
+        part."""
+        rng = random.Random(59)
+        runs: list[list] = []  # [element, queries, found a free slot]
+        circuit = _SignedForest.circuit
+
+        def logged(self, k, u, v, s):
+            found = circuit(self, k, u, v, s)
+            if not runs or runs[-1][0] != k:
+                runs.append([k, 0, False])
+            runs[-1][1] += 1
+            runs[-1][2] |= found is None
+            return found
+
+        skipped = 0
+        for _ in range(40):
+            nv = rng.randint(3, 8)
+            ne = rng.randint(6 * nv + 2, 6 * nv + 6)
+            base = [(i, i, (i + 1) % nv) for i in range(nv)]
+            for eid in range(nv, ne):
+                u = rng.randrange(nv)
+                v = u if rng.random() < 0.125 else rng.choice([w for w in range(nv) if w != u])
+                base.append((eid, u, v))
+            nparts = rng.choice((3, 4, 6))
+            labelings: set[tuple[int, ...]] = set()
+            while len(labelings) < nparts:
+                labelings.add(tuple(rng.choice((1, -1)) for _ in base))
+            labeled = [
+                ((1, t + 2), sg(range(nv), [(e, u, v, s) for (e, u, v), s in zip(base, signs)]))
+                for t, signs in enumerate(sorted(labelings))
+            ]
+            runs.clear()
+            with monkeypatch.context() as m:
+                m.setattr(_SignedForest, "circuit", logged)
+                res = matroid_union_rank(labeled)
+            skipped += sum(n < nparts - 1 and not found for _, n, found in runs)
+            res.decomposition.validate(labeled)
+            assert_matches_unpruned(labeled, res)
+        assert skipped >= 200, skipped
+
     def test_free_slot_costs_one_insertion(self, monkeypatch):
         """Six copies of a spanning tree under six all-positive labelings:
         copy k of each edge fits straight into part k, so the search builds
@@ -572,6 +624,40 @@ class TestMatroidUnion:
             res = matroid_union_rank(labeled)
             ids = [e.id for e in h.edges]
             assert res.rank == union_rank_by_formula(labeled, ids, res.witness)
+
+
+class TestDecompositionValidate:
+    """``UnionDecomposition.validate`` checks the unassigned list too: the
+    parts and the unassigned edges partition the ground set, the first
+    labeled graph's edges."""
+
+    @pytest.fixture
+    def union(self):
+        # two parallel positive edges and a third on two vertices, one part:
+        # edge 0 is assigned, 1 and 2 close balanced cycles with it
+        g = sg([0, 1], [(0, 0, 1, 1), (1, 0, 1, 1), (2, 0, 1, 1)])
+        labeled = [((1, 2), g)]
+        res = matroid_union_rank(labeled)
+        assert res.decomposition.parts == {(1, 2): (0,)}
+        assert res.decomposition.unassigned == (1, 2)
+        res.decomposition.validate(labeled)
+        return labeled, res.decomposition
+
+    def test_unassigned_twice(self, union):
+        labeled, dec = union
+        with pytest.raises(ConsistencyError, match="listed twice"):
+            replace(dec, unassigned=(1, 2, 1)).validate(labeled)
+
+    def test_assigned_and_unassigned(self, union):
+        labeled, dec = union
+        with pytest.raises(ConsistencyError, match="both assigned and unassigned"):
+            replace(dec, unassigned=(0, 1, 2)).validate(labeled)
+
+    @pytest.mark.parametrize("unassigned", [(1,), (1, 2, 3)])
+    def test_not_the_ground_set(self, union, unassigned):
+        labeled, dec = union
+        with pytest.raises(ConsistencyError, match="not the ground set"):
+            replace(dec, unassigned=unassigned).validate(labeled)
 
 
 def medium_gain_graph(rng, group, n, extra):
