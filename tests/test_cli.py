@@ -122,6 +122,59 @@ def test_rational_documents(capsys, tmp_path, name, command):
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == RATIONAL_OUTPUTS[name, command]
 
 
+def _diagonal(signs: list[int]) -> SquareMatrix:
+    return SquareMatrix.from_rows([[s if i == j else 0 for j in range(len(signs))]
+                                   for i, s in enumerate(signs)])
+
+
+def _generated_hinge_doc(orders: tuple[int, ...], images: list[SquareMatrix], gains: list) -> dict:
+    """Two bodies a, b joined by a hinge per gain, with no configuration,
+    so that the hinges are drawn from the document's seed."""
+    rep = PointRepresentation.from_generators(AbelianGroup(orders), images[0].n, images)
+    edges = [(i, "a", "b", g) for i, g in enumerate(gains)]
+    doc = serialize_instance(make_gain_graph(["a", "b"], edges, group=rep.group), rep, 11)
+    doc["model"] = "body-hinge"
+    return doc
+
+
+def _generated_hinge_docs() -> dict[str, dict]:
+    """Generated hinges under a mirror in the plane (det -1), a reflection
+    with denominator 9 in 4-space (det -1), and diagonal (2,2,2) images in
+    6- and 12-space, generator k negating coordinate i when i mod 3 = k."""
+    halves = [(0,), (1,), (0,), (1,)]
+    octants = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    docs = {"mirror-d2": _generated_hinge_doc((2,), [_diagonal([-1, 1])], halves),
+            "reflection9-d4": _generated_hinge_doc(
+                (2,), [_block_diagonal(reflection9(), [[1]])], halves)}
+    for d in (6, 12):
+        images = [_diagonal([-1 if i % 3 == k else 1 for i in range(d)]) for k in range(3)]
+        docs[f"diagonal-d{d}"] = _generated_hinge_doc((2, 2, 2), images, octants)
+    return docs
+
+
+# (exit code, first 16 hex digits of the sha256 of stdout) of JSON output
+GENERATED_HINGE_OUTPUTS = {
+    ("mirror-d2", "lift"): (0, "933ff6b80335fbbe"),
+    ("mirror-d2", "analyze"): (0, "8dcc614d7a5ccf36"),
+    ("reflection9-d4", "lift"): (0, "fea283b767b7c630"),
+    ("reflection9-d4", "analyze"): (0, "3fdc0836040e4adf"),
+    ("diagonal-d6", "lift"): (0, "ee95b2fd88ff8acf"),
+    ("diagonal-d6", "analyze"): (0, "262457ca12f77923"),
+    ("diagonal-d12", "lift"): (0, "620b396b4ba21e1d"),
+    ("diagonal-d12", "analyze"): (0, "67094027bc8d2331"),
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(GENERATED_HINGE_OUTPUTS))
+def test_generated_hinge_documents(capsys, tmp_path, name, command):
+    """Lifted hinges, at grade d - 1, and analyses of generated body-hinge
+    documents give the pinned output, for images of determinant -1 too."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_generated_hinge_docs()[name]), encoding="utf-8")
+    code, out = run(capsys, [command, str(path), "--format", "json"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == GENERATED_HINGE_OUTPUTS[name, command]
+
+
 class TestParsing:
     def test_rationals(self):
         from fractions import Fraction
