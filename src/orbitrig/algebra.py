@@ -1,5 +1,5 @@
 """Exterior-algebra substrate: wedge products, Hodge star, the duality
-pairing, and the compounds that carry a matrix to the exterior powers.
+pairing, and the grade-2 compound that carries a matrix to screw space.
 
 Conventions used throughout the package:
 
@@ -114,9 +114,6 @@ class Extensor:
     @property
     def index(self) -> LexIndex:
         return lex_index(self.d + 1, self.k)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
 
 
 def wedge(vectors: Sequence[Sequence[Scalar]], d: int) -> Extensor:
@@ -242,15 +239,11 @@ def _integer_image(m: SquareMatrix) -> tuple[int, SquareMatrix]:
     return den, SquareMatrix(tuple(tuple(flat[i : i + m.n]) for i in range(0, len(flat), m.n)))
 
 
-def compound(n: Sequence[Sequence[Scalar]], k: int) -> list[list[Scalar]]:
-    """The grade-k compound of a square matrix, integer for an integer one:
-    entry [I, J] is the k x k minor on rows I and columns J, increasing
-    k-tuples in lex order.  At k = 2 each minor n_ik n_jl - n_il n_jk is
-    taken directly, as ``wedge`` does for bars; any other k takes the
-    ``det`` of the minor as an int, so there n must be integer.  The
-    compound of A B is that of A times that of B, and that of A maps
-    v_1 ^ ... ^ v_k to (A v_1) ^ ... ^ (A v_k)."""
-    tuples = list(combinations(range(len(n)), k))
-    if k == 2:
-        return [[n[i][a] * n[j][b] - n[i][b] * n[j][a] for a, b in tuples] for i, j in tuples]
-    return [[int(det([[n[i][j] for j in J] for i in I])) for J in tuples] for I in tuples]
+def compound(n: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """The grade-2 compound of a square matrix, the one exterior power the
+    package takes, integer for an integer one: entry [(i, j), (k, l)] is
+    the minor n_ik n_jl - n_il n_jk, pairs in lex order, as ``wedge`` takes
+    it for bars.  The compound of A B is that of A times that of B, and
+    that of A maps v ^ w to (A v) ^ (A w)."""
+    pairs = list(combinations(range(len(n)), 2))
+    return [[n[i][a] * n[j][b] - n[i][b] * n[j][a] for a, b in pairs] for i, j in pairs]

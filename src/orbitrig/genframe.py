@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .algebra import Extensor, Scalar, wedge
+from .algebra import Extensor, Scalar, det, hodge_star, wedge
 from .errors import InputError, UnsupportedGroupError
 from .gaingraph import CoveredGraph, EdgeId, GainGraph, lift_cover
 from .linalg import _cleared
@@ -29,10 +30,11 @@ DEFAULT_BOUND = 10 ** 6
 class BarEntry:
     """One bar: its grade-2 coordinate vector v, held as the integer vector
     ``vector`` = ``den`` v, and its generating homogeneous points (None for
-    bars produced as raw spans, e.g. from hinges); a hinge entry likewise at
-    grade d-1, with d-1 points.  It is cleared once, when built, by the lcm
-    of its denominators, which ``den`` takes on, and no gcd (scaling changes
-    no rank), so ``den`` is 1 when drawn under an integer representation."""
+    bars produced as raw spans, e.g. from hinges); a hinge entry likewise
+    holds its starred hinge, with d-1 points.  It is cleared once, when
+    built, by the lcm of its denominators, which ``den`` takes on, and no
+    gcd (scaling changes no rank), so ``den`` is 1 when drawn under an
+    integer representation."""
 
     vector: tuple[int, ...]
     points: tuple[tuple[Scalar, ...], ...] | None = None
@@ -51,7 +53,6 @@ class BarConfiguration:
     meta: dict = field(default_factory=dict)
 
     kind = "bar"  # what an entry is, in messages and documents
-    grade = 2  # of an entry's vector
 
     def _entry(self, eid: EdgeId) -> BarEntry:
         try:
@@ -81,20 +82,27 @@ class BarConfiguration:
             return loop_bar_from_point(h, rep, eid, pts[0])
         return bar_from_points(rep.d, *pts)
 
+    def lift_step(self, rep: PointRepresentation) -> Callable[[Element, tuple], tuple]:
+        """What ``lift_bars`` makes of an entry's screw image under gamma: for a bar, that image."""
+        return lambda gamma, image: image
+
 
 class HingeConfiguration(BarConfiguration):
-    """A hinge per quotient edge, kept as a bar is: a ``BarEntry`` with the
-    coordinates of the hinge at its grade, d-1, which ``extensor`` and
-    ``lift_bars`` read, and its d-1 generating points."""
+    """A hinge h per quotient edge, kept as a bar is: a ``BarEntry`` with
+    the starred hinge *h, at grade 2, and the d-1 points of h (* permutes
+    coordinates with signs, so ``den`` is that of h).  For orthogonal A of
+    determinant s, the grade-(d-1) compound of A maps *x to s *(A^(2) x)
+    (Crapo and Whiteley), and * is its own inverse between grades 2 and
+    d-1, so gamma moves h = *(*h) to s *(T *h), T its screw image."""
 
     kind = "hinge"
 
-    @property
-    def grade(self) -> int:
-        return self.d - 1
-
-    def extensor(self, eid: EdgeId) -> Extensor:
-        return Extensor(self.d, self.grade, self.vector(eid))
+    def lift_step(self, rep: PointRepresentation) -> Callable[[Element, tuple], tuple]:
+        """The lifted hinge: s * (screw image under gamma), s = det M, the sign of det D M."""
+        signs = {g: 1 if det(n.rows) > 0 else -1 for g, (_, n) in rep.integer_images.items()}
+        return lambda gamma, image: tuple(
+            signs[gamma] * x for x in hodge_star(Extensor(self.d, 2, image)).coords
+        )
 
     @staticmethod
     def check_edges(h: GainGraph, d: int) -> None:
@@ -112,7 +120,7 @@ class HingeConfiguration(BarConfiguration):
 
     @staticmethod
     def entry(h: GainGraph, rep: PointRepresentation, eid: EdgeId, pts: list[tuple]) -> BarEntry:
-        return BarEntry(vector=wedge(pts, rep.d).coords, points=tuple(pts))
+        return BarEntry(vector=hodge_star(wedge(pts, rep.d)).coords, points=tuple(pts))
 
 
 def random_point(rng: random.Random, d: int, bound: int) -> tuple[int, ...]:
@@ -186,24 +194,24 @@ def lift_bars(
 ) -> tuple[CoveredGraph, dict[tuple[EdgeId, tuple], BarEntry]]:
     """Lift a quotient configuration to the covering framework: the entry of
     a lifted edge is the image of the quotient one under the group element
-    gamma indexing the lift, at the configuration's grade: the quotient
-    entry's integer vector times the integer image D T of gamma at that
-    grade (``tau_hat_int``), over the quotient entry's ``den`` times D.
-    Its points are the ``moved_point``s of the quotient entry's, so each is
-    the moved point times the denominator of gamma's image.  Non-free loops
-    produce one bar per coset; hinges reject them.
-    """
+    gamma indexing the lift, which the configuration's ``lift_step`` makes
+    of the screw image: the quotient entry's integer vector times the
+    integer screw image D T of gamma (``tau_hat_int``), over the quotient
+    entry's ``den`` times D.  Its points are the ``moved_point``s of the
+    quotient entry's, each times the denominator of gamma's image.  Non-free
+    loops produce one bar per coset; hinges reject them."""
     config.check_edges(h, config.d)
     cov = lift_cover(h, rep.group)
+    step = config.lift_step(rep)
     bars: dict[tuple[EdgeId, tuple], BarEntry] = {}
     for le in cov.edges:
         gamma = le.id[1]
         vec = config.vector(le.base)
-        den, terms = tau_hat_int(rep, gamma, config.grade)
+        den, terms = tau_hat_int(rep, gamma)
         pts = config.points(le.base)
         moved = None if pts is None else tuple(moved_point(rep, gamma, p) for p in pts)
         bars[le.id] = BarEntry(
-            tuple(sum(a * vec[s] for s, a in ts) for ts in terms),
+            step(gamma, tuple(sum(a * vec[s] for s, a in ts) for ts in terms)),
             moved,
             config.entries[le.base].den * den,
         )

@@ -1,9 +1,9 @@
 """Body-hinge frameworks: a hinge is a grade-(d-1) simplex shared by two
 bodies, and removes all relative freedoms except the rotation about it.
 Each quotient edge is expanded into C(d+1,2)-1 parallel bars, a basis of
-the orthogonal complement of the starred hinge (any basis gives the same
-ranks), after which the body-bar machinery (numeric and combinatorial)
-applies to the multiplied quotient.
+the orthogonal complement of the starred hinge, which a hinge entry holds
+(any basis gives the same ranks), after which the body-bar machinery
+(numeric and combinatorial) applies to the multiplied quotient.
 
 The group must act freely on the edge set here: the non-free loop set is
 required to be empty.
@@ -22,7 +22,6 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .algebra import Extensor, hodge_star
 from .errors import InputError
 from .gaingraph import EdgeId, GainGraph, multiply_edges
 from .genframe import (
@@ -50,13 +49,12 @@ def random_generic_hinges(
     return random_configuration(HingeConfiguration, h, rep, seed, bound)
 
 
-def hinge_complement_basis(hinge: Extensor) -> list[tuple[Fraction, ...]]:
-    """Deterministic basis of the orthogonal complement of the starred
-    hinge in grade-2 coordinate space."""
-    star = hodge_star(hinge)
-    if hinge.is_zero():
+def hinge_complement_basis(star: Sequence[int]) -> list[tuple[Fraction, ...]]:
+    """Deterministic basis of the orthogonal complement of a starred hinge,
+    the vector of a hinge entry, in grade-2 coordinate space."""
+    if not any(star):
         raise InputError("zero hinge extensor has no complement basis")
-    return list(kernel_vectors([list(star.coords)], len(star.coords)))
+    return list(kernel_vectors([list(star)], len(star)))
 
 
 def hinge_to_bars(
@@ -73,7 +71,7 @@ def hinge_to_bars(
         multiplied = multiply_edges(h, m)
     entries: dict[EdgeId, BarEntry] = {}
     for e in h.edges:
-        for t, vec in enumerate(hinge_complement_basis(config.extensor(e.id)), 1):
+        for t, vec in enumerate(hinge_complement_basis(config.vector(e.id)), 1):
             entries[(e.id, t)] = BarEntry(vector=vec, points=None)
     return multiplied, BarConfiguration(d=d, entries=entries, meta=dict(config.meta))
 

@@ -188,7 +188,7 @@ def _block_rows(
     rows = []
     for e in h.edges:
         if e.gain not in heads:
-            den, terms = tau_hat_int(rep, rep.group.inverse(e.gain), 2)
+            den, terms = tau_hat_int(rep, rep.group.inverse(e.gain))
             power = root_of_unity_matrix(m, character_power(rep.group, g, e.gain))
             heads[e.gain] = den, terms, [(c, -r[0]) for c, r in enumerate(power.rows) if r[0]]
         den, terms, root = heads[e.gain]
@@ -550,7 +550,7 @@ def lifted_rank(h: GainGraph, config: BarConfiguration, rep: PointRepresentation
     rows = []
     for e in cov.edges:
         vec = config.vector(e.base)
-        y = [sum(a * vec[s] for s, a in ts) for ts in tau_hat_int(rep, e.id[1], 2)[1]]
+        y = [sum(a * vec[s] for s, a in ts) for ts in tau_hat_int(rep, e.id[1])[1]]
         tb, hb = offset[e.tail], offset[e.head]
         rows.append({c: z for t, x in enumerate(y) if x for c, z in ((tb + t, x), (hb + t, -x))})
     # the C(d+1,2) constant screw assignments lie in the kernel

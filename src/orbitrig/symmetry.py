@@ -15,10 +15,11 @@ mod p instead): Q(zeta_m) has the basis 1, zeta_m, ..., zeta_m^(phi(m)-1), and
 multiplication by zeta_m^a is the integer matrix C_m^a, C_m the companion
 matrix of the cyclotomic polynomial Phi_m (C = [+-1] for a real character).
 A representation holds each element's image M only as the integer image
-(D, N = D M) over its least common denominator, and its image on grade-k
-extensors only as the integer compound of that over a common denominator
-(``tau_hat_int``); the trace average, fixed screws, kernel proof, lifts
-and orbit-matrix rows read only those.
+(D, N = D M) over its least common denominator, and its image on screws
+(grade 2, the one exterior power taken; a hinge is held starred) only as
+the integer compound of that over a common denominator (``tau_hat_int``);
+the trace average, fixed screws, kernel proof, lifts and orbit-matrix rows
+read only those.
 
 A representation depends on its generator images alone, and so does all
 that is cached on it.  ``PointRepresentation.from_generators`` builds one
@@ -161,8 +162,8 @@ class PointRepresentation:
     of M.  Built from the integer images of the factor generators (see
     ``from_generators``); the group is finite.
 
-    The instance also caches, per (g, k), the integer exterior-power image
-    of ``tau_hat_int``, and what the module functions derive from it: per
+    The instance also caches, per g, the integer screw image of
+    ``tau_hat_int``, and what the module functions derive from it: per
     character label j the rational twisted screw images of ``tau_hat2_j``
     per (j, g), the fixed-screw dimension, basis and kernel proof, and the
     signs of ``induced_signs``; and the outcome of
@@ -188,7 +189,7 @@ class PointRepresentation:
         G_s G_t = G_t G_s and G_t^(k_t) = I: a homomorphism."""
         self.group = group
         self.d = d
-        self._hat: dict[tuple[Element, int], tuple[int, tuple]] = {}
+        self._hat: dict[Element, tuple[int, tuple]] = {}
         self._twisted: dict[tuple[Element, Element], SquareMatrix] = {}
         self._trivial_dim: dict[Element, int] = {}
         self._fixed: dict[Element, tuple[tuple[Fraction, ...], ...]] = {}
@@ -306,9 +307,9 @@ def tau_hat2_j(rep: PointRepresentation, j: Element, g: Element) -> SquareMatrix
 
 def _twisted_int(rep: PointRepresentation, j: Element, g: Element) -> tuple[int, SquareMatrix]:
     """``tau_hat2_j(rep, j, g)`` as (D, N), N = D tau_hat2_j: the dense screw
-    image of ``tau_hat_int(rep, g, 2)``, integer over its denominator D,
+    image of ``tau_hat_int(rep, g)``, integer over its denominator D,
     Kronecker times C_m^(-a).  Built on each call and not kept."""
-    den, terms = tau_hat_int(rep, g, 2)
+    den, terms = tau_hat_int(rep, g)
     rows = []
     for ts in terms:
         row = [0] * len(terms)
@@ -321,23 +322,22 @@ def _twisted_int(rep: PointRepresentation, j: Element, g: Element) -> tuple[int,
 
 
 def tau_hat_int(
-    rep: PointRepresentation, g: Element, k: int
+    rep: PointRepresentation, g: Element
 ) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """The image T of g on grade-k extensors (the screw image at k = 2) as
-    (D, terms): D the least common denominator of its entries, and per row
-    of D T the (column, integer) pairs of its nonzero entries.  With (E, N)
-    the integer image of g, E^k T is the integer ``compound`` of N
-    augmented by a trailing E, and dividing it and E^k by the gcd of them
-    all leaves D.  Cached on ``rep`` per (g, k)."""
-    key = g, k
-    if key not in rep._hat:
+    """The screw image T of g, its image on grade-2 extensors, as (D, terms):
+    D the least common denominator of its entries, and per row of D T the
+    (column, integer) pairs of its nonzero entries.  With (E, N) the integer
+    image of g, E^2 T is the integer ``compound`` of N augmented by a
+    trailing E, and dividing it and E^2 by the gcd of them all leaves D.
+    Cached on ``rep`` per g."""
+    if g not in rep._hat:
         den, n = rep.integer_images[g]
-        c = compound([list(r) + [0] for r in n.rows] + [[0] * rep.d + [den]], k)
-        f = gcd(den ** k, *(x for r in c for x in r))
-        rep._hat[key] = den ** k // f, tuple(
+        c = compound([list(r) + [0] for r in n.rows] + [[0] * rep.d + [den]])
+        f = gcd(den * den, *(x for r in c for x in r))
+        rep._hat[g] = den * den // f, tuple(
             tuple((col, x // f) for col, x in enumerate(r) if x) for r in c
         )
-    return rep._hat[key]
+    return rep._hat[g]
 
 
 def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
@@ -351,10 +351,10 @@ def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
         return rep._trivial_dim[j]
     elems = rep.group.elements()
     m = rep.group.element_order(j)
-    scale = lcm(*(tau_hat_int(rep, g, 2)[0] for g in elems))
+    scale = lcm(*(tau_hat_int(rep, g)[0] for g in elems))
     total = 0  # scale times the sum of the traces, from the integer terms
     for g in elems:
-        den, terms = tau_hat_int(rep, g, 2)
+        den, terms = tau_hat_int(rep, g)
         c = root_of_unity_matrix(m, -character_power(rep.group, j, g) % m).trace()
         total += scale // den * c * sum(x for t, ts in enumerate(terms) for s, x in ts if s == t)
     n = scale * len(elems) * irrep_degree(rep.group, j)
@@ -436,7 +436,7 @@ def induced_signs(rep: PointRepresentation, g: Element) -> dict[Element, tuple[i
     s_i s_j at the pair (i, j), so the sign under gamma is
     s_i(gamma) s_j(gamma) rho_g(gamma), with s_(d+1) = 1: the diagonal
     entry of ``tau_hat2_j(rep, g, gamma)``, read from the diagonal of
-    ``tau_hat_int(rep, gamma, 2)`` without building it.  Cached on ``rep``
+    ``tau_hat_int(rep, gamma)`` without building it.  Cached on ``rep``
     per g and shared: not to be modified."""
     rep.require_combinatorial()
     signs = rep._signs.get(g)
@@ -444,7 +444,7 @@ def induced_signs(rep: PointRepresentation, g: Element) -> dict[Element, tuple[i
         signs = rep._signs[g] = {}
         for gamma in rep.group.elements():
             sign = (-1) ** character_power(rep.group, g, gamma)
-            signs[gamma] = tuple(sign * row[0][1] for row in tau_hat_int(rep, gamma, 2)[1])
+            signs[gamma] = tuple(sign * row[0][1] for row in tau_hat_int(rep, gamma)[1])
     return signs
 
 

@@ -29,7 +29,7 @@ from itertools import combinations
 from math import comb
 from typing import Mapping, Sequence
 
-from orbitrig.algebra import Scalar, SquareMatrix, det, hodge_star, kron, lex_index
+from orbitrig.algebra import Scalar, SquareMatrix, det, kron, lex_index
 from orbitrig.errors import ConsistencyError, InputError, RepresentationError
 from orbitrig.gaingraph import EdgeId, GainGraph, multiply_edges
 from orbitrig.genframe import BarConfiguration, BarEntry, random_generic_bars
@@ -407,25 +407,24 @@ def hinge_to_bars(
         multiplied = multiply_edges(h, m)
     entries: dict[EdgeId, BarEntry] = {}
     for e in h.edges:
-        hinge = config.extensor(e.id)
-        basis = hinge_complement_basis(hinge)
+        star = config.vector(e.id)
+        basis = hinge_complement_basis(star)
         if len(basis) != m:
             raise InputError(f"complement of hinge {e.id!r} has dimension {len(basis)} != {m}")
         while True:
             coeffs = [[Fraction(rng.randint(-99, 99)) for _ in range(m)] for _ in range(m)]
             if rank_certified(coeffs, m) == m:
                 break
-        star = hodge_star(hinge)
         # a kernel vector of the one starred row has at most two nonzeros
         support = [[(c, x) for c, x in enumerate(v) if x] for v in basis]
         for t in range(1, m + 1):
             row = coeffs[t - 1]
-            acc = [Fraction(0)] * len(star.coords)
+            acc = [Fraction(0)] * len(star)
             for s, terms in enumerate(support):
                 for c, x in terms:
                     acc[c] += row[s] * x
             vec = tuple(acc)
-            pairing = sum(a * b for a, b in zip(vec, star.coords))
+            pairing = sum(a * b for a, b in zip(vec, star))
             if pairing != 0:
                 raise InputError(f"bar copy {t} of {e.id!r} is not orthogonal to the hinge")
             entries[(e.id, t)] = BarEntry(vector=vec, points=None)

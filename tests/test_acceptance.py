@@ -255,10 +255,10 @@ class TestAcceptance:
             mirror = SquareMatrix.from_rows(
                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
             )
-            induced = SquareMatrix.from_rows(compound(mirror.rows, 2))
+            induced = SquareMatrix.from_rows(compound(mirror.rows))
             assert diagonal(induced) == (1, -1, 1, -1, 1, -1)
             halfturn = SquareMatrix.from_rows(
                 [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]]
             )
-            induced = SquareMatrix.from_rows(compound(halfturn.rows, 2))
+            induced = SquareMatrix.from_rows(compound(halfturn.rows))
             assert diagonal(induced) == (-1, -1, 1, 1, -1, -1)

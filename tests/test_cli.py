@@ -905,9 +905,9 @@ def test_elements_arrive_canonical(capsys, fixture_dir, monkeypatch):
         seen.append((group, a))
         return element_order(group, a)
 
-    def checked_tau(rep, g, k):
+    def checked_tau(rep, g):
         seen.append((rep.group, g))
-        return tau(rep, g, k)
+        return tau(rep, g)
 
     monkeypatch.setattr(AbelianGroup, "element_order", checked_order)
     for module in (symmetry, rigidity, genframe):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitrig.algebra import Extensor, SquareMatrix, hodge_star, wedge
+from orbitrig.algebra import SquareMatrix, hodge_star, wedge
 from orbitrig.cli import parse_configuration
 from orbitrig.errors import UnsupportedGroupError
 from orbitrig.gaingraph import GainGraph, make_gain_graph, multiply_edges
@@ -25,7 +25,9 @@ from orbitrig.matroid import combinatorial_verdict
 from orbitrig.rigidity import analyze, orbit_matrix
 from orbitrig.symmetry import AbelianGroup, PointRepresentation
 import oracles
-from conftest import halfturn_rep, irrep_report, mirror_rep, stewart_graph
+from conftest import (
+    halfturn_rep, irrep_report, mirror_rep, mirror_rep_d, reflection9, rotation9, stewart_graph,
+)
 
 
 def hinge_quotient(group, n_loops: int) -> GainGraph:
@@ -43,7 +45,7 @@ def two_body_one_hinge(d: int = 3):
 class TestComplement:
     def test_axis_hinge(self):
         hinge = wedge([[1, 0, 0, 0], [0, 1, 0, 0]], 3)
-        basis = hinge_complement_basis(hinge)
+        basis = hinge_complement_basis(hodge_star(hinge).coords)
         assert len(basis) == 5
         # star of e1^e2 is e3^e4: complement is everything with zero (3,4)-coordinate
         for vec in basis:
@@ -52,24 +54,25 @@ class TestComplement:
 
     def test_generic_hinge_bars(self):
         """A hinge's C(d+1,2)-1 bar copies are independent and orthogonal to
-        the starred hinge, for d = 2..6."""
+        the starred hinge, which the entry holds, for d = 2..6."""
         for d in range(2, 7):
             h, rep = two_body_one_hinge(d)
             hconf = random_generic_hinges(h, rep, seed=3)
             multiplied, bars = hinge_to_bars(h, hconf)
             assert len(multiplied.edges) == len(bars.entries) == bar_multiplicity(d)
             assert bar_multiplicity(3) == 5
-            star = hodge_star(hconf.extensor(0))
+            star = hconf.vector(0)
+            assert star == hodge_star(wedge(list(hconf.points(0)), d)).coords
             vecs = [bars.vector(e.id) for e in multiplied.edges]
             assert rank_exact([list(v) for v in vecs]) == bar_multiplicity(d)
             for v in vecs:
-                assert sum(a * b for a, b in zip(v, star.coords)) == 0
+                assert sum(a * b for a, b in zip(v, star)) == 0
 
     def test_zero_hinge_rejected(self):
         from orbitrig.errors import InputError
 
         with pytest.raises(InputError):
-            hinge_complement_basis(Extensor(3, 2, (Fraction(0),) * 6))
+            hinge_complement_basis((Fraction(0),) * 6)
 
 
 class TestTwoBodyOneHinge:
@@ -139,7 +142,7 @@ def explicit_hinges(rng: random.Random, h: GainGraph, rep: PointRepresentation):
     for e in h.edges:
         while True:
             pts = [[str(rng.randint(-1, 1)) for _ in range(rep.d)] for _ in range(rep.d - 1)]
-            if not wedge([[Fraction(x) for x in p] + [1] for p in pts], rep.d).is_zero():
+            if any(wedge([[Fraction(x) for x in p] + [1] for p in pts], rep.d).coords):
                 hinges[str(e.id)] = {"points": pts}
                 break
     return parse_configuration({"hinges": hinges}, h, rep, HingeConfiguration)
@@ -192,18 +195,46 @@ class TestComplementBasisInvariance:
                     assert self.summary(ref_multiplied, rep, ref_bars) == expected
 
 
+def _lift_rep(name: str, d: int) -> PointRepresentation:
+    """A representation in d-space: the mirror and the half-turn negate the
+    last and the first two coordinates; ``reflection9`` (det -1) and
+    ``rotation9`` act on the first three, d >= 3, and fix the others."""
+    if name == "mirror":
+        return mirror_rep_d(d)
+    if name == "half-turn":
+        rows = [[(-1 if i < 2 else 1) * (i == j) for j in range(d)] for i in range(d)]
+        return PointRepresentation.from_generators(AbelianGroup((2,)), d, [SquareMatrix.from_rows(rows)])
+    group, m = {"reflection9": (AbelianGroup((2,)), reflection9()),
+                "rotation9": (AbelianGroup((4,)), rotation9())}[name]
+    rows = [list(r) + [0] * (d - 3) for r in m.rows]
+    rows += [[0] * 3 + [int(i == j) for j in range(d - 3)] for i in range(d - 3)]
+    return PointRepresentation.from_generators(group, d, [SquareMatrix.from_rows(rows)])
+
+
 class TestHingeLift:
     def test_equivariance(self):
-        rep = mirror_rep()
-        h = hinge_quotient(rep.group, 3)
-        hconf = random_generic_hinges(h, rep, seed=31)
-        cov, lifted = lift_bars(h, hconf, rep)
-        assert len(cov.edges) == 6
-        for gamma in rep.group.elements():
-            mk = oracles.tau_hat_k(rep, gamma, rep.d - 1)
-            for e in cov.edges:
-                moved = cov.edge_action(gamma, e)
-                assert lifted[moved.id].vector == mk.apply(lifted[e.id].vector)
+        """A lifted hinge, at grade d-1, moves under gamma by the grade-(d-1)
+        image of gamma (the oracle), and without an oracle it is the wedge of
+        its moved points over D^(d-1), D the denominator of gamma's image:
+        for d = 2..6, under mirrors and reflections (det -1), half-turns and
+        quarter turns, with denominators 1, 3 and 9."""
+        cases = [(n, d) for n in ("mirror", "half-turn") for d in range(2, 7)]
+        cases += [(n, d) for n in ("reflection9", "rotation9") for d in range(3, 7)]
+        for name, d in cases:
+            rep = _lift_rep(name, d)
+            h = hinge_quotient(rep.group, 3)
+            hconf = random_generic_hinges(h, rep, seed=31)
+            cov, lifted = lift_bars(h, hconf, rep)
+            assert len(cov.edges) == 3 * rep.group.order()
+            value = {eid: tuple(Fraction(x, e.den) for x in e.vector) for eid, e in lifted.items()}
+            for gamma in rep.group.elements():
+                mk = oracles.tau_hat_k(rep, gamma, d - 1)
+                for e in cov.edges:
+                    assert value[cov.edge_action(gamma, e).id] == mk.apply(value[e.id]), (name, d)
+            for eid, e in lifted.items():
+                scale = rep.integer_images[eid[1]][0] ** (d - 1)
+                wedged = wedge(list(e.points), d).coords
+                assert value[eid] == tuple(Fraction(x, scale) for x in wedged), (name, d)
 
 
 class TestSpecialConfiguration:

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from orbitrig import linalg, matroid, rigidity
-from orbitrig.algebra import SquareMatrix, wedge
+from orbitrig.algebra import SquareMatrix
 from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
 from orbitrig.errors import ConsistencyError, InputError
 from orbitrig.gaingraph import lift_cover, make_gain_graph, remove_zero_loops
@@ -611,7 +611,7 @@ class TestWitnessBound:
         entries = {}
         for eid, xs in ((0, (0, 1)), (1, (2, 5))):
             pts = [tuple(map(Fraction, (x, 0, 0, 1))) for x in xs]
-            entries[eid] = BarEntry(vector=wedge(pts, 3).coords, points=tuple(pts))
+            entries[eid] = HingeConfiguration.entry(h, rep, eid, pts)
         config = HingeConfiguration(d=3, entries=entries)
         result = analyze_hinge(h, rep, seed=1, config=config)
         assert [v.witness_bound for v in result.verdicts] == [6]

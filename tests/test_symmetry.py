@@ -196,7 +196,7 @@ class TestPointRepresentation:
         assert not unfaithful.is_faithful()
 
     def test_tau_hat2_mirror(self, cs_rep):
-        den, terms = tau_hat_int(cs_rep, (1,), 2)
+        den, terms = tau_hat_int(cs_rep, (1,))
         assert den == 1
         assert tuple(dict(ts).get(t, 0) for t, ts in enumerate(terms)) == (1, -1, 1, -1, 1, -1)
 
@@ -555,14 +555,14 @@ class TestReadoutsWithoutKron:
         rep9 = reflection9_rep()
         for rep in _fixture_reps() + [rep9]:
             for g in rep.group.elements():
-                den, terms = tau_hat_int(rep, g, 2)
+                den, terms = tau_hat_int(rep, g)
                 dense = [[den * x for x in row] for row in oracles.tau_hat_k(rep, g, 2).rows]
                 assert all(isinstance(x, int) for row in terms for _, x in row)
                 assert terms == tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in dense)
                 assert all(x.denominator == 1 for row in dense for x in row)
-                assert tau_hat_int(rep, g, 2) is tau_hat_int(rep, g, 2)
-        assert tau_hat_int(rep9, (1,), 2)[0] == 9
-        assert tau_hat_int(rep9, (0,), 2)[0] == 1
+                assert tau_hat_int(rep, g) is tau_hat_int(rep, g)
+        assert tau_hat_int(rep9, (1,))[0] == 9
+        assert tau_hat_int(rep9, (0,))[0] == 1
 
     def test_integer_images_are_least(self):
         """The constructor builds each integer image (D, D M) as a product
@@ -575,7 +575,7 @@ class TestReadoutsWithoutKron:
         for rep in _fixture_reps() + [quarter, reflection9_rep()]:
             for g in rep.group.elements():
                 assert rep.integer_images[g] == _integer_image(oracles.image(rep, g))
-                den, terms = tau_hat_int(rep, g, 2)
+                den, terms = tau_hat_int(rep, g)
                 assert gcd(den, *(x for row in terms for _, x in row)) == 1
         assert [quarter.integer_images[g][0] for g in quarter.group.elements()] == [1, 9, 9, 9]
 
@@ -621,20 +621,18 @@ class TestIntegerScrewImages:
                 assert proven_trivial_dim(rep, j) == oracles.proven_trivial_dim(old, j)
 
     def test_screw_image_is_the_cleared_compound(self):
-        """``tau_hat_int`` is the Fraction compound cleared by its least
-        common denominator, at every grade."""
+        """``tau_hat_int`` is the Fraction grade-2 compound cleared by its
+        least common denominator."""
         dens = set()
         for rep in _screw_image_reps():
             for g in rep.group.elements():
-                for k in range(1, rep.d + 2):
-                    compound = oracles.tau_hat_k(rep, g, k).rows
-                    den = lcm(*(x.denominator for row in compound for x in row))
-                    terms = tuple(
-                        tuple((c, int(den * x)) for c, x in enumerate(row) if x) for row in compound
-                    )
-                    assert tau_hat_int(rep, g, k) == (den, terms)
-                    if k == 2:
-                        dens.add(den)
+                compound = oracles.tau_hat_k(rep, g, 2).rows
+                den = lcm(*(x.denominator for row in compound for x in row))
+                terms = tuple(
+                    tuple((c, int(den * x)) for c, x in enumerate(row) if x) for row in compound
+                )
+                assert tau_hat_int(rep, g) == (den, terms)
+                dens.add(den)
         assert dens == {1, 9}
 
     def test_images_with_denominators_are_generator_products(self):
@@ -649,7 +647,7 @@ class TestIntegerScrewImages:
         """With D = 9 the proof reads N^T s = D s: the fixed screws pass it
         and a screw that is not fixed is refused."""
         rep = rotation9_rep()
-        assert tau_hat_int(rep, (1,), 2)[0] == 9
+        assert tau_hat_int(rep, (1,))[0] == 9
         for j in rep.group.elements():
             assert proven_trivial_dim(rep, j) == trivial_motion_dim(rep, j)
         image = oracles.tau_hat2_j(_fresh(rep), (0,), (1,)).transpose()
