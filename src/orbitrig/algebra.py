@@ -61,14 +61,19 @@ def lex_index(n: int, k: int) -> LexIndex:
     return LexIndex(n, k)
 
 
-def complement_sign(index_tuple: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
-    """Complement of an increasing tuple in {1..n} and the sign of the
-    permutation (i_1 .. i_k j_1 .. j_{n-k}) -> (1 .. n)."""
-    chosen = set(index_tuple)
-    comp = tuple(i for i in range(1, n + 1) if i not in chosen)
-    seq = index_tuple + comp
-    inversions = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b])
-    return comp, (-1) ** inversions
+@lru_cache(maxsize=None)
+def _star_table(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Per increasing k-tuple I of {1..n}, in lex order: the position of its
+    complement J among the (n-k)-tuples, and the sign of the permutation
+    (I, J) -> (1 .. n).  The m-th element i of I (m from 1) comes before
+    the i - m elements of J below it, so the sign is
+    (-1)^(sum(I) - k(k+1)/2)."""
+    out_idx = lex_index(n, n - k)
+    out = []
+    for t in lex_index(n, k).tuples():
+        comp = tuple(i for i in range(1, n + 1) if i not in t)
+        out.append((out_idx.position(comp), -1 if (sum(t) - k * (k + 1) // 2) % 2 else 1))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +116,6 @@ class Extensor:
                 f"{expected} coordinates, got {len(self.coords)}"
             )
 
-    @property
-    def index(self) -> LexIndex:
-        return lex_index(self.d + 1, self.k)
-
 
 def wedge(vectors: Sequence[Sequence[Scalar]], d: int) -> Extensor:
     """Wedge product of k vectors of R^{d+1}: the coordinate at the
@@ -140,15 +141,12 @@ def wedge(vectors: Sequence[Sequence[Scalar]], d: int) -> Extensor:
 
 
 def hodge_star(x: Extensor) -> Extensor:
-    """Hodge star: grade k -> grade d+1-k, with the sign of the permutation
-    sending (I, complement(I)) to (1, ..., d+1) on each basis element."""
-    n = x.d + 1
-    out_idx = lex_index(n, n - x.k)
-    out = [0] * len(out_idx)
-    for pos, t in enumerate(x.index.tuples()):
-        comp, sign = complement_sign(t, n)
-        out[out_idx.position(comp)] = sign * x.coords[pos]
-    return Extensor(x.d, n - x.k, tuple(out))
+    """Hodge star: grade k -> grade d+1-k, the signed permutation of
+    ``_star_table``."""
+    out = [0] * comb(x.d + 1, x.k)
+    for c, (j, sign) in zip(x.coords, _star_table(x.d + 1, x.k)):
+        out[j] = sign * c
+    return Extensor(x.d, x.d + 1 - x.k, tuple(out))
 
 
 def cap_product(p: Extensor, q: Extensor) -> Scalar:
@@ -160,13 +158,8 @@ def cap_product(p: Extensor, q: Extensor) -> Scalar:
     """
     if p.d != q.d or p.k + q.k != p.d + 1:
         raise InputError("cap product needs complementary grades in the same dimension")
-    n = p.d + 1
-    q_idx = q.index
-    total: Scalar = 0
-    for pos, t in enumerate(p.index.tuples()):
-        comp, sign = complement_sign(t, n)
-        total += sign * p.coords[pos] * q.coords[q_idx.position(comp)]
-    return total
+    table = _star_table(p.d + 1, p.k)
+    return sum(sign * c * q.coords[j] for c, (j, sign) in zip(p.coords, table))
 
 
 # ---------------------------------------------------------------------------

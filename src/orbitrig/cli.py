@@ -234,6 +234,8 @@ def _irrep_filter(rep: PointRepresentation, arg: str | None) -> list[Element]:
             ) from None
         if not rep.group.contains(elem):
             raise InputError(f"--irrep {part!r} is not an element of the group")
+        if elem in out:
+            raise InputError(f"--irrep names the character {list(elem)} twice")
         out.append(elem)
     return out
 

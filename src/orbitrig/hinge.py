@@ -8,11 +8,14 @@ the orthogonal complement of the starred hinge, which a hinge entry holds
 The group must act freely on the edge set here: the non-free loop set is
 required to be empty.
 
-Since a body-hinge framework is a body-bar one on that quotient, the
-pipeline both models share lives here too: ``analyze_framework`` runs the
-matroid path when the representation admits it, then the numeric path
-with the verdicts' witness bounds, and checks the two against each other
-(``disagreements``); ``certificates`` runs the matroid path alone.
+Since a body-hinge framework is a body-bar one on that quotient, the one
+pipeline of both models lives here too.  A model decides only its
+body-bar quotient (``body_bar_quotient``), what sample t draws, and the
+report metadata.  ``analyze_framework`` then runs the matroid path when
+the representation admits it, one ``rigidity.analyze_sampled`` call with
+the verdicts' witness bounds (an explicit configuration is its one
+sample), and checks the two against each other (``disagreements``);
+``certificates`` runs the matroid path alone on the same quotient.
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from .genframe import (
     BarEntry,
     HingeConfiguration,
     random_configuration,
+    random_generic_bars,
 )
 from .linalg import kernel_vectors
 from .matroid import CombinatorialVerdict, combinatorial_verdict, counting_violation
-from .rigidity import IrrepReport, RigidityReport, analyze, analyze_generic, analyze_sampled
+from .rigidity import IrrepReport, RigidityReport, analyze_sampled
 from .symmetry import Element, PointRepresentation
 
 
@@ -57,18 +61,28 @@ def hinge_complement_basis(star: Sequence[int]) -> list[tuple[Fraction, ...]]:
     return list(kernel_vectors([list(star)], len(star)))
 
 
+def body_bar_quotient(model: str, h: GainGraph, d: int) -> GainGraph:
+    """The quotient whose body-bar framework a framework of ``model`` is:
+    ``h`` itself for body-bar; for body-hinge, ``h`` with every edge
+    multiplied into C(d+1,2)-1 parallel copies, once its edges are checked
+    to take hinges."""
+    if model != "body-hinge":
+        return h
+    HingeConfiguration.check_edges(h, d)
+    return multiply_edges(h, bar_multiplicity(d))
+
+
 def hinge_to_bars(
     h: GainGraph, config: HingeConfiguration, multiplied: GainGraph | None = None
 ) -> tuple[GainGraph, BarConfiguration]:
     """Expand every quotient edge into C(d+1,2)-1 parallel copies, bar copy
     t being the t-th vector of the hinge's ``hinge_complement_basis``.  A
     copy's rows are linear in its bar, so any basis gives the same ranks.
-    ``multiplied`` is ``multiply_edges(h, C(d+1,2)-1)`` when the caller
-    has it already."""
+    ``multiplied`` is the body-hinge ``body_bar_quotient`` of ``h`` when
+    the caller has it already."""
     d = config.d
-    m = bar_multiplicity(d)
     if multiplied is None:
-        multiplied = multiply_edges(h, m)
+        multiplied = body_bar_quotient("body-hinge", h, d)
     entries: dict[EdgeId, BarEntry] = {}
     for e in h.edges:
         for t, vec in enumerate(hinge_complement_basis(config.vector(e.id)), 1):
@@ -120,31 +134,46 @@ def disagreements(
     return [(r, by_irrep[r.irrep]) for r in numeric.irreps if by_irrep[r.irrep].deficiency != r.flex]
 
 
-def _verdicts(
-    bars: GainGraph, rep: PointRepresentation
-) -> tuple[CombinatorialVerdict, ...] | None:
-    """The verdict of every character on the body-bar quotient ``bars``
-    when the matroid path applies, else None."""
-    if not rep.is_combinatorial():
-        return None
-    return tuple(combinatorial_verdict(bars, rep, g) for g in rep.group.elements())
-
-
-def _witness_bounds(verdicts: Sequence[CombinatorialVerdict] | None) -> dict[Element, int] | None:
-    return None if verdicts is None else {v.irrep: v.witness_bound for v in verdicts}
-
-
-def _combine(
+def analyze_framework(
     model: str,
-    numeric: RigidityReport,
-    verdicts: tuple[CombinatorialVerdict, ...] | None,
-    sampled: bool,
+    h: GainGraph,
+    rep: PointRepresentation,
+    seed: int,
+    samples: int = 2,
+    bound: int = DEFAULT_BOUND,
+    config: BarConfiguration | None = None,
 ) -> Analysis:
-    """Both paths' results as one analysis.  Agreement is required only of
-    a sampled configuration: an explicit one may sit in special position,
-    where the numeric rank falls below the generic one that the matroid
-    path counts."""
-    consistent = verdicts is None or not sampled or not disagreements(numeric, verdicts)
+    """Both paths for a framework of either model on its body-bar quotient.
+    ``config`` holds hinges (a ``HingeConfiguration``) for a body-hinge
+    one, and is then the one sample; without it, sample t is drawn from
+    seed + t, at most ``samples`` times per block (``analyze_sampled``).
+    The matroid verdicts, when the representation admits them, come first,
+    and their witness bounds go to the numeric path.  Agreement is
+    required only of a sampled configuration: an explicit one may sit in
+    special position, where the numeric rank falls below the generic one
+    that the matroid path counts."""
+    bars = body_bar_quotient(model, h, rep.d)
+    meta = {"seed": seed, "samples": samples, "bound": bound, "prng": PRNG_NAME}
+    if model == "body-hinge":
+        meta.update(model="body-hinge", bars_per_hinge=bar_multiplicity(rep.d))
+
+        def draw(t: int) -> BarConfiguration:
+            hinges = config or random_generic_hinges(h, rep, seed + t, bound=bound)
+            return hinge_to_bars(h, hinges, bars)[1]
+    else:
+        meta = meta if config is None else dict(config.meta)
+
+        def draw(t: int) -> BarConfiguration:
+            return config or random_generic_bars(h, rep, seed + t, bound=bound)
+
+    verdicts = None
+    if rep.is_combinatorial():
+        verdicts = tuple(combinatorial_verdict(bars, rep, g) for g in rep.group.elements())
+    numeric = analyze_sampled(
+        bars, rep, draw, samples if config is None else min(samples, 1),
+        None if verdicts is None else {v.irrep: v.witness_bound for v in verdicts}, meta,
+    )
+    consistent = verdicts is None or config is not None or not disagreements(numeric, verdicts)
     return Analysis(model, numeric, verdicts, consistent)
 
 
@@ -156,51 +185,8 @@ def analyze_hinge(
     bound: int = DEFAULT_BOUND,
     config: HingeConfiguration | None = None,
 ) -> Analysis:
-    """Combinatorial path: signed-matroid union verdicts on the multiplied
-    gain graph, run first so that their witness bounds certify the
-    numeric ranks.  Numeric path: body-bar analysis of the multiplied
-    quotient with the bars of ``hinge_to_bars``, sampled by
-    ``analyze_sampled``: sample t has the hinges from seed + t, drawn only
-    when it is needed; an explicit ``config`` is the one sample."""
-    HingeConfiguration.check_edges(h, rep.d)
-    multiplied = multiply_edges(h, bar_multiplicity(rep.d))
-    verdicts = _verdicts(multiplied, rep)
-
-    def draw(t: int) -> BarConfiguration:
-        hinges = config or random_generic_hinges(h, rep, seed + t, bound=bound)
-        return hinge_to_bars(h, hinges, multiplied)[1]
-
-    numeric = analyze_sampled(
-        multiplied, rep, draw, samples if config is None else 1, _witness_bounds(verdicts),
-        {"seed": seed, "samples": samples, "bound": bound, "prng": PRNG_NAME,
-         "model": "body-hinge", "bars_per_hinge": bar_multiplicity(rep.d)},
-    )
-    return _combine("body-hinge", numeric, verdicts, config is None)
-
-
-def analyze_framework(
-    model: str,
-    h: GainGraph,
-    rep: PointRepresentation,
-    seed: int,
-    samples: int = 2,
-    bound: int = DEFAULT_BOUND,
-    config: BarConfiguration | None = None,
-) -> Analysis:
-    """Both paths for a framework of either model; ``config`` holds hinges
-    (a ``HingeConfiguration``) for a body-hinge one, and without it the
-    configuration is sampled ``samples`` times from ``seed``.  The matroid
-    verdicts, when the representation admits them, come first, and their
-    witness bounds go to the numeric path."""
-    if model == "body-hinge":
-        return analyze_hinge(h, rep, seed, samples, bound, config)
-    verdicts = _verdicts(h, rep)
-    witness_bounds = _witness_bounds(verdicts)
-    if config is None:
-        numeric = analyze_generic(h, rep, seed, samples, bound, witness_bounds)
-    else:
-        numeric = analyze(h, rep, config, witness_bounds)
-    return _combine(model, numeric, verdicts, config is None)
+    """``analyze_framework`` of a body-hinge framework."""
+    return analyze_framework("body-hinge", h, rep, seed, samples, bound, config)
 
 
 def certificates(
@@ -209,12 +195,10 @@ def certificates(
     """The combinatorial verdict of each character on the body-bar quotient,
     as a JSON certificate; with ``oracle``, its first counting violation
     (``counting_violation``) beside it."""
-    if model == "body-hinge":
-        HingeConfiguration.check_edges(h, rep.d)
-        h = multiply_edges(h, bar_multiplicity(rep.d))
+    bars = body_bar_quotient(model, h, rep.d)
     out = []
     for g in irreps:
-        verdict = combinatorial_verdict(h, rep, g)
+        verdict = combinatorial_verdict(bars, rep, g)
         cert = verdict.to_json()
         if oracle:
             cert["counting_violation"] = counting_violation(verdict)

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the production algorithms: independence
 goes through exact incidence-matrix ranks, union ranks through exhaustive
-subset enumeration, tree packings through the partition criterion, and
-a bar through ``fraction_wedge``, its definition in Fraction arithmetic.
+subset enumeration, tree packings through the partition criterion,
+a bar through ``fraction_wedge``, its definition in Fraction arithmetic,
+and the Hodge star through ``hodge_star_by_inversions``, which counts
+the inversions of every basis element's permutation.
 The exceptions are earlier versions of production code, kept to pin the
 exact output of the current ones: ``matroid_union_rank_unpruned``, the union
 algorithm, ``analyze_generic`` with ``merge_samples``, the sampler that
@@ -390,6 +392,20 @@ def fraction_wedge(p: Sequence[Scalar], q: Sequence[Scalar]) -> tuple[Fraction, 
     Fraction arithmetic: the minors p_i q_j - p_j q_i, i < j in lex order."""
     p, q = [Fraction(x) for x in p], [Fraction(x) for x in q]
     return tuple(p[i] * q[j] - p[j] * q[i] for i, j in combinations(range(len(p)), 2))
+
+
+def hodge_star_by_inversions(n: int, k: int, coords: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """The Hodge star of a grade-k vector of n-space, one basis element at a
+    time: e_I goes to s e_J, J the complement of I in {1..n} and s the sign
+    of the permutation (I, J) -> (1 .. n), from its inversion count."""
+    out_idx = lex_index(n, n - k)
+    out: list[Scalar] = [0] * len(out_idx)
+    for c, t in zip(coords, lex_index(n, k).tuples()):
+        comp = tuple(i for i in range(1, n + 1) if i not in t)
+        seq = t + comp
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if seq[a] > seq[b])
+        out[out_idx.position(comp)] = (-1) ** inversions * c
+    return tuple(out)
 
 
 def hinge_to_bars(

@@ -20,6 +20,7 @@ from orbitrig.algebra import (
 )
 from orbitrig.errors import InputError
 from conftest import diagonal, identity
+from oracles import hodge_star_by_inversions
 
 
 def rand_vec(rng, n, lo=-9, hi=9):
@@ -133,6 +134,31 @@ class TestHodgeStar:
                 x = Extensor(3, 2, tuple(Fraction(int(t == i)) for t in range(6)))
                 y = Extensor(3, 2, tuple(Fraction(int(t == j)) for t in range(6)))
                 assert dot(hodge_star(x), hodge_star(y)) == dot(x, y)
+
+
+class TestStarTable:
+    """``hodge_star`` and ``cap_product`` read one signed permutation per
+    (n, k); every basis vector's image under it is pinned against
+    ``oracles.hodge_star_by_inversions`` for n = 2..13 and every grade."""
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_star_of_each_basis_vector(self, n):
+        for k in range(n + 1):
+            size = comb(n, k)
+            # the star permutes coordinates with signs, so with distinct
+            # coordinates each coordinate of the image names the basis
+            # vector it comes from and the sign that vector takes
+            x = Extensor(n - 1, k, tuple(range(1, size + 1)))
+            star = hodge_star_by_inversions(n, k, x.coords)
+            assert hodge_star(x).coords == star
+            y = Extensor(n - 1, n - k, tuple(range(2, 2 * size + 1, 2)))
+            assert cap_product(x, y) == sum(a * b for a, b in zip(star, y.coords))
+            if size <= 70:
+                for pos in range(size):
+                    e = tuple(int(i == pos) for i in range(size))
+                    assert hodge_star(Extensor(n - 1, k, e)).coords == (
+                        hodge_star_by_inversions(n, k, e)
+                    )
 
 
 class TestCapProduct:

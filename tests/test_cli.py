@@ -856,6 +856,44 @@ class TestInputBoundary:
         assert captured.out == ""
         assert captured.err == f"input error: --irrep {irrep!r} is not an element of the group\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "certify", "flex"])
+    @pytest.mark.parametrize("fixture, irrep, twice", [
+        ("c2_stewart", "0;0", [0]),
+        ("c2_stewart", "1;0;1,", [1]),
+        ("trivial_2body_5bars", ";", []),
+    ])
+    def test_irrep_named_twice_exits_2(self, capsys, fixture_dir, command, fixture, irrep, twice):
+        """A character named twice used to be shown once by ``analyze`` but
+        certified, or its flex printed, twice."""
+        code = main([command, str(fixture_dir / f"{fixture}.json"), "--irrep", irrep])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: --irrep names the character {twice} twice\n"
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("fixture, configuration", [
+        ("cs_stewart", None),
+        ("cs_stewart", {"bars": {"0": {"points": [[1, 2, 3], [4, 5, 6]]},
+                                 "1": {"points": [[0, 1, 2], [7, 1, 1]]},
+                                 "2": {"points": [[2, 7, 1]]},
+                                 "3": {"points": [[3, 1, 4]]}}}),
+        ("trivial_2body_1hinge", None),
+        ("trivial_2body_1hinge", {"hinges": {"0": {"points": [[0, 0, 0], [1, 0, 0]]}}}),
+    ], ids=["bars", "explicit-bars", "hinges", "explicit-hinges"])
+    def test_samples_below_one_exits_2(self, capsys, tmp_path, fixture_dir, samples, fixture,
+                                       configuration):
+        """An explicit configuration is its one sample, but ``--samples``
+        below 1 is refused for it as for a sampled one (explicit documents
+        used to be analyzed, a hinge one recording the count in its meta)."""
+        doc = json.loads((fixture_dir / f"{fixture}.json").read_text())
+        doc["configuration"] = configuration
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", str(path), "--samples", str(samples)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "input error: need at least one sample\n")
+
     @pytest.mark.parametrize("command", ["analyze", "certify", "flex", "lift"])
     @pytest.mark.parametrize("gain", [[2], [-1], [0, 0]])
     def test_gain_outside_the_group_exits_2(self, capsys, tmp_path, fixture_dir, command, gain):
