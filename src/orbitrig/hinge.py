@@ -151,9 +151,15 @@ def analyze_framework(
     and their witness bounds go to the numeric path.  Agreement is
     required only of a sampled configuration: an explicit one may sit in
     special position, where the numeric rank falls below the generic one
-    that the matroid path counts."""
+    that the matroid path counts.  The report's metadata is the seed,
+    sample count, bound and generator of a sampled configuration, or an
+    explicit one's own, which draws nothing; body-hinge adds its model and
+    bars per hinge."""
     bars = body_bar_quotient(model, h, rep.d)
-    meta = {"seed": seed, "samples": samples, "bound": bound, "prng": PRNG_NAME}
+    if config is None:
+        meta = {"seed": seed, "samples": samples, "bound": bound, "prng": PRNG_NAME}
+    else:
+        meta = dict(config.meta)
     if model == "body-hinge":
         meta.update(model="body-hinge", bars_per_hinge=bar_multiplicity(rep.d))
 
@@ -161,8 +167,6 @@ def analyze_framework(
             hinges = config or random_generic_hinges(h, rep, seed + t, bound=bound)
             return hinge_to_bars(h, hinges, bars)[1]
     else:
-        meta = meta if config is None else dict(config.meta)
-
         def draw(t: int) -> BarConfiguration:
             return config or random_generic_bars(h, rep, seed + t, bound=bound)
 

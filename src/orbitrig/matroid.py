@@ -28,24 +28,30 @@ it is asked only for a free slot (``accepts``), with no circuit query or
 member scan.  Saturated members never leave their part, so the union
 counts them per part, and each search counts the members it reached.
 
-All independence questions go through one rooted spanning forest,
-``_SignedForest``, over vertex indices 0..nv-1 with edges given as (k,
-tail, head, sign) ints, k an element index.  Its ``circuit`` query
-returns the unique circuit an edge closes with an independent set: a
-positive (balanced) cycle, a theta's balanced cycle, or a tight or loose
-handcuff (two negative cycles joined at a vertex or by a path, possibly
-across two former components).  The exchange arcs of the union algorithm
-from ``x`` into a part are exactly the part's elements on that circuit,
-since ``I - y + x`` is independent iff ``y`` lies on the circuit of ``x``
-in ``I``.
+Every circuit comes from one rooted spanning forest, ``_SignedForest``,
+over vertex indices 0..nv-1 with edges given as (k, tail, head, sign)
+ints, k an element index.  Its ``circuit`` query returns the unique
+circuit an edge closes with an independent set: a positive (balanced)
+cycle, a theta's balanced cycle, or a tight or loose handcuff (two
+negative cycles joined at a vertex or by a path, possibly across two
+former components).  The exchange arcs of the union algorithm from ``x``
+into a part are exactly the part's elements on that circuit, since
+``I - y + x`` is independent iff ``y`` lies on the circuit of ``x`` in
+``I``.  Every rank comes from the component formula on one spanning
+forest of the edge set (``_formula_ranks``), which serves all labelings
+at once: under each, the sign products of the tree paths from the roots
+and one pass over the closing edges mark the unbalanced components.
 
-The union numbers its elements and their endpoints once per call, so its
-parts, searches and saturated set hold ints, and edge ids come back only
-in its results.  Pairs whose induced labelings agree share one
-``SignedGraph`` (``labeled_signed_graphs``), and so one sign list in the
-union and one forest in its witness formula.  The certificate checks,
-``union_rank_by_formula`` and ``UnionDecomposition.validate``, index the
-graphs again and build forests of their own, never the union's.
+The labeled graphs of one character share one ``EdgeIndex``, which
+numbers its vertices and edges once, as int tuples; each distinct
+labeling adds only a sign tuple, and pairs whose labelings agree share
+one ``SignedGraph`` (``labeled_signed_graphs``).  The union, its witness
+formula and ``UnionDecomposition.validate`` read these tuples, and edge
+ids come back only in their results.  The two certificate checks share
+nothing with the union, not even its algorithm: ``union_rank_by_formula``
+ranks the witness under every distinct labeling from one forest, and
+``validate`` checks each part by rank = size, asking
+``is_independent_signed`` only to name the circuit of a part that fails.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from math import comb
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConsistencyError, InputError
-from .gaingraph import EdgeId, GainGraph, VertexId, remove_zero_loops
+from .gaingraph import EdgeId, GainEdge, GainGraph, VertexId, remove_zero_loops
 from .symmetry import (
     Element,
     PointRepresentation,
@@ -77,42 +83,144 @@ class SignedEdge(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SignedGraph:
+class EdgeIndex:
+    """The vertices and edges of a multigraph, numbered once: edge k has id
+    ``ids[k]`` and runs from vertex ``tails[k]`` to vertex ``heads[k]``,
+    positions in ``vertices``.  The labeled graphs of one character share
+    one index."""
+
     vertices: tuple[VertexId, ...]
-    edges: tuple[SignedEdge, ...]
-
-    def __post_init__(self):
-        for e in self.edges:
-            if e.sign not in (1, -1):
-                raise InputError(f"edge {e.id} sign must be +-1, got {e.sign}")
-
-    @cached_property
-    def edge_map(self) -> dict[EdgeId, SignedEdge]:
-        """The edges by id, built once per graph and shared: not to be
-        modified."""
-        return {e.id: e for e in self.edges}
+    ids: tuple[EdgeId, ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
 
     @staticmethod
-    def from_gain_graph(h: GainGraph, labeling: Mapping[Element, int]) -> "SignedGraph":
-        edges = tuple(SignedEdge(e.id, e.tail, e.head, labeling[e.gain]) for e in h.edges)
-        return SignedGraph(h.vertices, edges)
+    def of(vertices: Sequence[VertexId], edges: Sequence[SignedEdge | GainEdge]) -> "EdgeIndex":
+        """The index of ``edges``, whose endpoints must be ``vertices``."""
+        vindex = {v: i for i, v in enumerate(vertices)}
+        try:
+            tails = tuple(vindex[e.tail] for e in edges)
+            heads = tuple(vindex[e.head] for e in edges)
+        except KeyError as exc:
+            raise InputError(f"edge endpoint {exc.args[0]!r} is not a vertex") from None
+        return EdgeIndex(tuple(vertices), tuple(e.id for e in edges), tails, heads)
+
+    @cached_property
+    def position(self) -> dict[EdgeId, int]:
+        """Each edge id's k, built once per index and shared: not to be
+        modified."""
+        return {eid: k for k, eid in enumerate(self.ids)}
+
+
+@dataclass(frozen=True)
+class SignedGraph:
+    """A +-1 labeling of an indexed multigraph: edge k of ``index`` has
+    sign ``signs[k]``."""
+
+    index: EdgeIndex
+    signs: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.signs) != len(self.index.ids) or not set(self.signs) <= {1, -1}:
+            raise InputError("a signed graph takes one sign, +1 or -1, per edge")
+
+    @staticmethod
+    def from_edges(vertices: Sequence[VertexId], edges: Iterable[SignedEdge]) -> "SignedGraph":
+        edges = tuple(edges)
+        return SignedGraph(EdgeIndex.of(vertices, edges), tuple(e.sign for e in edges))
+
+    @property
+    def vertices(self) -> tuple[VertexId, ...]:
+        return self.index.vertices
+
+    @cached_property
+    def edges(self) -> tuple[SignedEdge, ...]:
+        """The edges as (id, tail, head, sign), built when first asked for."""
+        ix = self.index
+        vs = ix.vertices
+        return tuple(
+            SignedEdge(eid, vs[t], vs[h], s)
+            for eid, t, h, s in zip(ix.ids, ix.tails, ix.heads, self.signs)
+        )
+
+
+def _ground_index(labeled_sgs: Sequence[tuple[PairLabel, "SignedGraph"]]) -> EdgeIndex:
+    """The first graph's index, the ground set of a union, once every graph
+    is checked to number the first graph's edges 0, 1, ... as it does."""
+    if not labeled_sgs:
+        raise InputError("need at least one matroid")
+    index = labeled_sgs[0][1].index
+    for _, sg in labeled_sgs:
+        if sg.index is not index and sg.index.ids[: len(index.ids)] != index.ids:
+            raise InputError("the labeled graphs do not begin with the first graph's edges")
+    return index
 
 
 def _edge_table(
     sg: SignedGraph, ids: Sequence[EdgeId]
 ) -> tuple[int, list[tuple[int, int, int, int]]]:
     """The edges ``ids`` of ``sg`` as (k, tail, head, sign), k the position
-    in ``ids`` and the vertices numbered 0, 1, ... in order of first
-    appearance, with the number of vertices: the form ``_SignedForest``
-    takes."""
-    emap = sg.edge_map
-    vindex: dict[VertexId, int] = {}
+    in ``ids`` and the vertices numbered by the graph's index, with the
+    number of its vertices: the form ``_SignedForest`` takes."""
+    index, signs = sg.index, sg.signs
+    tails, heads, position = index.tails, index.heads, index.position
     table = []
     for k, eid in enumerate(ids):
-        _, tail, head, sign = emap[eid]
-        u = vindex.setdefault(tail, len(vindex))
-        table.append((k, u, vindex.setdefault(head, len(vindex)), sign))
-    return len(vindex), table
+        j = position[eid]
+        table.append((k, tails[j], heads[j], signs[j]))
+    return len(index.vertices), table
+
+
+def _formula_ranks(
+    index: EdgeIndex, sign_lists: Sequence[Sequence[int]], ks: Iterable[int]
+) -> list[int]:
+    """The rank of the edges ``ks`` of ``index`` under each sign list, by
+    the component formula: |V(X)| - 1 per component X, plus 1 when X holds
+    a negative cycle.
+
+    One spanning forest of the edges serves every sign list.  Under one,
+    each vertex's potential is the sign product of its tree path from its
+    root, so a component is balanced exactly when every closing edge
+    (every edge off the forest, loops included) has potential(tail) *
+    sign * potential(head) = 1."""
+    tails, heads = index.tails, index.heads
+    nv = len(index.vertices)
+    adjacency: list[list[int]] = [[] for _ in range(nv)]
+    ks = list(ks)
+    for k in ks:
+        adjacency[tails[k]].append(k)
+        adjacency[heads[k]].append(k)
+    # the forest by depth-first search: each vertex after its parent, as
+    # (vertex, parent, tree edge), the parent -1 at a root
+    steps: list[tuple[int, int, int]] = []
+    root = [-1] * nv
+    tree = set()
+    for r in range(nv):
+        if root[r] >= 0 or not adjacency[r]:
+            continue
+        root[r] = r
+        steps.append((r, -1, -1))
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            for k in adjacency[x]:
+                y = heads[k] if tails[k] == x else tails[k]
+                if root[y] < 0:
+                    root[y] = r
+                    tree.add(k)
+                    steps.append((y, x, k))
+                    stack.append(y)
+    closing = [(tails[k], heads[k], k) for k in ks if k not in tree]
+    base = len(steps) - sum(p < 0 for _, p, _ in steps)
+    ranks = []
+    for signs in sign_lists:
+        potential = [0] * nv
+        for v, p, k in steps:
+            # a root starts its component's potentials at 1
+            potential[v] = potential[p] * signs[k] if p >= 0 else 1
+        unbalanced = {root[u] for u, v, k in closing if potential[u] * signs[k] * potential[v] < 0}
+        ranks.append(base + len(unbalanced))
+    return ranks
 
 
 class _SignedForest:
@@ -261,12 +369,6 @@ class _SignedForest:
         # tight or loose handcuff inside one component
         return {k} | self._to_cycle(u, ru) | self._to_cycle(v, ru)
 
-    def rank(self) -> int:
-        """The component formula: |V(X)| - 1 per component X, plus 1 when X
-        holds a negative cycle."""
-        members, unbalanced = self.members, self.unbalanced
-        return sum(len(members[r]) - 1 + unbalanced[r] for r, x in enumerate(self.root) if r == x)
-
 
 @dataclass(frozen=True)
 class DependenceWitness:
@@ -281,7 +383,7 @@ def is_independent_signed(
     the first dependent edge (in subset order) as witness: a balanced
     cycle ('positive_cycle', as many edges as vertices) or a handcuff
     ('second_cycle', one edge more)."""
-    ids = [e.id for e in sg.edges] if subset is None else list(subset)
+    ids = list(sg.index.ids if subset is None else subset)
     nv, table = _edge_table(sg, ids)
     forest = _SignedForest(nv)
     for e in table:
@@ -298,8 +400,9 @@ def is_independent_signed(
 def signed_rank(sg: SignedGraph, subset: Iterable[EdgeId] | None = None) -> int:
     """Rank by the component formula: for every connected component X of the
     subset, |V(X)| - 1, plus 1 when X contains a negative cycle."""
-    ids = [e.id for e in sg.edges] if subset is None else list(subset)
-    return _SignedForest(*_edge_table(sg, ids)).rank()
+    index = sg.index
+    ks = range(len(index.ids)) if subset is None else [index.position[e] for e in subset]
+    return _formula_ranks(index, [sg.signs], ks)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +420,9 @@ class UnionDecomposition:
     unassigned: tuple[EdgeId, ...]
 
     def validate(self, labeled_sgs: Sequence[tuple[PairLabel, SignedGraph]]) -> None:
-        sg_by_label = dict(labeled_sgs)
+        """Check the partition, then each part's independence by rank =
+        size; a dependent part's circuit is named in the error."""
+        index = _ground_index(labeled_sgs)
         seen: set[EdgeId] = set()
         for label, ids in self.parts.items():
             for eid in ids:
@@ -326,9 +431,6 @@ class UnionDecomposition:
                 seen.add(eid)
                 if self.assignment.get(eid) != label:
                     raise ConsistencyError(f"assignment map disagrees at {eid!r}")
-            ok, witness = is_independent_signed(sg_by_label[label], ids)
-            if not ok:
-                raise ConsistencyError(f"part {label} not independent: {witness}")
         if seen != set(self.assignment):
             raise ConsistencyError("assignment map and parts disagree")
         rest = set(self.unassigned)
@@ -336,8 +438,15 @@ class UnionDecomposition:
             raise ConsistencyError("an unassigned edge is listed twice")
         if not rest.isdisjoint(seen):
             raise ConsistencyError("an edge is both assigned and unassigned")
-        if seen | rest != labeled_sgs[0][1].edge_map.keys():
+        position = index.position
+        if seen | rest != position.keys():
             raise ConsistencyError("parts and unassigned edges are not the ground set")
+        sg_by_label = dict(labeled_sgs)
+        for label, ids in self.parts.items():
+            sg = sg_by_label[label]
+            if _formula_ranks(index, [sg.signs], [position[e] for e in ids])[0] < len(ids):
+                witness = is_independent_signed(sg, ids)[1]
+                raise ConsistencyError(f"part {label} not independent: {witness}")
 
 
 @dataclass(frozen=True)
@@ -358,33 +467,23 @@ def matroid_union_rank(
 ) -> UnionRankResult:
     """Rank of the union of signed-graphic matroids on a common ground set,
     the first graph's edges, via incremental augmenting paths in the
-    exchange graph (breadth-first, deterministic tie-breaking).  The graphs
-    differ only in their signs: the endpoints are read from the first.
+    exchange graph (breadth-first, deterministic tie-breaking).  Every
+    graph numbers the first graph's edges as it does (the graphs of one
+    character share one ``EdgeIndex``): the endpoints are read from the
+    first graph, and each graph gives its signs.
 
     Returns the rank, a decomposition of a maximum independent subset, the
     set X of elements reachable from the unassigned ones (the saturated
     set), which certifies optimality, and |S \\ X| + sum_i r_i(X)
     evaluated from X, checked here to equal the rank.
     """
-    if not labeled_sgs:
-        raise InputError("need at least one matroid")
-    first = labeled_sgs[0][1]
-    elements = [e.id for e in first.edges]
-
-    # one edge table: element k of ``elements`` has endpoints tails[k] and
-    # heads[k], shared by every part, and sign signs[i][k] in part i; parts
-    # on the same labeling share one sign list
-    nv, table = _edge_table(first, elements)
-    tails = [e[1] for e in table]
-    heads = [e[2] for e in table]
-    by_graph = {id(first): [e[3] for e in table]}
-    signs = []
-    for _, sg in labeled_sgs:
-        if id(sg) not in by_graph:
-            smap = sg.edge_map
-            by_graph[id(sg)] = [smap[x].sign for x in elements]
-        signs.append(by_graph[id(sg)])
-    m, nparts = len(elements), len(labeled_sgs)
+    # element k has endpoints tails[k] and heads[k], shared by every part,
+    # and sign signs[i][k] in part i; parts on the same labeling share one
+    # sign list
+    index = _ground_index(labeled_sgs)
+    elements, tails, heads = index.ids, index.tails, index.heads
+    signs = [sg.signs for _, sg in labeled_sgs]
+    nv, m, nparts = len(index.vertices), len(elements), len(labeled_sgs)
 
     parts: list[list[int]] = [[] for _ in range(nparts)]
     forests = [_SignedForest(nv) for _ in range(nparts)]
@@ -483,15 +582,17 @@ def union_rank_by_formula(
     subset: Sequence[EdgeId],
     witness: Sequence[EdgeId],
 ) -> int:
-    """Evaluate |S \\ X| + sum_i r_i(X) for a witness set X."""
+    """Evaluate |S \\ X| + sum_i r_i(X) for a witness set X, every r_i(X)
+    from one spanning forest of X: one rank per distinct labeling, which
+    the pairs on it share."""
+    index = _ground_index(labeled_sgs)
     xset = set(witness)
     inside = [e for e in subset if e in xset]
-    # one fresh forest per distinct labeling; parts on one labeling share it
-    ranks: dict[int, int] = {}
-    for _, sg in labeled_sgs:
-        if id(sg) not in ranks:
-            ranks[id(sg)] = signed_rank(sg, inside)
-    return len(subset) - len(inside) + sum(ranks[id(sg)] for _, sg in labeled_sgs)
+    distinct = list({id(sg): sg for _, sg in labeled_sgs}.values())
+    position = index.position
+    ranks = _formula_ranks(index, [sg.signs for sg in distinct], [position[e] for e in inside])
+    rank_of = dict(zip(map(id, distinct), ranks))
+    return len(subset) - len(inside) + sum(rank_of[id(sg)] for _, sg in labeled_sgs)
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +662,20 @@ def labeled_signed_graphs(
     """The C(d+1,2) signed graphs on ``h`` under the labelings induced by
     the twisted screw representation for character ``g``, one object per
     distinct labeling: pairs with the same labeling share it.  A pair's
-    labeling is compared as its tuple of signs over the group elements."""
+    labeling is compared as its tuple of signs over the group elements.
+    The graph's vertices and edges are numbered once, in one
+    ``EdgeIndex`` that every labeling shares."""
     signs = induced_signs(rep, g)
+    index = EdgeIndex.of(h.vertices, h.edges)
+    gains = [e.gain for e in h.edges]
     built: dict[tuple[int, ...], SignedGraph] = {}
     out = []
     for pos, pair in enumerate(screw_pairs(rep.d)):
         key = tuple(s[pos] for s in signs.values())
         sg = built.get(key)
         if sg is None:
-            sg = built[key] = SignedGraph.from_gain_graph(h, dict(zip(signs, key)))
+            labeling = dict(zip(signs, key))
+            sg = built[key] = SignedGraph(index, tuple(map(labeling.__getitem__, gains)))
         out.append((pair, sg))
     return out
 
@@ -623,14 +729,15 @@ def counting_violation(verdict: CombinatorialVerdict) -> dict | None:
     if not unassigned:
         return None
     (label, first), *rest = labeled = verdict.labeled
-    k = [e.id for e in first.edges].index(unassigned[0])
-    # the union's ground set is the first graph's edges
-    prefix = SignedGraph(first.vertices, first.edges[: k + 1])
+    # the union's ground set is the first graph's edges, here S[:k+1]
+    end = first.index.position[unassigned[0]] + 1
+    prefix = SignedGraph.from_edges(first.vertices, first.edges[:end])
     witness = matroid_union_rank([(label, prefix), *rest]).witness
     # alpha_i: whether some component of graph i's forest on C is unbalanced
     alphas = sum(any(_SignedForest(*_edge_table(sg, witness)).unbalanced) for _, sg in labeled)
     b = len(labeled)
-    bound = b * _edge_table(first, witness)[0] - b + alphas
+    table = _edge_table(first, witness)[1]
+    bound = b * len({v for _, u, w, _ in table for v in (u, w)}) - b + alphas
     if len(witness) <= bound:
         raise ConsistencyError(f"union circuit {witness!r} meets the count")
     return {"edges": [_edge_id_json(e) for e in witness], "size": len(witness), "bound": bound}

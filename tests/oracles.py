@@ -8,7 +8,9 @@ and the Hodge star through ``hodge_star_by_inversions``, which counts
 the inversions of every basis element's permutation.
 The exceptions are earlier versions of production code, kept to pin the
 exact output of the current ones: ``matroid_union_rank_unpruned``, the union
-algorithm, ``analyze_generic`` with ``merge_samples``, the sampler that
+algorithm, ``forest_rank`` and ``union_rank_by_forests``, the witness
+formula that read each labeling's ranks off a ``_SignedForest`` of its
+own, ``analyze_generic`` with ``merge_samples``, the sampler that
 ranked every block at every sample, ``hinge_to_bars``, which gave a
 hinge's bar copies random invertible combinations of its complement basis,
 and the screw-image functions that multiplied Fraction matrices:
@@ -75,7 +77,6 @@ def incidence_matrix(sg: SignedGraph) -> list[list[Fraction]]:
 def incidence_rank(sg: SignedGraph, ids=None) -> int:
     """Rank of the incidence rows of a subset: the linear-algebra side of
     signed-graphic independence."""
-    emap = sg.edge_map
     ids = [e.id for e in sg.edges] if ids is None else list(ids)
     all_rows = incidence_matrix(sg)
     order = [e.id for e in sg.edges]
@@ -86,6 +87,27 @@ def incidence_rank(sg: SignedGraph, ids=None) -> int:
 def independent_by_incidence(sg: SignedGraph, ids=None) -> bool:
     ids = [e.id for e in sg.edges] if ids is None else list(ids)
     return incidence_rank(sg, ids) == len(ids)
+
+
+def forest_rank(sg: SignedGraph, ids=None) -> int:
+    """The component formula read off a ``_SignedForest`` of the subset:
+    |V(X)| - 1 per component X, plus 1 when X holds a negative cycle."""
+    ids = [e.id for e in sg.edges] if ids is None else list(ids)
+    forest = _SignedForest(*_edge_table(sg, ids))
+    members, unbalanced = forest.members, forest.unbalanced
+    return sum(len(members[r]) - 1 + unbalanced[r] for r, x in enumerate(forest.root) if r == x)
+
+
+def union_rank_by_forests(labeled_sgs, subset, witness) -> int:
+    """|S \\ X| + sum_i r_i(X) for a witness set X, with one fresh
+    ``forest_rank`` per distinct labeling, which the pairs on it share."""
+    xset = set(witness)
+    inside = [e for e in subset if e in xset]
+    ranks: dict[int, int] = {}
+    for _, sg in labeled_sgs:
+        if id(sg) not in ranks:
+            ranks[id(sg)] = forest_rank(sg, inside)
+    return len(subset) - len(inside) + sum(ranks[id(sg)] for _, sg in labeled_sgs)
 
 
 def tree_path_bfs(adjacency, u, v):
@@ -211,7 +233,7 @@ def matroid_union_rank_unpruned(
     """
     if not labeled_sgs:
         raise InputError("need at least one matroid")
-    edge_maps = [sg.edge_map for _, sg in labeled_sgs]
+    edge_maps = [{e.id: e for e in sg.edges} for _, sg in labeled_sgs]
     if elements is None:
         elements = [e.id for e in labeled_sgs[0][1].edges]
     elements = list(elements)

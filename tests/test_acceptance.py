@@ -184,7 +184,7 @@ class TestAcceptance:
                     edges = tuple(
                         SignedEdge(eid, u, v, rng.choice((1, -1))) for eid, u, v in base
                     )
-                    labeled.append(((1, t + 2), SignedGraph(tuple(range(nv)), edges)))
+                    labeled.append(((1, t + 2), SignedGraph.from_edges(range(nv), edges)))
                 ids = [eid for eid, _, _ in base]
                 ours = matroid_union_rank(labeled).rank
                 assert ours == union_rank_bruteforce(labeled, ids)

@@ -103,11 +103,11 @@ RATIONAL_OUTPUTS = {
     ("explicit-bars", "analyze"): (1, "bf0d095cd96ef067"),
     ("explicit-bars", "flex"): (1, "af4dbe6d5a259604"),
     ("explicit-hinges", "lift"): (0, "0b42dc98b1958608"),
-    ("explicit-hinges", "analyze"): (0, "c2424a55349d37ed"),
+    ("explicit-hinges", "analyze"): (0, "a9dd147e7d570335"),
     ("hinges-d4", "lift"): (0, "a29a8bcb35a20f96"),
-    ("hinges-d4", "analyze"): (0, "dd4d6dfb1457b559"),
+    ("hinges-d4", "analyze"): (0, "edaf5906e5db4262"),
     ("hinges-d5", "lift"): (0, "3e839910ff91dce9"),
-    ("hinges-d5", "analyze"): (0, "3ba23d782b6ceb5b"),
+    ("hinges-d5", "analyze"): (0, "5a08ad51f75d76a4"),
 }
 
 
@@ -706,7 +706,8 @@ class TestBodyHingePreconditions:
     def test_explicit_hinges_are_one_sample(self, capsys, tmp_path, fixture_dir, samples):
         """Every sample of an explicit configuration is the same framework,
         so an unproven block is ranked once whatever ``--samples`` says;
-        the metadata still records the option."""
+        the metadata records the explicit source, and no seed, bound or
+        sample count, since nothing is drawn."""
         doc = json.loads((fixture_dir / "trivial_2body_1hinge.json").read_text())
         doc["gain_graph"]["edges"].append({"id": 1, "tail": "u", "head": "v", "gain": []})
         doc["configuration"] = {"hinges": {"0": {"points": [[0, 0, 0], [1, 0, 0]]},
@@ -716,7 +717,8 @@ class TestBodyHingePreconditions:
         assert code == EXIT_FLEXIBLE
         report = json.loads(out)
         assert [(r["proof"], r["sample_ranks"]) for r in report["irreps"]] == [(None, [5])]
-        assert report["numeric"]["meta"]["samples"] == samples
+        assert report["numeric"]["meta"] == {
+            "source": "explicit", "model": "body-hinge", "bars_per_hinge": 5}
 
 
 @pytest.mark.parametrize("d", [13, 16, 100])

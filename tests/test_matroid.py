@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,9 +16,12 @@ from orbitrig.errors import ConsistencyError
 from orbitrig.gaingraph import make_gain_graph, multiply_edges, remove_zero_loops
 from orbitrig.hinge import bar_multiplicity
 from orbitrig.matroid import (
+    EdgeIndex,
     SignedEdge,
+    _formula_ranks,
     _SignedForest,
     SignedGraph,
+    UnionDecomposition,
     combinatorial_verdict,
     counting_violation,
     is_independent_signed,
@@ -30,6 +34,7 @@ from orbitrig.symmetry import AbelianGroup, PointRepresentation, screw_pairs
 from conftest import stewart_graph
 from oracles import (
     check_counting_condition,
+    forest_rank,
     incidence_matrix,
     incidence_rank,
     independent_by_incidence,
@@ -37,16 +42,19 @@ from oracles import (
     max_independent_bruteforce,
     tree_path_bfs,
     union_rank_bruteforce,
+    union_rank_by_forests,
     union_rank_minformula,
 )
 
 
 def sg(vertices, edges) -> SignedGraph:
-    return SignedGraph(tuple(vertices), tuple(SignedEdge(*e) for e in edges))
+    return SignedGraph.from_edges(vertices, (SignedEdge(*e) for e in edges))
 
 
 def restrict(sgs, ids):
-    return [(x, SignedGraph(g.vertices, tuple(e for e in g.edges if e.id in ids))) for x, g in sgs]
+    return [
+        (x, SignedGraph.from_edges(g.vertices, (e for e in g.edges if e.id in ids))) for x, g in sgs
+    ]
 
 
 def assert_matches_unpruned(labeled, res) -> None:
@@ -134,7 +142,7 @@ def oracle_circuit(g: SignedGraph, part, x):
 
 
 def forest_circuit(g: SignedGraph, part, x):
-    emap = g.edge_map
+    emap = {e.id: e for e in g.edges}
     return _SignedForest(len(g.vertices), (emap[y] for y in part)).circuit(*emap[x])
 
 
@@ -233,8 +241,8 @@ class TestCircuit:
         shapes: dict = {}
         for _ in range(400):
             g = random_signed_graph(rng, max_vertices=6, max_edges=10)
-            emap = g.edge_map
-            ids = [e.id for e in g.edges]
+            emap = {e.id: e for e in g.edges}
+            ids = list(emap)
             rng.shuffle(ids)
             forest = _SignedForest(len(g.vertices))
             part = []
@@ -427,6 +435,56 @@ class TestSignedRank:
             assert signed_rank(g) == max_independent_bruteforce(g)
 
 
+class TestFormulaRanks:
+    """The component formula on one spanning forest (``_formula_ranks``,
+    behind ``signed_rank``, ``union_rank_by_formula`` and ``validate``)
+    against incidence ranks and against the formula read off one
+    ``_SignedForest`` per labeling (``oracles.forest_rank``)."""
+
+    def test_matches_incidence_and_forest_ranks_randomized(self):
+        """Seeded signed multigraphs with positive and negative loops,
+        parallel edges, isolated vertices and empty edge sets, under 1 to 6
+        labelings that share one index."""
+        rng = random.Random(601)
+        cases = dict.fromkeys(
+            ("negative loop", "positive loop", "parallel", "isolated", "empty",
+             "two unbalanced components"), 0)
+        for _ in range(300):
+            nv = rng.randint(1, 7)
+            edges: list[tuple[int, int, int]] = []
+            for eid in range(0 if rng.random() < 0.1 else rng.randint(1, 14)):
+                r = rng.random()
+                if r < 0.2:
+                    u = v = rng.randrange(nv)
+                elif r < 0.4 and edges:
+                    _, u, v = rng.choice(edges)
+                else:
+                    u, v = rng.randrange(nv), rng.randrange(nv)
+                edges.append((eid, u, v))
+            index = EdgeIndex.of(range(nv), [SignedEdge(eid, u, v, 1) for eid, u, v in edges])
+            graphs = [SignedGraph(index, tuple(rng.choice((1, -1)) for _ in edges))
+                      for _ in range(rng.randint(1, 6))]
+            ks = [k for k in range(len(edges)) if rng.random() < 0.8]
+            ids = [edges[k][0] for k in ks]
+            ranks = _formula_ranks(index, [g.signs for g in graphs], ks)
+            assert ranks == [incidence_rank(g, ids) for g in graphs]
+            assert ranks == [forest_rank(g, ids) for g in graphs]
+            assert ranks == [signed_rank(g, ids) for g in graphs]
+            labeled = [((1, t + 2), g) for t, g in enumerate(graphs)]
+            all_ids = [eid for eid, _, _ in edges]
+            assert union_rank_by_formula(labeled, all_ids, ids) == union_rank_by_forests(
+                labeled, all_ids, ids)
+            picked = [(edges[k][1:], g.signs[k]) for k in ks for g in graphs]
+            cases["negative loop"] += any(u == v and s < 0 for (u, v), s in picked)
+            cases["positive loop"] += any(u == v and s > 0 for (u, v), s in picked)
+            cases["parallel"] += len({edges[k][1:] for k in ks}) < len(ks)
+            cases["isolated"] += len({v for k in ks for v in edges[k][1:]}) < nv
+            cases["empty"] += not ks
+            cases["two unbalanced components"] += any(
+                sum(_SignedForest(*matroid._edge_table(g, ids)).unbalanced) >= 2 for g in graphs)
+        assert min(cases.values()) >= 20, cases
+
+
 class TestIncidenceMatrix:
     def test_rows(self):
         g = sg(["u", "v"], [(0, "u", "v", 1), (1, "u", "v", -1)])
@@ -572,43 +630,30 @@ class TestMatroidUnion:
     def test_free_slot_costs_one_insertion(self, monkeypatch):
         """Six copies of a spanning tree under six all-positive labelings:
         copy k of each edge fits straight into part k, so the search builds
-        one forest per part and inserts each element once.  The witness
-        formula's own ``signed_rank`` forests are not counted."""
+        one forest per part and inserts each element once; the witness
+        formula builds no forest of this kind."""
         rng = random.Random(53)
         n = 12
         tree = [(rng.randrange(v), v) for v in range(1, n)]
         edges = [(k * n + i, u, v, 1) for k in range(6) for i, (u, v) in enumerate(tree)]
         g = sg(range(n), edges)
         labeled = [((1, t + 2), g) for t in range(6)]
-        counting = [True]
         built = []
         inserted = []
 
         init, add = _SignedForest.__init__, _SignedForest.add
 
         def counted_init(self, nv, edges=()):
-            if counting[0]:
-                built.append(self)
+            built.append(self)
             init(self, nv, edges)
 
         def counted_add(self, k, u, v, s):
             # k indexes the elements, here the edges in order
-            if counting[0]:
-                inserted.append(edges[k][0])
+            inserted.append(edges[k][0])
             add(self, k, u, v, s)
-
-        formula = matroid.union_rank_by_formula
-
-        def uncounted(*args):
-            counting[0] = False
-            try:
-                return formula(*args)
-            finally:
-                counting[0] = True
 
         monkeypatch.setattr(_SignedForest, "__init__", counted_init)
         monkeypatch.setattr(_SignedForest, "add", counted_add)
-        monkeypatch.setattr(matroid, "union_rank_by_formula", uncounted)
         res = matroid_union_rank(labeled)
         assert res.rank == len(edges)
         assert [list(ids) for ids in res.decomposition.parts.values()] == [
@@ -658,6 +703,35 @@ class TestDecompositionValidate:
         labeled, dec = union
         with pytest.raises(ConsistencyError, match="not the ground set"):
             replace(dec, unassigned=unassigned).validate(labeled)
+
+    @pytest.mark.parametrize("edges, witness", [
+        # a pendant edge, then a balanced triangle
+        ([(3, 2, 3, 1), (0, 0, 1, 1), (1, 1, 2, -1), (2, 2, 0, -1)],
+         "DependenceWitness(kind='positive_cycle', edges=(0, 1, 2))"),
+        # a pendant edge, then two negative loops joined by an edge
+        ([(3, 2, 3, 1), (0, 0, 0, -1), (1, 0, 1, 1), (2, 1, 1, -1)],
+         "DependenceWitness(kind='second_cycle', edges=(0, 1, 2))"),
+    ], ids=["balanced-cycle", "handcuff"])
+    def test_dependent_part_names_its_circuit(self, edges, witness):
+        """A part that holds a circuit fails the rank check, and the error
+        names that circuit, not the whole part."""
+        g = sg(range(4), edges)
+        ids = tuple(e[0] for e in edges)
+        dec = UnionDecomposition(
+            parts={(1, 2): (), (1, 3): ids}, assignment=dict.fromkeys(ids, (1, 3)), unassigned=())
+        message = f"part (1, 3) not independent: {witness}"
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            dec.validate([((1, 2), g), ((1, 3), g)])
+
+
+def test_union_checks_its_witness_bound(monkeypatch):
+    """The union raises when its witness formula, patched to count one
+    more, does not meet the rank it found."""
+    formula = matroid.union_rank_by_formula
+    monkeypatch.setattr(matroid, "union_rank_by_formula", lambda *args: formula(*args) + 1)
+    g = sg([0, 1], [(0, 0, 1, 1), (1, 0, 1, -1), (2, 0, 1, 1)])
+    with pytest.raises(ConsistencyError, match="union rank does not meet its witness bound"):
+        matroid_union_rank([((1, 2), g), ((1, 3), g)])
 
 
 def medium_gain_graph(rng, group, n, extra):
