@@ -387,6 +387,9 @@ def _load(args) -> dict:
         raise InputError(f"cannot read {args.input}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{args.input}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer past the interpreter's digit limit, or too deep
+        raise InputError(f"{args.input}: {exc}")
     return parse_framework(doc)
 
 

@@ -20,7 +20,9 @@ every search's path unchanged.  The saturated set is then exactly the set
 X reachable from the unassigned elements.  It is tight,
 rank = |S \\ X| + sum_i r_i(X): the elements outside X are all assigned,
 and the parts restricted to X span X in every matroid.  The union checks
-this equality before it returns.
+this equality before it returns.  The first search that fails, at element
+k, runs with S[:k] all assigned, so its reach is the one union circuit of
+S[:k+1]; the union returns it as the first circuit, in element order.
 
 A part whose members a search has all reached or saturated is closed to
 it: an arc there would lead to an element the search never enqueues, so
@@ -124,15 +126,6 @@ class SignedGraph:
         if len(self.signs) != len(self.index.ids) or not set(self.signs) <= {1, -1}:
             raise InputError("a signed graph takes one sign, +1 or -1, per edge")
 
-    @staticmethod
-    def from_edges(vertices: Sequence[VertexId], edges: Iterable[SignedEdge]) -> "SignedGraph":
-        edges = tuple(edges)
-        return SignedGraph(EdgeIndex.of(vertices, edges), tuple(e.sign for e in edges))
-
-    @property
-    def vertices(self) -> tuple[VertexId, ...]:
-        return self.index.vertices
-
     @cached_property
     def edges(self) -> tuple[SignedEdge, ...]:
         """The edges as (id, tail, head, sign), built when first asked for."""
@@ -145,14 +138,13 @@ class SignedGraph:
 
 
 def _ground_index(labeled_sgs: Sequence[tuple[PairLabel, "SignedGraph"]]) -> EdgeIndex:
-    """The first graph's index, the ground set of a union, once every graph
-    is checked to number the first graph's edges 0, 1, ... as it does."""
+    """The index that every labeled graph shares, by identity or by equal
+    value: the ground set of a union, its edges numbered 0, 1, ..."""
     if not labeled_sgs:
         raise InputError("need at least one matroid")
     index = labeled_sgs[0][1].index
-    for _, sg in labeled_sgs:
-        if sg.index is not index and sg.index.ids[: len(index.ids)] != index.ids:
-            raise InputError("the labeled graphs do not begin with the first graph's edges")
+    if any(sg.index is not index and sg.index != index for _, sg in labeled_sgs):
+        raise InputError("the labeled graphs do not share one edge index")
     return index
 
 
@@ -413,11 +405,15 @@ def signed_rank(sg: SignedGraph, subset: Iterable[EdgeId] | None = None) -> int:
 class UnionDecomposition:
     """Assignment of an independent subset to the constituent matroids;
     the parts and the unassigned edges partition the ground set, the
-    first labeled graph's edges."""
+    edges of the index the labeled graphs share.  ``assignment`` maps each
+    assigned edge to its part's label, read from ``parts``."""
 
     parts: dict[PairLabel, tuple[EdgeId, ...]]
-    assignment: dict[EdgeId, PairLabel]
     unassigned: tuple[EdgeId, ...]
+
+    @cached_property
+    def assignment(self) -> dict[EdgeId, PairLabel]:
+        return {eid: label for label, ids in self.parts.items() for eid in ids}
 
     def validate(self, labeled_sgs: Sequence[tuple[PairLabel, SignedGraph]]) -> None:
         """Check the partition, then each part's independence by rank =
@@ -429,10 +425,6 @@ class UnionDecomposition:
                 if eid in seen:
                     raise ConsistencyError(f"edge {eid!r} assigned twice")
                 seen.add(eid)
-                if self.assignment.get(eid) != label:
-                    raise ConsistencyError(f"assignment map disagrees at {eid!r}")
-        if seen != set(self.assignment):
-            raise ConsistencyError("assignment map and parts disagree")
         rest = set(self.unassigned)
         if len(rest) < len(self.unassigned):
             raise ConsistencyError("an unassigned edge is listed twice")
@@ -452,30 +444,33 @@ class UnionDecomposition:
 @dataclass(frozen=True)
 class UnionRankResult:
     """Union rank plus certificates: a decomposition of a maximum
-    independent subset, a witness set X, and ``witness_bound``, the
+    independent subset, a witness set X, ``witness_bound``, the
     |S \\ X| + sum_i r_i(X) evaluated from X, which equals the rank (tight
-    by construction, and checked)."""
+    by construction, and checked), and ``circuit``, the reach of the first
+    failed search in element order (empty when none failed), a subset of
+    X."""
 
     rank: int
     decomposition: UnionDecomposition
     witness: tuple[EdgeId, ...]
     witness_bound: int
+    circuit: tuple[EdgeId, ...]
 
 
 def matroid_union_rank(
     labeled_sgs: Sequence[tuple[PairLabel, SignedGraph]],
 ) -> UnionRankResult:
     """Rank of the union of signed-graphic matroids on a common ground set,
-    the first graph's edges, via incremental augmenting paths in the
-    exchange graph (breadth-first, deterministic tie-breaking).  Every
-    graph numbers the first graph's edges as it does (the graphs of one
-    character share one ``EdgeIndex``): the endpoints are read from the
-    first graph, and each graph gives its signs.
+    via incremental augmenting paths in the exchange graph (breadth-first,
+    deterministic tie-breaking).  The graphs share one ``EdgeIndex``, the
+    ground set: the endpoints are read from it, and each graph gives its
+    signs.
 
     Returns the rank, a decomposition of a maximum independent subset, the
     set X of elements reachable from the unassigned ones (the saturated
-    set), which certifies optimality, and |S \\ X| + sum_i r_i(X)
-    evaluated from X, checked here to equal the rank.
+    set), which certifies optimality, |S \\ X| + sum_i r_i(X) evaluated
+    from X, checked here to equal the rank, and the first circuit: the
+    reach of the first failed search.
     """
     # element k has endpoints tails[k] and heads[k], shared by every part,
     # and sign signs[i][k] in part i; parts on the same labeling share one
@@ -557,16 +552,16 @@ def matroid_union_rank(
                     raise ConsistencyError(f"augmentation broke part {labeled_sgs[i][0]}")
                 forest.add(y, tails[y], heads[y], sign[y])
 
+    circuit: tuple[EdgeId, ...] = ()
     for k in range(m):
         if not try_augment(k):
+            if not unassigned:
+                # nothing was saturated before this search: its reach
+                circuit = tuple(e for e, sat in zip(elements, saturated) if sat)
             unassigned.append(k)
 
-    labels = [label for label, _ in labeled_sgs]
     decomposition = UnionDecomposition(
-        parts={label: tuple(elements[k] for k in parts[i]) for i, label in enumerate(labels)},
-        # an element is first assigned as the source of its own search, so
-        # element order is the order of first assignment
-        assignment={elements[k]: labels[i] for k, i in enumerate(part_of) if i >= 0},
+        parts={label: tuple(elements[k] for k in ks) for (label, _), ks in zip(labeled_sgs, parts)},
         unassigned=tuple(elements[k] for k in unassigned),
     )
     rank = m - len(unassigned)
@@ -574,7 +569,7 @@ def matroid_union_rank(
     witness_bound = union_rank_by_formula(labeled_sgs, elements, witness)
     if rank != witness_bound:
         raise ConsistencyError("union rank does not meet its witness bound")
-    return UnionRankResult(rank, decomposition, witness, witness_bound)
+    return UnionRankResult(rank, decomposition, witness, witness_bound, circuit)
 
 
 def union_rank_by_formula(
@@ -610,8 +605,9 @@ class CombinatorialVerdict:
     incidence matrix of labeled graph i, in columns of its own, so the
     rows of X span rank at most sum_i r_i(X) and the others at most
     |S \\ X|: the bound holds for the rank of the block at every
-    configuration (the removed zero loops have zero rows).  Neither it nor
-    ``labeled``, the labeled graphs the union ran on, is part of
+    configuration (the removed zero loops have zero rows).  ``circuit`` is
+    the union's first circuit (``UnionRankResult``).  Neither these two
+    nor ``labeled``, the labeled graphs the union ran on, is part of
     ``to_json``."""
 
     irrep: Element
@@ -625,6 +621,7 @@ class CombinatorialVerdict:
     decomposition: UnionDecomposition
     witness: tuple[EdgeId, ...]
     witness_bound: int
+    circuit: tuple[EdgeId, ...]
     labeled: Sequence[tuple[PairLabel, SignedGraph]]
 
     @property
@@ -706,13 +703,14 @@ def combinatorial_verdict(h: GainGraph, rep: PointRepresentation, g: Element) ->
         decomposition=result.decomposition,
         witness=result.witness,
         witness_bound=result.witness_bound,
+        circuit=result.circuit,
         labeled=labeled,
     )
 
 
 def counting_violation(verdict: CombinatorialVerdict) -> dict | None:
-    """The first edge set F, in subset-enumeration order of the edges S of
-    the verdict's first labeled graph, that violates the count
+    """The first edge set F, in subset-enumeration order of the ground set
+    S of the verdict's labeled graphs, that violates the count
     ``|F| <= B|V(F)| - B + sum_i alpha_i(F)``, as a JSON document, or None.
     B is the number of labeled graphs and alpha_i(F) = 1 when F holds a
     negative cycle in graph i.
@@ -721,23 +719,15 @@ def counting_violation(verdict: CombinatorialVerdict) -> dict | None:
     (Edmonds), so there is no violation when the union left nothing
     unassigned.  Else let k be the first unassigned element: S[:k] is
     independent, so S[:k+1] holds one union circuit C, and every violating
-    subset of it contains C, which thus comes first.  The union of S[:k+1]
-    fails only at k, and its failed search reaches exactly the y for which
-    S[:k] - y + k is independent, the elements of C: its witness is C.
-    The bound is evaluated here from the count and checked to fail."""
-    unassigned = verdict.decomposition.unassigned
-    if not unassigned:
+    subset of it contains C, which thus comes first.  The union's first
+    failed search, at k, reached exactly the y for which S[:k] - y + k is
+    independent, the elements of C, and the verdict carries them as
+    ``circuit``.  C is connected, so sum_i r_i(C) is the bound; it is
+    evaluated here and checked to fail."""
+    circuit = verdict.circuit
+    if not circuit:
         return None
-    (label, first), *rest = labeled = verdict.labeled
-    # the union's ground set is the first graph's edges, here S[:k+1]
-    end = first.index.position[unassigned[0]] + 1
-    prefix = SignedGraph.from_edges(first.vertices, first.edges[:end])
-    witness = matroid_union_rank([(label, prefix), *rest]).witness
-    # alpha_i: whether some component of graph i's forest on C is unbalanced
-    alphas = sum(any(_SignedForest(*_edge_table(sg, witness)).unbalanced) for _, sg in labeled)
-    b = len(labeled)
-    table = _edge_table(first, witness)[1]
-    bound = b * len({v for _, u, w, _ in table for v in (u, w)}) - b + alphas
-    if len(witness) <= bound:
-        raise ConsistencyError(f"union circuit {witness!r} meets the count")
-    return {"edges": [_edge_id_json(e) for e in witness], "size": len(witness), "bound": bound}
+    bound = union_rank_by_formula(verdict.labeled, circuit, circuit)
+    if len(circuit) <= bound:
+        raise ConsistencyError(f"union circuit {circuit!r} meets the count")
+    return {"edges": [_edge_id_json(e) for e in circuit], "size": len(circuit), "bound": bound}

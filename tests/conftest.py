@@ -8,6 +8,7 @@ import pytest
 import orbitrig as rig
 from orbitrig import symmetry
 from orbitrig.ensemble import random_gain_graph
+from orbitrig.matroid import EdgeIndex, SignedEdge, SignedGraph
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -104,6 +105,14 @@ def stewart_graph(group: rig.AbelianGroup) -> rig.GainGraph:
         loops_l=[2, 3],
         group=group,
     )
+
+
+def signed_graph(vertices, edges) -> SignedGraph:
+    """A signed graph on an index of its own, from ``SignedEdge`` values or
+    (id, tail, head, sign) tuples: graphs built from the same vertices and
+    edges have equal indices, which a union accepts as one ground set."""
+    edges = tuple(SignedEdge(*e) for e in edges)
+    return SignedGraph(EdgeIndex.of(vertices, edges), tuple(e.sign for e in edges))
 
 
 @pytest.fixture(autouse=True)

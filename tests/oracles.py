@@ -61,10 +61,10 @@ def incidence_matrix(sg: SignedGraph) -> list[list[Fraction]]:
     """Row per edge: -sign at the tail and 1 at the head for a non-loop,
     1 - sign at the vertex of a loop.  Row independence over the rationals
     matches signed-graphic independence."""
-    vindex = {v: i for i, v in enumerate(sg.vertices)}
+    vindex = {v: i for i, v in enumerate(sg.index.vertices)}
     rows = []
     for e in sg.edges:
-        row = [Fraction(0)] * len(sg.vertices)
+        row = [Fraction(0)] * len(sg.index.vertices)
         if e.tail == e.head:
             row[vindex[e.tail]] = Fraction(1 - e.sign)
         else:
@@ -220,7 +220,7 @@ def matroid_union_rank_unpruned(
     saturated, kept verbatim as a reference: every search explores its
     whole reach, and a final sweep from the unassigned elements builds the
     witness.  The production version must return the same decomposition,
-    unassigned list, witness and rank.
+    unassigned list, witness, first circuit and rank.
 
     Rank of an edge set in the union of signed-graphic matroids on a
     common ground set, via incremental augmenting paths in the exchange
@@ -230,6 +230,7 @@ def matroid_union_rank_unpruned(
     the set X of elements reachable from the unassigned ones, which
     certifies optimality: rank = |S \\ X| + sum_i r_i(X).  That sum is
     evaluated here with the incidence ranks r_i(X) of ``incidence_rank``.
+    The first circuit is the reach of the first failed search.
     """
     if not labeled_sgs:
         raise InputError("need at least one matroid")
@@ -257,6 +258,7 @@ def matroid_union_rank_unpruned(
     forests = [_SignedForest(len(vindex)) for _ in labeled_sgs]
     part_of: dict[EdgeId, int] = {}
     unassigned: list[EdgeId] = []
+    circuit: tuple[EdgeId, ...] = ()
 
     def arcs_and_terminal(x: EdgeId, visited: set[EdgeId]):
         """Yield ('insert', i) for a free slot or ('arc', y) for exchanges:
@@ -273,6 +275,7 @@ def matroid_union_rank_unpruned(
                     yield ("arc", y)
 
     def try_augment(source: EdgeId) -> bool:
+        nonlocal circuit
         prev: dict[EdgeId, EdgeId | None] = {source: None}
         q = deque([source])
         while q:
@@ -284,6 +287,9 @@ def matroid_union_rank_unpruned(
                 if val not in prev:
                     prev[val] = x
                     q.append(val)
+        if not unassigned:
+            # the first failed search: its reach, in element order
+            circuit = tuple(e for e in elements if e in prev)
         return False
 
     def _cascade(x: EdgeId, target: int, prev: Mapping[EdgeId, EdgeId | None]) -> None:
@@ -327,14 +333,13 @@ def matroid_union_rank_unpruned(
 
     decomposition = UnionDecomposition(
         parts={label: tuple(parts[i]) for i, (label, _) in enumerate(labeled_sgs)},
-        assignment={eid: labeled_sgs[i][0] for eid, i in part_of.items()},
         unassigned=tuple(unassigned),
     )
     rank = len(part_of)
     witness = tuple(e for e in elements if e in reach)
     ranks = sum(incidence_rank(sg, witness) for _, sg in labeled_sgs)
     bound = len(elements) - len(witness) + ranks
-    return UnionRankResult(rank, decomposition, witness, bound)
+    return UnionRankResult(rank, decomposition, witness, bound, circuit)
 
 
 @dataclass(frozen=True)

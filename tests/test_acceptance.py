@@ -25,7 +25,14 @@ from orbitrig.matroid import (
 )
 from orbitrig.rigidity import analyze_generic, crosscheck_block_ranks, orbit_matrix
 from orbitrig.symmetry import PointRepresentation, character_power
-from conftest import diagonal, halfturn_rep, irrep_report, loop_l_gain_graph, mirror_rep
+from conftest import (
+    diagonal,
+    halfturn_rep,
+    irrep_report,
+    loop_l_gain_graph,
+    mirror_rep,
+    signed_graph,
+)
 from oracles import (
     independent_by_incidence,
     tree_packing_exists,
@@ -179,12 +186,8 @@ class TestAcceptance:
                 nmat = rng.randint(1, 3)
                 labeled = []
                 for t in range(nmat):
-                    from orbitrig.matroid import SignedEdge, SignedGraph
-
-                    edges = tuple(
-                        SignedEdge(eid, u, v, rng.choice((1, -1))) for eid, u, v in base
-                    )
-                    labeled.append(((1, t + 2), SignedGraph.from_edges(range(nv), edges)))
+                    edges = [(eid, u, v, rng.choice((1, -1))) for eid, u, v in base]
+                    labeled.append(((1, t + 2), signed_graph(range(nv), edges)))
                 ids = [eid for eid, _, _ in base]
                 ours = matroid_union_rank(labeled).rank
                 assert ours == union_rank_bruteforce(labeled, ids)

@@ -915,6 +915,29 @@ class TestInputBoundary:
         assert captured.out == ""
         assert captured.err == "input error: gain graph has no vertices\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "certify"])
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+        pytest.param(
+            b'{"schema": 1, "group": {"orders": [' + b"9" * 5000 + b"]}}",
+            "Exceeds the limit",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="this interpreter converts integers of any length"),
+        ),
+    ], ids=["not-utf-8", "nested-100000-deep", "integer-of-5000-digits"])
+    def test_unreadable_json_exits_2(self, capsys, tmp_path, command, content, message):
+        """A file that the JSON reader cannot turn into a document used to
+        exit 3 as an internal error."""
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main([command, str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {path}: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+
     def test_unexpected_exception_exits_3(self, capsys, fixture_dir, monkeypatch):
         import orbitrig.cli as cli
 

@@ -12,7 +12,7 @@ import pytest
 from orbitrig import matroid
 from orbitrig.cli import parse_framework
 from orbitrig.ensemble import random_diagonal_rep, random_gain_graph
-from orbitrig.errors import ConsistencyError
+from orbitrig.errors import ConsistencyError, InputError
 from orbitrig.gaingraph import make_gain_graph, multiply_edges, remove_zero_loops
 from orbitrig.hinge import bar_multiplicity
 from orbitrig.matroid import (
@@ -31,7 +31,7 @@ from orbitrig.matroid import (
     union_rank_by_formula,
 )
 from orbitrig.symmetry import AbelianGroup, PointRepresentation, screw_pairs
-from conftest import stewart_graph
+from conftest import signed_graph as sg, stewart_graph
 from oracles import (
     check_counting_condition,
     forest_rank,
@@ -47,14 +47,8 @@ from oracles import (
 )
 
 
-def sg(vertices, edges) -> SignedGraph:
-    return SignedGraph.from_edges(vertices, (SignedEdge(*e) for e in edges))
-
-
 def restrict(sgs, ids):
-    return [
-        (x, SignedGraph.from_edges(g.vertices, (e for e in g.edges if e.id in ids))) for x, g in sgs
-    ]
+    return [(x, sg(g.index.vertices, (e for e in g.edges if e.id in ids))) for x, g in sgs]
 
 
 def assert_matches_unpruned(labeled, res) -> None:
@@ -64,6 +58,7 @@ def assert_matches_unpruned(labeled, res) -> None:
     assert list(res.decomposition.parts.items()) == list(ref.decomposition.parts.items())
     assert res.decomposition.unassigned == ref.decomposition.unassigned
     assert res.witness == ref.witness
+    assert res.circuit == ref.circuit
     assert res.rank == ref.rank
 
 
@@ -143,7 +138,7 @@ def oracle_circuit(g: SignedGraph, part, x):
 
 def forest_circuit(g: SignedGraph, part, x):
     emap = {e.id: e for e in g.edges}
-    return _SignedForest(len(g.vertices), (emap[y] for y in part)).circuit(*emap[x])
+    return _SignedForest(len(g.index.vertices), (emap[y] for y in part)).circuit(*emap[x])
 
 
 def accepts_shape(forest: _SignedForest, e: SignedEdge, emap) -> str:
@@ -244,7 +239,7 @@ class TestCircuit:
             emap = {e.id: e for e in g.edges}
             ids = list(emap)
             rng.shuffle(ids)
-            forest = _SignedForest(len(g.vertices))
+            forest = _SignedForest(len(g.index.vertices))
             part = []
             for eid in ids:
                 if rng.random() < 0.8 and forest.accepts(*emap[eid]):
@@ -662,6 +657,19 @@ class TestMatroidUnion:
         assert len(built) == len(labeled)
         assert sorted(inserted) == sorted(e[0] for e in edges)
 
+    def test_graphs_share_one_index(self):
+        """Graphs built apart from the same vertices and edges have equal
+        indices, one ground set; a graph whose index only begins with the
+        first graph's edges is refused."""
+        a = sg([0, 1], [(0, 0, 1, 1), (1, 0, 1, -1)])
+        b = sg([0, 1], [(0, 0, 1, -1), (1, 0, 1, -1)])
+        assert a.index is not b.index
+        assert matroid_union_rank([((1, 2), a), ((1, 3), b)]).rank == 2
+        prefix = sg([0, 1], [(0, 0, 1, 1)])
+        for labeled in ([((1, 2), prefix), ((1, 3), a)], [((1, 2), a), ((1, 3), prefix)]):
+            with pytest.raises(InputError, match="the labeled graphs do not share one edge index"):
+                matroid_union_rank(labeled)
+
     def test_witness_is_tight(self, c2_rep):
         h = stewart_graph(c2_rep.group)
         for g in c2_rep.group.elements():
@@ -717,8 +725,7 @@ class TestDecompositionValidate:
         names that circuit, not the whole part."""
         g = sg(range(4), edges)
         ids = tuple(e[0] for e in edges)
-        dec = UnionDecomposition(
-            parts={(1, 2): (), (1, 3): ids}, assignment=dict.fromkeys(ids, (1, 3)), unassigned=())
+        dec = UnionDecomposition(parts={(1, 2): (), (1, 3): ids}, unassigned=())
         message = f"part (1, 3) not independent: {witness}"
         with pytest.raises(ConsistencyError, match=re.escape(message)):
             dec.validate([((1, 2), g), ((1, 3), g)])
@@ -966,6 +973,55 @@ class TestCountingCondition:
             h = multiply_edges(h, bar_multiplicity(rep.d))
         for g in rep.group.elements():
             assert_matches_enumeration(combinatorial_verdict(h, rep, g))
+
+
+class TestFirstCircuit:
+    """The union keeps the reach of its first failed search as ``circuit``,
+    the verdict carries it, and ``counting_violation`` reads it and runs
+    no union of its own."""
+
+    @pytest.mark.parametrize("orders, seed", [((2,), 613), ((2, 2), 617), ((2, 2, 2), 619)])
+    def test_first_failed_reach(self, monkeypatch, orders, seed):
+        """Seeded gain graphs with 4 to 8 vertices and up to 6n + 4 edges:
+        the circuit is empty exactly when nothing is unassigned, ends at the
+        first unassigned edge, lies in the witness and spans one connected
+        component; and with the union patched to raise once the verdicts
+        are built, ``counting_violation`` returns the same documents."""
+        rng = random.Random(seed)
+        verdicts = []
+        for _ in range(12):
+            rep = random_diagonal_rep(rng, orders, 3)
+            n = rng.randint(4, 8)
+            h = medium_gain_graph(rng, rep.group, n, rng.randint(-2 * n, 4))
+            verdicts += [combinatorial_verdict(h, rep, g) for g in rep.group.elements()]
+        for v in verdicts:
+            unassigned = v.decomposition.unassigned
+            assert bool(v.circuit) == bool(unassigned)
+            if not unassigned:
+                continue
+            assert v.circuit[-1] == unassigned[0]
+            assert set(v.circuit) <= set(v.witness)
+            # the circuit's edges join all of its vertices into one component
+            ends = {e.id: (e.tail, e.head) for e in v.labeled[0][1].edges}
+            component = set(ends[v.circuit[0]])
+            grew = True
+            while grew:
+                grew = False
+                for eid in v.circuit:
+                    if component.isdisjoint(ends[eid]) or component.issuperset(ends[eid]):
+                        continue
+                    component |= set(ends[eid])
+                    grew = True
+            assert component == {x for eid in v.circuit for x in ends[eid]}
+        documents = [counting_violation(v) for v in verdicts]
+        assert sum(d is None for d in documents) >= 5
+        assert sum(d is not None for d in documents) >= 5
+
+        def no_second_run(*args):
+            raise AssertionError("counting_violation ran a union")
+
+        monkeypatch.setattr(matroid, "matroid_union_rank", no_second_run)
+        assert [counting_violation(v) for v in verdicts] == documents
 
 
 class TestCombinatorialVerdict:
