@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -173,6 +174,44 @@ def test_generated_hinge_documents(capsys, tmp_path, name, command):
     path.write_text(json.dumps(_generated_hinge_docs()[name]), encoding="utf-8")
     code, out = run(capsys, [command, str(path), "--format", "json"])
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == GENERATED_HINGE_OUTPUTS[name, command]
+
+
+# (exit code, first 16 hex digits of the sha256 of stdout) of ``flex`` on the
+# benchmark generator's body-bar inputs (perfbench/workloads, slot 0, drawn
+# from random.Random(7)), keyed by (orders, n, under-braced, format)
+FLEX_OUTPUTS = {
+    ((2,), 4, False, "json"): (0, "3313054690b05620"),
+    ((2,), 4, False, "text"): (0, "e4c659f3b38638c7"),
+    ((2,), 4, True, "json"): (1, "5ca85fb0897ad721"),
+    ((2,), 4, True, "text"): (1, "3c2864d6b61b78e8"),
+    ((2,), 8, False, "json"): (0, "3313054690b05620"),
+    ((2,), 8, False, "text"): (0, "e4c659f3b38638c7"),
+    ((2,), 8, True, "json"): (1, "2d5e7effedb64591"),
+    ((2,), 8, True, "text"): (1, "388061f06b9b1f18"),
+    ((2, 2), 4, False, "json"): (0, "3313054690b05620"),
+    ((2, 2), 4, False, "text"): (0, "e4c659f3b38638c7"),
+    ((2, 2), 4, True, "json"): (1, "949034a5de36aa07"),
+    ((2, 2), 4, True, "text"): (1, "840b23db38cb32f5"),
+    ((2, 2), 8, False, "json"): (0, "3313054690b05620"),
+    ((2, 2), 8, False, "text"): (0, "e4c659f3b38638c7"),
+    ((2, 2), 8, True, "json"): (1, "81cb46d9b9e3bbc7"),
+    ((2, 2), 8, True, "text"): (1, "ced42929394cee87"),
+}
+
+
+@pytest.mark.parametrize("orders, n, under, fmt", sorted(FLEX_OUTPUTS))
+def test_generated_flex_documents(capsys, tmp_path, orders, n, under, fmt):
+    """Flexes of generated rigid and under-braced body-bar documents give
+    the pinned output in both formats."""
+    sys.path.insert(0, str(TESTS.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    path = tmp_path / "doc.json"
+    path.write_bytes(workloads.dump(workloads.body_bar(random.Random(7), orders, n, under, 0)))
+    code, out = run(capsys, ["flex", str(path), "--format", fmt])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == FLEX_OUTPUTS[orders, n, under, fmt]
 
 
 class TestParsing:
