@@ -21,7 +21,6 @@ sample), and checks the two against each other (``disagreements``);
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
@@ -53,9 +52,10 @@ def random_generic_hinges(
     return random_configuration(HingeConfiguration, h, rep, seed, bound)
 
 
-def hinge_complement_basis(star: Sequence[int]) -> list[tuple[Fraction, ...]]:
+def hinge_complement_basis(star: Sequence[int]) -> list[tuple[int, ...]]:
     """Deterministic basis of the orthogonal complement of a starred hinge,
-    the vector of a hinge entry, in grade-2 coordinate space."""
+    the vector of a hinge entry, in grade-2 coordinate space: the integer
+    vectors of ``kernel_vectors``, so a bar built from one has den 1."""
     if not any(star):
         raise InputError("zero hinge extensor has no complement basis")
     return list(kernel_vectors([list(star)], len(star)))

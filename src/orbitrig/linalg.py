@@ -9,7 +9,7 @@ and the k-th pivot is the k x k minor of the scaled, row-permuted matrix
 on the first k pivot columns.  Everything exact reads that one pass:
 ``rank_exact`` is its pivot count, ``algebra.det`` its sign times its last
 pivot over the row multipliers, and ``kernel_vectors`` back-substitutes on
-its rows, one kernel vector per free column.
+its rows, one integer kernel vector per free column.
 
 ``rank_mod_p`` is the only prime-field engine.  It ranks rows given as
 ``{column: x mod p}`` dicts, choosing pivots by Markowitz's rule (the
@@ -120,42 +120,40 @@ def rank_exact(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(echelon(rows, len(rows[0]) if rows else 0).pivots)
 
 
-def kernel_vectors(rows: Sequence[Sequence[Scalar]], ncols: int) -> Iterator[tuple[Fraction, ...]]:
+def kernel_vectors(rows: Sequence[Sequence[Scalar]], ncols: int) -> Iterator[tuple[int, ...]]:
     """The basis of the right kernel read off the reduced row echelon form,
-    drawn lazily: for each free column fc in order, the vector that is 1 at
-    fc, 0 at the other free columns, and solves the system at the pivot
-    columns.  Only the k pivot rows left of fc constrain it, and by
-    Cramer's rule D times it is integral, D being the k-th pivot of
-    ``echelon`` (the minor on those rows and pivot columns), so it is
-    back-substituted over the integers as D * x and divided by D last."""
+    drawn lazily as integer vectors: for each free column fc in order, the
+    least positive integer multiple of the vector x that is 1 at fc, 0 at
+    the other free columns, and solves the system at the pivot columns.
+    Only the k pivot rows left of fc constrain x, and by Cramer's rule
+    D x is integral, D being the k-th pivot of ``echelon`` (the minor on
+    those rows and pivot columns), so D x is back-substituted over the
+    integers and divided by the gcd of its entries, signed so that the
+    entry at fc is positive."""
     e = echelon(rows, ncols)
     pivot_set = set(e.pivots)
-    zero = Fraction(0)
     for fc in range(ncols):
         if fc in pivot_set:
             continue
         k = bisect(e.pivots, fc)
         d = e.rows[k - 1][e.pivots[k - 1]] if k else 1
-        scaled = []  # (column, D * x) for the pivot columns right of the current row
-        vec = [zero] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = d
         for i in range(k - 1, -1, -1):
             r = e.rows[i]
-            total = r[fc] * d + sum(r[c] * y for c, y in scaled)
-            y = -total // r[e.pivots[i]]
-            scaled.append((e.pivots[i], y))
-            vec[e.pivots[i]] = Fraction(y, d)
-        yield tuple(vec)
+            total = r[fc] * d + sum(r[c] * vec[c] for c in e.pivots[i + 1 : k])
+            vec[e.pivots[i]] = -total // r[e.pivots[i]]
+        f = gcd(*vec) if d > 0 else -gcd(*vec)
+        yield tuple(x // f for x in vec)
 
 
-def orthogonal_part(vec: Sequence[Scalar], ortho: Sequence[Sequence[int]]) -> list[int]:
-    """A positive integer multiple of ``vec`` minus its projections onto
-    the pairwise orthogonal integer vectors ``ortho``, fraction-free:
-    ``vec`` cleared of denominators, then per u the step
-    v <- (u.u) v - (v.u) u, divided by the gcd of its entries.  A multiple
-    of u projects as u does, so the parts this returns can serve as
-    ``ortho`` themselves."""
-    v = _cleared(vec)[1]
+def orthogonal_part(vec: Sequence[int], ortho: Sequence[Sequence[int]]) -> list[int]:
+    """A positive integer multiple of the integer vector ``vec`` minus its
+    projections onto the pairwise orthogonal integer vectors ``ortho``,
+    fraction-free: per u the step v <- (u.u) v - (v.u) u, divided by the
+    gcd of its entries.  A multiple of u projects as u does, so the parts
+    this returns can serve as ``ortho`` themselves."""
+    v = list(vec)
     for u in ortho:
         vu = sum(a * b for a, b in zip(v, u))
         if vu:

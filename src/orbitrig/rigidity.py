@@ -75,9 +75,9 @@ from .symmetry import (
 
 def rigidity_matrix(
     cov: CoveredGraph, bars: Mapping[tuple, BarEntry], d: int
-) -> list[list[Scalar]]:
-    """Row per lifted bar: its grade-2 coordinates at the tail block and
-    their negation at the head block."""
+) -> list[list[int]]:
+    """Row per lifted bar: its entry's integer grade-2 vector at the tail
+    block and its negation at the head block."""
     b = comb(d + 1, 2)
     vindex = {v: i for i, v in enumerate(cov.vertices)}
     rows = []
@@ -86,7 +86,7 @@ def rigidity_matrix(
             vec = bars[e.id].vector
         except KeyError:
             raise InputError(f"no bar for lifted edge {e.id!r}")
-        row = [Fraction(0)] * (b * len(cov.vertices))
+        row = [0] * (b * len(cov.vertices))
         tb = vindex[e.tail] * b
         hb = vindex[e.head] * b
         for t in range(b):
@@ -453,7 +453,8 @@ def analyze_generic(
 @dataclass(frozen=True)
 class Flex:
     """A nontrivial motion in one character block: a screw per quotient
-    vertex, orthogonalized against the fixed screws."""
+    vertex, orthogonalized against the fixed screws, with Fraction
+    entries."""
 
     irrep: Element
     vertices: tuple[VertexId, ...]
@@ -469,24 +470,17 @@ class Flex:
         return {
             "irrep": list(self.irrep),
             "assignment": {
-                str(v): [_scalar_json(x) for x in vec] for v, vec in self.assignment.items()
+                str(v): [str(x) for x in vec] for v, vec in self.assignment.items()
             },
         }
 
 
-def _scalar_json(x: Scalar):
-    return str(x) if isinstance(x, Fraction) else x
-
-
 def trivial_space_vectors(
     rep: PointRepresentation, g: Element, nverts: int
-) -> list[tuple[Scalar, ...]]:
+) -> list[tuple[int, ...]]:
     """Constant assignments of each fixed screw to every vertex: the
     j-symmetric trivial motions on the quotient."""
-    out = []
-    for t in fixed_subspace_basis(rep, g):
-        out.append(tuple(t) * nverts)
-    return out
+    return [t * nverts for t in fixed_subspace_basis(rep, g)]
 
 
 def extract_flex(om: OrbitMatrix, rep: PointRepresentation) -> Flex | None:

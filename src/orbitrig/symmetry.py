@@ -41,10 +41,11 @@ from typing import Sequence
 
 from .algebra import SquareMatrix, _integer_image, compound, kron, lex_index
 from .errors import ConsistencyError, InputError, RepresentationError, UnsupportedGroupError
-from .linalg import _cleared, kernel_vectors, rank_certified
+from .linalg import kernel_vectors, rank_certified
 
 Element = tuple[int, ...]
 MAX_D = 12  # the largest d taken: the work grows like d^4 (screw space is C(d+1, 2))
+MAX_ORDER = 2 ** MAX_D  # the largest group order taken, that of (Z/2)^MAX_D: every element is listed
 INTERN_CAP = 256  # representations kept by ``from_generators``; the oldest goes first
 _interned: dict[tuple, PointRepresentation] = {}  # the table of ``from_generators``, oldest first
 
@@ -58,6 +59,9 @@ class AbelianGroup:
     def __post_init__(self):
         if any(k < 2 for k in self.orders):
             raise InputError("cyclic factor orders must be >= 2")
+        # each factor is at least 2, so more than MAX_D of them exceed MAX_ORDER
+        if len(self.orders) > MAX_D or self.order() > MAX_ORDER:
+            raise InputError(f"group order is above the supported limit MAX_ORDER = {MAX_ORDER}")
 
     @property
     def identity(self) -> Element:
@@ -192,7 +196,7 @@ class PointRepresentation:
         self._hat: dict[Element, tuple[int, tuple]] = {}
         self._twisted: dict[tuple[Element, Element], SquareMatrix] = {}
         self._trivial_dim: dict[Element, int] = {}
-        self._fixed: dict[Element, tuple[tuple[Fraction, ...], ...]] = {}
+        self._fixed: dict[Element, tuple[tuple[int, ...], ...]] = {}
         self._proven_dim: dict[Element, int] = {}
         self._signs: dict[Element, dict[Element, tuple[int, ...]]] = {}
         gens = list(zip(group.generators(), generators, strict=True))
@@ -365,7 +369,7 @@ def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
     return dim
 
 
-def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Fraction, ...]]:
+def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[int, ...]]:
     """Basis of the realified screws s with A^T s = s for every twisted image
     A, i.e. the space of j-symmetric trivial motions on the quotient (see
     ``proven_trivial_dim``).  For a real character A^T is the image of the
@@ -373,9 +377,10 @@ def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Fra
     images form a representation, so a screw fixed by the images of the
     generators is fixed by every image: only their A^T - I are stacked,
     which leaves the kernel, and so its basis, as it is.  Each A^T - I is
-    stacked as the integer rows N^T - D I of ``_twisted_int``.  Length
-    equals ``phi(m) * trivial_motion_dim``.  Cached on ``rep`` per j; each
-    call returns a new list."""
+    stacked as the integer rows N^T - D I of ``_twisted_int``, and the
+    screws are the integer vectors of ``kernel_vectors``.  Length equals
+    ``phi(m) * trivial_motion_dim``.  Cached on ``rep`` per j; each call
+    returns a new list."""
     if j in rep._fixed:
         return list(rep._fixed[j])
     size = comb(rep.d + 1, 2) * irrep_degree(rep.group, j)
@@ -403,22 +408,22 @@ def proven_trivial_dim(rep: PointRepresentation, j: Element) -> int:
     screw s, assigned to every vertex, with vec . (s - A^T s); the fixed
     screws thus give phi(m) times this many independent kernel vectors of
     every realified orbit matrix of j, and its column count minus that
-    bounds its rank.  With s cleared of denominators and (D, N) the integer
-    image of ``_twisted_int``, A^T s = s is checked as N^T s = D s.  Raises
-    ``ConsistencyError`` when the check fails.  Cached on ``rep`` per j."""
+    bounds its rank.  With s an integer screw of ``fixed_subspace_basis``
+    and (D, N) the integer image of ``_twisted_int``, A^T s = s is checked
+    as N^T s = D s.  Raises ``ConsistencyError`` when the check fails.
+    Cached on ``rep`` per j."""
     if j in rep._proven_dim:
         return rep._proven_dim[j]
     basis = fixed_subspace_basis(rep, j)
-    cleared = [_cleared(s)[1] for s in basis]
-    if rank_certified(cleared, len(basis)) != len(basis):
+    if rank_certified(basis, len(basis)) != len(basis):
         raise ConsistencyError(f"fixed screws of irrep {j} are linearly dependent")
     for g in rep.group.elements():
         den, n = _twisted_int(rep, j, g)
-        for s, si in zip(basis, cleared):
+        for s in basis:
             # N^T s as the sum of x times row r of N over the support of s
-            support = [(n.rows[r], x) for r, x in enumerate(si) if x]
-            image = [sum(row[c] * x for row, x in support) for c in range(len(si))]
-            if image != [den * x for x in si]:
+            support = [(n.rows[r], x) for r, x in enumerate(s) if x]
+            image = [sum(row[c] * x for row, x in support) for c in range(len(s))]
+            if image != [den * x for x in s]:
                 raise ConsistencyError(
                     f"screw {tuple(map(str, s))} is not fixed by the transposed "
                     f"image of {g} in irrep {j}"

@@ -4,8 +4,10 @@ Everything here deliberately avoids the production algorithms: independence
 goes through exact incidence-matrix ranks, union ranks through exhaustive
 subset enumeration, tree packings through the partition criterion,
 a bar through ``fraction_wedge``, its definition in Fraction arithmetic,
-and the Hodge star through ``hodge_star_by_inversions``, which counts
-the inversions of every basis element's permutation.
+a kernel basis through ``kernel_by_gauss_jordan``, Gauss-Jordan
+elimination in Fraction arithmetic, and the Hodge star through
+``hodge_star_by_inversions``, which counts the inversions of every basis
+element's permutation.
 The exceptions are earlier versions of production code, kept to pin the
 exact output of the current ones: ``matroid_union_rank_unpruned``, the union
 algorithm, ``forest_rank`` and ``union_rank_by_forests``, the witness
@@ -476,6 +478,36 @@ def hinge_to_bars(
     return multiplied, BarConfiguration(d=d, entries=entries, meta=meta)
 
 
+def kernel_by_gauss_jordan(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """The kernel basis of the reduced row echelon form, by Gauss-Jordan
+    elimination in Fraction arithmetic: each pivot row is divided by its
+    pivot and cleared from every other row.  Per free column fc in order,
+    the vector that is 1 at fc, 0 at the other free columns, and minus the
+    entry at fc of each pivot row at that row's pivot column."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    out = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Fraction(int(c == fc)) for c in range(ncols)]
+            for row, c in zip(m, pivots):
+                v[c] = -row[fc]
+            out.append(tuple(v))
+    return out
+
+
 def induced_rep(a: SquareMatrix, k: int) -> SquareMatrix:
     """Action induced on the grade-k exterior power: entry [I, J] is the
     k x k minor of ``a`` on rows I and columns J, a Fraction; for k = 2 each
@@ -557,7 +589,7 @@ def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
     return dim
 
 
-def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[Fraction, ...]]:
+def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[int, ...]]:
     """Basis of the realified screws s with A^T s = s for every twisted image
     A, i.e. the space of j-symmetric trivial motions on the quotient (see
     ``proven_trivial_dim``).  For a real character A^T is the image of the

@@ -214,6 +214,24 @@ def test_generated_flex_documents(capsys, tmp_path, orders, n, under, fmt):
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == FLEX_OUTPUTS[orders, n, under, fmt]
 
 
+@pytest.mark.parametrize("order", [10 ** 3999, 2 ** 40], ids=["4000-digits", "2^40"])
+@pytest.mark.parametrize("command", ["analyze", "certify"])
+def test_huge_group_order_refused(capsys, fixture_dir, tmp_path, monkeypatch, command, order):
+    """A group order above MAX_ORDER exits 2 before any element is listed:
+    listing them would overflow or fill the memory."""
+
+    def no_elements(self):
+        raise AssertionError("group elements listed")
+
+    monkeypatch.setattr(AbelianGroup, "elements", no_elements)
+    doc = json.loads((fixture_dir / "c2_stewart.json").read_text())
+    doc["group"]["orders"] = [order]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, str(path)]) == EXIT_INPUT
+    assert f"MAX_ORDER = {symmetry.MAX_ORDER}" in capsys.readouterr().err
+
+
 class TestParsing:
     def test_rationals(self):
         from fractions import Fraction

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -154,10 +155,11 @@ class TestKernelVectors:
         return [[Fraction(x, rng.randint(1, 9)) for x in row] for row in rows]
 
     def test_basis_of_the_kernel(self):
-        """Each vector solves A x = 0, its last nonzero entry is 1 at its own
-        free column, it is 0 at the other free columns, and there are
-        ncols - rank of them.  Column c is free exactly when it adds nothing
-        to the rank of the columns before it."""
+        """Each vector is an integer vector with gcd 1 that solves A x = 0,
+        its last nonzero entry is positive and at its own free column, it is
+        0 at the other free columns, and there are ncols - rank of them.
+        Column c is free exactly when it adds nothing to the rank of the
+        columns before it."""
         rng = random.Random(41)
         deficient = 0
         for _ in range(80):
@@ -171,12 +173,51 @@ class TestKernelVectors:
             ]
             assert [max(c for c, x in enumerate(v) if x) for v in vecs] == free
             for v, fc in zip(vecs, free):
-                assert all(type(x) is Fraction for x in v)
-                assert v[fc] == 1
+                assert all(type(x) is int for x in v)
+                assert gcd(*v) == 1
+                assert v[fc] > 0
                 assert all(v[c] == 0 for c in free if c != fc)
                 assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
             deficient += bool(vecs)
         assert deficient > 40
+
+    def test_cleared_gauss_jordan_kernel(self):
+        """Vector by vector, the kernel basis is the rational Gauss-Jordan
+        one cleared of denominators (times the lcm of its denominators, so
+        its gcd is 1 and its entry 1 at the free column stays positive), on
+        empty, all-zero, single-row and dependent integer and rational
+        matrices; and A v = 0 holds exactly."""
+        rng = random.Random(43)
+        kinds = ("empty", "zero", "single", "dependent")
+        for t in range(240):
+            kind, rational = kinds[t % 4], t % 8 >= 4
+            n = rng.randint(0 if kind == "empty" else 1, 8)
+            if kind == "empty":
+                rows = []
+            elif kind == "zero":
+                rows = [[0] * n for _ in range(rng.randint(1, 5))]
+            elif kind == "single":
+                rows = [[rng.randint(-9, 9) for _ in range(n)]]
+            else:
+                # planted dependencies: rows inserted anywhere, each an
+                # integer combination of the rows before it was inserted
+                m = rng.randint(2, 7)
+                rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(rng.randint(1, m - 1))]
+                while len(rows) < m:
+                    coeffs = [rng.randint(-3, 3) for _ in rows]
+                    rows.insert(rng.randrange(len(rows) + 1),
+                                [sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(n)])
+            if rational:
+                rows = [[Fraction(x, rng.randint(1, 12)) for x in row] for row in rows]
+            got = list(kernel_vectors(rows, n))
+            want = []
+            for x in oracles.kernel_by_gauss_jordan(rows, n):
+                den = lcm(*(y.denominator for y in x))
+                want.append(tuple(int(y * den) for y in x))
+            assert got == want, (rows, n)
+            for v in got:
+                assert all(type(x) is int for x in v)
+                assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
 
     def test_drawn_lazily(self):
         rows = [[1, 2, 3, 4]]
