@@ -159,7 +159,7 @@ def parse_framework(doc: dict) -> dict:
     if "configuration" in doc and doc["configuration"] is not None:
         config = parse_configuration(doc["configuration"], h, rep, KINDS[model])
 
-    return {"model": model, "group": group, "rep": rep, "graph": h, "config": config}
+    return {"model": model, "rep": rep, "graph": h, "config": config}
 
 
 def _parse_point(p: Sequence[Any], d: int) -> tuple[Fraction, ...]:

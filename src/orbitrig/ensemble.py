@@ -17,7 +17,6 @@ from .rigidity import CrosscheckResult, lifted_rank
 from .symmetry import MAX_D, AbelianGroup, PointRepresentation
 
 SCHEMA_VERSION = 1  # of the input documents: written here, read by ``cli``
-CROSSCHECK_BOUND = 1000  # coordinates of the drawn points lie in [-bound, bound]
 
 
 def _require_diagonal_two_group(orders: tuple[int, ...], d: int) -> None:
@@ -98,7 +97,9 @@ def crosscheck_instances(
     """Randomized agreement harness: per instance, (a) the exact lifted
     rank must equal the sum of the orbit-matrix ranks, and (b) the
     combinatorial deficiency must equal the numeric flex count per
-    character.  Mismatching instances are serialized for replay."""
+    character.  Mismatching instances are serialized for replay: the
+    analysis is drawn as ``orbitrig analyze`` draws it, so
+    ``orbitrig analyze <replay>.json --seed <its "seed">`` reproduces it."""
     if count < 0:
         raise InputError(f"count must be non-negative, got {count}")
     if max_vertices < 1 or max_edges < 1:
@@ -117,7 +118,7 @@ def crosscheck_instances(
         rep = random_diagonal_rep(rng, orders, d)
         h = random_gain_graph(rng, rep.group, max_vertices, max_edges)
         cfg_seed = rng.randrange(2 ** 32)
-        result = analyze_framework("body-bar", h, rep, cfg_seed, samples=2, bound=CROSSCHECK_BOUND)
+        result = analyze_framework("body-bar", h, rep, cfg_seed, samples=2)
         # the lifted rank is taken at the analysis's sample 0
         cc = CrosscheckResult(
             lifted_rank(h, result.numeric.config, rep),

@@ -73,16 +73,13 @@ def body_bar_quotient(model: str, h: GainGraph, d: int) -> GainGraph:
 
 
 def hinge_to_bars(
-    h: GainGraph, config: HingeConfiguration, multiplied: GainGraph | None = None
+    h: GainGraph, config: HingeConfiguration, multiplied: GainGraph
 ) -> tuple[GainGraph, BarConfiguration]:
     """Expand every quotient edge into C(d+1,2)-1 parallel copies, bar copy
     t being the t-th vector of the hinge's ``hinge_complement_basis``.  A
     copy's rows are linear in its bar, so any basis gives the same ranks.
-    ``multiplied`` is the body-hinge ``body_bar_quotient`` of ``h`` when
-    the caller has it already."""
+    ``multiplied`` is the body-hinge ``body_bar_quotient`` of ``h``."""
     d = config.d
-    if multiplied is None:
-        multiplied = body_bar_quotient("body-hinge", h, d)
     entries: dict[EdgeId, BarEntry] = {}
     for e in h.edges:
         for t, vec in enumerate(hinge_complement_basis(config.vector(e.id)), 1):

@@ -611,7 +611,6 @@ class CombinatorialVerdict:
     ``to_json``."""
 
     irrep: Element
-    d: int
     edges: int
     target: int
     rank: int
@@ -693,7 +692,6 @@ def combinatorial_verdict(h: GainGraph, rep: PointRepresentation, g: Element) ->
     rank = result.rank
     return CombinatorialVerdict(
         irrep=g,
-        d=rep.d,
         edges=len(h_g.edges),
         target=target,
         rank=rank,

@@ -66,7 +66,6 @@ from .symmetry import (
     fixed_subspace_basis,
     galois_representative,
     irrep_degree,
-    proven_trivial_dim,
     root_of_unity_matrix,
     tau_hat_int,
     trivial_motion_dim,
@@ -233,7 +232,7 @@ def _block_rank(
     deficient blocks too.  Otherwise the realified orbit matrix is ranked
     by ``OrbitMatrix.rank``.  The proof names the bound that the rank
     meets, "bound" checked first, or is None (see ``IrrepReport``)."""
-    bound = comb(rep.d + 1, 2) * len(h.vertices) - proven_trivial_dim(rep, g)
+    bound = comb(rep.d + 1, 2) * len(h.vertices) - trivial_motion_dim(rep, g)
     p, w = prime_with_root(rep.group.element_order(g))
     deg = irrep_degree(rep.group, g)
     weights = [pow(w, c, p) for c in range(deg)]

@@ -18,8 +18,8 @@ A representation holds each element's image M only as the integer image
 (D, N = D M) over its least common denominator, and its image on screws
 (grade 2, the one exterior power taken; a hinge is held starred) only as
 the integer compound of that over a common denominator (``tau_hat_int``);
-the trace average, fixed screws, kernel proof, lifts and orbit-matrix rows
-read only those.
+the fixed screws (found, checked and proven by ``fixed_subspace_basis``
+alone), lifts and orbit-matrix rows read only those.
 
 A representation depends on its generator images alone, and so does all
 that is cached on it.  ``PointRepresentation.from_generators`` builds one
@@ -169,13 +169,13 @@ class PointRepresentation:
     The instance also caches, per g, the integer screw image of
     ``tau_hat_int``, and what the module functions derive from it: per
     character label j the rational twisted screw images of ``tau_hat2_j``
-    per (j, g), the fixed-screw dimension, basis and kernel proof, and the
-    signs of ``induced_signs``; and the outcome of
-    ``require_combinatorial``.  The dense integer twisted images are not
-    kept: the fixed-screw basis and its proof, which read them, run once
-    per character.  Cached entries are shared safely, also between the
-    callers of ``from_generators``, which hands one instance to every
-    caller with the same integer generator images.
+    per (j, g), the proven fixed-screw basis, and the signs of
+    ``induced_signs``; and the outcome of ``require_combinatorial``.  The
+    dense integer twisted images are not kept: the fixed-screw basis and
+    its proof, which read them, run once per character.  Cached entries
+    are shared safely, also between the callers of ``from_generators``,
+    which hands one instance to every caller with the same integer
+    generator images.
     """
 
     def __init__(
@@ -195,9 +195,7 @@ class PointRepresentation:
         self.d = d
         self._hat: dict[Element, tuple[int, tuple]] = {}
         self._twisted: dict[tuple[Element, Element], SquareMatrix] = {}
-        self._trivial_dim: dict[Element, int] = {}
         self._fixed: dict[Element, tuple[tuple[int, ...], ...]] = {}
-        self._proven_dim: dict[Element, int] = {}
         self._signs: dict[Element, dict[Element, tuple[int, ...]]] = {}
         gens = list(zip(group.generators(), generators, strict=True))
         for g, (den, n) in reversed(gens):
@@ -265,6 +263,7 @@ class PointRepresentation:
 
     def is_diagonal_pm_one(self) -> bool:
         return all(den == 1 and n.is_diagonal_pm_one() for den, n in self.integer_images.values())
+
     def is_combinatorial(self) -> bool:
         """Whether the signed-matroid path applies (see
         ``require_combinatorial``)."""
@@ -346,13 +345,17 @@ def tau_hat_int(
 
 def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
     """Dimension over Q(zeta_m) of the fixed subspace of the twisted screw
-    representation: the average over the group of the traces of the
-    realified images, divided by phi(m).  A realified image is a Kronecker
-    product, so its trace is the product of the factors' traces.  Always a
-    nonnegative integer for a valid representation.  Cached on ``rep`` per
-    j."""
-    if j in rep._trivial_dim:
-        return rep._trivial_dim[j]
+    representation: the number of proven fixed screws of
+    ``fixed_subspace_basis`` divided by phi(m)."""
+    return len(fixed_subspace_basis(rep, j)) // irrep_degree(rep.group, j)
+
+
+def _trace_average(rep: PointRepresentation, j: Element) -> int:
+    """Dimension over Q(zeta_m) of the fixed subspace of the twisted screw
+    representation, counted as the average over the group of the traces of
+    the realified images, divided by phi(m).  A realified image is a
+    Kronecker product, so its trace is the product of the factors' traces.
+    Always a nonnegative integer for a valid representation."""
     elems = rep.group.elements()
     m = rep.group.element_order(j)
     scale = lcm(*(tau_hat_int(rep, g)[0] for g in elems))
@@ -365,22 +368,28 @@ def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
     if total % n or total < 0:
         avg = Fraction(total, n)
         raise RepresentationError(f"trace average {avg} is not a nonnegative integer")
-    rep._trivial_dim[j] = dim = total // n
-    return dim
+    return total // n
 
 
 def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[int, ...]]:
     """Basis of the realified screws s with A^T s = s for every twisted image
-    A, i.e. the space of j-symmetric trivial motions on the quotient (see
-    ``proven_trivial_dim``).  For a real character A^T is the image of the
-    inverse, so these are the screws fixed by every image.  The twisted
-    images form a representation, so a screw fixed by the images of the
-    generators is fixed by every image: only their A^T - I are stacked,
-    which leaves the kernel, and so its basis, as it is.  Each A^T - I is
-    stacked as the integer rows N^T - D I of ``_twisted_int``, and the
-    screws are the integer vectors of ``kernel_vectors``.  Length equals
-    ``phi(m) * trivial_motion_dim``.  Cached on ``rep`` per j; each call
-    returns a new list."""
+    A, i.e. the space of j-symmetric trivial motions on the quotient: the
+    one place where they are found, checked and proven.  For a real
+    character A^T is the image of the inverse, so these are the screws
+    fixed by every image.  The twisted images form a representation, so a
+    screw fixed by the images of the generators is fixed by every image:
+    only their A^T - I are stacked, as the integer rows N^T - D I of
+    ``_twisted_int``, and the screws are the integer vectors of
+    ``kernel_vectors``.  Their number is checked against the trace average
+    (``RepresentationError``), and then proven in exact arithmetic
+    (``ConsistencyError``): the screws are independent, and N^T s = D s
+    for every screw s and twisted image A = N / D.  A realified
+    orbit-matrix row of character j is a realified bar vec paired with the
+    tail screw and A vec paired with the head screw, so it pairs a screw s,
+    assigned to every vertex, with vec . (s - A^T s); the fixed screws thus
+    are independent kernel vectors of every realified orbit matrix of j,
+    and its column count minus their number bounds its rank.  Cached on
+    ``rep`` per j once proven; each call returns a new list."""
     if j in rep._fixed:
         return list(rep._fixed[j])
     size = comb(rep.d + 1, 2) * irrep_degree(rep.group, j)
@@ -390,31 +399,11 @@ def fixed_subspace_basis(rep: PointRepresentation, j: Element) -> list[tuple[int
         for r, col in enumerate(n.transpose().rows):
             rows.append(tuple(x - den if c == r else x for c, x in enumerate(col)))
     basis = list(kernel_vectors([r for r in rows if any(r)], size))
-    dim = trivial_motion_dim(rep, j) * irrep_degree(rep.group, j)
+    dim = _trace_average(rep, j) * irrep_degree(rep.group, j)
     if len(basis) != dim:
         raise RepresentationError(
             f"fixed subspace dimension {len(basis)} != trace average {dim}"
         )
-    rep._fixed[j] = tuple(basis)
-    return list(basis)
-
-
-def proven_trivial_dim(rep: PointRepresentation, j: Element) -> int:
-    """Number of fixed screws of character j over Q(zeta_m), after proving
-    in exact arithmetic that A^T s = s for every realified fixed screw s and
-    every twisted image A, and that those screws are independent.  A
-    realified orbit-matrix row of character j is a realified bar vec paired
-    with the tail screw and A vec paired with the head screw, so it pairs a
-    screw s, assigned to every vertex, with vec . (s - A^T s); the fixed
-    screws thus give phi(m) times this many independent kernel vectors of
-    every realified orbit matrix of j, and its column count minus that
-    bounds its rank.  With s an integer screw of ``fixed_subspace_basis``
-    and (D, N) the integer image of ``_twisted_int``, A^T s = s is checked
-    as N^T s = D s.  Raises ``ConsistencyError`` when the check fails.
-    Cached on ``rep`` per j."""
-    if j in rep._proven_dim:
-        return rep._proven_dim[j]
-    basis = fixed_subspace_basis(rep, j)
     if rank_certified(basis, len(basis)) != len(basis):
         raise ConsistencyError(f"fixed screws of irrep {j} are linearly dependent")
     for g in rep.group.elements():
@@ -428,8 +417,8 @@ def proven_trivial_dim(rep: PointRepresentation, j: Element) -> int:
                     f"screw {tuple(map(str, s))} is not fixed by the transposed "
                     f"image of {g} in irrep {j}"
                 )
-    rep._proven_dim[j] = dim = len(basis) // irrep_degree(rep.group, j)
-    return dim
+    rep._fixed[j] = tuple(basis)
+    return list(basis)
 
 
 def induced_signs(rep: PointRepresentation, g: Element) -> dict[Element, tuple[int, ...]]:

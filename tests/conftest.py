@@ -115,6 +115,22 @@ def signed_graph(vertices, edges) -> SignedGraph:
     return SignedGraph(EdgeIndex.of(vertices, edges), tuple(e.sign for e in edges))
 
 
+def inject_unfixed_screw(monkeypatch, screw=None) -> None:
+    """Patches ``symmetry.kernel_vectors`` so that the fixed screws it finds
+    keep their number, which then meets the trace average, but the first is
+    ``screw``, by default the first unit screw that the stacked rows
+    N^T - D I move: one that is not fixed, which the proof must refuse."""
+    real = symmetry.kernel_vectors
+
+    def patched(rows, ncols):
+        basis = list(real(rows, ncols))
+        moved = next(c for c in range(ncols) if any(r[c] for r in rows))
+        basis[0] = screw or tuple(int(c == moved) for c in range(ncols))
+        return basis
+
+    monkeypatch.setattr(symmetry, "kernel_vectors", patched)
+
+
 @pytest.fixture(autouse=True)
 def empty_intern_table(monkeypatch):
     """Every test starts with an empty table of ``from_generators``, so that

@@ -20,9 +20,10 @@ and the screw-image functions that multiplied Fraction matrices:
 ``tau_hat_k`` read from a representation's integer images, and the
 ``symmetry`` functions ``tau_hat2_j``,
 ``trivial_motion_dim``, ``fixed_subspace_basis`` and
-``proven_trivial_dim``.  These cache on the representation they are given,
-in the attributes that the current functions use, so the tests hand them a
-fresh copy of it.
+``proven_trivial_dim``.  These cache on the representation they are given:
+``tau_hat2_j`` and ``fixed_subspace_basis`` in the attributes that the
+current functions use, the two dimensions in attributes of their own, so
+the tests hand them a fresh copy of it.
 """
 
 from __future__ import annotations
@@ -573,8 +574,9 @@ def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
     nonnegative integer for a valid representation.  Cached on ``rep`` per
     j."""
     j = rep.group.canon(j)
-    if j in rep._trivial_dim:
-        return rep._trivial_dim[j]
+    cache = rep.__dict__.setdefault("_oracle_trivial_dim", {})
+    if j in cache:
+        return cache[j]
     elems = rep.group.elements()
     m = rep.group.element_order(j)
     total = sum(
@@ -585,7 +587,7 @@ def trivial_motion_dim(rep: PointRepresentation, j: Element) -> int:
     avg = Fraction(total, len(elems) * irrep_degree(rep.group, j))
     if avg.denominator != 1 or avg < 0:
         raise RepresentationError(f"trace average {avg} is not a nonnegative integer")
-    rep._trivial_dim[j] = dim = int(avg)
+    cache[j] = dim = int(avg)
     return dim
 
 
@@ -629,8 +631,9 @@ def proven_trivial_dim(rep: PointRepresentation, j: Element) -> int:
     bounds its rank.  Raises ``ConsistencyError`` when the check fails.
     Cached on ``rep`` per j."""
     j = rep.group.canon(j)
-    if j in rep._proven_dim:
-        return rep._proven_dim[j]
+    cache = rep.__dict__.setdefault("_oracle_proven_dim", {})
+    if j in cache:
+        return cache[j]
     basis = fixed_subspace_basis(rep, j)
     if rank_certified(basis, len(basis)) != len(basis):
         raise ConsistencyError(f"fixed screws of irrep {j} are linearly dependent")
@@ -644,5 +647,5 @@ def proven_trivial_dim(rep: PointRepresentation, j: Element) -> int:
                     f"screw {tuple(map(str, s))} is not fixed by the transposed "
                     f"image of {g} in irrep {j}"
                 )
-    rep._proven_dim[j] = dim = len(basis) // irrep_degree(rep.group, j)
+    cache[j] = dim = len(basis) // irrep_degree(rep.group, j)
     return dim

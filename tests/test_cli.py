@@ -29,7 +29,9 @@ from orbitrig.genframe import BarConfiguration, HingeConfiguration, random_gener
 from orbitrig.hinge import random_generic_hinges
 from orbitrig.algebra import SquareMatrix
 from orbitrig.symmetry import AbelianGroup, PointRepresentation
-from conftest import mirror_rep_d, reflection9, reflection9_rep, rotation9, rotation9_rep
+from conftest import (
+    inject_unfixed_screw, mirror_rep_d, reflection9, reflection9_rep, rotation9, rotation9_rep,
+)
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -474,20 +476,42 @@ class TestInternedRepresentations:
 
     def test_fixed_screws_found_once_per_character(self, capsys, monkeypatch, fixture_dir):
         calls = []
-        basis = symmetry.fixed_subspace_basis
+        kernel = symmetry.kernel_vectors
 
-        def counting(rep, j):
-            calls.append(j)
-            return basis(rep, j)
+        def counting(rows, ncols):
+            calls.append(ncols)
+            return kernel(rows, ncols)
 
-        monkeypatch.setattr(symmetry, "fixed_subspace_basis", counting)
+        monkeypatch.setattr(symmetry, "kernel_vectors", counting)
         golden = json.loads((TESTS / "golden_cli.json").read_text(encoding="utf-8"))
         expected = golden["c2_stewart analyze json"]
         argv = ["analyze", str(fixture_dir / "c2_stewart.json"), "--format", "json"]
         for _ in range(2):
             code, out = run(capsys, argv)
             assert {"code": code, "stdout": out} == expected
-        assert sorted(calls) == [(0,), (1,)]
+        # one kernel of six screw coordinates per character of Z/2
+        assert calls == [6, 6]
+
+
+class TestUnprovenFixedScrews:
+    """Every reader of a character's fixed screws reads the proven basis of
+    ``fixed_subspace_basis``: a basis of the right size that holds a screw
+    that is not fixed is refused by the ``analyze`` bound and flex count,
+    the ``certify`` target and the trivial space of ``flex`` alike."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["flex"], ["flex", "--irrep", "0"], ["flex", "--irrep", "1"], ["certify"], ["analyze"]],
+        ids=["flex", "flex-irrep-0", "flex-irrep-1", "certify", "analyze"],
+    )
+    def test_rigid_fixture_is_not_called_flexible(self, capsys, monkeypatch, fixture_dir, argv):
+        inject_unfixed_screw(monkeypatch)
+        code = main([argv[0], str(fixture_dir / "c2_stewart.json"), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == EXIT_INCONSISTENT
+        assert captured.out == ""
+        assert captured.err.startswith("consistency failure: screw ")
+        assert "is not fixed by the transposed image" in captured.err
 
 
 class TestExplicitHingeConfiguration:
@@ -676,6 +700,32 @@ class TestReplaySerialization:
         fw = parse_framework(doc)
         assert fw["graph"] == h
         assert fw["rep"].integer_images == rep.integer_images
+
+    @pytest.mark.parametrize("group", ["2", "2x2"])
+    def test_replay_reproduces_the_harness_analysis(self, capsys, monkeypatch, tmp_path, group):
+        """``orbitrig analyze <replay>.json --seed <its "seed">`` reports what
+        the crosscheck harness's analysis of that instance found."""
+        from orbitrig import ensemble
+
+        analyses = []
+        harness = ensemble.analyze_framework
+
+        def recording(model, h, rep, seed, **kwargs):
+            result = harness(model, h, rep, seed, **kwargs)
+            analyses.append((h, rep, seed, result))
+            return result
+
+        monkeypatch.setattr(ensemble, "analyze_framework", recording)
+        for seed in (1, 2, 3):
+            run(capsys, ["crosscheck", "--count", "2", "--group", group, "--seed", str(seed)])
+        assert len(analyses) == 6
+        path = tmp_path / "replay.json"
+        for h, rep, seed, result in analyses:
+            doc = serialize_instance(h, rep, seed)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code, out = run(capsys, ["analyze", str(path), "--seed", str(doc["seed"])])
+            assert json.loads(out) == json.loads(json.dumps(result.to_json()))
+            assert code == (EXIT_RIGID if result.rigid else EXIT_FLEXIBLE)
 
     def test_lift_hinge_model(self, capsys, fixture_dir):
         code, out = run(capsys, ["lift", str(fixture_dir / "cs_hinge.json")])

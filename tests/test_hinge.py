@@ -15,6 +15,7 @@ from orbitrig.hinge import (
     analyze_framework,
     analyze_hinge,
     bar_multiplicity,
+    body_bar_quotient,
     disagreements,
     hinge_complement_basis,
     hinge_to_bars,
@@ -58,7 +59,7 @@ class TestComplement:
         for d in range(2, 7):
             h, rep = two_body_one_hinge(d)
             hconf = random_generic_hinges(h, rep, seed=3)
-            multiplied, bars = hinge_to_bars(h, hconf)
+            multiplied, bars = hinge_to_bars(h, hconf, body_bar_quotient("body-hinge", h, d))
             assert len(multiplied.edges) == len(bars.entries) == bar_multiplicity(d)
             assert bar_multiplicity(3) == 5
             star = hconf.vector(0)
@@ -187,8 +188,9 @@ class TestComplementBasisInvariance:
             rng = random.Random(seed)
             h = random_hinge_graph(rng, rep, n, m)
             for hconf in (random_generic_hinges(h, rep, seed), explicit_hinges(rng, h, rep)):
-                multiplied, bars = hinge_to_bars(h, hconf)
-                assert hinge_to_bars(h, hconf)[1] == bars
+                quotient = body_bar_quotient("body-hinge", h, rep.d)
+                multiplied, bars = hinge_to_bars(h, hconf, quotient)
+                assert hinge_to_bars(h, hconf, quotient)[1] == bars
                 expected = self.summary(multiplied, rep, bars)
                 for bar_seed in (4, 5, 6):
                     ref_multiplied, ref_bars = recombined_hinge_to_bars(h, hconf, bar_seed)

@@ -30,8 +30,8 @@ from orbitrig.linalg import (
     rank_mod_p,
 )
 from orbitrig.rigidity import analyze, orbit_matrix
-from orbitrig.symmetry import proven_trivial_dim, trivial_motion_dim
-from conftest import halfturn_rep, mirror_rep, stewart_graph
+from orbitrig.symmetry import trivial_motion_dim
+from conftest import halfturn_rep, inject_unfixed_screw, mirror_rep, stewart_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -331,25 +331,25 @@ class TestPrimeWithRoot:
 
 class TestKernelProof:
     def test_matches_trivial_motion_dim(self):
+        """The proven count equals the trace average."""
         for rep in (mirror_rep(), halfturn_rep()):
             for j in rep.group.elements():
-                assert proven_trivial_dim(rep, j) == trivial_motion_dim(rep, j)
+                assert trivial_motion_dim(rep, j) == symmetry._trace_average(rep, j)
 
     def test_non_fixed_screw_is_refused(self, monkeypatch):
         rep = mirror_rep()
         # the mirror fixes the screw coordinates 0, 2, 4 in the symmetric block
-        not_fixed = (Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-        monkeypatch.setattr(symmetry, "fixed_subspace_basis", lambda rep, j: [not_fixed])
+        not_fixed = (0, 1, 0, 0, 0, 0)
+        inject_unfixed_screw(monkeypatch, not_fixed)
         with pytest.raises(ConsistencyError):
-            proven_trivial_dim(rep, (0,))
+            trivial_motion_dim(rep, (0,))
+        assert (0,) not in rep._fixed
 
     def test_analyze_refuses_an_unproven_bound(self, monkeypatch):
         rep = mirror_rep()
         h = stewart_graph(rep.group)
         config = random_generic_bars(h, rep, 1)
-        monkeypatch.setattr(
-            symmetry, "fixed_subspace_basis", lambda rep, j: [(Fraction(1),) * 6]
-        )
+        inject_unfixed_screw(monkeypatch, (1,) * 6)
         with pytest.raises(ConsistencyError):
             analyze(h, rep, config)
 

@@ -36,7 +36,6 @@ from orbitrig.symmetry import (
     AbelianGroup,
     PointRepresentation,
     character_power,
-    proven_trivial_dim,
     trivial_motion_dim,
 )
 import oracles
@@ -454,7 +453,7 @@ class TestUnrealifiedBlocks:
                 rank, _ = rigidity._block_rank(h, config, rep, g)
                 assert rank == om.rank()
                 nonzero = sum(1 for row in om.rows if any(row)) // om.degree
-                bound = b * len(h.vertices) - proven_trivial_dim(rep, g)
+                bound = b * len(h.vertices) - trivial_motion_dim(rep, g)
                 if rank == min(nonzero, bound):
                     # certified over F_p: no realified block is built
                     assert fallbacks == []
@@ -678,7 +677,7 @@ class TestCertificatesOnce:
 
         def check(h, config, rep, g, witness_bound=None):
             rank, proof = rigidity._block_rank(h, config, rep, g, witness_bound)
-            bound = comb(rep.d + 1, 2) * len(h.vertices) - proven_trivial_dim(rep, g)
+            bound = comb(rep.d + 1, 2) * len(h.vertices) - trivial_motion_dim(rep, g)
             expected = "bound" if rank == bound else "witness" if rank == witness_bound else None
             assert proof == expected
             nonzero = sum(1 for row in rigidity._block_rows(h, config, rep, g) if row)

@@ -22,7 +22,6 @@ from orbitrig.symmetry import (
     galois_representative,
     induced_signs,
     irrep_degree,
-    proven_trivial_dim,
     root_of_unity_matrix,
     screw_pairs,
     tau_hat_int,
@@ -35,6 +34,7 @@ from conftest import (
     diagonal,
     halfturn_rep,
     identity,
+    inject_unfixed_screw,
     mirror_rep,
     reflection9_rep,
     rotation9_rep,
@@ -618,7 +618,7 @@ class TestIntegerScrewImages:
                     assert tau_hat2_j(rep, j, g) == oracles.tau_hat2_j(old, j, g)
                 assert fixed_subspace_basis(rep, j) == oracles.fixed_subspace_basis(old, j)
                 assert trivial_motion_dim(rep, j) == oracles.trivial_motion_dim(old, j)
-                assert proven_trivial_dim(rep, j) == oracles.proven_trivial_dim(old, j)
+                assert trivial_motion_dim(rep, j) == oracles.proven_trivial_dim(old, j)
 
     def test_screw_image_is_the_cleared_compound(self):
         """``tau_hat_int`` is the Fraction grade-2 compound cleared by its
@@ -649,10 +649,10 @@ class TestIntegerScrewImages:
         rep = rotation9_rep()
         assert tau_hat_int(rep, (1,))[0] == 9
         for j in rep.group.elements():
-            assert proven_trivial_dim(rep, j) == trivial_motion_dim(rep, j)
+            assert trivial_motion_dim(rep, j) == symmetry._trace_average(rep, j)
         image = oracles.tau_hat2_j(_fresh(rep), (0,), (1,)).transpose()
-        screw = tuple(Fraction(int(t == 0)) for t in range(6))
+        screw = tuple(int(t == 0) for t in range(6))
         assert image.apply(screw) != screw
-        monkeypatch.setattr(symmetry, "fixed_subspace_basis", lambda rep, j: [screw])
+        inject_unfixed_screw(monkeypatch, screw)
         with pytest.raises(ConsistencyError, match="is not fixed"):
-            proven_trivial_dim(_fresh(rep), (0,))
+            trivial_motion_dim(_fresh(rep), (0,))
