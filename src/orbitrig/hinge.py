@@ -72,19 +72,16 @@ def body_bar_quotient(model: str, h: GainGraph, d: int) -> GainGraph:
     return multiply_edges(h, bar_multiplicity(d))
 
 
-def hinge_to_bars(
-    h: GainGraph, config: HingeConfiguration, multiplied: GainGraph
-) -> tuple[GainGraph, BarConfiguration]:
-    """Expand every quotient edge into C(d+1,2)-1 parallel copies, bar copy
-    t being the t-th vector of the hinge's ``hinge_complement_basis``.  A
-    copy's rows are linear in its bar, so any basis gives the same ranks.
-    ``multiplied`` is the body-hinge ``body_bar_quotient`` of ``h``."""
-    d = config.d
+def hinge_to_bars(h: GainGraph, config: HingeConfiguration) -> BarConfiguration:
+    """The bars of the hinges' body-bar quotient (``body_bar_quotient``):
+    copy t of a quotient edge is the t-th vector of its hinge's
+    ``hinge_complement_basis``.  A copy's rows are linear in its bar, so
+    any basis gives the same ranks."""
     entries: dict[EdgeId, BarEntry] = {}
     for e in h.edges:
         for t, vec in enumerate(hinge_complement_basis(config.vector(e.id)), 1):
             entries[(e.id, t)] = BarEntry(vector=vec, points=None)
-    return multiplied, BarConfiguration(d=d, entries=entries, meta=dict(config.meta))
+    return BarConfiguration(d=config.d, entries=entries, meta=dict(config.meta))
 
 
 @dataclass(frozen=True)
@@ -137,13 +134,13 @@ def analyze_framework(
     rep: PointRepresentation,
     seed: int,
     samples: int = 2,
-    bound: int = DEFAULT_BOUND,
     config: BarConfiguration | None = None,
 ) -> Analysis:
     """Both paths for a framework of either model on its body-bar quotient.
     ``config`` holds hinges (a ``HingeConfiguration``) for a body-hinge
     one, and is then the one sample; without it, sample t is drawn from
-    seed + t, at most ``samples`` times per block (``analyze_sampled``).
+    seed + t at ``DEFAULT_BOUND``, at most ``samples`` times per block
+    (``analyze_sampled``).
     The matroid verdicts, when the representation admits them, come first,
     and their witness bounds go to the numeric path.  Agreement is
     required only of a sampled configuration: an explicit one may sit in
@@ -154,18 +151,17 @@ def analyze_framework(
     bars per hinge."""
     bars = body_bar_quotient(model, h, rep.d)
     if config is None:
-        meta = {"seed": seed, "samples": samples, "bound": bound, "prng": PRNG_NAME}
+        meta = {"seed": seed, "samples": samples, "bound": DEFAULT_BOUND, "prng": PRNG_NAME}
     else:
         meta = dict(config.meta)
     if model == "body-hinge":
         meta.update(model="body-hinge", bars_per_hinge=bar_multiplicity(rep.d))
 
         def draw(t: int) -> BarConfiguration:
-            hinges = config or random_generic_hinges(h, rep, seed + t, bound=bound)
-            return hinge_to_bars(h, hinges, bars)[1]
+            return hinge_to_bars(h, config or random_generic_hinges(h, rep, seed + t))
     else:
         def draw(t: int) -> BarConfiguration:
-            return config or random_generic_bars(h, rep, seed + t, bound=bound)
+            return config or random_generic_bars(h, rep, seed + t)
 
     verdicts = None
     if rep.is_combinatorial():
@@ -183,11 +179,10 @@ def analyze_hinge(
     rep: PointRepresentation,
     seed: int,
     samples: int = 2,
-    bound: int = DEFAULT_BOUND,
     config: HingeConfiguration | None = None,
 ) -> Analysis:
     """``analyze_framework`` of a body-hinge framework."""
-    return analyze_framework("body-hinge", h, rep, seed, samples, bound, config)
+    return analyze_framework("body-hinge", h, rep, seed, samples, config)
 
 
 def certificates(

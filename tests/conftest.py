@@ -119,13 +119,19 @@ def inject_unfixed_screw(monkeypatch, screw=None) -> None:
     """Patches ``symmetry.kernel_vectors`` so that the fixed screws it finds
     keep their number, which then meets the trace average, but the first is
     ``screw``, by default the first unit screw that the stacked rows
-    N^T - D I move: one that is not fixed, which the proof must refuse."""
+    N^T - D I move: one that is not fixed, which the proof must refuse.  A
+    character with no fixed screws, or whose rows move no screw, keeps its
+    basis."""
     real = symmetry.kernel_vectors
 
     def patched(rows, ncols):
         basis = list(real(rows, ncols))
-        moved = next(c for c in range(ncols) if any(r[c] for r in rows))
-        basis[0] = screw or tuple(int(c == moved) for c in range(ncols))
+        bad = screw
+        if bad is None:
+            moved = next((c for c in range(ncols) if any(r[c] for r in rows)), None)
+            bad = None if moved is None else tuple(int(c == moved) for c in range(ncols))
+        if basis and bad is not None:
+            basis[0] = bad
         return basis
 
     monkeypatch.setattr(symmetry, "kernel_vectors", patched)

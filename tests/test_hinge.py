@@ -59,7 +59,8 @@ class TestComplement:
         for d in range(2, 7):
             h, rep = two_body_one_hinge(d)
             hconf = random_generic_hinges(h, rep, seed=3)
-            multiplied, bars = hinge_to_bars(h, hconf, body_bar_quotient("body-hinge", h, d))
+            multiplied = body_bar_quotient("body-hinge", h, d)
+            bars = hinge_to_bars(h, hconf)
             assert len(multiplied.edges) == len(bars.entries) == bar_multiplicity(d)
             assert bar_multiplicity(3) == 5
             star = hconf.vector(0)
@@ -188,9 +189,9 @@ class TestComplementBasisInvariance:
             rng = random.Random(seed)
             h = random_hinge_graph(rng, rep, n, m)
             for hconf in (random_generic_hinges(h, rep, seed), explicit_hinges(rng, h, rep)):
-                quotient = body_bar_quotient("body-hinge", h, rep.d)
-                multiplied, bars = hinge_to_bars(h, hconf, quotient)
-                assert hinge_to_bars(h, hconf, quotient)[1] == bars
+                multiplied = body_bar_quotient("body-hinge", h, rep.d)
+                bars = hinge_to_bars(h, hconf)
+                assert hinge_to_bars(h, hconf) == bars
                 expected = self.summary(multiplied, rep, bars)
                 for bar_seed in (4, 5, 6):
                     ref_multiplied, ref_bars = recombined_hinge_to_bars(h, hconf, bar_seed)
@@ -303,7 +304,7 @@ class TestRandomCrosscheck:
             h = random_gain_graph(rng, rep.group, 3, 4)
             if h.loops_l:
                 h = GainGraph(h.vertices, h.edges, frozenset())
-            report = analyze_hinge(h, rep, seed=rng.randrange(2 ** 31), bound=999)
+            report = analyze_hinge(h, rep, seed=rng.randrange(2 ** 31))
             assert report.consistent
             assert report.numeric.samples_agree
 
@@ -327,7 +328,7 @@ class TestTrivialGroupReduction:
             h = make_gain_graph(
                 vertices, [(i, u, v, ()) for i, (u, v) in enumerate(pairs)], group=rep.group
             )
-            report = analyze_hinge(h, rep, seed=rng.randrange(2 ** 31), bound=9999)
+            report = analyze_hinge(h, rep, seed=rng.randrange(2 ** 31))
             quintupled = [pair for pair in pairs for _ in range(5)]
             assert report.rigid == tree_packing_exists(vertices, quintupled, 6)
             assert report.consistent
