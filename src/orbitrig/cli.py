@@ -33,9 +33,8 @@ from .genframe import (
     HingeConfiguration,
     lift_bars,
     random_configuration,
-    random_generic_bars,
 )
-from .hinge import analyze_framework, certificates
+from .hinge import analyze_framework, body_bar_quotient, certificates, hinge_to_bars
 from .matroid import counting_violation
 from .rigidity import extract_flex, flex_residuals, orbit_matrix
 from .symmetry import AbelianGroup, Element, PointRepresentation, irrep_degree
@@ -282,16 +281,18 @@ def _certify_text(doc: dict):
 
 def cmd_flex(args) -> int:
     fw = _load(args)
-    rep, h = fw["rep"], fw["graph"]
-    if fw["model"] == "body-hinge":
-        raise InputError("flex extraction runs on the body-bar model; expand hinges first")
-    config = fw["config"] or random_generic_bars(h, rep, args.seed)
+    rep, h, model = fw["rep"], fw["graph"], fw["model"]
+    # sample 0 of ``analyze_framework``, ranked on the body-bar quotient
+    config = fw["config"] or random_configuration(KINDS[model], h, rep, args.seed)
+    if model == "body-hinge":
+        config = hinge_to_bars(h, config)
     irreps = _irrep_filter(rep, args.irrep)
     if not all(irrep_degree(rep.group, g) == 1 for g in irreps):
         raise InputError("flex extraction is implemented for the exact rational path")
+    bars = body_bar_quotient(model, h, rep.d)
     flexes = []
     for g in irreps:
-        om = orbit_matrix(h, config, rep, g)
+        om = orbit_matrix(bars, config, rep, g)
         flex = extract_flex(om, rep)
         if flex is not None:
             if any(flex_residuals(om, flex)):

@@ -14,24 +14,18 @@ its rows, one integer kernel vector per free column.
 ``rank_mod_p`` is the only prime-field engine.  It ranks rows given as
 ``{column: x mod p}`` dicts, choosing pivots by Markowitz's rule (the
 sparsest row, then the sparsest column in it), and stops once a target
-rank is reached.  The rank over F_p never exceeds the rank over Q (nor, for
-rows over Z[zeta_m] sent to F_p by zeta_m -> w, the rank over Q(zeta_m)),
-so when the caller supplies an upper bound U that it has proven in exact
-arithmetic, an F_p rank equal to min(nonzero rows, U) is the exact rank.
-The same holds for any other proven upper bound that the F_p rank meets;
-``rigidity._block_rank`` uses the matroid union's witness bound that way,
-after eliminating up to min(nonzero rows, U) so that an F_p rank above the
-witness bound is caught rather than hidden.
-``prime_with_root(m)`` gives the prime for characters of order m: the
-largest prime p < 2**31 with p = 1 (mod m), and a primitive m-th root of
-unity w mod p.  Every input reaches F_p as integer rows: the orbit blocks
-and the lifted framework are assembled that way, and ``rank_certified``
-clears the rows of a dense rational matrix of their denominators before
-reducing them mod ``PRIME`` = 2**31 - 1; a matrix it cannot certify
-(deficient, or with a row that vanishes mod p) falls back to Bareiss.
-``rank_complex`` ranks a realified block of a complex character, each
-entry of Q(zeta_m) replaced by its phi(m) x phi(m) integer multiplication
-block, as its Bareiss rank divided by phi(m).  Every rank these return is
+rank is reached.  ``rank_certified`` is the one rank certificate, for the
+orbit blocks, the lifted framework and the fixed screws alike.  It takes
+integer rows over Z[zeta_m] (rational rows for m <= 2) and sends them to
+F_p by zeta_m -> w, (p, w) = ``prime_with_root(m)``: the largest prime
+p < 2**31 with p = 1 (mod m), ``PRIME`` = 2**31 - 1 for m = 1 and 2, and
+a primitive m-th root of unity w mod p.  That is a ring homomorphism, so
+the F_p rank never exceeds the rank over Q(zeta_m) (Dumas-Villard), and
+one that meets an upper bound the caller has proven exactly is the rank.
+Any other rank, of a deficient matrix or of one with a row that vanishes
+mod p, is Bareiss's: ``rank_complex`` of the rows ``realified`` over Q,
+each entry of Q(zeta_m) as its phi(m) x phi(m) integer multiplication
+block, which multiplies the rank by phi(m).  Every rank these return is
 exact; no floating-point value is involved.
 """
 
@@ -165,26 +159,70 @@ def orthogonal_part(vec: Sequence[int], ortho: Sequence[Sequence[int]]) -> list[
     return v
 
 
-def rank_certified(rows: Sequence[Sequence[Scalar] | dict[int, int]], bound: int) -> int:
-    """Rank over the rationals of a matrix, given ``bound``, an upper bound
-    on that rank which the caller has proven exactly.  The rows are sparse
-    integer rows, dicts from column to nonzero integer, or dense rows of
-    ints or Fractions, each multiplied by the lcm of its denominators.
-    Rows zero over Q are skipped and the others reduced mod PRIME for
-    ``rank_mod_p``; a row that vanishes mod PRIME still counts.  Since
-    rank_p <= rank_Q <= min(nonzero rows, bound), an F_p rank reaching that
-    minimum is returned as it is; otherwise ``rank_exact`` of the integer
-    rows."""
+def rank_certified(
+    rows: Sequence[Sequence[Scalar] | dict[int, int]],
+    bound: int,
+    m: int = 1,
+    witness: int | None = None,
+) -> int:
+    """Rank over Q(zeta_m) of a matrix over Z[zeta_m], given ``bound``, an
+    upper bound on that rank which the caller has proven exactly.  The rows
+    are sparse integer rows, dicts from column to nonzero integer, column
+    t phi(m) + c holding coefficient c of entry t in the basis 1, zeta_m,
+    ..., zeta_m^(phi(m)-1), or, for m <= 2 (phi(m) = 1), dense rows of ints
+    or Fractions, each multiplied by the lcm of its denominators.  Rows
+    zero over Q are skipped and the others sent to F_p, (p, w) =
+    ``prime_with_root(m)``, by zeta_m -> w: column t phi(m) + c goes to t
+    with weight w^c.  A row that vanishes mod p still counts.  Since
+    rank_p <= rank <= min(nonzero rows, bound), an F_p rank reaching that
+    minimum is returned as it is, and so is one of at least ``witness``,
+    another proven upper bound that the caller checks the rank against;
+    otherwise ``rank_complex`` of the ``realified`` rows."""
     sparse = bool(rows) and isinstance(rows[0], dict)
     if not sparse and any(len(row) != len(rows[0]) for row in rows):
         raise InputError("ragged matrix")
     ints = rows if sparse else [{c: x for c, x in enumerate(_cleared(r)[1]) if x} for r in rows]
-    reduced = [{c: r for c, x in row.items() if (r := x % PRIME)} for row in ints if row]
+    p, w = prime_with_root(m)
+    deg = len(cyclotomic(m)) - 1
+    images = ints
+    if deg > 1:
+        weights = [pow(w, c, p) for c in range(deg)]
+        images = [{} for _ in ints]
+        for row, image in zip(ints, images):
+            for col, x in row.items():
+                image[col // deg] = image.get(col // deg, 0) + x * weights[col % deg]
+    reduced = [{c: r for c, x in row.items() if (r := x % p)} for row in images if row]
     target = min(len(reduced), bound)
-    if rank_mod_p(reduced, target, PRIME) == target:
-        return target
-    ncols = 1 + max(c for row in ints for c in row)
-    return rank_exact([[row.get(c, 0) for c in range(ncols)] for row in ints])
+    rank = rank_mod_p(reduced, target, p)
+    if rank == target or witness is not None and rank >= witness:
+        return rank
+    real = realified(ints, m)
+    ncols = 1 + max(c for row in real for c in row)
+    return rank_complex([[row.get(c, 0) for c in range(ncols)] for row in real], deg)
+
+
+def realified(rows: Sequence[dict[int, int]], m: int) -> list[dict[int, int]]:
+    """The realification over Q of sparse rows over Z[zeta_m] in the layout
+    of ``rank_certified``: per row, the row times zeta_m^r for r = 0, ...,
+    phi(m) - 1, in order, each entry's coefficients multiplied by x modulo
+    Phi_m per step.  An empty row gives phi(m) empty rows."""
+    phi = cyclotomic(m)
+    deg = len(phi) - 1
+    if deg == 1:
+        return list(rows)
+    out = []
+    for row in rows:
+        polys: dict[int, list[int]] = {}
+        for col, x in row.items():
+            t, c = divmod(col, deg)
+            polys.setdefault(t, [0] * deg)[c] = x
+        out.append(row)
+        for _ in range(1, deg):
+            for t, poly in polys.items():
+                top = poly[-1]  # x * poly, with x^deg replaced by x^deg - Phi_m
+                polys[t] = [a - top * f for a, f in zip([0] + poly[:-1], phi)]
+            out.append({t * deg + c: x for t, poly in polys.items() for c, x in enumerate(poly) if x})
+    return out
 
 
 def rank_mod_p(rows: list[dict[int, int]], target: int, p: int) -> int:
@@ -251,6 +289,23 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(m: int) -> tuple[int, ...]:
+    """Coefficients of the cyclotomic polynomial Phi_m, constant term first:
+    x^m - 1 divided exactly by Phi_e for every proper divisor e of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for e in range(1, m):
+        if m % e == 0:
+            div = cyclotomic(e)
+            quot = [0] * (len(poly) - len(div) + 1)
+            for k in range(len(quot) - 1, -1, -1):
+                quot[k] = c = poly[k + len(div) - 1]
+                for i, x in enumerate(div):
+                    poly[k + i] -= c * x
+            poly = quot
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

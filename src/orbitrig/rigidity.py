@@ -13,24 +13,21 @@ Each character block is assembled once, by ``_block_rows``: one sparse
 integer row per quotient edge, the row over Q(zeta_m) (m the character's
 order) written in the coefficients of 1, zeta_m, ..., zeta_m^(phi(m)-1)
 and cleared of denominators.  Every consumer reads those rows.
-``analyze`` ranks them over F_p, sending zeta_m to w, a primitive m-th root
-of unity mod a prime p = 1 (mod m), so a complex character is ranked
-unrealified.  The F_p rank counts when it reaches min(nonzero rows,
-columns - proven fixed screws).  For a two-group character the matroid
-union's witness bound, an upper bound on the rank at every configuration,
-also certifies an F_p rank that reaches it, so a deficient block needs no
-Bareiss elimination either.  Otherwise ``orbit_matrix`` densifies the rows,
-realified for a complex character (phi(m) integer rows per quotient edge
-and phi(m) columns per screw coordinate, see ``symmetry``), and
-``OrbitMatrix.rank`` ranks it by Bareiss, divided by phi(m).  Flex
-extraction and the tests read ``orbit_matrix`` too.
+``analyze`` hands them to ``linalg.rank_certified``, which ranks them over
+F_p, zeta_m sent to a root of unity mod p, and counts an F_p rank that
+reaches min(nonzero rows, columns - proven fixed screws) or, for a
+two-group character, the matroid union's witness bound, an upper bound
+on the rank at every configuration; any other rank is Bareiss's on the
+same rows realified.  ``orbit_matrix`` densifies the realified rows (phi(m)
+integer rows per quotient edge and phi(m) columns per screw coordinate)
+for flex extraction and the tests.
 
 A rank that meets either upper bound is the generic rank, and
 ``_block_rank`` names that bound as its proof.  ``analyze_sampled``, the
 sampling loop of both models, samples a block again only while its rank
 is unproven.  ``lifted_rank``, the crosscheck's rank of the lifted
 framework, is also one sparse integer row per edge, from ``tau_hat_int``,
-certified by ``rank_certified``: Bareiss only when F_p falls short.
+certified by ``rank_certified``.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import Scalar
 from .errors import ConsistencyError, InputError
-from .gaingraph import CoveredGraph, EdgeId, GainGraph, VertexId, lift_cover
+from .gaingraph import CoveredGraph, GainGraph, VertexId, lift_cover
 from .genframe import (
     DEFAULT_BOUND,
     PRNG_NAME,
@@ -51,14 +48,7 @@ from .genframe import (
     random_generic_bars,
     verify_loop_form,
 )
-from .linalg import (
-    kernel_vectors,
-    orthogonal_part,
-    prime_with_root,
-    rank_certified,
-    rank_complex,
-    rank_mod_p,
-)
+from .linalg import kernel_vectors, orthogonal_part, rank_certified, rank_complex, realified
 from .symmetry import (
     Element,
     PointRepresentation,
@@ -104,7 +94,6 @@ class OrbitMatrix:
     irrep: Element
     d: int
     vertices: tuple[VertexId, ...]
-    edge_ids: tuple[EdgeId, ...]
     rows: tuple[tuple[int, ...], ...]
     degree: int = 1
 
@@ -125,32 +114,20 @@ class OrbitMatrix:
 def orbit_matrix(
     h: GainGraph, config: BarConfiguration, rep: PointRepresentation, g: Element
 ) -> OrbitMatrix:
-    """The block of character g, m its order, realified over Q: per quotient
-    edge its row from ``_block_rows``, densified, and that row times
-    zeta_m^r for r = 1, ..., phi(m) - 1, i.e. C_m^r applied to each screw
-    coordinate's phi(m) coefficients.  Every entry is an integer.  Rows of
-    non-free loops whose character value is -1 vanish identically."""
+    """The block of character g, m its order, realified over Q: the rows of
+    ``_block_rows`` through ``realified``, densified, so that quotient edge
+    k gives rows k phi(m), ..., k phi(m) + phi(m) - 1, its row times
+    zeta_m^r.  Every entry is an integer.  Rows of non-free loops whose
+    character value is -1 vanish identically."""
     _check_inputs(h, config, rep)
     deg = irrep_degree(rep.group, g)
     ncols = comb(rep.d + 1, 2) * deg * len(h.vertices)
-    powers = [root_of_unity_matrix(rep.group.element_order(g), r).rows for r in range(deg)]
-    rows = []
-    for first in _block_rows(h, config, rep, g):
-        dense = [0] * ncols
-        for c, x in first.items():
-            dense[c] = x
-        for power in powers:
-            rows.append(tuple(
-                sum(a * x for a, x in zip(coeffs, dense[k : k + deg]))
-                for k in range(0, ncols, deg)
-                for coeffs in power
-            ))
+    rows = realified(_block_rows(h, config, rep, g), rep.group.element_order(g))
     return OrbitMatrix(
         irrep=g,
         d=rep.d,
         vertices=tuple(h.vertices),
-        edge_ids=tuple(e.id for e in h.edges),
-        rows=tuple(rows),
+        rows=tuple(tuple(row.get(c, 0) for c in range(ncols)) for row in rows),
         degree=deg,
     )
 
@@ -217,50 +194,26 @@ def _block_rank(
     witness_bound: int | None = None,
 ) -> tuple[int, str | None]:
     """Exact rank over Q(zeta_m) of the block of character g, m its order,
-    for inputs that passed ``_check_inputs``, and its proof.  The rows of
-    ``_block_rows`` are sent to F_p, p the prime of ``prime_with_root(m)``,
-    by zeta_m -> w: column t phi(m) + c goes to t with weight w^c.  That is
-    a ring homomorphism, so rank_p <= rank <= min(nonzero rows, bound), the
-    bound being the columns minus the proven fixed screws, and elimination
-    runs up to that minimum.  An F_p rank reaching it is the rank.
+    for inputs that passed ``_check_inputs``, and its proof: the rows of
+    ``_block_rows`` certified by ``rank_certified`` against the bound, the
+    columns minus the proven fixed screws.
 
     ``witness_bound``, given for a two-group character, is the matroid
     union's |S \\ X| + sum_i r_i(X) (``CombinatorialVerdict``), another
     upper bound on the rank that is proven independently of this block.
-    Elimination does not stop at it: an F_p rank above it raises
+    ``rank_certified`` eliminates past it, up to min(nonzero rows, bound),
+    and returns an F_p rank that reaches it; a rank above it raises
     ``ConsistencyError``, and one equal to it is the rank, which certifies
-    deficient blocks too.  Otherwise the realified orbit matrix is ranked
-    by ``OrbitMatrix.rank``.  The proof names the bound that the rank
-    meets, "bound" checked first, or is None (see ``IrrepReport``)."""
+    deficient blocks too.  The proof names the bound that the rank meets,
+    "bound" checked first, or is None (see ``IrrepReport``)."""
     bound = comb(rep.d + 1, 2) * len(h.vertices) - trivial_motion_dim(rep, g)
-    p, w = prime_with_root(rep.group.element_order(g))
-    deg = irrep_degree(rep.group, g)
-    weights = [pow(w, c, p) for c in range(deg)]
-    rows = []
-    for row in _block_rows(h, config, rep, g):
-        if not row:
-            continue
-        if deg > 1:
-            mapped: dict[int, int] = {}
-            for col, x in row.items():
-                t, c = divmod(col, deg)
-                mapped[t] = mapped.get(t, 0) + x * weights[c]
-            row = mapped
-        rows.append({t: y for t, x in row.items() if (y := x % p)})
-    target = min(len(rows), bound)
-    rank = _below_witness(rank_mod_p(rows, target, p), witness_bound, g)
-    if rank not in (target, witness_bound):
-        rank = _below_witness(orbit_matrix(h, config, rep, g).rank(), witness_bound, g)
-    return rank, "bound" if rank == bound else "witness" if rank == witness_bound else None
-
-
-def _below_witness(rank: int, witness_bound: int | None, g: Element) -> int:
-    """``rank``, after checking that it does not exceed the witness bound."""
+    m = rep.group.element_order(g)
+    rank = rank_certified(_block_rows(h, config, rep, g), bound, m, witness_bound)
     if witness_bound is not None and rank > witness_bound:
         raise ConsistencyError(
             f"block of irrep {g} has rank at least {rank}, above the witness bound {witness_bound}"
         )
-    return rank
+    return rank, "bound" if rank == bound else "witness" if rank == witness_bound else None
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ labeled by group elements.  A character j of order m takes values in the
 powers of zeta_m; it is real (values +-1) when m <= 2.  A value is kept
 exactly, as its exponent a for zeta_m^a (``character_power``).  The exact
 constructions here handle every character over Q through its realification
-(the prime-field block ranks of ``rigidity`` send zeta_m to a root of unity
-mod p instead): Q(zeta_m) has the basis 1, zeta_m, ..., zeta_m^(phi(m)-1), and
+(``linalg.rank_certified`` sends zeta_m to a root of unity mod p instead):
+Q(zeta_m) has the basis 1, zeta_m, ..., zeta_m^(phi(m)-1), and
 multiplication by zeta_m^a is the integer matrix C_m^a, C_m the companion
-matrix of the cyclotomic polynomial Phi_m (C = [+-1] for a real character).
+matrix of the cyclotomic polynomial Phi_m (``linalg.cyclotomic``; C = [+-1]
+for a real character).
 A representation holds each element's image M only as the integer image
 (D, N = D M) over its least common denominator, and its image on screws
 (grade 2, the one exterior power taken; a hinge is held starred) only as
@@ -41,7 +42,7 @@ from typing import Sequence
 
 from .algebra import SquareMatrix, _integer_image, compound, kron, lex_index
 from .errors import ConsistencyError, InputError, RepresentationError, UnsupportedGroupError
-from .linalg import kernel_vectors, rank_certified
+from .linalg import cyclotomic, kernel_vectors, rank_certified
 
 Element = tuple[int, ...]
 MAX_D = 12  # the largest d taken: the work grows like d^4 (screw space is C(d+1, 2))
@@ -108,23 +109,6 @@ def character_power(group: AbelianGroup, j: Element, i: Element) -> int:
     The value is -1 exactly when 2a = m."""
     m = group.element_order(j)
     return sum(x * y * m // k for x, y, k in zip(j, i, group.orders)) % m
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(m: int) -> tuple[int, ...]:
-    """Coefficients of the cyclotomic polynomial Phi_m, constant term first:
-    x^m - 1 divided exactly by Phi_e for every proper divisor e of m."""
-    poly = [-1] + [0] * (m - 1) + [1]
-    for e in range(1, m):
-        if m % e == 0:
-            div = cyclotomic(e)
-            quot = [0] * (len(poly) - len(div) + 1)
-            for k in range(len(quot) - 1, -1, -1):
-                quot[k] = c = poly[k + len(div) - 1]
-                for i, x in enumerate(div):
-                    poly[k + i] -= c * x
-            poly = quot
-    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

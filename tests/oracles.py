@@ -13,7 +13,9 @@ exact output of the current ones: ``matroid_union_rank_unpruned``, the union
 algorithm, ``forest_rank`` and ``union_rank_by_forests``, the witness
 formula that read each labeling's ranks off a ``_SignedForest`` of its
 own, ``analyze_generic`` with ``merge_samples``, the sampler that
-ranked every block at every sample, ``hinge_to_bars``, which gave a
+ranked every block at every sample, ``realified_by_powers``, the
+realification that applied ``root_of_unity_matrix`` powers to dense
+rows, ``hinge_to_bars``, which gave a
 hinge's bar copies random invertible combinations of its complement basis,
 and the screw-image functions that multiplied Fraction matrices:
 ``induced_rep`` with the Fraction images ``image``, ``tau_hat`` and
@@ -477,6 +479,29 @@ def hinge_to_bars(
     meta = dict(config.meta)
     meta["bar_seed"] = seed
     return multiplied, BarConfiguration(d=d, entries=entries, meta=meta)
+
+
+def realified_by_powers(
+    rows: Sequence[Mapping[int, int]], m: int, ncols: int
+) -> list[tuple[int, ...]]:
+    """The dense realification of sparse rows over Z[zeta_m], column
+    t phi(m) + c holding coefficient c of entry t: per row, C_m^r applied
+    to each entry's phi(m) coefficients for r = 0, ..., phi(m) - 1, that
+    is the row times zeta_m^r, with ``ncols`` columns."""
+    deg = root_of_unity_matrix(m, 0).n
+    powers = [root_of_unity_matrix(m, r).rows for r in range(deg)]
+    out = []
+    for first in rows:
+        dense = [0] * ncols
+        for c, x in first.items():
+            dense[c] = x
+        for power in powers:
+            out.append(tuple(
+                sum(a * x for a, x in zip(coeffs, dense[k : k + deg]))
+                for k in range(0, ncols, deg)
+                for coeffs in power
+            ))
+    return out
 
 
 def kernel_by_gauss_jordan(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[Fraction, ...]]:

@@ -145,7 +145,7 @@ class TestAcceptance:
                     for e in h.edges:
                         if not e.is_loop():
                             continue
-                        rows = [om.rows[om.edge_ids.index(e.id)] for om in oms]
+                        rows = [om.rows[h.edges.index(e)] for om in oms]
                         if e.id in h.loops_l and 2 * character_power(
                             rep.group, g, e.gain
                         ) == rep.group.element_order(g):

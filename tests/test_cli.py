@@ -178,6 +178,16 @@ def test_generated_hinge_documents(capsys, tmp_path, name, command):
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == GENERATED_HINGE_OUTPUTS[name, command]
 
 
+def _workloads():
+    """The benchmark's input generator, perfbench/workloads."""
+    sys.path.insert(0, str(TESTS.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
+
+
 # (exit code, first 16 hex digits of the sha256 of stdout) of ``flex`` on the
 # benchmark generator's body-bar inputs (perfbench/workloads, slot 0, drawn
 # from random.Random(7)), keyed by (orders, n, under-braced, format)
@@ -205,11 +215,7 @@ FLEX_OUTPUTS = {
 def test_generated_flex_documents(capsys, tmp_path, orders, n, under, fmt):
     """Flexes of generated rigid and under-braced body-bar documents give
     the pinned output in both formats."""
-    sys.path.insert(0, str(TESTS.parent / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
+    workloads = _workloads()
     path = tmp_path / "doc.json"
     path.write_bytes(workloads.dump(workloads.body_bar(random.Random(7), orders, n, under, 0)))
     code, out = run(capsys, ["flex", str(path), "--format", fmt])
@@ -394,6 +400,62 @@ class TestFlexCommand:
         # u moves against v, and the flex is scaled to lead with 1
         assert u[0] == "1" and v == [str(-Fraction(x)) for x in u]
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == "ff13234332311cc4"
+
+
+def _body_hinge_docs(fixture_dir) -> dict[str, bytes]:
+    """The hinge fixtures, and generated (2) and (2,2) body-hinge documents
+    (perfbench/workloads, slot 0, drawn from random.Random(7)) at n = 2, 4
+    and 8, rigid and under-braced."""
+    docs = {path.stem: path.read_bytes() for path in sorted(fixture_dir.glob("*hinge*.json"))}
+    workloads = _workloads()
+    for orders in ((2,), (2, 2)):
+        for n in (2, 4, 8):
+            for under in (False, True):
+                doc = workloads.body_hinge(random.Random(7), orders, n, under, 0)
+                docs[f"{orders}-n{n}-{'under' if under else 'rigid'}"] = workloads.dump(doc)
+    return docs
+
+
+class TestBodyHingeFlex:
+    """``flex`` on a body-hinge document ranks the hinges' body-bar quotient
+    at sample 0 of ``analyze``: it prints a flex for exactly the characters
+    that ``analyze`` counts flexes in, and each one solves the quotient's
+    orbit system exactly and is not a trivial motion."""
+
+    def test_flex_characters_are_the_flexible_ones(self, capsys, fixture_dir, tmp_path):
+        from orbitrig.cli import KINDS
+        from orbitrig.genframe import random_configuration
+        from orbitrig.hinge import body_bar_quotient, hinge_to_bars
+        from orbitrig.linalg import rank_exact
+        from orbitrig.rigidity import Flex, flex_residuals, orbit_matrix, trivial_space_vectors
+
+        docs = _body_hinge_docs(fixture_dir)
+        assert len(docs) == 15
+        flexible = 0
+        for name, raw in docs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(raw)
+            _, out = run(capsys, ["analyze", str(path)])
+            expected = [r["irrep"] for r in json.loads(out)["irreps"] if r["flex"] > 0]
+            code, out = run(capsys, ["flex", str(path)])
+            flexes = json.loads(out)["flexes"]
+            assert code == (EXIT_FLEXIBLE if expected else EXIT_RIGID), name
+            assert [f["irrep"] for f in flexes] == expected, name
+            flexible += bool(expected)
+            fw = parse_framework(json.loads(raw))
+            rep, h = fw["rep"], fw["graph"]
+            hinges = fw["config"] or random_configuration(KINDS["body-hinge"], h, rep, 42)
+            bars, config = body_bar_quotient("body-hinge", h, rep.d), hinge_to_bars(h, hinges)
+            for f in flexes:
+                g = tuple(f["irrep"])
+                om = orbit_matrix(bars, config, rep, g)
+                assignment = {v: tuple(Fraction(x) for x in f["assignment"][str(v)])
+                              for v in bars.vertices}
+                flex = Flex(g, tuple(bars.vertices), assignment)
+                assert not any(flex_residuals(om, flex)), name
+                trivial = trivial_space_vectors(rep, g, len(bars.vertices))
+                assert rank_exact(trivial + [flex.stacked()]) == len(trivial) + 1, name
+        assert flexible >= 3
 
 
 class TestLiftCommand:

@@ -23,11 +23,13 @@ from orbitrig.errors import ConsistencyError, InputError
 from orbitrig.genframe import random_generic_bars
 from orbitrig.linalg import (
     PRIME,
+    cyclotomic,
     kernel_vectors,
     prime_with_root,
     rank_certified,
     rank_exact,
     rank_mod_p,
+    realified,
 )
 from orbitrig.rigidity import analyze, orbit_matrix
 from orbitrig.symmetry import trivial_motion_dim
@@ -327,6 +329,74 @@ class TestPrimeWithRoot:
     def test_word_prime_serves_small_orders(self):
         assert prime_with_root(1)[0] == prime_with_root(2)[0] == PRIME
         assert prime_with_root(4)[0] != PRIME
+
+
+def _cyclotomic_instance(rng: random.Random, m: int):
+    """(rows, scaled, ncols): random sparse rows over Z[zeta_m] in the
+    layout of ``rank_certified``, with planted Q(zeta_m)-dependencies (rows
+    of ``realified``, which are zeta_m^r times a row, and integer
+    combinations) and empty rows, in random order; ``scaled`` is the same
+    with one row multiplied by the prime p of ``prime_with_root(m)``, so
+    that it vanishes mod p but not over Q."""
+    deg = len(cyclotomic(m)) - 1
+    ncols = rng.randint(1, 5) * deg
+    base = [
+        {c: x for c in range(ncols) if rng.random() < 0.6 and (x := rng.randint(-5, 5))}
+        for _ in range(rng.randint(1, 6))
+    ]
+    rows = list(base)
+    for row in rng.sample(base, rng.randint(0, len(base))):
+        rows.append(realified([row], m)[rng.randrange(deg)])
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append({c: x for c in a.keys() | b.keys() if (x := s * a.get(c, 0) + t * b.get(c, 0))})
+    rows += [{}] * rng.randint(0, 2)
+    p, _ = prime_with_root(m)
+    scaled = list(rows)
+    k = rng.randrange(len(base))
+    scaled[k] = {c: p * x for c, x in base[k].items()}
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return [rows[i] for i in order], [scaled[i] for i in order], ncols
+
+
+class TestOneCertificate:
+    """``rank_certified`` over Z[zeta_m] against the Bareiss rank, divided
+    by phi(m), of the realification by ``root_of_unity_matrix`` powers."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12])
+    def test_equals_bareiss_on_the_realification(self, monkeypatch, m):
+        ranked = []
+        complex_rank = linalg.rank_complex
+
+        def counting(rows, degree):
+            ranked.append(degree)
+            return complex_rank(rows, degree)
+
+        monkeypatch.setattr(linalg, "rank_complex", counting)
+        deg = len(cyclotomic(m)) - 1
+        rng = random.Random(100 + m)
+        kinds = set()
+        for _ in range(30):
+            clean, scaled, ncols = _cyclotomic_instance(rng, m)
+            realification = oracles.realified_by_powers(clean, m, ncols)
+            expected, rest = divmod(oracles.rank_exact(realification), deg)
+            assert rest == 0
+            for rows in (clean, scaled):  # scaling a row by p leaves the rank
+                nonzero = sum(1 for row in rows if row)
+                for bound in (expected, expected + 1, ncols):
+                    del ranked[:]
+                    assert rank_certified(rows, bound, m) == expected
+                    if ranked:
+                        kinds.add("scaled" if rows is scaled else "deficient")
+                    elif expected == min(nonzero, bound) < nonzero:
+                        kinds.add("bound")
+            # a witness equal to the rank certifies it over F_p
+            del ranked[:]
+            assert rank_certified(clean, ncols, m, witness=expected) == expected
+            assert ranked == []
+        assert kinds == {"bound", "deficient", "scaled"}
 
 
 class TestKernelProof:
